@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .embedding import (
     BlockStructure,
@@ -25,6 +24,17 @@ from .embedding import (
 )
 
 DEFAULT_TOL = 1e-9
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on first use.
+
+    Only the ray-cone (polytope) paths solve LPs, so matrix models never pay
+    for loading scipy.optimize.  Every LP in the package goes through here.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 class GPTError(Exception):

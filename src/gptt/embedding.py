@@ -9,15 +9,48 @@ sqrt(2)*Im H_ij.  Real blocks drop the imaginary coordinate.  Under this
 embedding the trace inner product <A, B> = tr(AB) becomes the Euclidean
 dot product, which is what makes states and their dagger effects share
 coordinates downstream.
+
+Index maps.  No conversion loops over entries.  For each block size and
+field a cached set of index arrays ties every coordinate to a position in
+the float view of the block (a complex n x n matrix seen as 2n^2 floats,
+real part first).  Embedding is one gather from that view times a
+{1, sqrt(2)} vector; the inverse is one scatter of x[src] / div with
+div in {1, sqrt(2), -sqrt(2)} into a zeroed matrix, which writes both
+triangles.  Division by sqrt(2) (never multiplication by its inverse)
+keeps every entry bit-identical to the entrywise formula.  The maps come
+from one cached table of each coordinate's entry (row, column, real or
+imaginary part); shifted to each block's Hilbert offset, the same table
+converts a whole block structure to and from its full Hilbert-space matrix,
+and a cached mask of the off-block entries gives the residual that
+`total_to_vec` reports.
+
+Conjugation in closed form.  Coordinate j has the basis matrix
+E_j = sum_b c_jb |s_jb><t_jb| with at most two terms (|p><p| on the
+diagonal, (|p><q| + |q><p|)/sqrt(2) and i(|p><q| - |q><p|)/sqrt(2) off
+it), and coordinate i reads Y as Re(r_i Y[p_i, q_i]) with r_i in
+{1, sqrt(2), -i sqrt(2)}.  The matrix of X -> sum_K K X K† is therefore
+
+    M[i, j] = Re sum_K sum_b r_i c_jb K[p_i, s_jb] conj(K[q_i, t_jb]),
+
+a gather of Kraus entries (the natural representation of the map,
+restricted to the block coordinates; Watrous, The Theory of Quantum
+Information, ch. 2).  M is filled CONJ_SLICE columns at a time, so besides
+the D x D result the temporaries stay at a few D x CONJ_SLICE complex
+arrays (about 1 MB each at D = 2048) plus two D x d row gathers of K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
+
+# Columns of the conjugation matrix computed per pass; bounds its memory.
+CONJ_SLICE = 32
 
 
 @dataclass(frozen=True)
@@ -65,46 +98,107 @@ class BlockStructure:
         return offs
 
 
+# ---------------------------------------------------------------------------
+# index maps
+
+
+class _Maps(NamedTuple):
+    read: np.ndarray     # float-view position of each coordinate (upper triangle)
+    mul: np.ndarray      # 1 on the diagonal, sqrt(2) off it
+    dst: np.ndarray      # float-view positions written by the inverse (both triangles)
+    src: np.ndarray      # coordinate written to each dst
+    div: np.ndarray      # 1, sqrt(2), or -sqrt(2) for the lower imaginary parts
+    offblock: np.ndarray  # mask of the entries outside every block
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _coords(structure: BlockStructure):
+    """Row, column and part (0 real, 1 imaginary) of every coordinate, as an
+    entry of the full Hilbert-space matrix."""
+    rows, cols, part = [], [], []
+    for off, n in zip(structure.hilbert_offsets(), structure.dims):
+        iu, ju = np.triu_indices(n, 1)
+        if structure.field == "C":
+            iu, ju = np.repeat(iu, 2), np.repeat(ju, 2)
+            im = np.tile([0, 1], len(iu) // 2)
+        else:
+            im = np.zeros(len(iu), int)
+        diag = np.arange(n)
+        rows += [diag + off, iu + off]
+        cols += [diag + off, ju + off]
+        part += [np.zeros(n, int), im]
+    return _frozen(*(np.concatenate(a) for a in (rows, cols, part)))
+
+
+@lru_cache(maxsize=None)
+def _maps(structure: BlockStructure) -> _Maps:
+    """Gather and scatter maps over the flat float view of the full
+    Hilbert-space matrix."""
+    rows, cols, part = _coords(structure)
+    DH = structure.hilbert_dim
+    width = 2 if structure.field == "C" else 1
+    diag = rows == cols
+    read = (rows * DH + cols) * width + part
+    mul = np.where(diag, 1.0, _SQRT2)
+    off = ~diag
+    lower = (cols[off] * DH + rows[off]) * width + part[off]
+    k = np.arange(len(rows))
+    offblock = np.ones((DH, DH), dtype=bool)
+    for o, n in zip(structure.hilbert_offsets(), structure.dims):
+        offblock[o: o + n, o: o + n] = False
+    return _Maps(*_frozen(
+        read, mul,
+        np.concatenate([read, lower]),
+        np.concatenate([k, k[off]]),
+        np.concatenate([mul, np.where(part[off] == 1, -_SQRT2, _SQRT2)]),
+        offblock))
+
+
+@lru_cache(maxsize=None)
+def _herm_maps(n: int, field: str) -> _Maps:
+    return _maps(BlockStructure((n,), field))
+
+
+def _float_view(M: np.ndarray, field: str) -> np.ndarray:
+    """Flat float view of a matrix as the index maps address it."""
+    if field == "C":
+        return np.ascontiguousarray(M, dtype=complex).reshape(-1).view(float)
+    return np.ascontiguousarray(np.real(M), dtype=float).reshape(-1)
+
+
+def _scatter(x: np.ndarray, n: int, field: str, maps: _Maps) -> np.ndarray:
+    H = np.zeros((n, n), dtype=complex if field == "C" else float)
+    H.reshape(-1).view(float)[maps.dst] = x[maps.src] / maps.div
+    return H
+
+
+# ---------------------------------------------------------------------------
+# conversions
+
+
 def herm_to_vec(H: np.ndarray, field: str = "C") -> np.ndarray:
-    """Embed one Hermitian (or real symmetric) block into real coordinates."""
+    """Embed one Hermitian (or real symmetric) block into real coordinates.
+
+    Reads the diagonal and the upper triangle only.
+    """
     H = np.asarray(H)
     n = H.shape[0]
-    if field == "C":
-        out = np.empty(n * n)
-    else:
-        out = np.empty(n * (n + 1) // 2)
-    out[:n] = H.diagonal().real
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[k] = _SQRT2 * H[i, j].real
-            k += 1
-            if field == "C":
-                out[k] = _SQRT2 * H[i, j].imag
-                k += 1
-    return out
+    if H.shape != (n, n):
+        raise ValueError("block must be square")
+    maps = _herm_maps(n, field)
+    return _float_view(H, field)[maps.read] * maps.mul
 
 
 def vec_to_herm(x: np.ndarray, n: int, field: str = "C") -> np.ndarray:
     """Inverse of herm_to_vec for a single block of dimension n."""
     x = np.asarray(x, dtype=float)
-    dtype = complex if field == "C" else float
-    H = np.zeros((n, n), dtype=dtype)
-    np.fill_diagonal(H, x[:n])
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            re = x[k] / _SQRT2
-            k += 1
-            if field == "C":
-                im = x[k] / _SQRT2
-                k += 1
-                H[i, j] = re + 1j * im
-                H[j, i] = re - 1j * im
-            else:
-                H[i, j] = re
-                H[j, i] = re
-    return H
+    return _scatter(x, n, field, _herm_maps(n, field))
 
 
 def blocks_to_vec(blocks: list[np.ndarray], structure: BlockStructure) -> np.ndarray:
@@ -125,21 +219,17 @@ def vec_to_blocks(x: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:
     blocks, pos = [], 0
     for n in structure.dims:
         w = structure.block_coord_dim(n)
-        blocks.append(vec_to_herm(x[pos : pos + w], n, structure.field))
+        blocks.append(vec_to_herm(x[pos: pos + w], n, structure.field))
         pos += w
     return blocks
 
 
 def vec_to_total(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
     """Full Hilbert-space matrix: blocks on the diagonal, zeros across blocks."""
-    dtype = complex if structure.field == "C" else float
-    DH = structure.hilbert_dim
-    M = np.zeros((DH, DH), dtype=dtype)
-    for B, off, n in zip(
-        vec_to_blocks(x, structure), structure.hilbert_offsets(), structure.dims
-    ):
-        M[off : off + n, off : off + n] = B
-    return M
+    x = np.asarray(x, dtype=float)
+    if x.shape != (structure.coord_dim,):
+        raise ValueError("coordinate length mismatch")
+    return _scatter(x, structure.hilbert_dim, structure.field, _maps(structure))
 
 
 def total_to_vec(M: np.ndarray, structure: BlockStructure, check_tol: float | None = None):
@@ -148,16 +238,36 @@ def total_to_vec(M: np.ndarray, structure: BlockStructure, check_tol: float | No
     When check_tol is given, also return the off-block residual so callers can
     detect superselection violations instead of silently discarding them.
     """
-    blocks = []
-    mask = np.zeros(M.shape, dtype=bool)
-    for off, n in zip(structure.hilbert_offsets(), structure.dims):
-        blocks.append(M[off : off + n, off : off + n])
-        mask[off : off + n, off : off + n] = True
-    x = blocks_to_vec([np.asarray(b) for b in blocks], structure)
+    M = np.asarray(M)
+    DH = structure.hilbert_dim
+    if M.shape != (DH, DH):
+        raise ValueError("matrix shape mismatch")
+    maps = _maps(structure)
+    x = _float_view(M, structure.field)[maps.read] * maps.mul
     if check_tol is None:
         return x
-    residual = float(np.abs(M[~mask]).max()) if (~mask).any() else 0.0
+    residual = float(np.abs(M[maps.offblock]).max()) if structure.block_count > 1 else 0.0
     return x, residual
+
+
+@lru_cache(maxsize=None)
+def _conjugation_terms(structure: BlockStructure):
+    """Row reads (p, q, r) and two-term column bases (s, t, c) of the
+    closed form in the module docstring, over the full Hilbert space."""
+    p, q, part = _coords(structure)
+    im = part == 1
+    diag = p == q
+    r = np.where(diag, 1.0, _SQRT2) * np.where(im, -1j, 1.0)
+    # off-diagonal bases: c |p><q| + conj(c) |q><p| with c = 1/sqrt2 or i/sqrt2;
+    # the diagonal basis |p><p| keeps its second term at zero weight
+    c0 = np.where(diag, 1.0, 1.0 / _SQRT2) * np.where(im, 1j, 1.0)
+    c1 = np.where(diag, 0.0, np.conj(c0))
+    s = np.stack([p, q])
+    t = np.stack([q, p])
+    c = np.stack([c0, c1])
+    if structure.field == "R":
+        r, c = r.real, c.real
+    return _frozen(p, q, r, s, t, c)
 
 
 def conjugation_matrix(kraus: list[np.ndarray], structure: BlockStructure) -> np.ndarray:
@@ -165,15 +275,20 @@ def conjugation_matrix(kraus: list[np.ndarray], structure: BlockStructure) -> np
 
     The Kraus operators act on the total Hilbert space; the image is projected
     back onto the block structure (operators used here must preserve it).
+    Computed in closed form, CONJ_SLICE columns at a time (module docstring).
     """
+    p, q, r, s, t, c = _conjugation_terms(structure)
     D = structure.coord_dim
-    M = np.empty((D, D))
-    for j in range(D):
-        e = np.zeros(D)
-        e[j] = 1.0
-        X = vec_to_total(e, structure)
-        Y = sum(K @ X @ K.conj().T for K in kraus)
-        M[:, j] = total_to_vec(np.asarray(Y), structure)
+    M = np.zeros((D, D))
+    for K in kraus:
+        K = np.asarray(K)
+        Kp = r[:, None] * K[p]
+        Kq = K[q].conj()
+        for j0 in range(0, D, CONJ_SLICE):
+            js = slice(j0, j0 + CONJ_SLICE)
+            acc = Kp[:, s[0, js]] * c[0, js] * Kq[:, t[0, js]]
+            acc += Kp[:, s[1, js]] * c[1, js] * Kq[:, t[1, js]]
+            M[:, js] += acc.real
     return M
 
 
@@ -204,7 +319,7 @@ def pure_block_vec(structure: BlockStructure, block: int, psi: np.ndarray) -> np
     P = np.outer(psi, psi.conj())
     if structure.field == "R":
         P = P.real
-    blocks = [np.zeros((m, m), dtype=complex if structure.field == "C" else float)
-              for m in structure.dims]
-    blocks[block] = P
-    return blocks_to_vec(blocks, structure)
+    x = np.zeros(structure.coord_dim)
+    off = structure.coord_offsets()[block]
+    x[off: off + structure.block_coord_dim(n)] = herm_to_vec(P, structure.field)
+    return x

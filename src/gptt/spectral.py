@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     DiagonalizationError,
@@ -28,6 +27,7 @@ from .core import (
     UnsupportedModelError,
     _kron_to_coords,
     as_coords,
+    linprog,
     pairing,
 )
 from .embedding import block_eigh, pure_block_vec, vec_to_blocks
@@ -268,14 +268,6 @@ def dagger(state: StateVec) -> EffectVec:
         raise UnsupportedModelError(
             f"{state.model.model_id} has no dagger correspondence")
     return EffectVec(state.coords, state.model)
-
-
-def dagger_extend(diag: Diagonalization, values) -> np.ndarray:
-    """Coordinates of sum_i values_i (identifying effect of eigenstate i)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(diag.eigenstates),):
-        raise ValueError("one value per eigenstate required")
-    return sum(v * s.coords for v, s in zip(values, diag.eigenstates))
 
 
 def functional_calculus(model: ModelSpec, x, fn) -> np.ndarray:

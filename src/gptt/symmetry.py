@@ -20,10 +20,6 @@ from .core import (
 )
 from . import zoo
 
-_CONTINUOUS_KINDS = ("quantum", "rebit", "real_quantum", "doubled_quantum",
-                     "extended_classical")
-
-
 def _group_probe_matrices(model: ModelSpec, n_probes: int = 40, seed: int = 0):
     if model.group.kind == "finite":
         return [M for M, _ in zoo._closure_cache(model)]

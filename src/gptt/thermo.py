@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import logsumexp
 
 from .core import (
@@ -272,6 +271,8 @@ def beta_from_energy(model: ModelSpec, hamiltonian, energy: float,
         b *= 2.0
         if b > 1e8:
             raise GPTError("no bracketing inverse temperature found")
+    from scipy.optimize import brentq
+
     beta = brentq(gap, -b, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     if abs(gap(beta)) > tol:
         raise GPTError(f"energy residual {gap(beta):.2e} above tolerance")

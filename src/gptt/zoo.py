@@ -10,9 +10,12 @@ dimension exceed the product of the factors' dimensions.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .core import (
     ChannelMap,
@@ -27,6 +30,7 @@ from .core import (
     StateVec,
     UnsupportedModelError,
     cone_membership,
+    linprog,
 )
 from .embedding import (
     BlockStructure,
@@ -35,8 +39,6 @@ from .embedding import (
     pure_block_vec,
     vec_to_blocks,
 )
-from scipy.optimize import linprog
-import dataclasses
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +163,10 @@ def _sector_perm_kraus(dims, perm) -> np.ndarray:
     return K
 
 
-def _block_unitary_kraus(dims, unitaries) -> np.ndarray:
-    from scipy.linalg import block_diag
-
-    return block_diag(*[np.asarray(U) for U in unitaries])
-
-
 def _matrix_group_sampler(model: ModelSpec, rng: np.random.Generator) -> ChannelMap:
     st = model.structure
     Us = [_haar_unitary(rng, n, st.field) for n in st.dims]
-    K = _block_unitary_kraus(st.dims, Us)
+    K = block_diag(*Us)
     if model.flags.sectorized and st.block_count > 1:
         perm = rng.permutation(st.block_count)
         K = _sector_perm_kraus(st.dims, perm) @ K
@@ -183,8 +179,6 @@ def _matrix_group_sampler(model: ModelSpec, rng: np.random.Generator) -> Channel
 
 
 def _support_projector(x: np.ndarray, structure: BlockStructure, tol=1e-9):
-    from scipy.linalg import block_diag
-
     projs = []
     for B in vec_to_blocks(x, structure):
         w, V = np.linalg.eigh(B)
@@ -647,8 +641,6 @@ def reversible_sending(model: ModelSpec, s_from: StateVec,
         raise UnsupportedModelError("reversible transport needs a matrix model")
     ja, va = pure_support(s_from)
     jb, vb = pure_support(s_to)
-    from scipy.linalg import block_diag
-
     dtype = complex if st.field == "C" else float
     blocks = [np.eye(n, dtype=dtype) for n in st.dims]
     if ja == jb:
@@ -720,18 +712,35 @@ def model_to_json(model: ModelSpec) -> dict:
     return {"kind": model.kind, "params": dict(model.params)}
 
 
+def _polytope_id(*arrays) -> str:
+    """Model id derived from a polytope's defining data.
+
+    Group closures are cached, and models compared, by id, so two different
+    polytopes must never share one.
+    """
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return f"polytope:{h.hexdigest()[:16]}"
+
+
 def model_from_json(data: dict) -> ModelSpec:
     kind = data["kind"]
     if kind != "polytope":
         return build_model(kind, **data.get("params", {}))
+    group = ([np.asarray(M, dtype=float) for M in data.get("group_generators", [])]
+             or [np.eye(int(data["vector_dim"]))])
+    vertices = data["state_vertices"]
+    effects = data["effect_generators"]
+    unit = data["unit_effect"]
     return _polytope_model(
-        "polytope", {}, "polytope:custom",
-        state_vertices=data["state_vertices"],
-        effect_generators=data["effect_generators"],
-        unit_effect=data["unit_effect"],
-        group_matrices=[np.asarray(M, dtype=float)
-                        for M in data.get("group_generators", [])]
-        or [np.eye(int(data["vector_dim"]))],
+        "polytope", {}, _polytope_id(vertices, effects, unit, group),
+        state_vertices=vertices,
+        effect_generators=effects,
+        unit_effect=unit,
+        group_matrices=group,
     )
 
 

@@ -1,0 +1,221 @@
+"""Properties of the real-coordinate embedding over random block structures.
+
+The references below are written entry by entry from the coordinate formula
+in the embedding module's docstring and share no code with the package.
+The conversions must match them bit for bit; the closed-form conjugation
+matrix must match explicit Kraus conjugation to 1e-12.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gptt.embedding import (
+    BlockStructure,
+    blocks_to_vec,
+    conjugation_matrix,
+    herm_to_vec,
+    total_to_vec,
+    vec_to_blocks,
+    vec_to_herm,
+    vec_to_total,
+)
+
+SQRT2 = np.sqrt(2.0)
+
+
+# ---------------------------------------------------------------------------
+# entrywise references
+
+
+def ref_herm_to_vec(H, field):
+    n = H.shape[0]
+    out = [H[i, i].real for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            out.append(SQRT2 * H[i, j].real)
+            if field == "C":
+                out.append(SQRT2 * H[i, j].imag)
+    return np.array(out, dtype=float)
+
+
+def ref_vec_to_herm(x, n, field):
+    H = np.zeros((n, n), dtype=complex if field == "C" else float)
+    for i in range(n):
+        H[i, i] = x[i]
+    k = n
+    for i in range(n):
+        for j in range(i + 1, n):
+            re = x[k] / SQRT2
+            k += 1
+            if field == "C":
+                im = x[k] / SQRT2
+                k += 1
+                H[i, j] = re + 1j * im
+                H[j, i] = re - 1j * im
+            else:
+                H[i, j] = H[j, i] = re
+    return H
+
+
+def ref_block_widths(dims, field):
+    return [n * n if field == "C" else n * (n + 1) // 2 for n in dims]
+
+
+def ref_total(x, dims, field):
+    """Block-diagonal Hilbert-space matrix of coordinates x."""
+    DH = sum(dims)
+    M = np.zeros((DH, DH), dtype=complex if field == "C" else float)
+    off = pos = 0
+    for n, w in zip(dims, ref_block_widths(dims, field)):
+        M[off: off + n, off: off + n] = ref_vec_to_herm(x[pos: pos + w], n, field)
+        off += n
+        pos += w
+    return M
+
+
+def ref_coords(M, dims, field):
+    """Coordinates of the diagonal blocks of a Hilbert-space matrix."""
+    parts, off = [], 0
+    for n in dims:
+        parts.append(ref_herm_to_vec(M[off: off + n, off: off + n], field))
+        off += n
+    return np.concatenate(parts)
+
+
+# ---------------------------------------------------------------------------
+# strategies
+
+
+@st.composite
+def structures(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    return BlockStructure(dims, draw(st.sampled_from(["C", "R"])))
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_matrix(rng, n, field, scale=1.0):
+    G = rng.normal(size=(n, n)) * scale
+    if field == "C":
+        G = G + 1j * rng.normal(size=(n, n)) * scale
+    return G
+
+
+def random_herm(rng, n, field):
+    G = random_matrix(rng, n, field)
+    return (G + G.conj().T) / 2
+
+
+def random_coords(rng, structure):
+    x = rng.normal(size=structure.coord_dim)
+    x[rng.random(x.shape) < 0.2] = 0.0
+    return x
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(deadline=None, max_examples=150)
+@given(structures(), seeds)
+def test_block_round_trip_matches_reference(structure, seed):
+    rng = np.random.default_rng(seed)
+    field = structure.field
+    for n in structure.dims:
+        H = random_herm(rng, n, field)
+        x = herm_to_vec(H, field)
+        assert np.array_equal(x, ref_herm_to_vec(H, field))
+        back = vec_to_herm(x, n, field)
+        assert np.array_equal(back, ref_vec_to_herm(x, n, field))
+        # multiplying by sqrt(2) and dividing again may move the last bit
+        assert np.abs(back - H).max() <= 4 * np.finfo(float).eps * np.abs(H).max()
+        y = random_coords(rng, BlockStructure((n,), field))
+        assert np.array_equal(herm_to_vec(vec_to_herm(y, n, field), field),
+                              ref_herm_to_vec(ref_vec_to_herm(y, n, field), field))
+
+
+@settings(deadline=None, max_examples=150)
+@given(structures(), seeds)
+def test_dot_product_is_trace_inner_product(structure, seed):
+    rng = np.random.default_rng(seed)
+    x, y = random_coords(rng, structure), random_coords(rng, structure)
+    X = ref_total(x, structure.dims, structure.field)
+    Y = ref_total(y, structure.dims, structure.field)
+    assert abs(x @ y - np.trace(X @ Y).real) <= 1e-12 * (1 + np.abs(x).sum() * np.abs(y).sum())
+    A = [random_herm(rng, n, structure.field) for n in structure.dims]
+    B = [random_herm(rng, n, structure.field) for n in structure.dims]
+    tr = sum(np.trace(a @ b).real for a, b in zip(A, B))
+    assert abs(blocks_to_vec(A, structure) @ blocks_to_vec(B, structure) - tr) <= 1e-12 * (
+        1 + sum(np.abs(a).sum() * np.abs(b).sum() for a, b in zip(A, B)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(structures(), seeds)
+def test_total_round_trip_and_off_block_residual(structure, seed):
+    rng = np.random.default_rng(seed)
+    dims, field = structure.dims, structure.field
+    x = random_coords(rng, structure)
+    M = vec_to_total(x, structure)
+    assert np.array_equal(M, ref_total(x, dims, field))
+    assert M.dtype == (complex if field == "C" else float)
+    pos = 0
+    for B, n, w in zip(vec_to_blocks(x, structure), dims, ref_block_widths(dims, field)):
+        assert np.array_equal(B, ref_vec_to_herm(x[pos: pos + w], n, field))
+        pos += w
+    back, resid = total_to_vec(M, structure, check_tol=1e-9)
+    assert np.array_equal(back, ref_coords(M, dims, field))
+    assert resid == 0.0
+    assert np.array_equal(total_to_vec(M, structure), back)
+    # noise across blocks is dropped from the coordinates and reported
+    noise = random_matrix(rng, structure.hilbert_dim, field, scale=1e-3)
+    off = 0
+    for n in dims:
+        noise[off: off + n, off: off + n] = 0.0
+        off += n
+    x2, resid2 = total_to_vec(M + noise, structure, check_tol=1e-9)
+    assert np.array_equal(x2, back)
+    assert resid2 == np.abs(noise).max()
+    assert (resid2 > 0) == (len(dims) > 1)
+
+
+@settings(deadline=None, max_examples=150)
+@given(structures(), seeds, st.integers(1, 3))
+def test_conjugation_matrix_matches_kraus_conjugation(structure, seed, n_kraus):
+    rng = np.random.default_rng(seed)
+    dims, field = structure.dims, structure.field
+    DH = structure.hilbert_dim
+    kraus = [random_matrix(rng, DH, field, scale=1 / np.sqrt(DH)) for _ in range(n_kraus)]
+    M = conjugation_matrix(kraus, structure)
+    for _ in range(3):
+        x = random_coords(rng, structure)
+        X = ref_total(x, dims, field)
+        Y = sum(K @ X @ K.conj().T for K in kraus)
+        assert np.abs(M @ x - ref_coords(Y, dims, field)).max() <= 1e-12
+    # column j is the image of the j-th coordinate's basis matrix
+    for j in rng.choice(structure.coord_dim, size=min(4, structure.coord_dim), replace=False):
+        e = np.zeros(structure.coord_dim)
+        e[j] = 1.0
+        E = ref_total(e, dims, field)
+        Y = sum(K @ E @ K.conj().T for K in kraus)
+        assert np.abs(M[:, j] - ref_coords(Y, dims, field)).max() <= 1e-12
+
+
+def test_conjugation_matrix_memory_stays_sliced():
+    # the D = 2048 sector structure of a doubled-qubit composite squared
+    structure = BlockStructure((32, 32), "C")
+    D = structure.coord_dim
+    rng = np.random.default_rng(0)
+    K = np.linalg.qr(random_matrix(rng, 32, "C"))[0]
+    K = np.kron(np.eye(2), K)
+    tracemalloc.start()
+    try:
+        M = conjugation_matrix([K], structure)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * D * D + 16 * 2**20
+    assert np.abs(M @ M.T - np.eye(D)).max() <= 1e-12

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptt import zoo
-from gptt.core import GPTError, StateVec
+from gptt.core import GPTError, StateVec, pairing
 
 rng = np.random.default_rng(1)
 
@@ -150,6 +150,35 @@ class TestSerialization:
         assert np.abs(np.sort(np.asarray(m2.state_cone.generators), axis=0)
                       - np.sort(np.asarray(m.state_cone.generators), axis=0)
                       ).max() < 1e-12
+
+    def test_custom_polytopes_keep_their_own_identity(self):
+        from gptt import symmetry
+
+        square = {  # group of order 8
+            "kind": "polytope", "vector_dim": 3, "unit_effect": [0, 0, 1],
+            "state_vertices": [[1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]],
+            "effect_generators": [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+            "group_generators": [[[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+                                 [[1, 0, 0], [0, -1, 0], [0, 0, 1]]],
+        }
+        trit = {  # group of order 6
+            "kind": "polytope", "vector_dim": 3, "unit_effect": [1, 1, 1],
+            "state_vertices": np.eye(3).tolist(),
+            "effect_generators": [[1, .5, .5], [.5, 1, .5], [.5, .5, 1]],
+            "group_generators": [np.eye(3)[[1, 0, 2]].tolist(),
+                                 np.eye(3)[[2, 0, 1]].tolist()],
+        }
+        loaded = [(zoo.model_from_json(square), 8), (zoo.model_from_json(trit), 6)]
+        (a, _), (b, _) = loaded
+        assert a.model_id != b.model_id
+        for m, order in loaded:
+            assert len(zoo._closure_cache(m)) == order
+            s = StateVec(m.pure_sampler(m, np.random.default_rng(3)), m)
+            assert np.abs(symmetry.twirl(s).coords - m.chi).max() < 1e-12
+        with pytest.raises(GPTError):
+            pairing(b.unit, a.invariant_state)
+        again = zoo.model_from_json(json.loads(json.dumps(zoo.model_to_json(a))))
+        assert again.model_id == a.model_id
 
     def test_composites_not_serializable(self):
         c = zoo.compose_systems(zoo.build_model("quantum", n=2),
