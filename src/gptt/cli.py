@@ -65,7 +65,7 @@ def _emit(report: dict, as_json: bool):
 def _get_model(text: str):
     try:
         return zoo.parse_model_string(text)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
@@ -73,17 +73,25 @@ def _get_state(model, text: str, rng) -> StateVec:
     text = text.strip()
     if text == "chi":
         return model.invariant_state
-    if text == "center-offset":
-        return StateVec(np.array([0.3, 0.1, 1.0]), model)
     if text == "random":
         return StateVec(model.state_sampler(model, rng), model)
     if text.startswith("pure:"):
-        idx = int(text.split(":", 1)[1])
-        return zoo.pure_maximal_set(model)[idx]
+        try:
+            basis = zoo.pure_maximal_set(model)
+            idx = int(text.split(":", 1)[1])
+        except (ValueError, GPTError) as exc:
+            raise click.UsageError(f"cannot use {text!r}: {exc}")
+        if not 0 <= idx < len(basis):
+            raise click.UsageError(f"pure:K needs 0 <= K < {len(basis)} "
+                                   f"on {model.model_id}")
+        return basis[idx]
+    if text == "center-offset":
+        # an off-centre point of a three-coordinate model, e.g. the square bit
+        text = "[0.3, 0.1, 1.0]"
     if text.startswith("["):
         try:
             return StateVec(np.asarray(json.loads(text), dtype=float), model)
-        except (ValueError, GPTError) as exc:
+        except (ValueError, TypeError, GPTError) as exc:
             raise click.UsageError(f"not a valid state of "
                                    f"{model.model_id}: {exc}")
     raise click.UsageError(f"cannot parse state {text!r}; use chi, random, "
@@ -215,8 +223,7 @@ def entropy(model, state, alpha, seed, as_json):
 def gibbs(model, ham, beta, energy, as_json):
     """Equilibrium state for an energy observable at fixed beta or energy."""
     m = _get_model(model)
-    levels = np.asarray(json.loads(ham), dtype=float)
-    h = _hamiltonian_coords(m, levels)
+    h = _hamiltonian_coords(m, _get_levels(ham))
     if (beta is None) == (energy is None):
         raise click.UsageError("give exactly one of --beta / --energy")
     if beta is None:
@@ -238,6 +245,16 @@ def gibbs(model, ham, beta, energy, as_json):
                                       reverse=True)},
         "checks": checks,
     }, as_json)
+
+
+def _get_levels(text: str) -> np.ndarray:
+    try:
+        levels = np.asarray(json.loads(text), dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise click.UsageError(f"--H needs a JSON list of numbers: {exc}")
+    if levels.ndim != 1:
+        raise click.UsageError("--H needs a flat JSON list of numbers")
+    return levels
 
 
 def _hamiltonian_coords(model, levels: np.ndarray) -> np.ndarray:
@@ -272,10 +289,8 @@ def landauer(model, state, beta, ham, seed, as_json):
     rng = np.random.default_rng(seed)
     rho = _get_state(m, state, rng)
     comp = zoo.compose_systems(m, m)
-    if ham is None:
-        levels = np.arange(m.capacity, dtype=float)
-    else:
-        levels = np.asarray(json.loads(ham), dtype=float)
+    levels = (np.arange(m.capacity, dtype=float) if ham is None
+              else _get_levels(ham))
     h = _hamiltonian_coords(m, levels)
     joint = comp.group.sampler(comp, rng)
     led = thermo.landauer_ledger(joint, rho, h, beta, comp)
@@ -376,8 +391,7 @@ def verify(model, seed, as_json):
                        "pass": not m.flags.is_sharp_with_purification,
                        "residual": None})
     equil = None
-    if m.kind in ("classical", "quantum", "rebit", "real_quantum",
-                  "doubled_quantum", "extended_classical"):
+    if m.structure is not None:
         rep = symmetry.informational_equilibrium_check(m, m)
         equil = rep["residual"]
         checks.append({"name": "informational_equilibrium",

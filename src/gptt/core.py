@@ -195,8 +195,7 @@ class GroupSpec:
 
     kind 'finite': `generators` (matrix, kraus-or-None pairs) generate the
     whole group under composition.  kind 'parametric': `sampler` draws a
-    random reversible; generators may still list structural elements such
-    as sector swaps.
+    random reversible.
     """
 
     kind: str

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -37,25 +38,23 @@ from .zoo import basis_aligning_reversible, pure_support, reversible_sending
 def majorizes(p, q, tol: float = 1e-10) -> bool:
     """Whether p majorizes q.  Vectors are sorted and zero-padded; totals
     must agree."""
-    p = np.sort(np.asarray(p, dtype=float))[::-1]
-    q = np.sort(np.asarray(q, dtype=float))[::-1]
-    n = max(len(p), len(q))
-    p = np.pad(p, (0, n - len(p)))
-    q = np.pad(q, (0, n - len(q)))
-    if abs(p.sum() - q.sum()) > 1e-8:
+    tp, tq = float(np.sum(p)), float(np.sum(q))
+    if abs(tp - tq) > 1e-8:
         raise ValueError("majorisation needs equal totals "
-                         f"({p.sum():.6f} vs {q.sum():.6f})")
-    return bool(np.all(np.cumsum(p) >= np.cumsum(q) - tol))
+                         f"({tp:.6f} vs {tq:.6f})")
+    return _majorization_certificate(p, q, tol) is None
 
 
-def _majorization_certificate(p, q):
+def _majorization_certificate(p, q, tol: float = 1e-10):
+    """The first prefix sum at which p falls below q, or None if p
+    majorizes q."""
     p = np.sort(np.asarray(p, dtype=float))[::-1]
     q = np.sort(np.asarray(q, dtype=float))[::-1]
     n = max(len(p), len(q))
     p = np.pad(p, (0, n - len(p)))
     q = np.pad(q, (0, n - len(q)))
     cp, cq = np.cumsum(p), np.cumsum(q)
-    bad = np.where(cp < cq - 1e-10)[0]
+    bad = np.where(cp < cq - tol)[0]
     if len(bad) == 0:
         return None
     k = int(bad[0])
@@ -160,6 +159,16 @@ class ConversionOutcome:
         return f"ConversionOutcome({self.answer})"
 
 
+def _target_residual(chan: ChannelMap, rho: StateVec, sigma: StateVec,
+                     what: Optional[str] = None) -> float:
+    """Max-abs distance of the channel's image of rho from sigma.  Given the
+    name of the channel, a distance above 1e-8 raises instead."""
+    resid = float(np.abs(chan.matrix @ rho.coords - sigma.coords).max())
+    if what is not None and resid > 1e-8:
+        raise GPTError(f"{what} misses the target ({resid:.3e})")
+    return resid
+
+
 def measure_and_prepare_channel(diag_from: Diagonalization,
                                 diag_to: Diagonalization,
                                 D: np.ndarray) -> ChannelMap:
@@ -210,9 +219,7 @@ def build_unital_channel(rho: StateVec, sigma: StateVec) -> ConversionOutcome:
         return ConversionOutcome("no", None, cert)
     D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
     chan = measure_and_prepare_channel(dr, ds, D)
-    resid = float(np.abs(chan.matrix @ rho.coords - sigma.coords).max())
-    if resid > 1e-8:
-        raise GPTError(f"synthesized channel misses the target ({resid:.3e})")
+    resid = _target_residual(chan, rho, sigma, "synthesized channel")
     return ConversionOutcome("yes", chan, {"stochastic_matrix": D,
                                            "residual": resid})
 
@@ -246,20 +253,8 @@ def build_rare_channel(rho: StateVec, sigma: StateVec) -> ConversionOutcome:
         permute = basis_aligning_reversible(model, src, dst)
         reversibles.append(compose(permute, align))
         weights.append(w)
-    M = sum(w * ch.matrix for w, ch in zip(weights, reversibles))
-    kraus = None
-    if all(ch.kraus is not None for ch in reversibles) and len(weights) <= 64:
-        kraus = tuple(math.sqrt(w) * ch.kraus[0]
-                      for w, ch in zip(weights, reversibles))
-    chan = ChannelMap(
-        matrix=M, model_in=model, model_out=model,
-        tags=frozenset({"rare", "unital"}),
-        kraus=kraus,
-        witness={"weights": np.asarray(weights), "reversibles": tuple(reversibles)},
-    )
-    resid = float(np.abs(chan.matrix @ rho.coords - sigma.coords).max())
-    if resid > 1e-8:
-        raise GPTError(f"synthesized mixture misses the target ({resid:.3e})")
+    chan = _rare_mixture_channel(model, weights, reversibles)
+    resid = _target_residual(chan, rho, sigma, "synthesized mixture")
     return ConversionOutcome("yes", chan,
                              {"weights": np.asarray(weights), "residual": resid})
 
@@ -280,18 +275,11 @@ def sector_spectra(state: StateVec) -> list:
     return out
 
 
-def _allowed_sector_perms(model: ModelSpec):
-    N = model.structure.block_count
-    if model.kind == "doubled_quantum":
-        return [tuple(range(N)), tuple(reversed(range(N)))]
-    return list(itertools.permutations(range(N)))
-
-
 def _matching_sector_perm(model: ModelSpec, rho: StateVec, sigma: StateVec,
                           tol: float = 1e-8):
     sr = sector_spectra(rho)
     ss = sector_spectra(sigma)
-    for perm in _allowed_sector_perms(model):
+    for perm in itertools.permutations(range(len(sr))):
         if all(np.abs(sr[j] - ss[perm[j]]).max() <= tol
                for j in range(len(sr))):
             return perm
@@ -313,8 +301,6 @@ def rare_equivalent_doubled(rho: StateVec, sigma: StateVec) -> bool:
 def _sector_matching_reversible(model: ModelSpec, rho: StateVec,
                                 sigma: StateVec, perm) -> ChannelMap:
     st = model.structure
-    from scipy.linalg import block_diag
-
     dtype = complex if st.field == "C" else float
     rb = vec_to_blocks(rho.coords, st)
     sb = vec_to_blocks(sigma.coords, st)
@@ -349,8 +335,6 @@ def _uniformizing_mixture(model: ModelSpec) -> Optional[list]:
         if n != 1:
             return None
         sector_ops = [np.eye(1)]
-    from scipy.linalg import block_diag
-
     out = []
     shifts = [[(j + k) % N for j in range(N)] for k in range(N)]
     for combo in itertools.product(range(len(sector_ops)), repeat=N):
@@ -425,9 +409,7 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
             weights.append(float(w))
             reversibles.append(reversible_sending(model, rho, target))
         chan = _rare_mixture_channel(model, weights, reversibles)
-        resid = float(np.abs(chan.matrix @ rho.coords - sigma.coords).max())
-        if resid > 1e-8:
-            raise GPTError(f"pure-source mixture missed ({resid:.3e})")
+        resid = _target_residual(chan, rho, sigma, "pure-source mixture")
         return ConversionOutcome("yes", chan, {"residual": resid})
 
     # target is the invariant state: average over a uniformizing family
@@ -436,9 +418,7 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
         if fam is not None:
             weights = [1.0 / len(fam)] * len(fam)
             chan = _rare_mixture_channel(model, weights, fam)
-            resid = float(np.abs(chan.matrix @ rho.coords - sigma.coords).max())
-            if resid > 1e-8:
-                raise GPTError(f"uniformizing mixture missed ({resid:.3e})")
+            resid = _target_residual(chan, rho, sigma, "uniformizing mixture")
             return ConversionOutcome("yes", chan, {"residual": resid})
 
     if model.flags.sectorized:
@@ -449,8 +429,7 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
             perm = _matching_sector_perm(model, rho, sigma)
             if perm is not None:
                 chan = _sector_matching_reversible(model, rho, sigma, perm)
-                resid = float(np.abs(chan.matrix @ rho.coords
-                                     - sigma.coords).max())
+                resid = _target_residual(chan, rho, sigma)
                 if resid > 1e-8:
                     return ConversionOutcome("unknown", None, {
                         "reason": "sector-matched reversible drifted",
@@ -476,17 +455,15 @@ def _ordered_maximal_tuples(model: ModelSpec):
     verts = model.state_cone.generators
     u = model.unit_effect
     verts = [v / float(u @ v) for v in verts]
-    from itertools import combinations, permutations
-
     sets = []
-    for combo in combinations(range(len(verts)), model.capacity):
+    for combo in itertools.combinations(range(len(verts)), model.capacity):
         pts = [verts[i] for i in combo]
         if zoo._ray_distinguishing_effects(model.effect_cone.generators, u,
                                            pts) is not None:
             sets.append(combo)
     tuples = []
     for combo in sets:
-        for perm in permutations(combo):
+        for perm in itertools.permutations(combo):
             tuples.append([verts[i] for i in perm])
     return sets, tuples, verts
 
@@ -507,16 +484,20 @@ def check_unrestricted_reversibility(model: ModelSpec) -> dict:
     are checked exhaustively; matrix families analytically, with explicit
     counterexamples where an axiom fails.
     """
-    kind = model.kind
-    if kind in ("quantum", "rebit", "real_quantum", "classical"):
+    st = model.structure
+    if st is not None and not model.flags.sectorized:
         return {"permutability": True, "strong_symmetry": True,
                 "note": "every ordered eigenbasis is reversibly connected "
                         "to every other"}
-    if kind in ("doubled_quantum", "extended_classical") and \
-            model.params.get("n", 1) >= 2:
+    if st is not None and (st.block_count == 1 or st.dims[0] == 1):
+        return {"permutability": True, "strong_symmetry": True,
+                "note": "one sector, or sectors of dimension one, allow every "
+                        "relabeling in isolation; the model flag stays false "
+                        "because composites reintroduce the obstruction"}
+    if st is not None:
         basis = zoo.pure_maximal_set(model)
         swapped = list(basis)
-        n = model.structure.dims[0]
+        n = st.dims[0]
         swapped[0], swapped[n] = swapped[n], swapped[0]
         try:
             zoo.basis_aligning_reversible(model, basis, swapped)
@@ -530,27 +511,17 @@ def check_unrestricted_reversibility(model: ModelSpec) -> dict:
                     "fixing a third is incompatible with sector transport",
             "counterexample_verified": obstructed,
         }
-    if kind in ("extended_classical", "doubled_quantum"):
-        return {"permutability": True, "strong_symmetry": True,
-                "note": "single-sector-dimension systems allow every sector "
-                        "relabeling in isolation; the model flag stays false "
-                        "because composites reintroduce the obstruction"}
     # finite polytope families: exhaustive search
     elements = zoo._closure_cache(model)
     if model.capacity < 2:
         return {"permutability": True, "strong_symmetry": True,
                 "note": "no nontrivial distinguishable sets exist"}
-    sets, tuples, _ = _ordered_maximal_tuples(model)
+    sets, tuples, nverts = _ordered_maximal_tuples(model)
     perm_ok = True
     perm_witness = None
-    from itertools import permutations as _perms
-
-    verts = model.state_cone.generators
-    u = model.unit_effect
-    nverts = [v / float(u @ v) for v in verts]
     for combo in sets:
         pts = [nverts[i] for i in combo]
-        for p in _perms(range(len(pts))):
+        for p in itertools.permutations(range(len(pts))):
             dst = [pts[i] for i in p]
             if not _group_maps_tuple(elements, pts, dst):
                 perm_ok = False

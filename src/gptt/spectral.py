@@ -346,7 +346,7 @@ def purify(state: StateVec):
     equal to the input.  Classical and polytope models admit none.
     """
     model = state.model
-    if model.structure is None or model.kind == "classical":
+    if not model.flags.is_sharp_with_purification:
         raise UnsupportedModelError(
             f"{model.model_id} does not admit purification")
     comp = zoo.compose_systems(model, model)

@@ -37,7 +37,7 @@ def invariant_state(model: ModelSpec, n_probes: int = 40) -> dict:
     mats = _group_probe_matrices(model, n_probes)
     D = model.vector_dim
     stack = np.vstack([M - np.eye(D) for M in mats])
-    _, s, Vt = np.linalg.svd(stack)
+    _, s, Vt = np.linalg.svd(stack, full_matrices=False)
     # the stack always has at least D rows, so s has exactly D entries
     basis = Vt[s <= 1e-9]
     dim = basis.shape[0]
@@ -58,12 +58,9 @@ def invariant_state(model: ModelSpec, n_probes: int = 40) -> dict:
 
 def is_transitive(model: ModelSpec, n_probes: int = 60) -> bool:
     """Whether the reversible group carries every pure state to every other."""
-    kind = model.kind
-    if kind in ("quantum", "rebit", "real_quantum", "classical"):
-        return True
-    if kind in ("doubled_quantum", "extended_classical"):
-        # block rotations act transitively inside a sector and the cyclic
-        # shifts connect the equal-dimension sectors
+    if model.structure is not None:
+        # block rotations act transitively inside a sector and the sector
+        # permutations connect the equal-dimension sectors
         return True
     verts = model.state_cone.generators
     u = model.unit_effect

@@ -1,11 +1,12 @@
 """Builtin model families and composite-system construction.
 
-Matrix families (states = block-Hermitian matrices): classical, quantum,
-rebit, doubled quantum, extended classical.  Polytope families (states =
-convex polytopes given by vertices): square bit, restricted trit, diamond
-bit.  Composites exist for matrix families only; sectorized families
-compose by grouping sector pairs by residue, which makes the composite
-dimension exceed the product of the factors' dimensions.
+Every family is one row of `FAMILIES`.  Matrix families (states =
+block-Hermitian matrices): classical, quantum, rebit, real quantum, doubled
+quantum, extended classical.  Polytope families (states = convex polytopes
+given by vertices): square bit, restricted trit, diamond bit.  Composites
+exist for matrix families only; sectorized families compose by grouping
+sector pairs by residue, which makes the composite dimension exceed the
+product of the factors' dimensions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -37,6 +39,7 @@ from .embedding import (
     blocks_to_vec,
     conjugation_matrix,
     pure_block_vec,
+    total_to_vec,
     vec_to_blocks,
 )
 
@@ -167,11 +170,16 @@ def _matrix_group_sampler(model: ModelSpec, rng: np.random.Generator) -> Channel
     st = model.structure
     Us = [_haar_unitary(rng, n, st.field) for n in st.dims]
     K = block_diag(*Us)
-    if model.flags.sectorized and st.block_count > 1:
-        perm = rng.permutation(st.block_count)
-        K = _sector_perm_kraus(st.dims, perm) @ K
+    if st.block_count > 1:
+        K = _sector_perm_kraus(st.dims, rng.permutation(st.block_count)) @ K
     M = conjugation_matrix([K], st)
     return model.make_reversible(M, kraus=[K])
+
+
+# every matrix family: block unitaries (orthogonals over R), then a random
+# permutation of the equal-dimension sectors
+_MATRIX_GROUP = GroupSpec(kind="parametric", name="block_unitary",
+                          sampler=_matrix_group_sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +247,6 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
             for j in range(i + 1, m):
                 if np.abs(projs[i] @ projs[j]).max() > 1e-7:
                     return None
-        from .embedding import total_to_vec
-
         rest = np.eye(st.hilbert_dim) - sum(projs)
         effects = []
         for i, P in enumerate(projs):
@@ -254,10 +260,8 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
     return [EffectVec(f, model) for f in raw]
 
 
-def _polytope_capacity(vertices, effect_gens, u, dim) -> tuple:
+def _polytope_capacity(vertices, effect_gens, u) -> tuple:
     """Largest jointly distinguishable vertex subset (exhaustive, small sets)."""
-    from itertools import combinations
-
     u = np.asarray(u, dtype=float)
     verts = [np.asarray(v, dtype=float) / float(u @ v) for v in vertices]
     for size in range(len(verts), 1, -1):
@@ -270,70 +274,142 @@ def _polytope_capacity(vertices, effect_gens, u, dim) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# family table
+
+
+@dataclasses.dataclass(frozen=True)
+class MatrixFamily:
+    """States are `sectors` Hermitian blocks of size `block_dim` over `field`.
+
+    `sectors` and `block_dim` are each a fixed int or a (parameter name,
+    minimum) pair; those pairs, sectors first, are the family's parameters.
+    Composites belong to family `composite`: sectorized families group
+    sector pairs by residue, the others take the full tensor product.
+    """
+
+    sectors: object
+    block_dim: object
+    field: str
+    flags: ModelFlags
+    composite: str
+
+    @property
+    def params(self) -> tuple:
+        return tuple(s for s in (self.sectors, self.block_dim)
+                     if isinstance(s, tuple))
+
+
+@dataclasses.dataclass(frozen=True)
+class PolytopeFamily:
+    """A parameter-free polytope: state vertices, effect-cone generators,
+    unit effect and generators of the finite reversible group."""
+
+    vertices: tuple
+    effects: tuple
+    unit: tuple
+    group: tuple
+    params = ()
+
+
+_FULL = ModelFlags(is_sharp_with_purification=True,
+                   unrestricted_reversibility=True)
+_SECTORS = ModelFlags(is_sharp_with_purification=True, sectorized=True)
+
+FAMILIES = {
+    "classical": MatrixFamily(("d", 1), 1, "R",
+                              ModelFlags(unrestricted_reversibility=True),
+                              "classical"),
+    "quantum": MatrixFamily(1, ("n", 2), "C", _FULL, "quantum"),
+    "rebit": MatrixFamily(1, 2, "R", _FULL, "real_quantum"),
+    "real_quantum": MatrixFamily(1, ("n", 1), "R", _FULL, "real_quantum"),
+    "doubled_quantum": MatrixFamily(2, ("n", 2), "C", _SECTORS,
+                                    "doubled_quantum"),
+    "extended_classical": MatrixFamily(("N", 1), ("n", 1), "C", _SECTORS,
+                                       "extended_classical"),
+    "square_bit": PolytopeFamily(
+        vertices=((1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)),
+        effects=((1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)),
+        unit=(0, 0, 1),
+        group=(((0, -1, 0), (1, 0, 0), (0, 0, 1)),     # quarter turn
+               ((1, 0, 0), (0, -1, 0), (0, 0, 1)))),   # reflection
+    "diamond_bit": PolytopeFamily(
+        vertices=((1, 0, 1), (-1, 0, 1), (0, 0.5, 1), (0, -0.5, 1)),
+        effects=((1, 2, 1), (1, -2, 1), (-1, 2, 1), (-1, -2, 1)),
+        unit=(0, 0, 1),
+        group=(((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+               ((1, 0, 0), (0, -1, 0), (0, 0, 1)))),
+    "restricted_trit": PolytopeFamily(
+        vertices=((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        effects=((1, 0.5, 0.5), (0.5, 1, 0.5), (0.5, 0.5, 1)),
+        unit=(1, 1, 1),
+        group=(((0, 1, 0), (1, 0, 0), (0, 0, 1)),      # swap
+               ((0, 0, 1), (1, 0, 0), (0, 1, 0)))),    # cycle
+}
+
+
+# ---------------------------------------------------------------------------
 # builders
 
 
-def _matrix_model(kind: str, params: dict, model_id: str, dims, field: str,
-                  flags: ModelFlags, group: GroupSpec) -> ModelSpec:
-    st = BlockStructure(tuple(dims), field)
-    D = st.coord_dim
-    d = st.hilbert_dim
+def _matrix_model(kind: str, sectors: int, block_dim: int) -> ModelSpec:
+    fam = FAMILIES[kind]
+    params = {s[0]: v for s, v in ((fam.sectors, sectors), (fam.block_dim, block_dim))
+              if isinstance(s, tuple)}
+    st = BlockStructure((block_dim,) * sectors, fam.field)
     u = blocks_to_vec([np.eye(n) for n in st.dims], st)
-    cone = ConeSpec("psd", D, structure=st)
+    cone = ConeSpec("psd", st.coord_dim, structure=st)
     return ModelSpec(
-        model_id=model_id,
+        model_id=f"{kind}:{'x'.join(map(str, params.values()))}" if params else kind,
         kind=kind,
         params=params,
-        vector_dim=D,
-        capacity=d,
+        vector_dim=st.coord_dim,
+        capacity=st.hilbert_dim,
         unit_effect=u,
-        chi=u / d,
+        chi=u / st.hilbert_dim,
         state_cone=cone,
         effect_cone=cone,
-        flags=flags,
+        flags=fam.flags,
         structure=st,
-        group=group,
+        group=_MATRIX_GROUP,
         pure_sampler=_matrix_pure_sampler,
         state_sampler=_matrix_state_sampler,
     )
 
 
-def _polytope_model(kind: str, params: dict, model_id: str,
-                    state_vertices, effect_generators, unit_effect,
-                    group_matrices, flags=None) -> ModelSpec:
+def _polytope_model(kind: str, model_id: str, state_vertices,
+                    effect_generators, unit_effect, group_matrices) -> ModelSpec:
     V = np.asarray(state_vertices, dtype=float)
     G = np.asarray(effect_generators, dtype=float)
     u = np.asarray(unit_effect, dtype=float)
     D = V.shape[1]
     state_cone = ConeSpec("rays", D, generators=V)
     effect_cone = ConeSpec("rays", D, generators=G)
+    group_matrices = [np.asarray(M, dtype=float) for M in group_matrices]
     for M in group_matrices:
-        M = np.asarray(M, dtype=float)
         if np.abs(M.T @ u - u).max() > 1e-9:
             raise GPTError("group generator does not preserve the unit effect")
         for v in V:
             if not state_cone.contains(M @ v, 1e-9):
                 raise GPTError("group generator does not preserve the state cone")
     verts = V / (V @ u)[:, None]
-    chi = verts.mean(axis=0)
-    basis, _ = _polytope_capacity(verts, G, u, D)
+    basis, _ = _polytope_capacity(verts, G, u)
     group = GroupSpec(
         kind="finite",
         name=f"{kind}-group",
-        generators=tuple((np.asarray(M, dtype=float), None) for M in group_matrices),
+        generators=tuple((M, None) for M in group_matrices),
         sampler=_finite_group_sampler,
     )
     return ModelSpec(
         model_id=model_id,
         kind=kind,
-        params=params,
+        params={},
         vector_dim=D,
         capacity=len(basis),
         unit_effect=u,
-        chi=chi,
+        chi=verts.mean(axis=0),
         state_cone=state_cone,
         effect_cone=effect_cone,
-        flags=flags or ModelFlags(False, False, False),
+        flags=ModelFlags(),
         structure=None,
         group=group,
         pure_sampler=_polytope_pure_sampler,
@@ -341,141 +417,49 @@ def _polytope_model(kind: str, params: dict, model_id: str,
     )
 
 
-def _classical_group(d: int) -> GroupSpec:
-    gens = []
-    if d >= 2:
-        swap = np.eye(d)
-        swap[[0, 1]] = swap[[1, 0]]
-        gens.append((swap, swap))
-    if d >= 3:
-        cyc = np.roll(np.eye(d), 1, axis=0)
-        gens.append((cyc, cyc))
-    if not gens:
-        gens.append((np.eye(d), np.eye(d)))
-    return GroupSpec(kind="finite", name=f"permutations:{d}",
-                     generators=tuple(gens), sampler=_finite_group_sampler)
-
-
 def build_model(kind: str, **params) -> ModelSpec:
-    """Construct a builtin model.
+    """Construct a builtin model from its row of `FAMILIES`.
 
     Kinds and parameters: classical(d), quantum(n), rebit, real_quantum(n),
     doubled_quantum(n), extended_classical(N, n), square_bit,
     restricted_trit, diamond_bit.
     """
-    if kind == "classical":
-        d = int(params["d"])
-        if d < 1:
-            raise ValueError("d must be positive")
-        return _matrix_model(
-            kind, {"d": d}, f"classical:{d}", [1] * d, "R",
-            ModelFlags(is_sharp_with_purification=False,
-                       unrestricted_reversibility=True,
-                       sectorized=False),
-            _classical_group(d),
-        )
-    if kind == "quantum":
-        n = int(params["n"])
-        if n < 2:
-            raise ValueError("n must be at least 2")
-        return _matrix_model(
-            kind, {"n": n}, f"quantum:{n}", [n], "C",
-            ModelFlags(True, True, False),
-            GroupSpec(kind="parametric", name=f"unitary:{n}",
-                      sampler=_matrix_group_sampler),
-        )
-    if kind in ("rebit", "real_quantum"):
-        n = 2 if kind == "rebit" else int(params["n"])
-        return _matrix_model(
-            kind, ({} if kind == "rebit" else {"n": n}),
-            "rebit" if kind == "rebit" else f"real_quantum:{n}",
-            [n], "R",
-            ModelFlags(True, True, False),
-            GroupSpec(kind="parametric", name=f"orthogonal:{n}",
-                      sampler=_matrix_group_sampler),
-        )
-    if kind == "doubled_quantum":
-        n = int(params["n"])
-        if n < 2:
-            raise ValueError("n must be at least 2")
-        S = _sector_perm_kraus([n, n], [1, 0])
-        st = BlockStructure((n, n), "C")
-        gen = (conjugation_matrix([S], st), S)
-        return _matrix_model(
-            kind, {"n": n}, f"doubled_quantum:{n}", [n, n], "C",
-            ModelFlags(is_sharp_with_purification=True,
-                       unrestricted_reversibility=False,
-                       sectorized=True),
-            GroupSpec(kind="parametric", name=f"doubled_unitary:{n}",
-                      generators=(gen,), sampler=_matrix_group_sampler),
-        )
-    if kind == "extended_classical":
-        N = int(params["N"])
-        n = int(params["n"])
-        if N < 1 or n < 1:
-            raise ValueError("N and n must be positive")
-        dims = [n] * N
-        gens = []
-        if N >= 2:
-            st = BlockStructure(tuple(dims), "C")
-            shift = _sector_perm_kraus(dims, [(j + 1) % N for j in range(N)])
-            gens.append((conjugation_matrix([shift], st), shift))
-            swap01 = _sector_perm_kraus(
-                dims, [1, 0] + list(range(2, N)))
-            gens.append((conjugation_matrix([swap01], st), swap01))
-        return _matrix_model(
-            kind, {"N": N, "n": n}, f"extended_classical:{N}x{n}", dims, "C",
-            ModelFlags(is_sharp_with_purification=True,
-                       unrestricted_reversibility=False,
-                       sectorized=True),
-            GroupSpec(kind="parametric", name=f"sector_unitary:{N}x{n}",
-                      generators=tuple(gens), sampler=_matrix_group_sampler),
-        )
-    if kind == "square_bit":
-        rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        refl = np.diag([1.0, -1.0, 1.0])
-        return _polytope_model(
-            kind, {}, "square_bit",
-            state_vertices=[[1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]],
-            effect_generators=[[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
-            unit_effect=[0, 0, 1],
-            group_matrices=[rot, refl],
-        )
-    if kind == "diamond_bit":
-        return _polytope_model(
-            kind, {}, "diamond_bit",
-            state_vertices=[[1, 0, 1], [-1, 0, 1], [0, 0.5, 1], [0, -0.5, 1]],
-            effect_generators=[[1, 2, 1], [1, -2, 1], [-1, 2, 1], [-1, -2, 1]],
-            unit_effect=[0, 0, 1],
-            group_matrices=[np.diag([-1.0, 1.0, 1.0]), np.diag([1.0, -1.0, 1.0])],
-        )
-    if kind == "restricted_trit":
-        swap = np.eye(3)[[1, 0, 2]]
-        cyc = np.eye(3)[[2, 0, 1]]
-        return _polytope_model(
-            kind, {}, "restricted_trit",
-            state_vertices=np.eye(3),
-            effect_generators=[[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]],
-            unit_effect=[1, 1, 1],
-            group_matrices=[swap, cyc],
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    fam = FAMILIES.get(kind)
+    if fam is None:
+        raise ValueError(f"unknown model kind {kind!r}")
+    names = [name for name, _ in fam.params]
+    if set(params) != set(names):
+        raise ValueError(f"{kind} takes parameters {names}, got {list(params)}")
+    for name, minimum in fam.params:
+        if int(params[name]) < minimum:
+            raise ValueError(f"{name} must be at least {minimum}")
+    if isinstance(fam, PolytopeFamily):
+        return _polytope_model(kind, kind, fam.vertices, fam.effects,
+                               fam.unit, fam.group)
+    sectors, block_dim = (int(params[s[0]]) if isinstance(s, tuple) else s
+                          for s in (fam.sectors, fam.block_dim))
+    return _matrix_model(kind, sectors, block_dim)
 
 
 def parse_model_string(text: str) -> ModelSpec:
-    """Parse 'kind' or 'kind:p1' or 'kind:p1,p2' or 'kind:p1xp2'."""
-    if ":" not in text:
-        return build_model(text.strip())
-    kind, _, rest = text.partition(":")
+    """Parse 'kind', 'kind:p1' or 'kind:p1xp2' (also 'kind:p1,p2').
+
+    The number of parameters must be the family's.
+    """
+    kind, sep, rest = text.partition(":")
     kind = kind.strip()
-    nums = [int(t) for t in rest.replace("x", ",").split(",") if t.strip()]
-    if kind == "classical":
-        return build_model(kind, d=nums[0])
-    if kind in ("quantum", "doubled_quantum", "real_quantum"):
-        return build_model(kind, n=nums[0])
-    if kind == "extended_classical":
-        return build_model(kind, N=nums[0], n=nums[1])
-    raise ValueError(f"cannot parse model string {text!r}")
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown model kind {kind!r}")
+    names = [name for name, _ in FAMILIES[kind].params]
+    tokens = rest.replace("x", ",").split(",") if sep else []
+    if len(tokens) != len(names):
+        raise ValueError(f"{kind} takes {len(names)} parameter(s) "
+                         f"{names}: cannot parse {text!r}")
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError:
+        raise ValueError(f"model parameters must be integers: {text!r}") from None
+    return build_model(kind, **dict(zip(names, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -513,37 +497,28 @@ def _residue_perm(stA: BlockStructure, stB: BlockStructure):
 
 
 def compose_systems(mA: ModelSpec, mB: ModelSpec) -> ModelSpec:
-    """Bipartite composite of two matrix models of the same family."""
+    """Bipartite composite of two matrix models whose families compose into
+    the same family."""
     if mA.structure is None or mB.structure is None:
         raise UnsupportedModelError(
             "polytope models are single-system; no composite is defined")
-    kA, kB = mA.kind, mB.kind
-    comp_id = f"({mA.model_id})x({mB.model_id})"
-    if kA == "classical" and kB == "classical":
-        base = build_model("classical", d=mA.capacity * mB.capacity)
-        perm = np.arange(base.structure.hilbert_dim)
-        rule = "product"
-    elif kA == "quantum" and kB == "quantum":
-        base = build_model("quantum", n=mA.capacity * mB.capacity)
-        perm = np.arange(base.structure.hilbert_dim)
-        rule = "product"
-    elif kA in ("rebit", "real_quantum") and kB in ("rebit", "real_quantum"):
-        base = build_model("real_quantum", n=mA.capacity * mB.capacity)
-        perm = np.arange(base.structure.hilbert_dim)
-        rule = "product"
-    elif kA == "doubled_quantum" and kB == "doubled_quantum":
-        dims, perm = _residue_perm(mA.structure, mB.structure)
-        base = build_model("doubled_quantum", n=dims[0])
-        rule = "residue"
-    elif kA == "extended_classical" and kB == "extended_classical":
-        dims, perm = _residue_perm(mA.structure, mB.structure)
-        base = build_model("extended_classical", N=len(dims), n=dims[0])
+    kind = FAMILIES[mA.kind].composite
+    if FAMILIES[mB.kind].composite != kind:
+        raise ModelCompatibilityError(
+            f"no composite rule for {mA.kind} with {mB.kind}")
+    stA, stB = mA.structure, mB.structure
+    if FAMILIES[kind].flags.sectorized:
+        dims, perm = _residue_perm(stA, stB)
+        base = _matrix_model(kind, len(dims), dims[0])
         rule = "residue"
     else:
-        raise ModelCompatibilityError(
-            f"no composite rule for {kA} with {kB}")
+        base = _matrix_model(kind, stA.block_count * stB.block_count,
+                             stA.dims[0] * stB.dims[0])
+        perm = np.arange(base.structure.hilbert_dim)
+        rule = "product"
     info = CompositeInfo(factors=(mA, mB), perm=perm, rule=rule)
-    return dataclasses.replace(base, model_id=comp_id, composite=info)
+    return dataclasses.replace(base, model_id=f"({mA.model_id})x({mB.model_id})",
+                               composite=info)
 
 
 def swap_channel(comp: ModelSpec) -> ChannelMap:
@@ -593,8 +568,7 @@ def pure_maximal_set(model: ModelSpec) -> list:
     u = model.unit_effect
     verts = model.state_cone.generators
     verts = verts / (verts @ u)[:, None]
-    basis, _ = _polytope_capacity(verts, model.effect_cone.generators, u,
-                                  model.vector_dim)
+    basis, _ = _polytope_capacity(verts, model.effect_cone.generators, u)
     return [StateVec(v, model) for v in basis]
 
 
@@ -736,7 +710,7 @@ def model_from_json(data: dict) -> ModelSpec:
     effects = data["effect_generators"]
     unit = data["unit_effect"]
     return _polytope_model(
-        "polytope", {}, _polytope_id(vertices, effects, unit, group),
+        "polytope", _polytope_id(vertices, effects, unit, group),
         state_vertices=vertices,
         effect_generators=effects,
         unit_effect=unit,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gptt import zoo
 from gptt.cli import main
 
 runner = CliRunner()
@@ -122,19 +123,61 @@ class TestLandauerErase:
         assert res.exit_code == 3
 
 
+# model: permutability, strong symmetry, transitivity,
+#        (sharp with purification, unrestricted reversibility, sectorized)
+MODEL_FACTS = {
+    "classical:3": (True, True, True, (False, True, False)),
+    "quantum:3": (True, True, True, (True, True, False)),
+    "rebit": (True, True, True, (True, True, False)),
+    "real_quantum:3": (True, True, True, (True, True, False)),
+    "doubled_quantum:2": (False, False, True, (True, False, True)),
+    "extended_classical:2x2": (False, False, True, (True, False, True)),
+    "extended_classical:3x1": (True, True, True, (True, False, True)),
+    "extended_classical:1x2": (True, True, True, (True, False, True)),
+    "square_bit": (True, False, True, (False, False, False)),
+    "restricted_trit": (True, True, True, (False, False, False)),
+    "diamond_bit": (False, False, False, (False, False, False)),
+}
+
+
 class TestVerify:
     @pytest.mark.parametrize("model,perm,strong", [
-        ("quantum:3", True, True),
-        ("doubled_quantum:2", False, False),
-        ("square_bit", True, False),
-    ])
+        (m, facts[0], facts[1]) for m, facts in MODEL_FACTS.items()])
     def test_axioms_in_report(self, model, perm, strong):
         res = invoke("verify", model, "--json")
         assert res.exit_code == 0
-        rep = json.loads(res.output)
-        assert rep["results"]["permutability"] == perm
-        assert rep["results"]["strong_symmetry"] == strong
-        assert all(c["pass"] for c in rep["checks"])
+        rep = json.loads(res.output)["results"]
+        transitive, flags = MODEL_FACTS[model][2:]
+        assert rep["permutability"] == perm
+        assert rep["strong_symmetry"] == strong
+        assert rep["transitive"] == transitive
+        assert (rep["sharp_with_purification"],
+                rep["unrestricted_reversibility"],
+                zoo.parse_model_string(model).flags.sectorized) == flags
+        assert all(c["pass"] for c in json.loads(res.output)["checks"])
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "classical:8"),    # 8! permutations: no finite closure
+        ("landauer", "classical:3"),  # the composite's group has 9! elements
+    ], ids=" ".join)
+    def test_large_permutation_groups(self, args):
+        res = invoke(*args, "--json")
+        assert res.exit_code == 0
+        assert all(c["pass"] for c in json.loads(res.output)["checks"])
+
+
+@pytest.mark.parametrize("args", [
+    ("diag", "quantum:"),
+    ("diag", "extended_classical:2"),
+    ("diag", "rebit:3"),
+    ("diag", "square_bit:4"),
+    ("gibbs", "quantum:2", "--H", "[0,1", "--beta", "1"),
+    ("landauer", "quantum:2", "--H", "[0,1"),
+    ("diag", "quantum:2", "--state", "pure:9"),
+    ("diag", "quantum:2", "--state", "center-offset"),
+], ids=" ".join)
+def test_malformed_input_exits_two(args):
+    assert invoke(*args).exit_code == 2
 
 
 class TestDeterminism:

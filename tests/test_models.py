@@ -71,6 +71,31 @@ def test_parse_model_string():
         zoo.parse_model_string("banana:7")
 
 
+def _smallest_but_one(kind):
+    """The family's model one (or two) above each parameter's minimum."""
+    params = zoo.FAMILIES[kind].params
+    return zoo.build_model(kind, **{name: low + 1 + i
+                                    for i, (name, low) in enumerate(params)})
+
+
+@pytest.mark.parametrize("kind", list(zoo.FAMILIES))
+def test_builtin_id_round_trips(kind):
+    m = _smallest_but_one(kind)
+    for again in (zoo.parse_model_string(m.model_id),
+                  zoo.model_from_json(zoo.model_to_json(m))):
+        assert (again.model_id, again.kind, again.params, again.vector_dim) == \
+            (m.model_id, m.kind, m.params, m.vector_dim)
+
+
+@pytest.mark.parametrize("kind", [k for k, fam in zoo.FAMILIES.items()
+                                  if isinstance(fam, zoo.MatrixFamily)])
+def test_matrix_groups_list_no_generators(kind):
+    m = _smallest_but_one(kind)
+    for model in (m, zoo.compose_systems(m, m)):
+        assert model.group.kind == "parametric"
+        assert model.group.generators == ()
+
+
 def test_pure_maximal_set_pairwise():
     for kind, kwargs, _, cap, _fl in EXPECTED:
         if cap < 2:
