@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from . import __version__, resource, symmetry, thermo, zoo
-from .core import DiagonalizationError, GPTError, StateVec
+from .core import DiagonalizationError, GPTError, StateVec, UnsupportedModelError
 from .spectral import diagonalize
 
 EXIT_DIAG_FAILURE = 3
@@ -98,7 +98,21 @@ def _get_state(model, text: str, rng) -> StateVec:
                            f"center-offset, pure:K, or a JSON vector")
 
 
-@click.group()
+class _Command(click.Command):
+    """Reports a model family's refusal of a command as a usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except UnsupportedModelError as exc:
+            raise click.UsageError(str(exc), ctx)
+
+
+class _Commands(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 def main():
     """Numerical toolkit for spectra, convertibility, and erasure costs in
@@ -227,7 +241,10 @@ def gibbs(model, ham, beta, energy, as_json):
     if (beta is None) == (energy is None):
         raise click.UsageError("give exactly one of --beta / --energy")
     if beta is None:
-        beta = thermo.beta_from_energy(m, h, energy)
+        try:
+            beta = thermo.beta_from_energy(m, h, energy)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
     g = thermo.gibbs_state(m, h, beta)
     d = diagonalize(g)
     E = thermo.mean_energy(g, h)

@@ -25,9 +25,7 @@ from .core import (
     ModelSpec,
     StateVec,
     UnsupportedModelError,
-    apply_channel,
     compose,
-    pairing,
 )
 from .embedding import conjugation_matrix, vec_to_blocks
 from . import zoo
@@ -173,17 +171,22 @@ def measure_and_prepare_channel(diag_from: Diagonalization,
                                 diag_to: Diagonalization,
                                 D: np.ndarray) -> ChannelMap:
     """Measure in the source eigenbasis, prepare column-mixtures of the
-    target eigenbasis.  Doubly stochastic D keeps the channel unital."""
+    target eigenbasis.  Doubly stochastic D keeps the channel unital.
+
+    The measurement effects are the source eigenstates' own coordinates
+    (`dagger`); ChannelMap's unit-preservation check confirms they sum to
+    the unit."""
     model = diag_from.model
-    if diag_from.dagger_effects is None:
-        raise UnsupportedModelError("source basis has no identifying effects")
+    if model.structure is None:
+        raise UnsupportedModelError(
+            f"{model.model_id} has no identifying effects")
     d = len(diag_from.eigenstates)
     prep = [sum(D[i, j] * diag_to.eigenstates[i].coords for i in range(d))
             for j in range(d)]
-    M = sum(np.outer(prep[j], diag_from.dagger_effects[j].coords)
+    M = sum(np.outer(prep[j], diag_from.eigenstates[j].coords)
             for j in range(d))
     kraus = None
-    if model.structure is not None and d * d <= 64:
+    if d * d <= 64:
         st = model.structure
         offs = st.hilbert_offsets()
         dH = st.hilbert_dim

@@ -5,8 +5,9 @@ perfectly distinguishable pure states.  Matrix models get it from block
 eigendecompositions; generic models get the peeling construction, which
 repeatedly strips the largest pure-state weight and must reach a pure
 remainder within the model's capacity.  Both routes report eigenvalues in
-descending order, each paired with an identifying effect when the model
-supplies one.
+descending order.  On matrix models the identifying effect of an eigenstate
+is `dagger(s)`, which the self-dual embedding gives the state's own
+coordinates; `transition_matrix` reads them off the eigenstates directly.
 """
 
 from __future__ import annotations
@@ -22,18 +23,16 @@ from .core import (
     EffectVec,
     GPTError,
     ModelSpec,
-    Observable,
     StateVec,
     UnsupportedModelError,
+    _block_to_kron,
     _kron_to_coords,
+    _same_model,
     as_coords,
     linprog,
-    pairing,
 )
-from .embedding import block_eigh, pure_block_vec, vec_to_blocks
+from .embedding import block_eigh, blocks_to_vec, pure_block_vec, vec_to_blocks
 from . import zoo
-
-EIG_GROUP_TOL = 1e-8
 
 
 def _canonical_phase(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -54,27 +53,11 @@ class Diagonalization:
     model: ModelSpec
     eigenvalues: np.ndarray
     eigenstates: tuple
-    dagger_effects: Optional[tuple]
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
-
-    @property
-    def reduced(self):
-        """Distinct eigenvalues with multiplicities and group projectors."""
-        groups = []
-        i = 0
-        ev = self.eigenvalues
-        while i < len(ev):
-            j = i
-            while j + 1 < len(ev) and ev[i] - ev[j + 1] < EIG_GROUP_TOL:
-                j += 1
-            proj = sum(s.coords for s in self.eigenstates[i: j + 1])
-            groups.append((float(ev[i: j + 1].mean()), j - i + 1, proj))
-            i = j + 1
-        return groups
 
     def reconstruct(self) -> np.ndarray:
         return sum(p * s.coords for p, s in zip(self.eigenvalues, self.eigenstates))
@@ -110,10 +93,8 @@ def max_eigenvalue_peel(state: StateVec) -> PeelStep:
         p_star, b, vec = best
         alpha = StateVec(pure_block_vec(model.structure, b, vec), model)
     else:
-        V = model.state_cone.generators
-        u = model.unit_effect
-        verts = V / (V @ u)[:, None]
         G = model.state_cone.generators
+        verts = G / (G @ model.unit_effect)[:, None]
         k = G.shape[0]
         best = None
         for v in sorted(verts, key=_lex_key):
@@ -173,20 +154,6 @@ def _complete_polytope_basis(model: ModelSpec, used: list) -> list:
     return out
 
 
-def _support_vectors(model: ModelSpec, states) -> list:
-    """(block, vector) of each pure state; only valid for matrix models."""
-    st = model.structure
-    out = []
-    for s in states:
-        found = None
-        for B, b in zip(vec_to_blocks(s.coords, st), range(st.block_count)):
-            w, V = np.linalg.eigh(B)
-            if w[-1] > 0.5:
-                found = (b, V[:, -1])
-        out.append(found)
-    return out
-
-
 def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
     """Decompose a state into perfectly distinguishable pure states.
 
@@ -232,7 +199,7 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
             )
         if len(eigenstates_l) < model.capacity:
             if model.structure is not None:
-                used = _support_vectors(model, eigenstates_l)
+                used = [zoo.pure_support(s) for s in eigenstates_l]
                 extra = _complete_matrix_basis(model, used)
             else:
                 extra = _complete_polytope_basis(model, eigenstates_l)
@@ -247,11 +214,7 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
                                       _lex_key(eigenstates_l[i].coords)))
         values = np.array([values_l[i] for i in order])
         eigenstates = tuple(eigenstates_l[i] for i in order)
-    if model.structure is not None:
-        daggers = tuple(EffectVec(s.coords, model) for s in eigenstates)
-    else:
-        daggers = None
-    return Diagonalization(model, values, eigenstates, daggers)
+    return Diagonalization(model, values, eigenstates)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +254,6 @@ def functional_calculus(model: ModelSpec, x, fn) -> np.ndarray:
         if not np.all(np.isfinite(fw)):
             raise GPTError("functional calculus produced a non-finite value")
         out_blocks.append((V * fw) @ V.conj().T)
-    from .embedding import blocks_to_vec
-
     return blocks_to_vec(out_blocks, st)
 
 
@@ -300,16 +261,17 @@ def transition_matrix(diag_from: Diagonalization,
                       diag_to: Diagonalization) -> np.ndarray:
     """T[i, j] = identifying effect of target state i on source state j.
 
+    The identifying effect `dagger(s)` of a matrix-model eigenstate has the
+    state's coordinates, so T pairs the two bases' coordinates directly.
     For two maximal bases of the same model this matrix is doubly
     stochastic.
     """
-    if diag_to.dagger_effects is None:
-        raise UnsupportedModelError("target basis has no identifying effects")
-    d = len(diag_to.dagger_effects)
-    T = np.empty((d, len(diag_from.eigenstates)))
-    for i, eff in enumerate(diag_to.dagger_effects):
-        for j, s in enumerate(diag_from.eigenstates):
-            T[i, j] = pairing(eff, s)
+    if diag_to.model.structure is None:
+        raise UnsupportedModelError(
+            f"{diag_to.model.model_id} has no identifying effects")
+    _same_model(diag_to.model, diag_from.model)
+    T = np.array([[float(t.coords @ s.coords) for s in diag_from.eigenstates]
+                  for t in diag_to.eigenstates])
     return np.clip(T, 0.0, None)
 
 
@@ -325,8 +287,6 @@ def schmidt_coefficients(state: StateVec, tol: float = 1e-8) -> np.ndarray:
     model = state.model
     if model.composite is None:
         raise UnsupportedModelError("needs a composite-model state")
-    from .core import _block_to_kron
-
     M = _block_to_kron(model, state.coords)
     w, V = np.linalg.eigh(M)
     if w[-1] < 1.0 - tol:
@@ -354,7 +314,7 @@ def purify(state: StateVec):
     N = st.block_count
     offsB = st.hilbert_offsets()
     diag = diagonalize(state)
-    sup = _support_vectors(model, diag.eigenstates)
+    sup = [zoo.pure_support(s) for s in diag.eigenstates]
     dH = st.hilbert_dim
     psi = np.zeros(dH * dH, dtype=complex if st.field == "C" else float)
     counters = [0] * N

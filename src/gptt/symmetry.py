@@ -15,7 +15,6 @@ from .core import (
     GPTError,
     ModelSpec,
     StateVec,
-    apply_channel,
     tensor_states,
 )
 from . import zoo

@@ -15,19 +15,25 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import (
-    EffectVec,
     GPTError,
     ModelSpec,
-    Observable,
     StateVec,
     UnsupportedModelError,
     apply_channel,
+    as_coords,
     lift_channel,
     marginal,
-    pairing,
     tensor_states,
 )
-from .spectral import dagger, diagonalize, functional_calculus, transition_matrix
+from .embedding import vec_to_blocks
+from .spectral import (
+    Diagonalization,
+    dagger,
+    diagonalize,
+    functional_calculus,
+    purify,
+    transition_matrix,
+)
 from . import zoo
 
 
@@ -77,8 +83,11 @@ def relative_entropy(rho: StateVec, sigma: StateVec,
 
     Infinite when rho assigns weight outside sigma's support.
     """
-    dr = diagonalize(rho)
-    ds = diagonalize(sigma)
+    return _relative_entropy(diagonalize(rho), diagonalize(sigma), tol)
+
+
+def _relative_entropy(dr: Diagonalization, ds: Diagonalization,
+                      tol: float = 1e-10) -> float:
     # T[i, j] = weight of rho-eigenstate j on sigma-eigenstate i
     T = transition_matrix(dr, ds)
     p = np.clip(dr.eigenvalues, 0.0, None)
@@ -119,8 +128,7 @@ def bipartite_entropies(comp_state: StateVec) -> dict:
 
 def measurement_distribution(state: StateVec, effects,
                              check_completeness: bool = True) -> np.ndarray:
-    coords = [e.coords if isinstance(e, EffectVec) else np.asarray(e, float)
-              for e in effects]
+    coords = [as_coords(e) for e in effects]
     if check_completeness:
         total = sum(coords)
         if np.abs(total - state.model.unit_effect).max() > 1e-8:
@@ -132,8 +140,7 @@ def measurement_distribution(state: StateVec, effects,
 def _merge_proportional(effects, probs):
     """Sum the probabilities of effects that are scalar multiples of each
     other: they are the same outcome read off more than once."""
-    coords = [e.coords if isinstance(e, EffectVec) else np.asarray(e, float)
-              for e in effects]
+    coords = [as_coords(e) for e in effects]
     groups: list = []
     out: list = []
     for c, p in zip(coords, probs):
@@ -196,12 +203,6 @@ def shannon(p) -> float:
 # equilibrium states
 
 
-def _energy_levels(model: ModelSpec, hamiltonian) -> np.ndarray:
-    if isinstance(hamiltonian, Observable):
-        hamiltonian = hamiltonian.coords
-    return np.asarray(hamiltonian, dtype=float)
-
-
 def gibbs_state(model: ModelSpec, hamiltonian, beta: float) -> StateVec:
     """Equilibrium state exp(-beta H)/Z in the energy eigenbasis.
 
@@ -211,23 +212,19 @@ def gibbs_state(model: ModelSpec, hamiltonian, beta: float) -> StateVec:
     if model.structure is None:
         raise UnsupportedModelError(
             "equilibrium construction needs an eigenbasis calculus")
-    h = _energy_levels(model, hamiltonian)
+    h = as_coords(hamiltonian)
+    levels = _spectrum_of_levels(model, h)
     if math.isinf(beta):
-        ext = _spectrum_of_levels(model, h)
-        target = ext.min() if beta > 0 else ext.max()
+        target = levels.min() if beta > 0 else levels.max()
         x = functional_calculus(
             model, h, lambda e: 1.0 if abs(e - target) <= 1e-12 else 0.0)
-        z = float(model.unit_effect @ x)
-        return StateVec(x / z, model)
-    e0 = float(_spectrum_of_levels(model, h).min())
-    x = functional_calculus(model, h, lambda e: math.exp(-beta * (e - e0)))
-    z = float(model.unit_effect @ x)
-    return StateVec(x / z, model)
+    else:
+        e0 = float(levels.min())
+        x = functional_calculus(model, h, lambda e: math.exp(-beta * (e - e0)))
+    return StateVec(x / float(model.unit_effect @ x), model)
 
 
 def _spectrum_of_levels(model: ModelSpec, h: np.ndarray) -> np.ndarray:
-    from .embedding import vec_to_blocks
-
     vals = []
     for B in vec_to_blocks(np.asarray(h, dtype=float), model.structure):
         vals.extend(np.linalg.eigvalsh(B))
@@ -235,12 +232,12 @@ def _spectrum_of_levels(model: ModelSpec, h: np.ndarray) -> np.ndarray:
 
 
 def mean_energy(state: StateVec, hamiltonian) -> float:
-    h = _energy_levels(state.model, hamiltonian)
+    h = as_coords(hamiltonian)
     return float(h @ state.coords)
 
 
 def log_partition(model: ModelSpec, hamiltonian, beta: float) -> float:
-    levels = _spectrum_of_levels(model, _energy_levels(model, hamiltonian))
+    levels = _spectrum_of_levels(model, as_coords(hamiltonian))
     return float(logsumexp(-beta * levels))
 
 
@@ -248,7 +245,7 @@ def beta_from_energy(model: ModelSpec, hamiltonian, energy: float,
                      tol: float = 1e-10) -> float:
     """Inverse temperature whose equilibrium state has the given mean
     energy; +-inf at the spectrum edges."""
-    levels = _spectrum_of_levels(model, _energy_levels(model, hamiltonian))
+    levels = _spectrum_of_levels(model, as_coords(hamiltonian))
     lo, hi = float(levels.min()), float(levels.max())
     if energy < lo - 1e-9 or energy > hi + 1e-9:
         raise ValueError(f"energy {energy} outside the reachable band "
@@ -305,7 +302,7 @@ def max_entropy_audit(model: ModelSpec, hamiltonian, energy: float,
     }
     if n_samples:
         rng = np.random.default_rng(0) if rng is None else rng
-        h = _energy_levels(model, hamiltonian)
+        h = as_coords(hamiltonian)
         lows, highs = [], []
         tries = 0
         while (len(lows) < n_samples or len(highs) < n_samples) and tries < 50 * n_samples:
@@ -346,10 +343,6 @@ class ThermoLedger:
     second_law_residual: float
     details: dict = field(default_factory=dict)
 
-    @property
-    def bound_rhs(self) -> float:
-        return self.kT * self.entropy_drop_system
-
 
 def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
                     beta: float, comp: ModelSpec,
@@ -365,7 +358,7 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
     if comp.composite is None or len(comp.composite.factors) != 2:
         raise GPTError("a two-part composite is required")
     model_E = comp.composite.factors[1]
-    h = _energy_levels(model_E, env_hamiltonian)
+    h = as_coords(env_hamiltonian)
     gamma = gibbs_state(model_E, h, beta)
     joint_in = tensor_states(comp, rho_S, gamma)
     joint_out = apply_channel(joint_channel, joint_in)
@@ -373,11 +366,15 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
     out_E = marginal(joint_out, 1)
 
     dE_env = mean_energy(out_E, h) - mean_energy(gamma, h)
-    s_in = entropy(rho_S)
-    s_out = entropy(out_S)
+    # each of the six states is diagonalized once
+    d_E, d_gamma = diagonalize(out_E), diagonalize(gamma)
+    s_in, s_out, s_E, s_gamma, s_joint_out, s_joint_in = (
+        shannon(d.eigenvalues) for d in (
+            diagonalize(rho_S), diagonalize(out_S), d_E, d_gamma,
+            diagonalize(joint_out), diagonalize(joint_in)))
     drop = s_in - s_out
-    mutual = entropy(out_S) + entropy(out_E) - entropy(joint_out)
-    relent = relative_entropy(out_E, gamma)
+    mutual = s_out + s_E - s_joint_out
+    relent = _relative_entropy(d_E, d_gamma)
     kT = config.kT(beta)
 
     if math.isinf(relent) or math.isinf(kT):
@@ -385,7 +382,7 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
     else:
         residual = abs(dE_env - kT * (drop + mutual + relent))
     bound_ok = (dE_env >= kT * drop - 1e-7) if not math.isinf(kT) else True
-    second_law = (s_out - s_in) + (entropy(out_E) - entropy(gamma))
+    second_law = (s_out - s_in) + (s_E - s_gamma)
     return ThermoLedger(
         delta_E_env=dE_env,
         entropy_drop_system=drop,
@@ -397,9 +394,9 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
         second_law_residual=second_law,
         details={
             "S_system_in": s_in, "S_system_out": s_out,
-            "S_env_out": entropy(out_E), "S_env_in": entropy(gamma),
-            "joint_entropy_out": entropy(joint_out),
-            "joint_entropy_in": entropy(joint_in),
+            "S_env_out": s_E, "S_env_in": s_gamma,
+            "joint_entropy_out": s_joint_out,
+            "joint_entropy_in": s_joint_in,
         },
     )
 
@@ -421,8 +418,6 @@ def erasure_demo(rho_S: StateVec, beta: float,
     s_rho = entropy(rho_S)
     if s_rho <= 1e-10:
         raise GPTError("input is already pure; nothing to erase")
-    from .spectral import purify
-
     comp_SM, psi = purify(rho_S)
     model_M = comp_SM.composite.factors[1]
 

@@ -31,7 +31,6 @@ from .core import (
     ModelSpec,
     StateVec,
     UnsupportedModelError,
-    cone_membership,
     linprog,
 )
 from .embedding import (
@@ -555,7 +554,7 @@ def sector_weights(state: StateVec) -> np.ndarray:
 def pure_maximal_set(model: ModelSpec) -> list:
     """A maximal set of jointly perfectly distinguishable pure states."""
     if model.capacity < 2:
-        raise GPTError("no perfectly distinguishable states")
+        raise UnsupportedModelError("no perfectly distinguishable states")
     if model.structure is not None:
         st = model.structure
         out = []

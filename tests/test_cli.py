@@ -1,11 +1,15 @@
 import json
+from functools import lru_cache
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from gptt import zoo
-from gptt.cli import main
+from gptt.cli import _get_state, main
+from gptt.core import StateVec
 
 runner = CliRunner()
 
@@ -175,9 +179,68 @@ class TestVerify:
     ("landauer", "quantum:2", "--H", "[0,1"),
     ("diag", "quantum:2", "--state", "pure:9"),
     ("diag", "quantum:2", "--state", "center-offset"),
+    ("landauer", "square_bit"),          # polytope models have no composite
+    ("gibbs", "restricted_trit", "--H", "[0]", "--beta", "1"),
+    ("gibbs", "square_bit", "--H", "[0,1]", "--beta", "1"),
+    ("convert", "square_bit", "--from", "pure:0", "--to", "chi"),
+    ("gibbs", "quantum:2", "--H", "[0,1]", "--E", "5"),  # outside the band
 ], ids=" ".join)
 def test_malformed_input_exits_two(args):
     assert invoke(*args).exit_code == 2
+
+
+# Parameters stay at most 4: a model's coordinates grow with the square of
+# its block size.
+_small_int = st.integers(-2, 4).map(str)
+_no_digits = st.text(st.characters(blacklist_categories=("Nd",)), max_size=3)
+_model_text = st.builds(
+    lambda kind, sep, tokens, joiner: kind + sep + joiner.join(tokens),
+    st.sampled_from(sorted(zoo.FAMILIES) + ["", "qubit", "Quantum"]),
+    st.sampled_from(["", ":", "::"]),
+    st.lists(st.one_of(_small_int, _no_digits), max_size=3),
+    st.sampled_from(["x", ",", "xx", " "]),
+)
+
+
+@lru_cache(maxsize=None)
+def _parse(text):
+    return zoo.parse_model_string(text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_model_text)
+def test_parse_model_string_fuzz(text):
+    try:
+        model = _parse(text)
+    except ValueError:
+        return
+    assert model.capacity >= 1
+
+
+_state_text = st.one_of(
+    st.sampled_from(["chi", " random ", "center-offset", "pure:", "[]",
+                     "[NaN, 0, 1]", "[1e400, 0, 0]", '{"a": 1}', "[[1], 2]"]),
+    _small_int.map("pure:{}".format),
+    st.lists(st.floats(-1, 2), max_size=5).map(json.dumps),
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1,
+             max_size=9).map(json.dumps),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["classical:1", "classical:3", "quantum:2", "rebit",
+                        "real_quantum:1", "doubled_quantum:2",
+                        "extended_classical:2x1", "square_bit",
+                        "diamond_bit", "restricted_trit"]),
+       _state_text)
+def test_get_state_fuzz(model_text, text):
+    model = _parse(model_text)
+    try:
+        state = _get_state(model, text, np.random.default_rng(0))
+    except (ValueError, click.UsageError):
+        return
+    assert isinstance(state, StateVec) and state.model is model
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from gptt import zoo
 from gptt.core import (
     ChannelMap,
     ConeError,
+    ConeSpec,
     EffectVec,
     GPTError,
     NormalizationError,
@@ -133,6 +134,22 @@ class TestChannels:
         ch = ChannelMap(matrix=flip, model_in=cl3, model_out=cl3)
         out = apply_channel(ch, s)
         assert np.abs(out.coords - flip @ s.coords).max() < 1e-14
+
+    def test_apply_checks_output_once(self, monkeypatch):
+        psi = StateVec(q2.pure_sampler(q2, np.random.default_rng(3)), q2)
+        margin = ConeSpec.margin
+        calls = []
+        monkeypatch.setattr(ConeSpec, "margin",
+                            lambda cone, x: calls.append(1) or margin(cone, x))
+        ident = ChannelMap(matrix=np.eye(q2.vector_dim), model_in=q2,
+                           model_out=q2)
+        apply_channel(ident, psi)
+        assert len(calls) == 1
+        # unit-preserving but not positive: x -> 2x - chi
+        M = 2 * np.eye(q2.vector_dim) - np.outer(q2.chi, q2.unit_effect)
+        stretch = ChannelMap(matrix=M, model_in=q2, model_out=q2)
+        with pytest.raises(ConeError):
+            apply_channel(stretch, psi)
 
     def test_compose_tags(self):
         u1 = cl3.make_reversible(np.roll(np.eye(3), 1, axis=0))

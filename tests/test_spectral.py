@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gptt import zoo
-from gptt.core import DiagonalizationError, GPTError, StateVec, apply_channel
+from gptt.core import (
+    ConeSpec,
+    DiagonalizationError,
+    GPTError,
+    StateVec,
+    apply_channel,
+)
 from gptt.embedding import blocks_to_vec, vec_to_blocks
 from gptt.spectral import (
     dagger,
@@ -88,6 +94,19 @@ class TestDecompositionContract:
         d = diagonalize(s)
         assert d.eigenvalues[0] > 1 - 1e-10
         assert np.abs(d.eigenstates[0].coords - s.coords).max() < 1e-8
+
+    def test_fast_route_checks_each_eigenstate_once(self, monkeypatch):
+        s = rand_state(q3, np.random.default_rng(15))
+        margin = ConeSpec.margin
+        calls = []
+
+        def counting(cone, x):
+            calls.append(cone.kind)
+            return margin(cone, x)
+
+        monkeypatch.setattr(ConeSpec, "margin", counting)
+        d = diagonalize(s, method="fast")
+        assert len(calls) <= len(d.eigenstates) == 3
 
     def test_deterministic_under_ties(self):
         a = diagonalize(q3.invariant_state)

@@ -253,6 +253,24 @@ class TestLandauer:
         assert abs(led.mutual_term) < 1e-9
         assert led.equality_residual < 1e-7
 
+    def test_each_state_diagonalized_once(self, monkeypatch):
+        comp = zoo.compose_systems(q2, q2)
+        r = np.random.default_rng(14)
+        rho, U = rand_state(q2, r), comp.group.sampler(comp, r)
+        seen = []
+
+        def counting(state, method="auto"):
+            seen.append(state)
+            return diagonalize(state, method)
+
+        monkeypatch.setattr(thermo, "diagonalize", counting)
+        led = thermo.landauer_ledger(U, rho, H01, 1.0, comp)
+        # system in/out, environment in/out, joint in/out
+        assert len(seen) == 6
+        assert sorted(led.details) == [
+            "S_env_in", "S_env_out", "S_system_in", "S_system_out",
+            "joint_entropy_in", "joint_entropy_out"]
+
 
 class TestErasure:
     def test_flat_qubit_demo(self):
