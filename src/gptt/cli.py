@@ -275,8 +275,6 @@ def _get_levels(text: str) -> np.ndarray:
 
 
 def _hamiltonian_coords(model, levels: np.ndarray) -> np.ndarray:
-    from .spectral import dagger
-
     if len(levels) == model.vector_dim and model.capacity != model.vector_dim:
         return levels
     basis = zoo.pure_maximal_set(model)
@@ -286,10 +284,7 @@ def _hamiltonian_coords(model, levels: np.ndarray) -> np.ndarray:
         raise click.UsageError(
             f"need {len(basis)} basis energies or a full "
             f"{model.vector_dim}-coordinate vector")
-    h = np.zeros(model.vector_dim)
-    for E, s in zip(levels, basis):
-        h += float(E) * dagger(s).coords
-    return h
+    return thermo.basis_hamiltonian(basis, levels)
 
 
 @main.command()

@@ -24,6 +24,13 @@ from .embedding import (
 
 DEFAULT_TOL = 1e-9
 
+# Composed, tensored and mixed channels keep a Kraus form of at most this
+# many operators; longer lists are dropped and only the matrix is kept.
+KRAUS_CAP = 64
+
+# Tags a composite or product channel keeps when every part carries them.
+_SHARED_TAGS = frozenset({"reversible", "unital", "rare"})
+
 
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first use.
@@ -466,16 +473,13 @@ def apply_channel(channel: ChannelMap, state: StateVec) -> StateVec:
 def compose(outer: ChannelMap, inner: ChannelMap) -> ChannelMap:
     """outer after inner."""
     _same_model(outer.model_in, inner.model_out)
-    tags = set()
-    for t in ("reversible", "unital", "rare"):
-        if t in outer.tags and t in inner.tags:
-            tags.add(t)
-    if "measure_and_prepare" in outer.tags or "measure_and_prepare" in inner.tags:
+    tags = set(_SHARED_TAGS & outer.tags & inner.tags)
+    if "measure_and_prepare" in outer.tags | inner.tags:
         tags.add("measure_and_prepare")
     kraus = None
     if outer.kraus is not None and inner.kraus is not None:
         prods = [K2 @ K1 for K2 in outer.kraus for K1 in inner.kraus]
-        if len(prods) <= 64:
+        if len(prods) <= KRAUS_CAP:
             kraus = tuple(prods)
     return ChannelMap(
         matrix=outer.matrix @ inner.matrix,
@@ -500,7 +504,6 @@ def _block_to_kron(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     """Total-Hilbert matrix of composite coords, in factor-kron basis order."""
     info = _require_composite(model)
     M_block = vec_to_total(x, model.structure)
-    dH = M_block.shape[0]
     M_kron = np.zeros_like(M_block)
     M_kron[np.ix_(info.perm, info.perm)] = M_block
     return M_kron
@@ -581,13 +584,9 @@ def tensor_channels(comp_in: ModelSpec, comp_out: ModelSpec,
                                     "composite model in this version")
     kraus = _lifted_kraus(comp_in, chan_A.kraus, chan_B.kraus)
     M = conjugation_matrix(kraus, comp_in.structure)
-    tags = set()
-    for t in ("reversible", "unital", "rare"):
-        if t in chan_A.tags and t in chan_B.tags:
-            tags.add(t)
     return ChannelMap(matrix=M, model_in=comp_in, model_out=comp_out,
-                      tags=frozenset(tags),
-                      kraus=tuple(kraus) if len(kraus) <= 64 else None)
+                      tags=_SHARED_TAGS & chan_A.tags & chan_B.tags,
+                      kraus=tuple(kraus) if len(kraus) <= KRAUS_CAP else None)
 
 
 def lift_channel(comp: ModelSpec, chan: ChannelMap, which: int) -> ChannelMap:

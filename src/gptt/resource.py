@@ -20,11 +20,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import (
+    KRAUS_CAP,
     ChannelMap,
     GPTError,
     ModelSpec,
     StateVec,
     UnsupportedModelError,
+    _same_model,
     compose,
 )
 from .embedding import conjugation_matrix, vec_to_blocks
@@ -186,7 +188,7 @@ def measure_and_prepare_channel(diag_from: Diagonalization,
     M = sum(np.outer(prep[j], diag_from.eigenstates[j].coords)
             for j in range(d))
     kraus = None
-    if d * d <= 64:
+    if d * d <= KRAUS_CAP:
         st = model.structure
         offs = st.hilbert_offsets()
         dH = st.hilbert_dim
@@ -213,18 +215,7 @@ def measure_and_prepare_channel(diag_from: Diagonalization,
 
 def build_unital_channel(rho: StateVec, sigma: StateVec) -> ConversionOutcome:
     """Unital channel mapping rho to sigma, or the refusing certificate."""
-    if rho.model is not sigma.model and rho.model.model_id != sigma.model.model_id:
-        raise GPTError("states must share a model")
-    dr = diagonalize(rho)
-    ds = diagonalize(sigma)
-    cert = _majorization_certificate(dr.eigenvalues, ds.eigenvalues)
-    if cert is not None:
-        return ConversionOutcome("no", None, cert)
-    D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
-    chan = measure_and_prepare_channel(dr, ds, D)
-    resid = _target_residual(chan, rho, sigma, "synthesized channel")
-    return ConversionOutcome("yes", chan, {"stochastic_matrix": D,
-                                           "residual": resid})
+    return convertible(rho, sigma, "unital")
 
 
 def build_rare_channel(rho: StateVec, sigma: StateVec) -> ConversionOutcome:
@@ -239,27 +230,7 @@ def build_rare_channel(rho: StateVec, sigma: StateVec) -> ConversionOutcome:
         raise UnsupportedModelError(
             f"majorisation is not sufficient here: {model.model_id} lacks "
             f"unrestricted reversibility")
-    dr = diagonalize(rho)
-    ds = diagonalize(sigma)
-    cert = _majorization_certificate(dr.eigenvalues, ds.eigenvalues)
-    if cert is not None:
-        return ConversionOutcome("no", None, cert)
-    D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
-    terms = birkhoff_decompose(D)
-    align = basis_aligning_reversible(model, dr.eigenstates, ds.eigenstates)
-    d = len(ds.eigenstates)
-    weights, reversibles = [], []
-    for w, perm in terms:
-        # permute the target basis: member at position perm[i] moves to i
-        src = [ds.eigenstates[perm[i]] for i in range(d)]
-        dst = list(ds.eigenstates)
-        permute = basis_aligning_reversible(model, src, dst)
-        reversibles.append(compose(permute, align))
-        weights.append(w)
-    chan = _rare_mixture_channel(model, weights, reversibles)
-    resid = _target_residual(chan, rho, sigma, "synthesized mixture")
-    return ConversionOutcome("yes", chan,
-                             {"weights": np.asarray(weights), "residual": resid})
+    return convertible(rho, sigma, "rare")
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +249,8 @@ def sector_spectra(state: StateVec) -> list:
     return out
 
 
-def _matching_sector_perm(model: ModelSpec, rho: StateVec, sigma: StateVec,
-                          tol: float = 1e-8):
-    sr = sector_spectra(rho)
-    ss = sector_spectra(sigma)
+def _matching_sector_perm(sr: list, ss: list, tol: float = 1e-8):
+    """A sector relabeling carrying the spectra `sr` onto `ss`, or None."""
     for perm in itertools.permutations(range(len(sr))):
         if all(np.abs(sr[j] - ss[perm[j]]).max() <= tol
                for j in range(len(sr))):
@@ -295,10 +264,10 @@ def rare_equivalent_doubled(rho: StateVec, sigma: StateVec) -> bool:
     Holds exactly when the per-sector spectra agree up to an implementable
     sector relabeling; then a single reversible already does the job.
     """
-    model = rho.model
-    if not model.flags.sectorized:
+    if not rho.model.flags.sectorized:
         raise UnsupportedModelError("sector comparison needs a sectorized model")
-    return _matching_sector_perm(model, rho, sigma) is not None
+    return _matching_sector_perm(sector_spectra(rho),
+                                 sector_spectra(sigma)) is not None
 
 
 def _sector_matching_reversible(model: ModelSpec, rho: StateVec,
@@ -312,7 +281,7 @@ def _sector_matching_reversible(model: ModelSpec, rho: StateVec,
         wr, Vr = np.linalg.eigh(rb[j])
         ws, Vs = np.linalg.eigh(sb[perm[j]])
         blocks.append((Vs @ Vr.conj().T).astype(dtype))
-    K = zoo._sector_perm_kraus(st.dims, list(perm)) @ block_diag(*blocks)
+    K = zoo._sector_perm_kraus(st, list(perm)) @ block_diag(*blocks)
     return model.make_reversible(conjugation_matrix([K], st), kraus=[K])
 
 
@@ -343,65 +312,52 @@ def _uniformizing_mixture(model: ModelSpec) -> Optional[list]:
     for combo in itertools.product(range(len(sector_ops)), repeat=N):
         W = block_diag(*[sector_ops[c] for c in combo])
         for sh in shifts:
-            K = zoo._sector_perm_kraus(st.dims, sh) @ W
+            K = zoo._sector_perm_kraus(st, sh) @ W
             out.append(model.make_reversible(conjugation_matrix([K], st),
                                              kraus=[K]))
     return out
 
 
-def _rare_mixture_channel(model: ModelSpec, weights, reversibles,
-                          witness_extra=None) -> ChannelMap:
+def _rare_mixture_channel(model: ModelSpec, weights,
+                          reversibles) -> ChannelMap:
     M = sum(w * ch.matrix for w, ch in zip(weights, reversibles))
     kraus = None
-    if all(ch.kraus is not None for ch in reversibles) and len(reversibles) <= 64:
+    if (all(ch.kraus is not None for ch in reversibles)
+            and len(reversibles) <= KRAUS_CAP):
         kraus = tuple(math.sqrt(w) * ch.kraus[0]
                       for w, ch in zip(weights, reversibles) if w > 1e-15)
-    witness = {"weights": np.asarray(list(weights)),
-               "reversibles": tuple(reversibles)}
-    if witness_extra:
-        witness.update(witness_extra)
     return ChannelMap(matrix=M, model_in=model, model_out=model,
                       tags=frozenset({"rare", "unital"}), kraus=kraus,
-                      witness=witness)
+                      witness={"weights": np.asarray(list(weights)),
+                               "reversibles": tuple(reversibles)})
 
 
-def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
-                ) -> ConversionOutcome:
-    """Decide convertibility under a chosen class of channels.
-
-    'unital' is exact (majorisation).  'rare' is exact on models with
-    unrestricted reversibility; on sectorized models the verdict uses
-    sector invariants and explicit witnesses where available, 'unknown'
-    otherwise.  'noisy' is sandwiched between the two.
-    """
+def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
+                  ds: Diagonalization) -> ConversionOutcome:
+    """Mixture-of-reversibles verdict for a pair whose spectra majorise."""
     model = rho.model
-    if regime == "unital":
-        return build_unital_channel(rho, sigma)
-    if regime == "noisy":
-        lower = convertible(rho, sigma, "rare")
-        if lower.answer == "yes":
-            return lower
-        upper = convertible(rho, sigma, "unital")
-        if upper.answer == "no":
-            return upper
-        return ConversionOutcome("unknown", None, {
-            "reason": "between the mixture-of-reversibles and unital regimes"})
-    if regime != "rare":
-        raise ValueError(f"unknown regime {regime!r}")
-
-    if model.flags.unrestricted_reversibility:
-        return build_rare_channel(rho, sigma)
     if model.structure is None:
         return ConversionOutcome("unknown", None, {
             "reason": "no decision procedure for this model family"})
 
-    dr = diagonalize(rho)
-    ds = diagonalize(sigma)
-    cert = _majorization_certificate(dr.eigenvalues, ds.eigenvalues)
-    if cert is not None:
-        # mixtures of reversibles preserve the invariant state, so the
-        # unital no-go applies verbatim
-        return ConversionOutcome("no", None, cert)
+    # every ordered eigenbasis is reversibly connected: mix the permutations
+    # of a Birkhoff decomposition of the mixing matrix
+    if model.flags.unrestricted_reversibility:
+        D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
+        align = basis_aligning_reversible(model, dr.eigenstates,
+                                          ds.eigenstates)
+        d = len(ds.eigenstates)
+        weights, reversibles = [], []
+        for w, perm in birkhoff_decompose(D):
+            # permute the target basis: member at position perm[i] moves to i
+            src = [ds.eigenstates[perm[i]] for i in range(d)]
+            permute = basis_aligning_reversible(model, src, ds.eigenstates)
+            reversibles.append(compose(permute, align))
+            weights.append(w)
+        chan = _rare_mixture_channel(model, weights, reversibles)
+        resid = _target_residual(chan, rho, sigma, "synthesized mixture")
+        return ConversionOutcome("yes", chan, {"weights": np.asarray(weights),
+                                               "residual": resid})
 
     # pure input: mix the reversibles carrying it onto each target eigenstate
     if dr.eigenvalues[0] >= 1.0 - 1e-10:
@@ -429,7 +385,8 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
             len(dr.eigenvalues) == len(ds.eigenvalues)
             and np.abs(dr.eigenvalues - ds.eigenvalues).max() <= 1e-9)
         if equal_spectra:
-            perm = _matching_sector_perm(model, rho, sigma)
+            sr, ss = sector_spectra(rho), sector_spectra(sigma)
+            perm = _matching_sector_perm(sr, ss)
             if perm is not None:
                 chan = _sector_matching_reversible(model, rho, sigma, perm)
                 resid = _target_residual(chan, rho, sigma)
@@ -442,12 +399,51 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
             # to a single reversible, which cannot move sector invariants
             return ConversionOutcome("no", None, {
                 "reason": "equal spectra but mismatched sector invariants",
-                "source_sectors": [s.tolist() for s in sector_spectra(rho)],
-                "target_sectors": [s.tolist() for s in sector_spectra(sigma)],
+                "source_sectors": [s.tolist() for s in sr],
+                "target_sectors": [s.tolist() for s in ss],
             })
     return ConversionOutcome("unknown", None, {
         "reason": "majorisation holds but no mixture witness is known "
                   "for this model family"})
+
+
+def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
+                ) -> ConversionOutcome:
+    """Decide convertibility under a chosen class of channels.
+
+    Both states must belong to one model (else `ModelCompatibilityError`).
+    Every regime's channels preserve the invariant state, so a failed
+    majorisation of the spectra is a "no" in each of them, with the prefix
+    sum as certificate.  Where majorisation holds: 'unital' answers "yes"
+    with a measure-and-prepare channel (exact); 'rare' is exact on models
+    with unrestricted reversibility, and on sectorized models uses sector
+    invariants and explicit witnesses where available, "unknown"
+    otherwise; 'noisy' lies between the two, so it answers "yes" with the
+    rare witness when there is one and "unknown" otherwise.
+    """
+    if regime not in ("unital", "rare", "noisy"):
+        raise ValueError(f"unknown regime {regime!r}")
+    _same_model(rho.model, sigma.model)
+    if regime == "rare" and rho.model.structure is None:
+        return ConversionOutcome("unknown", None, {
+            "reason": "no decision procedure for this model family"})
+
+    dr = diagonalize(rho)
+    ds = diagonalize(sigma)
+    cert = _majorization_certificate(dr.eigenvalues, ds.eigenvalues)
+    if cert is not None:
+        return ConversionOutcome("no", None, cert)
+    if regime == "unital":
+        D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
+        chan = measure_and_prepare_channel(dr, ds, D)
+        resid = _target_residual(chan, rho, sigma, "synthesized channel")
+        return ConversionOutcome("yes", chan, {"stochastic_matrix": D,
+                                               "residual": resid})
+    lower = _rare_verdict(rho, sigma, dr, ds)
+    if regime == "rare" or lower.answer == "yes":
+        return lower
+    return ConversionOutcome("unknown", None, {
+        "reason": "between the mixture-of-reversibles and unital regimes"})
 
 
 # ---------------------------------------------------------------------------

@@ -312,23 +312,22 @@ def purify(state: StateVec):
     comp = zoo.compose_systems(model, model)
     st = model.structure
     N = st.block_count
-    offsB = st.hilbert_offsets()
+    offs = st.hilbert_offsets()
     diag = diagonalize(state)
     sup = [zoo.pure_support(s) for s in diag.eigenstates]
     dH = st.hilbert_dim
     psi = np.zeros(dH * dH, dtype=complex if st.field == "C" else float)
     counters = [0] * N
-    offsA = st.hilbert_offsets()
     for p, (b, vec) in zip(diag.eigenvalues, sup):
         if p <= 1e-14:
             continue
         l = (-b) % max(N, 1)
         r = counters[b]
         counters[b] += 1
-        b_index = offsB[l] + r
+        b_index = offs[l] + r
         amp = math.sqrt(p)
         for i, c in enumerate(vec):
-            psi[(offsA[b] + i) * dH + b_index] += amp * c
+            psi[(offs[b] + i) * dH + b_index] += amp * c
     rho = np.outer(psi, psi.conj())
     coords = _kron_to_coords(comp, rho)
     return comp, StateVec(coords, comp)

@@ -203,6 +203,15 @@ def shannon(p) -> float:
 # equilibrium states
 
 
+def basis_hamiltonian(basis, levels) -> np.ndarray:
+    """Coordinates of the energy observable that gives energy levels[k] to
+    the pure state basis[k]: the sum of levels[k] * dagger(basis[k])."""
+    h = np.zeros(basis[0].model.vector_dim)
+    for E, s in zip(levels, basis):
+        h += float(E) * dagger(s).coords
+    return h
+
+
 def gibbs_state(model: ModelSpec, hamiltonian, beta: float) -> StateVec:
     """Equilibrium state exp(-beta H)/Z in the energy eigenbasis.
 
@@ -430,11 +439,9 @@ def erasure_demo(rho_S: StateVec, beta: float,
     if env_model is None:
         env_model = model_M
     if env_hamiltonian is None:
-        energies = np.arange(env_model.capacity, dtype=float)
-        h = np.zeros(env_model.vector_dim)
-        for k, s in enumerate(zoo.pure_maximal_set(env_model)):
-            h += energies[k] * dagger(s).coords
-        env_hamiltonian = h
+        env_hamiltonian = basis_hamiltonian(
+            zoo.pure_maximal_set(env_model),
+            np.arange(env_model.capacity, dtype=float))
 
     triple = zoo.compose_systems(comp_SM, env_model)
     lifted = lift_channel(triple, U_SM, 0)

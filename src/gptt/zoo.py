@@ -148,18 +148,13 @@ def _closure_cache(model: ModelSpec):
     return cached
 
 
-def _sector_perm_kraus(dims, perm) -> np.ndarray:
+def _sector_perm_kraus(st: BlockStructure, perm) -> np.ndarray:
     """Total-Hilbert permutation sending sector j onto sector perm[j]."""
-    offs = []
-    acc = 0
-    for n in dims:
-        offs.append(acc)
-        acc += n
-    dH = acc
-    K = np.zeros((dH, dH))
-    for j, n in enumerate(dims):
+    offs = st.hilbert_offsets()
+    K = np.zeros((st.hilbert_dim, st.hilbert_dim))
+    for j, n in enumerate(st.dims):
         t = perm[j]
-        if dims[t] != n:
+        if st.dims[t] != n:
             raise ValueError("sector permutation must preserve dimensions")
         K[offs[t]: offs[t] + n, offs[j]: offs[j] + n] = np.eye(n)
     return K
@@ -170,7 +165,7 @@ def _matrix_group_sampler(model: ModelSpec, rng: np.random.Generator) -> Channel
     Us = [_haar_unitary(rng, n, st.field) for n in st.dims]
     K = block_diag(*Us)
     if st.block_count > 1:
-        K = _sector_perm_kraus(st.dims, rng.permutation(st.block_count)) @ K
+        K = _sector_perm_kraus(st, rng.permutation(st.block_count)) @ K
     M = conjugation_matrix([K], st)
     return model.make_reversible(M, kraus=[K])
 
@@ -623,7 +618,7 @@ def reversible_sending(model: ModelSpec, s_from: StateVec,
         blocks[ja] = _unitary_sending_vec(va, vb, st.field)
         delta = (jb - ja) % st.block_count
         perm = [(j + delta) % st.block_count for j in range(st.block_count)]
-        K = _sector_perm_kraus(st.dims, perm) @ block_diag(*blocks)
+        K = _sector_perm_kraus(st, perm) @ block_diag(*blocks)
     return model.make_reversible(conjugation_matrix([K], st), kraus=[K])
 
 

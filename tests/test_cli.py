@@ -75,6 +75,14 @@ class TestConvert:
                      "--regime", "rare", "--json")
         assert res.exit_code == 1
 
+    def test_noisy_on_polytope_is_unknown(self):
+        # majorisation holds and no mixture witness is known: unknown, not
+        # the unital regime's refusal of a model without identifying effects
+        res = invoke("convert", "square_bit", "--from", "pure:0", "--to",
+                     "chi", "--regime", "noisy", "--json")
+        assert res.exit_code == 4
+        assert json.loads(res.output)["results"]["answer"] == "unknown"
+
     def test_bad_state_exit_two(self):
         res = invoke("convert", "classical:3", "--from", "[1,1]",
                      "--to", "chi")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gptt import resource, zoo
-from gptt.core import GPTError, StateVec, UnsupportedModelError, apply_channel
+from gptt.core import (DiagonalizationError, GPTError, ModelCompatibilityError,
+                       StateVec, UnsupportedModelError, apply_channel)
 from gptt.embedding import blocks_to_vec
 from gptt.spectral import diagonalize
 from oracles import doubly_stochastic_exists, majorizes as oracle_majorizes
@@ -246,6 +247,75 @@ class TestSectorVerdicts:
         peaked = StateVec(blocks_to_vec(
             [np.diag([0.7, 0.3]), np.zeros((2, 2))], st_), dq2)
         assert resource.convertible(flat, peaked, "noisy").answer == "no"
+
+
+def _small_model(kind):
+    fam = zoo.FAMILIES[kind]
+    return zoo.build_model(kind, **{name: max(low, 2)
+                                    for name, low in fam.params})
+
+
+class TestConvertibleContract:
+    REGIMES = ("unital", "rare", "noisy")
+
+    def test_states_of_different_models_refused(self):
+        # both models have D=4, so nothing but the model check can notice
+        a = rand_state(cl4)
+        b = rand_state(zoo.build_model("quantum", n=2))
+        for regime in self.REGIMES:
+            with pytest.raises(ModelCompatibilityError):
+                resource.convertible(a, b, regime)
+        for build in (resource.build_unital_channel,
+                      resource.build_rare_channel):
+            with pytest.raises(ModelCompatibilityError):
+                build(a, b)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("model", [q3, cl4, dq2, ec22],
+                             ids=lambda m: m.model_id)
+    def test_each_state_diagonalized_once(self, monkeypatch, model, regime):
+        r = np.random.default_rng(47)
+        pairs = [(rand_state(model, r), rand_state(model, r)),
+                 (model.invariant_state, zoo.pure_maximal_set(model)[0]),
+                 (zoo.pure_maximal_set(model)[0], model.invariant_state)]
+        for rho, sigma in pairs:
+            seen = []
+
+            def counting(state, method="auto"):
+                seen.append(state)
+                return diagonalize(state, method)
+
+            monkeypatch.setattr(resource, "diagonalize", counting)
+            resource.convertible(rho, sigma, regime)
+            assert seen == [rho, sigma]
+
+    @pytest.mark.parametrize("kind", sorted(zoo.FAMILIES))
+    def test_noisy_reads_rare_and_majorisation(self, kind):
+        model = _small_model(kind)
+        r = np.random.default_rng(53)
+        states = [model.invariant_state, rand_state(model, r),
+                  rand_state(model, r)]
+        if model.capacity >= 2:
+            states.append(zoo.pure_maximal_set(model)[0])
+        for rho, sigma in [(states[-1], states[0]), (states[0], states[-1]),
+                           (states[1], states[2]), (states[1], states[0])]:
+            try:
+                spectra = [diagonalize(s).eigenvalues for s in (rho, sigma)]
+            except DiagonalizationError:
+                with pytest.raises(DiagonalizationError):
+                    resource.convertible(rho, sigma, "noisy")
+                continue
+            out = resource.convertible(rho, sigma, "noisy")
+            cert = resource._majorization_certificate(*spectra)
+            if cert is not None:
+                assert out.answer == "no"
+                assert out.certificate == cert
+            elif resource.convertible(rho, sigma, "rare").answer == "yes":
+                assert out.answer == "yes"
+                moved = apply_channel(out.channel, rho)
+                assert np.abs(moved.coords - sigma.coords).max() < 1e-8
+            else:
+                assert out.answer == "unknown"
 
 
 class TestAxioms:
