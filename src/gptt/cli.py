@@ -63,6 +63,11 @@ def _emit(report: dict, as_json: bool):
 
 
 def _get_model(text: str):
+    if text.endswith(".json"):
+        try:
+            return zoo.load_model(text)
+        except (OSError, KeyError, TypeError, ValueError, GPTError) as exc:
+            raise click.UsageError(f"cannot load model {text!r}: {exc}")
     try:
         return zoo.parse_model_string(text)
     except ValueError as exc:

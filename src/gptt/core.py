@@ -9,7 +9,9 @@ blocks (matrix models) and finitely generated ray cones (polytope models).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +32,15 @@ KRAUS_CAP = 64
 
 # Tags a composite or product channel keeps when every part carries them.
 _SHARED_TAGS = frozenset({"reversible", "unital", "rare"})
+
+# A ray cone finds its facets among the (dim - 1)-subsets of its generators,
+# once, when it is built.  A cone with more subsets than this is refused
+# with UnsupportedModelError; the builtin polytopes have at most 6.
+MAX_FACET_SUBSETS = 20_000
+
+# Facet normals and generators are compared at unit length: a generator lies
+# on a facet when their product is at most this in absolute value.
+FACET_TOL = 1e-10
 
 
 def linprog(*args, **kwargs):
@@ -90,8 +101,12 @@ def as_coords(x) -> np.ndarray:
 class ConeSpec:
     """A proper cone, either finitely generated or a product of PSD blocks.
 
-    kind 'rays': generators are rows of `generators`; membership and the
-    signed margin come from a small LP against a fixed interior direction.
+    kind 'rays': generators are rows of `generators`, spanning a pointed,
+    full-dimensional cone.  Its facets are found once, when the cone is
+    built: rows of `facets` are unit inward normals, each nonnegative on
+    every generator and zero on dim - 1 independent ones.  The cone is the
+    set where every facet is nonnegative, and the signed margin against the
+    fixed interior direction e is min_i F_i.x / F_i.e.
     kind 'psd': membership means every Hermitian block has nonnegative
     spectrum; the margin is the smallest block eigenvalue.
     """
@@ -101,6 +116,7 @@ class ConeSpec:
     generators: Optional[np.ndarray] = None
     structure: Optional[BlockStructure] = None
     interior_direction: Optional[np.ndarray] = field(default=None)
+    facets: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "rays":
@@ -114,9 +130,11 @@ class ConeSpec:
             if np.linalg.matrix_rank(G, tol=1e-10) < self.dim:
                 raise ValueError("cone is not full-dimensional")
             self._check_pointed(G)
-            e = (G / norms[:, None]).sum(axis=0)
+            U = G / norms[:, None]
+            e = U.sum(axis=0)
             e = e / np.linalg.norm(e)
             object.__setattr__(self, "interior_direction", e)
+            object.__setattr__(self, "facets", _ray_facets(U, e))
         elif self.kind == "psd":
             if self.structure is None:
                 raise ValueError("psd cone needs a block structure")
@@ -154,20 +172,8 @@ class ConeSpec:
                 w = np.linalg.eigvalsh(B)
                 worst = min(worst, float(w[0]))
             return worst
-        G = self.generators
-        k = G.shape[0]
-        # variables: ray weights c >= 0, margin m free; G^T c + m e = x
-        A_eq = np.hstack([G.T, self.interior_direction[:, None]])
-        res = linprog(
-            c=np.concatenate([np.zeros(k), [-1.0]]),
-            A_eq=A_eq,
-            b_eq=x,
-            bounds=[(0.0, None)] * k + [(None, None)],
-            method="highs",
-        )
-        if not res.success:
-            raise GPTError(f"cone margin LP failed: {res.message}")
-        return float(res.x[-1])
+        F = self.facets
+        return float(np.min((F @ x) / (F @ self.interior_direction)))
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         return self.margin(x) >= -tol
@@ -182,6 +188,45 @@ def cone_membership(model: "ModelSpec", x, which: str = "state",
     cone = model.state_cone if which == "state" else model.effect_cone
     m = cone.margin(as_coords(x))
     return (m >= -tol, m)
+
+
+def _ray_facets(U: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Unit inward facet normals of the pointed cone spanned by the rows of U.
+
+    U holds unit generators and e the interior direction.  Every
+    (dim - 1)-subset of independent generators spans a hyperplane; it bounds
+    a facet when all generators lie on one side.  Subsets on one facet are
+    merged by the generators the facet contains, and the normal is refit to
+    all of them.  Each facet is then checked: nonnegative on every
+    generator, zero on dim - 1 independent ones, positive on e.
+    """
+    k, D = U.shape
+    n = math.comb(k, D - 1)
+    if n > MAX_FACET_SUBSETS:
+        raise UnsupportedModelError(
+            f"a cone with {k} generators in dimension {D} has {n} facet "
+            f"candidates, more than MAX_FACET_SUBSETS = {MAX_FACET_SUBSETS}")
+    subsets = np.array(list(combinations(range(k), D - 1)),
+                       dtype=int).reshape(n, D - 1)
+    _, s, Vt = np.linalg.svd(U[subsets])
+    normals = Vt[(s > FACET_TOL).all(axis=1), -1]
+    side = normals @ U.T
+    bounding = ((side >= -FACET_TOL).all(axis=1)
+                | (side <= FACET_TOL).all(axis=1))
+    facets = []
+    for on in np.unique(np.abs(side[bounding]) <= FACET_TOL, axis=0):
+        f = np.linalg.svd(U[on])[2][-1]
+        facets.append(f if f @ e > 0 else -f)
+    F = np.array(facets).reshape(-1, D)
+    bad = len(F) < D
+    for f, row in zip(F, F @ U.T):
+        on = np.abs(row) <= FACET_TOL
+        bad |= (row.min() < -FACET_TOL or f @ e <= FACET_TOL
+                or np.linalg.matrix_rank(U[on], tol=FACET_TOL) != D - 1)
+    if bad:
+        raise ValueError("cone facets are numerically ambiguous: a "
+                         "generator lies too close to a facet")
+    return F
 
 
 # ---------------------------------------------------------------------------

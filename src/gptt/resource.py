@@ -412,14 +412,17 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
     """Decide convertibility under a chosen class of channels.
 
     Both states must belong to one model (else `ModelCompatibilityError`).
-    Every regime's channels preserve the invariant state, so a failed
-    majorisation of the spectra is a "no" in each of them, with the prefix
-    sum as certificate.  Where majorisation holds: 'unital' answers "yes"
-    with a measure-and-prepare channel (exact); 'rare' is exact on models
-    with unrestricted reversibility, and on sectorized models uses sector
-    invariants and explicit witnesses where available, "unknown"
-    otherwise; 'noisy' lies between the two, so it answers "yes" with the
-    rare witness when there is one and "unknown" otherwise.
+    On the matrix families majorisation of the spectra is necessary in
+    every regime, so a failed majorisation is a "no" in each of them, with
+    the prefix sum as certificate.  Polytope models lack the structure that
+    argument needs (a mixture of reversibles can reach a state the spectra
+    forbid), so there a failed majorisation answers "unknown".  Where
+    majorisation holds: 'unital' answers "yes" with a measure-and-prepare
+    channel (exact); 'rare' is exact on models with unrestricted
+    reversibility, and on sectorized models uses sector invariants and
+    explicit witnesses where available, "unknown" otherwise; 'noisy' lies
+    between the two, so it answers "yes" with the rare witness when there
+    is one and "unknown" otherwise.
     """
     if regime not in ("unital", "rare", "noisy"):
         raise ValueError(f"unknown regime {regime!r}")
@@ -432,6 +435,10 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
     ds = diagonalize(sigma)
     cert = _majorization_certificate(dr.eigenvalues, ds.eigenvalues)
     if cert is not None:
+        if rho.model.structure is None:
+            return ConversionOutcome("unknown", None, {
+                "reason": "majorisation decides convertibility only on the "
+                          "matrix families"})
         return ConversionOutcome("no", None, cert)
     if regime == "unital":
         D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)

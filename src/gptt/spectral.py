@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    FACET_TOL,
     DiagonalizationError,
     EffectVec,
     GPTError,
@@ -29,7 +30,6 @@ from .core import (
     _kron_to_coords,
     _same_model,
     as_coords,
-    linprog,
 )
 from .embedding import block_eigh, blocks_to_vec, pure_block_vec, vec_to_blocks
 from . import zoo
@@ -70,12 +70,25 @@ class PeelStep:
     remainder: Optional[StateVec]
 
 
+def _peel_weights(F: np.ndarray, verts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """For each vertex v, the largest p with x - p v in the cone {y : F y >= 0}.
+
+    A facet through v does not bound p; every other facet caps it at
+    F_i.x / F_i.v, so the weight is the smallest of those ratios.
+    """
+    Fv = F @ verts.T
+    off = Fv > FACET_TOL * np.linalg.norm(verts, axis=1)
+    ratios = np.divide((F @ x)[:, None], Fv, out=np.full(Fv.shape, np.inf),
+                       where=off)
+    return ratios.min(axis=0)
+
+
 def max_eigenvalue_peel(state: StateVec) -> PeelStep:
     """Largest weight of a pure state inside the given state.
 
     Matrix models read it off a block eigendecomposition; ray-cone models
-    maximize, over pure states, the weight that can be removed while
-    staying inside the cone.
+    take, over the vertices in lexicographic order, the largest weight that
+    can be removed while staying inside the cone, read off the facets.
     """
     model = state.model
     x = state.coords
@@ -95,21 +108,11 @@ def max_eigenvalue_peel(state: StateVec) -> PeelStep:
     else:
         G = model.state_cone.generators
         verts = G / (G @ model.unit_effect)[:, None]
-        k = G.shape[0]
+        weights = _peel_weights(model.state_cone.facets, verts, x)
         best = None
-        for v in sorted(verts, key=_lex_key):
-            # max p with x - p v in the state cone
-            A_eq = np.hstack([G.T, v[:, None]])
-            res = linprog(c=np.concatenate([np.zeros(k), [-1.0]]),
-                          A_eq=A_eq, b_eq=x,
-                          bounds=[(0.0, None)] * k + [(0.0, None)],
-                          method="highs")
-            if res.success:
-                p = float(res.x[-1])
-                if best is None or p > best[0] + 1e-12:
-                    best = (p, v)
-        if best is None:
-            raise DiagonalizationError("no pure component found", residue=1.0)
+        for j in sorted(range(len(verts)), key=lambda j: _lex_key(verts[j])):
+            if best is None or weights[j] > best[0] + 1e-12:
+                best = (float(weights[j]), verts[j])
         p_star, v = best
         alpha = StateVec(v, model)
     if p_star >= 1.0 - 1e-11:

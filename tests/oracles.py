@@ -136,3 +136,40 @@ def gibbs_weights(energies, beta):
 def mean_energy(energies, beta):
     w = gibbs_weights(energies, beta)
     return float(w @ np.asarray(energies, dtype=float))
+
+
+# HiGHS's default feasibility tolerance (1e-7) lets a point 1e-7 outside a
+# cone count as inside; the cone references below tighten it.
+_TIGHT = {"primal_feasibility_tolerance": 1e-10,
+          "dual_feasibility_tolerance": 1e-10}
+
+
+def cone_margin_lp(G, e, x):
+    """Largest m with x - m e in the cone spanned by the rows of G."""
+    G = np.asarray(G, dtype=float)
+    k = G.shape[0]
+    # variables: ray weights c >= 0 and the free margin m; G^T c + m e = x
+    res = linprog(c=np.concatenate([np.zeros(k), [-1.0]]),
+                  A_eq=np.hstack([G.T, np.asarray(e, dtype=float)[:, None]]),
+                  b_eq=np.asarray(x, dtype=float),
+                  bounds=[(0.0, None)] * k + [(None, None)], method="highs",
+                  options=_TIGHT)
+    assert res.success, res.message
+    return float(res.x[-1])
+
+
+def peel_weight_lp(G, v, x):
+    """Largest p >= 0 with x - p v in the cone spanned by the rows of G;
+    None when even p = 0 is infeasible (x outside the cone)."""
+    G = np.asarray(G, dtype=float)
+    k = G.shape[0]
+    # variables: ray weights c >= 0 and the weight p >= 0; G^T c + p v = x
+    res = linprog(c=np.concatenate([np.zeros(k), [-1.0]]),
+                  A_eq=np.hstack([G.T, np.asarray(v, dtype=float)[:, None]]),
+                  b_eq=np.asarray(x, dtype=float),
+                  bounds=[(0.0, None)] * (k + 1), method="highs",
+                  options=_TIGHT)
+    if res.status == 2:
+        return None
+    assert res.success, res.message
+    return float(res.x[-1])

@@ -83,6 +83,15 @@ class TestConvert:
         assert res.exit_code == 4
         assert json.loads(res.output)["results"]["answer"] == "unknown"
 
+    def test_polytope_majorisation_failure_is_unknown(self):
+        # a mixture of reversibles reaches the target, so "no" would be wrong
+        res = invoke("convert", "square_bit", "--from", "[1,0,1]", "--to",
+                     "[0.5,0.5,1]", "--regime", "noisy", "--json")
+        assert res.exit_code == 4
+        out = json.loads(res.output)["results"]
+        assert out["answer"] == "unknown"
+        assert "matrix families" in out["certificate"]["reason"]
+
     def test_bad_state_exit_two(self):
         res = invoke("convert", "classical:3", "--from", "[1,1]",
                      "--to", "chi")

@@ -1,0 +1,184 @@
+"""Facets of ray cones: the closed-form margin and peel weights against
+their LP references, the stored facets themselves, and the refusals."""
+
+import json
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from gptt import core, spectral, zoo
+from gptt.cli import main
+from gptt.core import ConeSpec, StateVec, UnsupportedModelError
+
+BUILTINS = ("square_bit", "diamond_bit", "restricted_trit")
+KGONS = tuple(range(3, 9))
+MODELS = BUILTINS + tuple(f"{k}-gon" for k in KGONS)
+
+
+def kgon_json(k: int) -> dict:
+    """A regular k-gon polytope: its vertices, its edge functionals as
+    effect generators, and the rotation by 2 pi / k."""
+    t = 2 * np.pi * np.arange(k) / k
+    mid = t + np.pi / k
+    c, s = np.cos(2 * np.pi / k), np.sin(2 * np.pi / k)
+    return {
+        "kind": "polytope", "vector_dim": 3, "unit_effect": [0, 0, 1],
+        "state_vertices": np.column_stack(
+            [np.cos(t), np.sin(t), np.ones(k)]).tolist(),
+        "effect_generators": np.column_stack(
+            [-np.cos(mid), -np.sin(mid), np.full(k, np.cos(np.pi / k))]).tolist(),
+        "group_generators": [[[c, -s, 0], [s, c, 0], [0, 0, 1]]],
+    }
+
+
+@lru_cache(maxsize=None)
+def _model(name):
+    if name in BUILTINS:
+        return zoo.build_model(name)
+    return zoo.model_from_json(kgon_json(int(name.split("-")[0])))
+
+
+def _cones():
+    for name in MODELS:
+        m = _model(name)
+        yield f"{name}/state", m.state_cone
+        yield f"{name}/effect", m.effect_cone
+
+
+@pytest.mark.parametrize("name,cone", list(_cones()),
+                         ids=[n for n, _ in _cones()])
+def test_stored_facets_bound_and_touch_the_generators(name, cone):
+    G, F = cone.generators, cone.facets
+    D = cone.dim
+    vals = F @ G.T
+    assert np.abs(np.linalg.norm(F, axis=1) - 1).max() < 1e-12
+    assert vals.min() >= -1e-10
+    for row in vals:
+        on = np.abs(row) <= 1e-10
+        assert np.linalg.matrix_rank(G[on], tol=1e-10) == D - 1
+    assert (F @ cone.interior_direction).min() > 0
+
+
+def test_facet_counts():
+    for k in KGONS:
+        m = _model(f"{k}-gon")
+        assert len(m.state_cone.facets) == len(m.effect_cone.facets) == k
+    for name in BUILTINS:
+        assert len(_model(name).state_cone.facets) == len(
+            _model(name).state_cone.generators)
+
+
+def test_restricted_trit_facets_are_not_its_effects():
+    # the state cone is the positive orthant; its effect generators are not
+    # its facets, so facets cannot be read off the model data
+    m = _model("restricted_trit")
+    F = m.state_cone.facets
+    E = m.effect_cone.generators
+    E = E / np.linalg.norm(E, axis=1)[:, None]
+    assert sorted(map(tuple, np.round(F, 12) + 0.0)) == sorted(
+        map(tuple, np.eye(3)))
+    assert np.abs(np.abs(F @ E.T) - 1).min() > 0.05
+
+
+_weights = st.lists(st.floats(0, 1), min_size=max(KGONS), max_size=max(KGONS))
+_offset = st.lists(st.floats(-1, 1), min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODELS), st.sampled_from(["state_cone", "effect_cone"]),
+       _weights, _offset, st.booleans())
+def test_margin_matches_lp(name, which, weights, offset, shift):
+    cone = getattr(_model(name), which)
+    G = cone.generators
+    x = np.asarray(weights[:len(G)]) @ G
+    if shift:  # a shifted point may lie inside or outside the cone
+        x = x + np.asarray(offset)
+    ref = oracles.cone_margin_lp(G, cone.interior_direction, x)
+    assert abs(cone.margin(x) - ref) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(MODELS), _weights, _offset, st.booleans())
+def test_peel_weights_match_lp(name, weights, offset, shift):
+    m = _model(name)
+    G = m.state_cone.generators
+    verts = G / (G @ m.unit_effect)[:, None]
+    x = np.asarray(weights[:len(G)]) @ G
+    if shift:
+        x = x + np.asarray(offset)
+    margin = oracles.cone_margin_lp(G, m.state_cone.interior_direction, x)
+    got = spectral._peel_weights(m.state_cone.facets, verts, x)
+    refs = [oracles.peel_weight_lp(G, v, x) for v in verts]
+    if margin >= 1e-7:
+        for p, ref in zip(got, refs):
+            assert ref is not None and abs(p - ref) <= 1e-9
+    elif margin <= -1e-7:
+        assert all(ref is None for ref in refs)
+
+
+def test_cone_checks_and_peel_solve_no_lp(monkeypatch):
+    m = _model("square_bit")
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(core, "linprog", no_lp)
+    v = m.state_cone.generators  # each vertex already has unit pairing
+    x = StateVec(0.7 * v[0] + 0.3 * v[3], m)
+    d = spectral.diagonalize(x)
+    assert np.abs(d.eigenvalues - [0.7, 0.3]).max() < 1e-12
+    assert np.abs(d.reconstruct() - x.coords).max() < 1e-12
+
+
+def test_subset_cap_refused():
+    k = 2
+    while k * (k - 1) // 2 <= core.MAX_FACET_SUBSETS:
+        k += 1
+    with pytest.raises(UnsupportedModelError, match="MAX_FACET_SUBSETS"):
+        zoo.model_from_json(kgon_json(k))
+    G = np.column_stack([np.cos(np.arange(k)), np.sin(np.arange(k)), np.ones(k)])
+    with pytest.raises(UnsupportedModelError):
+        ConeSpec("rays", 3, generators=G)
+
+
+_LINE = {  # generators (1, 0, 0) and (-1, 0, 0): the cone contains a line
+    "kind": "polytope", "vector_dim": 3, "unit_effect": [0, 0, 1],
+    "state_vertices": [[1, 0, 0], [-1, 0, 0], [0, 1, 1], [0, -1, 1]],
+    "effect_generators": [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]],
+    "group_generators": [],
+}
+
+
+def test_cone_with_a_line_refused():
+    with pytest.raises(ValueError, match="not pointed"):
+        zoo.model_from_json(_LINE)
+
+
+def _cli(*args):
+    return CliRunner().invoke(main, list(args), catch_exceptions=False)
+
+
+@pytest.mark.parametrize("data,message", [
+    (kgon_json(201), "MAX_FACET_SUBSETS"),
+    (_LINE, "not pointed"),
+], ids=["subset_cap", "line"])
+def test_cli_refuses_model_file(tmp_path, data, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    res = _cli("verify", str(path))
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+def test_cli_reads_model_file(tmp_path):
+    path = tmp_path / "hexagon.json"
+    zoo.save_model(_model("6-gon"), str(path))
+    res = _cli("diag", str(path), "--state", "chi", "--json")
+    assert res.exit_code == 0
+    rep = json.loads(res.output)
+    assert rep["model"] == _model("6-gon").model_id
+    assert np.abs(np.asarray(rep["results"]["eigenvalues"]) - 0.5).max() < 1e-12

@@ -307,7 +307,11 @@ class TestConvertibleContract:
                 continue
             out = resource.convertible(rho, sigma, "noisy")
             cert = resource._majorization_certificate(*spectra)
-            if cert is not None:
+            if cert is not None and model.structure is None:
+                # on a polytope the spectra do not decide convertibility
+                assert out.answer == "unknown"
+                assert "matrix families" in out.certificate["reason"]
+            elif cert is not None:
                 assert out.answer == "no"
                 assert out.certificate == cert
             elif resource.convertible(rho, sigma, "rare").answer == "yes":
@@ -316,6 +320,24 @@ class TestConvertibleContract:
                 assert np.abs(moved.coords - sigma.coords).max() < 1e-8
             else:
                 assert out.answer == "unknown"
+
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_polytope_majorisation_failure_is_unknown(self, regime):
+        # half the identity plus half the quarter turn, a mixture of
+        # reversibles, takes [1,0,1] to [0.5,0.5,1], although the spectra
+        # fail majorisation (prefix 0.5 against 0.75)
+        sq = zoo.build_model("square_bit")
+        rho = StateVec(np.array([1.0, 0.0, 1.0]), sq)
+        sigma = StateVec(np.array([0.5, 0.5, 1.0]), sq)
+        turn = sq.group.generators[0][0]
+        mix = 0.5 * (np.eye(3) + turn)
+        assert np.abs(mix @ rho.coords - sigma.coords).max() == 0
+        spectra = [diagonalize(s).eigenvalues for s in (rho, sigma)]
+        assert resource._majorization_certificate(*spectra) is not None
+        out = resource.convertible(rho, sigma, regime)
+        assert out.answer == "unknown"
+        assert out.channel is None
 
 
 class TestAxioms:
