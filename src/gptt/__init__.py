@@ -58,7 +58,6 @@ from .resource import (
     rare_equivalent_doubled,
 )
 from .thermo import (
-    ThermoConfig,
     ThermoLedger,
     beta_from_energy,
     bipartite_entropies,

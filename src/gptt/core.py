@@ -270,6 +270,11 @@ class CompositeInfo:
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
+    """A model's data.  Polytope models also carry `pure_states`, their
+    vertices normalized to unit pairing, and `distinguishable_sets`, every
+    largest jointly perfectly distinguishable set of vertex indices in
+    lexicographic order; `capacity` is the size of those sets."""
+
     model_id: str
     kind: str
     params: dict
@@ -285,14 +290,15 @@ class ModelSpec:
     composite: Optional[CompositeInfo] = None
     pure_sampler: Optional[Callable] = None   # (model, rng) -> coords
     state_sampler: Optional[Callable] = None  # (model, rng) -> coords
+    pure_states: Optional[np.ndarray] = None
+    distinguishable_sets: tuple = ()
 
     def __post_init__(self):
-        u = np.asarray(self.unit_effect, dtype=float)
-        u.setflags(write=False)
-        object.__setattr__(self, "unit_effect", u)
-        c = np.asarray(self.chi, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "chi", c)
+        for name in ("unit_effect", "chi", "pure_states"):
+            if getattr(self, name) is not None:
+                a = np.asarray(getattr(self, name), dtype=float)
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
 
     def __repr__(self):
         return f"ModelSpec({self.model_id}, D={self.vector_dim}, d={self.capacity})"
@@ -450,14 +456,7 @@ def effect_norm(model: ModelSpec, f) -> float:
             w = np.linalg.eigvalsh(B)
             worst = max(worst, float(np.abs(w).max()))
         return worst
-    verts = model.state_cone.generators
-    u = model.unit_effect
-    vals = []
-    for v in verts:
-        p = float(u @ v)
-        if p > 1e-12:
-            vals.append(abs(float(f @ v)) / p)
-    return max(vals)
+    return float(np.abs(model.pure_states @ f).max())
 
 
 # ---------------------------------------------------------------------------

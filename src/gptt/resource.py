@@ -457,23 +457,6 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
 # reversibility axioms
 
 
-def _ordered_maximal_tuples(model: ModelSpec):
-    verts = model.state_cone.generators
-    u = model.unit_effect
-    verts = [v / float(u @ v) for v in verts]
-    sets = []
-    for combo in itertools.combinations(range(len(verts)), model.capacity):
-        pts = [verts[i] for i in combo]
-        if zoo._ray_distinguishing_effects(model.effect_cone.generators, u,
-                                           pts) is not None:
-            sets.append(combo)
-    tuples = []
-    for combo in sets:
-        for perm in itertools.permutations(combo):
-            tuples.append([verts[i] for i in perm])
-    return sets, tuples, verts
-
-
 def _group_maps_tuple(elements, src, dst, tol=1e-8) -> bool:
     for M, _ in elements:
         if all(np.abs(M @ a - b).max() <= tol for a, b in zip(src, dst)):
@@ -522,11 +505,12 @@ def check_unrestricted_reversibility(model: ModelSpec) -> dict:
     if model.capacity < 2:
         return {"permutability": True, "strong_symmetry": True,
                 "note": "no nontrivial distinguishable sets exist"}
-    sets, tuples, nverts = _ordered_maximal_tuples(model)
+    sets = [[model.pure_states[i] for i in c]
+            for c in model.distinguishable_sets]
+    tuples = [list(p) for pts in sets for p in itertools.permutations(pts)]
     perm_ok = True
     perm_witness = None
-    for combo in sets:
-        pts = [nverts[i] for i in combo]
+    for pts in sets:
         for p in itertools.permutations(range(len(pts))):
             dst = [pts[i] for i in p]
             if not _group_maps_tuple(elements, pts, dst):

@@ -4,7 +4,9 @@ A diagonalization writes a state as a convex combination of jointly
 perfectly distinguishable pure states.  Matrix models get it from block
 eigendecompositions; generic models get the peeling construction, which
 repeatedly strips the largest pure-state weight and must reach a pure
-remainder within the model's capacity.  Both routes report eigenvalues in
+remainder within the model's capacity; on polytope models the peeled
+vertices must lie in one of the model's stored distinguishable sets, which
+also completes them to a maximal basis.  Both routes report eigenvalues in
 descending order.  On matrix models the identifying effect of an eigenstate
 is `dagger(s)`, which the self-dual embedding gives the state's own
 coordinates; `transition_matrix` reads them off the eigenstates directly.
@@ -65,9 +67,14 @@ class Diagonalization:
 
 @dataclass(frozen=True, eq=False)
 class PeelStep:
+    """One peel: the weight p_star of a pure eigenstate, the normalized
+    remainder (None once the state is pure) and, on polytope models, the
+    eigenstate's vertex index."""
+
     p_star: float
     eigenstate: StateVec
     remainder: Optional[StateVec]
+    vertex: Optional[int] = None
 
 
 def _peel_weights(F: np.ndarray, verts: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -105,20 +112,19 @@ def max_eigenvalue_peel(state: StateVec) -> PeelStep:
                     best = cand
         p_star, b, vec = best
         alpha = StateVec(pure_block_vec(model.structure, b, vec), model)
+        vertex = None
     else:
-        G = model.state_cone.generators
-        verts = G / (G @ model.unit_effect)[:, None]
-        weights = _peel_weights(model.state_cone.facets, verts, x)
+        weights = _peel_weights(model.state_cone.facets, model.pure_states, x)
         best = None
-        for j in sorted(range(len(verts)), key=lambda j: _lex_key(verts[j])):
+        for j in _lex_order(model):
             if best is None or weights[j] > best[0] + 1e-12:
-                best = (float(weights[j]), verts[j])
-        p_star, v = best
-        alpha = StateVec(v, model)
+                best = (float(weights[j]), j)
+        p_star, vertex = best
+        alpha = StateVec(model.pure_states[vertex], model)
     if p_star >= 1.0 - 1e-11:
-        return PeelStep(1.0, alpha, None)
+        return PeelStep(1.0, alpha, None, vertex)
     sigma = StateVec((x - p_star * alpha.coords) / (1.0 - p_star), model)
-    return PeelStep(float(p_star), alpha, sigma)
+    return PeelStep(float(p_star), alpha, sigma, vertex)
 
 
 def _complete_matrix_basis(model: ModelSpec, used: list) -> list:
@@ -138,23 +144,27 @@ def _complete_matrix_basis(model: ModelSpec, used: list) -> list:
     return out
 
 
-def _complete_polytope_basis(model: ModelSpec, used: list) -> list:
-    verts = model.state_cone.generators
-    u = model.unit_effect
-    verts = verts / (verts @ u)[:, None]
-    current = [s.coords for s in used]
-    out = []
-    for v in sorted(verts, key=_lex_key):
-        if len(current) >= model.capacity:
-            break
-        if any(np.abs(v - c).max() < 1e-9 for c in current):
-            continue
-        eff = zoo._ray_distinguishing_effects(
-            model.effect_cone.generators, u, current + [v])
-        if eff is not None:
-            current.append(v)
-            out.append(StateVec(v, model))
-    return out
+def _lex_order(model: ModelSpec) -> list:
+    """Vertex indices of a polytope model, its pure states in lexicographic
+    order."""
+    return sorted(range(len(model.pure_states)),
+                  key=lambda j: _lex_key(model.pure_states[j]))
+
+
+def _complete_polytope_basis(model: ModelSpec, peeled: list) -> list:
+    """The remaining pure states of the first stored distinguishable set that
+    holds the peeled vertices, sets ranked by their vertices in
+    lexicographic order; DiagonalizationError when no set holds them."""
+    rank = {j: r for r, j in enumerate(_lex_order(model))}
+    held = [c for c in model.distinguishable_sets if set(peeled) <= set(c)]
+    if not held:
+        raise DiagonalizationError(
+            f"the peeled pure states of {model.model_id} are not part of a "
+            f"perfectly distinguishable set of {model.capacity}",
+            residue=0.0)
+    first = min(held, key=lambda c: sorted(rank[j] for j in c))
+    return [StateVec(model.pure_states[j], model)
+            for j in first if j not in peeled]
 
 
 def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
@@ -181,13 +191,14 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
         eigenstates = tuple(StateVec(c, model) for _, c in entries)
         values = np.array([v for v, _ in entries])
     else:
-        values_l, eigenstates_l = [], []
+        values_l, eigenstates_l, vertices = [], [], []
         cur, weight = state, 1.0
         done = False
         for _ in range(model.capacity):
             step = max_eigenvalue_peel(cur)
             values_l.append(step.p_star * weight)
             eigenstates_l.append(step.eigenstate)
+            vertices.append(step.vertex)
             if step.remainder is None:
                 done = True
                 break
@@ -200,14 +211,15 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
                 residue=weight,
                 partial=(np.asarray(values_l), tuple(eigenstates_l)),
             )
-        if len(eigenstates_l) < model.capacity:
-            if model.structure is not None:
-                used = [zoo.pure_support(s) for s in eigenstates_l]
-                extra = _complete_matrix_basis(model, used)
-            else:
-                extra = _complete_polytope_basis(model, eigenstates_l)
-            eigenstates_l.extend(extra)
-            values_l.extend([0.0] * len(extra))
+        if model.structure is None:
+            extra = _complete_polytope_basis(model, vertices)
+        elif len(eigenstates_l) < model.capacity:
+            used = [zoo.pure_support(s) for s in eigenstates_l]
+            extra = _complete_matrix_basis(model, used)
+        else:
+            extra = []
+        eigenstates_l.extend(extra)
+        values_l.extend([0.0] * len(extra))
         if len(eigenstates_l) != model.capacity:
             raise DiagonalizationError(
                 "could not complete the eigenbasis to a maximal set",

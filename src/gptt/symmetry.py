@@ -61,9 +61,7 @@ def is_transitive(model: ModelSpec, n_probes: int = 60) -> bool:
         # block rotations act transitively inside a sector and the sector
         # permutations connect the equal-dimension sectors
         return True
-    verts = model.state_cone.generators
-    u = model.unit_effect
-    pts = [v / float(u @ v) for v in verts]
+    pts = model.pure_states
     elems = zoo._closure_cache(model)
     ref = pts[0]
     for p in pts[1:]:

@@ -1,8 +1,9 @@
 """Entropies, equilibrium states, and energy bookkeeping for erasure.
 
-All entropies use natural logarithms; Boltzmann's constant defaults to 1,
-so kT = 1/beta.  Everything here routes through the diagonalization
-machinery, which keeps the formulas meaningful beyond quantum models.
+All entropies use natural logarithms and Boltzmann's constant is 1, so
+kT = 1/beta, infinite at beta = 0.  Everything here routes through the
+diagonalization machinery, which keeps the formulas meaningful beyond
+quantum models.
 """
 
 from __future__ import annotations
@@ -35,19 +36,6 @@ from .spectral import (
     transition_matrix,
 )
 from . import zoo
-
-
-@dataclass(frozen=True)
-class ThermoConfig:
-    boltzmann_k: float = 1.0
-
-    def kT(self, beta: float) -> float:
-        if beta == 0:
-            return math.inf
-        return self.boltzmann_k / beta
-
-
-DEFAULT_THERMO = ThermoConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +342,7 @@ class ThermoLedger:
 
 
 def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
-                    beta: float, comp: ModelSpec,
-                    config: ThermoConfig = DEFAULT_THERMO) -> ThermoLedger:
+                    beta: float, comp: ModelSpec) -> ThermoLedger:
     """Account for the energy pushed into a thermal environment.
 
     The environment starts in equilibrium at the given inverse temperature;
@@ -384,7 +371,7 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
     drop = s_in - s_out
     mutual = s_out + s_E - s_joint_out
     relent = _relative_entropy(d_E, d_gamma)
-    kT = config.kT(beta)
+    kT = math.inf if beta == 0 else 1.0 / beta
 
     if math.isinf(relent) or math.isinf(kT):
         residual = math.nan
@@ -412,8 +399,7 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
 
 def erasure_demo(rho_S: StateVec, beta: float,
                  env_model: Optional[ModelSpec] = None,
-                 env_hamiltonian=None,
-                 config: ThermoConfig = DEFAULT_THERMO) -> dict:
+                 env_hamiltonian=None) -> dict:
     """Erase a mixed state at zero energy cost using a memory that holds
     its purification.
 
@@ -445,13 +431,12 @@ def erasure_demo(rho_S: StateVec, beta: float,
 
     triple = zoo.compose_systems(comp_SM, env_model)
     lifted = lift_channel(triple, U_SM, 0)
-    ledger = landauer_ledger(lifted, psi, env_hamiltonian, beta, triple,
-                             config)
+    ledger = landauer_ledger(lifted, psi, env_hamiltonian, beta, triple)
 
     before = bipartite_entropies(psi)
     out_SM = apply_channel(U_SM, psi)
     after = bipartite_entropies(out_SM)
-    kT = config.kT(beta)
+    kT = ledger.kT
     return {
         "ledger": ledger,
         "delta_E_env": ledger.delta_E_env,

@@ -92,9 +92,7 @@ def _polytope_state_sampler(model: ModelSpec, rng: np.random.Generator) -> np.nd
 
 
 def _polytope_pure_sampler(model: ModelSpec, rng: np.random.Generator) -> np.ndarray:
-    V = model.state_cone.generators
-    v = V[int(rng.integers(V.shape[0]))]
-    return v / float(model.unit_effect @ v)
+    return model.pure_states[int(rng.integers(len(model.pure_states)))]
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +252,29 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
     return [EffectVec(f, model) for f in raw]
 
 
-def _polytope_capacity(vertices, effect_gens, u) -> tuple:
-    """Largest jointly distinguishable vertex subset (exhaustive, small sets)."""
-    u = np.asarray(u, dtype=float)
-    verts = [np.asarray(v, dtype=float) / float(u @ v) for v in vertices]
-    for size in range(len(verts), 1, -1):
-        for combo in combinations(range(len(verts)), size):
-            eff = _ray_distinguishing_effects(effect_gens, u,
-                                              [verts[i] for i in combo])
-            if eff is not None:
-                return ([verts[i] for i in combo], eff)
-    return ([verts[0]], None)
+def _distinguishable_sets(verts: np.ndarray, G: np.ndarray, u: np.ndarray):
+    """Every largest jointly distinguishable set of vertices, as index tuples
+    in lexicographic order.
+
+    The search climbs from pairs: a set of s + 1 vertices gets an LP only
+    when each of its s-subsets passed, since dropping a state from a
+    distinguishable set leaves one (its effect merges into a kept one).
+    All vertices are tried first, which settles a simplex in one LP
+    instead of one per subset.
+    """
+    if _ray_distinguishing_effects(G, u, verts) is not None:
+        return (tuple(range(len(verts))),)
+    level = [(i,) for i in range(len(verts))]
+    while True:
+        passed = set(level)
+        grown = [c + (j,) for c in level for j in range(c[-1] + 1, len(verts))]
+        grown = [c for c in grown
+                 if all(sub in passed for sub in combinations(c, len(c) - 1))
+                 and _ray_distinguishing_effects(G, u, verts[list(c)])
+                 is not None]
+        if not grown:
+            return tuple(level)
+        level = grown
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +395,11 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
         for v in V:
             if not state_cone.contains(M @ v, 1e-9):
                 raise GPTError("group generator does not preserve the state cone")
-    verts = V / (V @ u)[:, None]
-    basis, _ = _polytope_capacity(verts, G, u)
+    pairing = V @ u
+    if not np.all(pairing > 0):
+        raise ValueError("unit effect must be positive on every vertex")
+    verts = V / pairing[:, None]
+    sets = _distinguishable_sets(verts, G, u)
     group = GroupSpec(
         kind="finite",
         name=f"{kind}-group",
@@ -398,7 +411,7 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
         kind=kind,
         params={},
         vector_dim=D,
-        capacity=len(basis),
+        capacity=len(sets[0]),
         unit_effect=u,
         chi=verts.mean(axis=0),
         state_cone=state_cone,
@@ -408,6 +421,8 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
         group=group,
         pure_sampler=_polytope_pure_sampler,
         state_sampler=_polytope_state_sampler,
+        pure_states=verts,
+        distinguishable_sets=sets,
     )
 
 
@@ -559,11 +574,8 @@ def pure_maximal_set(model: ModelSpec) -> list:
                 e[i] = 1.0
                 out.append(StateVec(pure_block_vec(st, b, e), model))
         return out
-    u = model.unit_effect
-    verts = model.state_cone.generators
-    verts = verts / (verts @ u)[:, None]
-    basis, _ = _polytope_capacity(verts, model.effect_cone.generators, u)
-    return [StateVec(v, model) for v in basis]
+    return [StateVec(model.pure_states[i], model)
+            for i in model.distinguishable_sets[0]]
 
 
 # ---------------------------------------------------------------------------

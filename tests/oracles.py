@@ -173,3 +173,23 @@ def peel_weight_lp(G, v, x):
         return None
     assert res.success, res.message
     return float(res.x[-1])
+
+
+def best_guess_lp(E, u, xs):
+    """Largest total success sum_j e_j.x_j of a measurement guessing which
+    of the states xs was prepared.
+
+    The effects e_j lie in the cone spanned by the rows of E and sum to u;
+    the states are perfectly distinguishable iff the optimum is len(xs).
+    """
+    E = np.asarray(E, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    m, k = len(xs), E.shape[0]
+    # variables: cone weights w_j >= 0 of each effect e_j = E^T w_j
+    c = -np.concatenate([E @ x for x in xs])
+    A_eq = np.hstack([E.T] * m)
+    res = linprog(c=c, A_eq=A_eq, b_eq=np.asarray(u, dtype=float),
+                  bounds=[(0.0, None)] * (m * k), method="highs",
+                  options=_TIGHT)
+    assert res.success, res.message
+    return float(-res.fun)

@@ -1,0 +1,154 @@
+"""Distinguishable vertex sets of polytope models: the sets stored at build
+against an independent LP, no LP after build, the peel's refusal of pieces
+no measurement tells apart, and model files with a non-positive unit
+pairing."""
+
+import json
+from itertools import combinations
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+import oracles
+from gptt import core, resource, spectral, zoo
+from gptt.cli import main
+from gptt.core import DiagonalizationError, StateVec
+from test_facets import MODELS, _model, kgon_json
+
+
+def _distinguishable(m, c):
+    V = m.state_cone.generators
+    val = oracles.best_guess_lp(m.effect_cone.generators, m.unit_effect,
+                                (V / (V @ m.unit_effect)[:, None])[list(c)])
+    return val >= len(c) - 1e-7
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_stored_sets_match_reference(name):
+    m = _model(name)
+    V = m.state_cone.generators
+    assert np.array_equal(m.pure_states, V / (V @ m.unit_effect)[:, None])
+    assert not m.pure_states.flags.writeable
+    n = len(V)
+    cap = m.capacity
+    ref = tuple(c for c in combinations(range(n), cap)
+                if _distinguishable(m, c))
+    assert m.distinguishable_sets == ref
+    assert all(len(c) == cap for c in ref)
+    assert not any(_distinguishable(m, c)
+                   for c in combinations(range(n), cap + 1))
+
+
+@pytest.mark.parametrize("name,lps", [
+    ("3-gon", 1),            # all vertices at once
+    ("restricted_trit", 4),  # all, then 3 pairs
+    ("square_bit", 11),      # all, 6 pairs, 4 triples
+    ("8-gon", 29),           # all, 28 pairs; no triple has only passing pairs
+])
+def test_search_lp_count(name, lps, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return core.linprog(*args, **kwargs)
+
+    monkeypatch.setattr(zoo, "linprog", counted)
+    m = _model(name)
+    zoo._distinguishable_sets(m.pure_states, m.effect_cone.generators,
+                              m.unit_effect)
+    assert len(calls) == lps
+
+
+@pytest.mark.parametrize("name", [n for n in MODELS if _model(n).capacity > 1])
+def test_completion_is_first_in_lexicographic_scan(name):
+    # reference: scan the vertices in lexicographic order and keep each one
+    # that stays distinguishable from those kept
+    m = _model(name)
+    V = m.state_cone.generators
+    order = sorted(range(len(V)), key=lambda j: tuple(np.round(V[j], 10)))
+    for start in range(len(V)):
+        kept = [start]
+        for j in order:
+            if j not in kept and _distinguishable(m, kept + [j]):
+                kept.append(j)
+        d = spectral.diagonalize(StateVec(V[start], m))
+        got = sorted(int(np.flatnonzero((V == s.coords).all(axis=1))[0])
+                     for s in d.eigenstates)
+        assert got == sorted(kept)
+
+
+@pytest.mark.parametrize("name", [n for n in MODELS if _model(n).capacity > 1])
+def test_no_lp_after_build(name, monkeypatch):
+    m = _model(name)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(core, "linprog", no_lp)
+    monkeypatch.setattr(zoo, "linprog", no_lp)
+    basis = zoo.pure_maximal_set(m)
+    assert [list(b.coords) for b in basis] == [
+        list(m.pure_states[i]) for i in m.distinguishable_sets[0]]
+    resource.check_unrestricted_reversibility(m)
+    for v in m.pure_states:  # one peel, then completion to a stored set
+        d = spectral.diagonalize(StateVec(v, m))
+        assert len(d.eigenstates) == m.capacity
+        idx = [int(np.flatnonzero((m.pure_states == s.coords).all(axis=1))[0])
+               for s in d.eigenstates]
+        assert tuple(sorted(idx)) in m.distinguishable_sets
+
+
+def _pentagon_mixture():
+    m = _model("5-gon")
+    v = m.state_cone.generators  # each vertex already has unit pairing
+    return m, 0.7 * v[0] + 0.3 * v[1]
+
+
+def test_peel_refuses_pieces_not_distinguishable():
+    m, x = _pentagon_mixture()
+    assert not _distinguishable(m, (0, 1))
+    for method in ("auto", "peel"):
+        with pytest.raises(DiagonalizationError, match="distinguishable"):
+            spectral.diagonalize(StateVec(x, m), method)
+    # a distinguishable pair still decomposes
+    y = 0.7 * m.state_cone.generators[0] + 0.3 * m.state_cone.generators[2]
+    d = spectral.diagonalize(StateVec(y, m))
+    assert np.abs(d.eigenvalues - [0.7, 0.3]).max() < 1e-12
+
+
+def _cli(*args):
+    return CliRunner().invoke(main, list(args), catch_exceptions=False)
+
+
+def test_cli_refuses_peel_pieces_not_distinguishable(tmp_path):
+    m, x = _pentagon_mixture()
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(kgon_json(5)))
+    state = json.dumps(x.tolist())
+    for args in (("diag", "--method", "peel"), ("diag",), ("entropy",)):
+        res = _cli(args[0], str(path), "--state", state, *args[1:], "--json")
+        assert res.exit_code == 3, res.output
+        assert "distinguishable" in json.loads(res.output)["error"]
+
+
+def _square_with_vertex(v):
+    return {"kind": "polytope", "vector_dim": 3, "unit_effect": [0, 0, 1],
+            "state_vertices": [[1, 1, 1], [1, -1, 1], [-1, 1, 1], v],
+            "effect_generators": [[1, 0, 1], [-1, 0, 1], [0, 1, 1],
+                                  [0, -1, 1]],
+            "group_generators": []}
+
+
+@pytest.mark.parametrize("vertex", [[0, 1, 0], [0, 2, -1]],
+                         ids=["zero_pairing", "negative_pairing"])
+def test_non_positive_unit_pairing_refused(tmp_path, vertex):
+    data = _square_with_vertex(vertex)
+    with pytest.raises(ValueError, match="unit effect must be positive"):
+        zoo.model_from_json(data)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    for args in (("verify",), ("diag", "--state", "chi")):
+        res = _cli(args[0], str(path), *args[1:])
+        assert res.exit_code == 2
+        assert "unit effect must be positive on every vertex" in res.output
