@@ -131,6 +131,16 @@ _seed_opt = click.option("--seed", type=int, default=0, envvar="GPTT_SEED",
                          show_default=True)
 
 
+def _not_nan(ctx, param, value):
+    if value is not None and math.isnan(value):
+        raise click.BadParameter("must be a number, not nan")
+    return value
+
+
+_beta_opt = click.option("--beta", type=float, default=1.0, show_default=True,
+                         callback=_not_nan)
+
+
 @main.command()
 @_model_arg
 @click.option("--state", default="chi", show_default=True)
@@ -236,8 +246,9 @@ def entropy(model, state, alpha, seed, as_json):
 @_model_arg
 @click.option("--hamiltonian", "--H", "ham", required=True,
               help="JSON list of basis energies or a full coordinate vector")
-@click.option("--beta", type=float, default=None)
-@click.option("--energy", "--E", "energy", type=float, default=None)
+@click.option("--beta", type=float, default=None, callback=_not_nan)
+@click.option("--energy", "--E", "energy", type=float, default=None,
+              callback=_not_nan)
 @_json_flag
 def gibbs(model, ham, beta, energy, as_json):
     """Equilibrium state for an energy observable at fixed beta or energy."""
@@ -276,6 +287,8 @@ def _get_levels(text: str) -> np.ndarray:
         raise click.UsageError(f"--H needs a JSON list of numbers: {exc}")
     if levels.ndim != 1:
         raise click.UsageError("--H needs a flat JSON list of numbers")
+    if not np.isfinite(levels).all():
+        raise click.UsageError("--H entries must be finite")
     return levels
 
 
@@ -295,7 +308,7 @@ def _hamiltonian_coords(model, levels: np.ndarray) -> np.ndarray:
 @main.command()
 @_model_arg
 @click.option("--state", default="random", show_default=True)
-@click.option("--beta", type=float, default=1.0, show_default=True)
+@_beta_opt
 @click.option("--hamiltonian", "--H", "ham", default=None,
               help="JSON energies for the environment; default is a ladder")
 @_seed_opt
@@ -337,7 +350,7 @@ def landauer(model, state, beta, ham, seed, as_json):
 @main.command()
 @_model_arg
 @click.option("--state", default="chi", show_default=True)
-@click.option("--beta", type=float, default=1.0, show_default=True)
+@_beta_opt
 @_seed_opt
 @_json_flag
 def erase(model, state, beta, seed, as_json):

@@ -348,12 +348,14 @@ class StateVec:
         x = x.copy()
         x.setflags(write=False)
         object.__setattr__(self, "coords", x)
+        # first: a NaN or infinite coordinate makes the pairing NaN or
+        # infinite, while LAPACK may give such a matrix finite eigenvalues
+        p = float(self.model.unit_effect @ x)
+        if not abs(p - 1.0) <= 1e-7:
+            raise NormalizationError(f"state has unit pairing {p!r}, expected 1")
         ok, margin = cone_membership(self.model, x, "state")
         if not ok:
             raise ConeError(f"state outside cone (margin {margin:.3e})")
-        p = float(self.model.unit_effect @ x)
-        if abs(p - 1.0) > 1e-7:
-            raise NormalizationError(f"state has unit pairing {p!r}, expected 1")
 
     @classmethod
     def normalized(cls, model: ModelSpec, raw) -> "StateVec":
@@ -381,6 +383,8 @@ class EffectVec:
         f = f.copy()
         f.setflags(write=False)
         object.__setattr__(self, "coords", f)
+        if not np.isfinite(f).all():
+            raise ConeError("effect has a NaN or infinite coordinate")
         ok, margin = cone_membership(self.model, f, "effect")
         if not ok:
             raise ConeError(f"effect outside cone (margin {margin:.3e})")
@@ -490,12 +494,12 @@ class ChannelMap:
         object.__setattr__(self, "matrix", M)
         resid = float(np.abs(M.T @ self.model_out.unit_effect
                              - self.model_in.unit_effect).max())
-        if resid > DEFAULT_TOL:
+        if not resid <= DEFAULT_TOL:
             raise ConeError(f"channel does not preserve the unit effect "
                             f"(residual {resid:.3e})")
         if "unital" in self.tags:
             r = float(np.abs(M @ self.model_in.chi - self.model_out.chi).max())
-            if r > 1e-8:
+            if not r <= 1e-8:
                 raise ConeError(f"channel tagged unital moves the invariant "
                                 f"state (residual {r:.3e})")
 

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .core import (
     KRAUS_CAP,
@@ -29,10 +26,11 @@ from .core import (
     _same_model,
     compose,
 )
-from .embedding import conjugation_matrix, vec_to_blocks
+from .embedding import vec_to_blocks
 from . import zoo
 from .spectral import Diagonalization, diagonalize
-from .zoo import basis_aligning_reversible, pure_support, reversible_sending
+from .zoo import (basis_aligning_reversible, block_reversible, pure_support,
+                  reversible_sending)
 
 
 def majorizes(p, q, tol: float = 1e-10) -> bool:
@@ -66,7 +64,7 @@ def _majorization_certificate(p, q, tol: float = 1e-10):
 # doubly stochastic matrices
 
 
-def t_transform_chain(p, q, tol: float = 1e-12) -> np.ndarray:
+def t_transform_chain(p, q) -> np.ndarray:
     """Doubly stochastic D with q = D p, as a product of two-index mixes.
 
     Requires p majorizes q, both sorted descending.
@@ -114,6 +112,9 @@ def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
             or np.abs(D.sum(axis=1) - 1).max() > 1e-8
             or D.min() < -tol):
         raise ValueError("matrix is not doubly stochastic")
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     R = np.clip(D, 0.0, None)
     terms = []
     mass = 1.0
@@ -272,17 +273,11 @@ def rare_equivalent_doubled(rho: StateVec, sigma: StateVec) -> bool:
 
 def _sector_matching_reversible(model: ModelSpec, rho: StateVec,
                                 sigma: StateVec, perm) -> ChannelMap:
-    st = model.structure
-    dtype = complex if st.field == "C" else float
-    rb = vec_to_blocks(rho.coords, st)
-    sb = vec_to_blocks(sigma.coords, st)
-    blocks = []
-    for j, n in enumerate(st.dims):
-        wr, Vr = np.linalg.eigh(rb[j])
-        ws, Vs = np.linalg.eigh(sb[perm[j]])
-        blocks.append((Vs @ Vr.conj().T).astype(dtype))
-    K = zoo._sector_perm_kraus(st, list(perm)) @ block_diag(*blocks)
-    return model.make_reversible(conjugation_matrix([K], st), kraus=[K])
+    rb = vec_to_blocks(rho.coords, model.structure)
+    sb = vec_to_blocks(sigma.coords, model.structure)
+    blocks = [np.linalg.eigh(sb[t])[1] @ np.linalg.eigh(rb[j])[1].conj().T
+              for j, t in enumerate(perm)]
+    return block_reversible(model, blocks, perm)
 
 
 def _uniformizing_mixture(model: ModelSpec) -> Optional[list]:
@@ -307,15 +302,10 @@ def _uniformizing_mixture(model: ModelSpec) -> Optional[list]:
         if n != 1:
             return None
         sector_ops = [np.eye(1)]
-    out = []
     shifts = [[(j + k) % N for j in range(N)] for k in range(N)]
-    for combo in itertools.product(range(len(sector_ops)), repeat=N):
-        W = block_diag(*[sector_ops[c] for c in combo])
-        for sh in shifts:
-            K = zoo._sector_perm_kraus(st, sh) @ W
-            out.append(model.make_reversible(conjugation_matrix([K], st),
-                                             kraus=[K]))
-    return out
+    return [block_reversible(model, [sector_ops[c] for c in combo], sh)
+            for combo in itertools.product(range(len(sector_ops)), repeat=N)
+            for sh in shifts]
 
 
 def _rare_mixture_channel(model: ModelSpec, weights,

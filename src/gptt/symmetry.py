@@ -55,7 +55,7 @@ def invariant_state(model: ModelSpec, n_probes: int = 40) -> dict:
             "state": model.invariant_state}
 
 
-def is_transitive(model: ModelSpec, n_probes: int = 60) -> bool:
+def is_transitive(model: ModelSpec) -> bool:
     """Whether the reversible group carries every pure state to every other."""
     if model.structure is not None:
         # block rotations act transitively inside a sector and the sector

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     GPTError,
@@ -114,13 +113,10 @@ def bipartite_entropies(comp_state: StateVec) -> dict:
 # measurement monotones
 
 
-def measurement_distribution(state: StateVec, effects,
-                             check_completeness: bool = True) -> np.ndarray:
+def measurement_distribution(state: StateVec, effects) -> np.ndarray:
     coords = [as_coords(e) for e in effects]
-    if check_completeness:
-        total = sum(coords)
-        if np.abs(total - state.model.unit_effect).max() > 1e-8:
-            raise GPTError("effects do not sum to the unit")
+    if np.abs(sum(coords) - state.model.unit_effect).max() > 1e-8:
+        raise GPTError("effects do not sum to the unit")
     p = np.array([float(c @ state.coords) for c in coords])
     return np.clip(p, 0.0, None)
 
@@ -234,6 +230,8 @@ def mean_energy(state: StateVec, hamiltonian) -> float:
 
 
 def log_partition(model: ModelSpec, hamiltonian, beta: float) -> float:
+    from scipy.special import logsumexp
+
     levels = _spectrum_of_levels(model, as_coords(hamiltonian))
     return float(logsumexp(-beta * levels))
 

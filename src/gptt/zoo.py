@@ -17,7 +17,6 @@ import json
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .core import (
     ChannelMap,
@@ -38,7 +37,6 @@ from .embedding import (
     blocks_to_vec,
     conjugation_matrix,
     pure_block_vec,
-    total_to_vec,
     vec_to_blocks,
 )
 
@@ -146,26 +144,31 @@ def _closure_cache(model: ModelSpec):
     return cached
 
 
-def _sector_perm_kraus(st: BlockStructure, perm) -> np.ndarray:
-    """Total-Hilbert permutation sending sector j onto sector perm[j]."""
+def block_reversible(model: ModelSpec, blocks, perm=None) -> ChannelMap:
+    """The reversible whose Kraus operator carries sector j onto sector
+    perm[j] through the unitary blocks[j]; without perm every sector stays.
+
+    The blocks are written straight into the Hilbert-space matrix, whose
+    dtype is the blocks' common one.
+    """
+    st = model.structure
+    blocks = [np.asarray(B) for B in blocks]
     offs = st.hilbert_offsets()
-    K = np.zeros((st.hilbert_dim, st.hilbert_dim))
-    for j, n in enumerate(st.dims):
-        t = perm[j]
+    K = np.zeros((st.hilbert_dim, st.hilbert_dim),
+                 dtype=np.result_type(*blocks))
+    for j, (B, n) in enumerate(zip(blocks, st.dims)):
+        t = j if perm is None else perm[j]
         if st.dims[t] != n:
             raise ValueError("sector permutation must preserve dimensions")
-        K[offs[t]: offs[t] + n, offs[j]: offs[j] + n] = np.eye(n)
-    return K
+        K[offs[t]: offs[t] + n, offs[j]: offs[j] + n] = B
+    return model.make_reversible(conjugation_matrix([K], st), kraus=[K])
 
 
 def _matrix_group_sampler(model: ModelSpec, rng: np.random.Generator) -> ChannelMap:
     st = model.structure
     Us = [_haar_unitary(rng, n, st.field) for n in st.dims]
-    K = block_diag(*Us)
-    if st.block_count > 1:
-        K = _sector_perm_kraus(st, rng.permutation(st.block_count)) @ K
-    M = conjugation_matrix([K], st)
-    return model.make_reversible(M, kraus=[K])
+    perm = rng.permutation(st.block_count) if st.block_count > 1 else None
+    return block_reversible(model, Us, perm)
 
 
 # every matrix family: block unitaries (orthogonals over R), then a random
@@ -179,12 +182,13 @@ _MATRIX_GROUP = GroupSpec(kind="parametric", name="block_unitary",
 
 
 def _support_projector(x: np.ndarray, structure: BlockStructure, tol=1e-9):
+    """Projector onto the support of x, one block per sector."""
     projs = []
     for B in vec_to_blocks(x, structure):
         w, V = np.linalg.eigh(B)
         keep = V[:, w > tol]
         projs.append(keep @ keep.conj().T)
-    return block_diag(*projs)
+    return projs
 
 
 def _ray_distinguishing_effects(G: np.ndarray, u: np.ndarray, xs: list):
@@ -237,14 +241,12 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
         projs = [_support_projector(x, st, tol) for x in xs]
         for i in range(m):
             for j in range(i + 1, m):
-                if np.abs(projs[i] @ projs[j]).max() > 1e-7:
+                if any(np.abs(A @ B).max() > 1e-7
+                       for A, B in zip(projs[i], projs[j])):
                     return None
-        rest = np.eye(st.hilbert_dim) - sum(projs)
-        effects = []
-        for i, P in enumerate(projs):
-            Q = P + rest if i == 0 else P
-            effects.append(EffectVec(total_to_vec(Q, st), model))
-        return effects
+        rest = [np.eye(n) - sum(Ps) for n, Ps in zip(st.dims, zip(*projs))]
+        projs[0] = [P + R for P, R in zip(projs[0], rest)]
+        return [EffectVec(blocks_to_vec(Ps, st), model) for Ps in projs]
     raw = _ray_distinguishing_effects(model.effect_cone.generators,
                                       model.unit_effect, xs)
     if raw is None:
@@ -613,25 +615,20 @@ def reversible_sending(model: ModelSpec, s_from: StateVec,
                        s_to: StateVec) -> ChannelMap:
     """A reversible mapping one pure state onto another.
 
-    Uses an in-sector rotation, preceded by a cyclic sector shift when the
-    two states live in different sectors.
+    Rotates within the source sector, then shifts the sectors cyclically
+    so that the source sector lands on the target's; the shift is the
+    identity when the two states share a sector.
     """
     st = model.structure
     if st is None:
         raise UnsupportedModelError("reversible transport needs a matrix model")
     ja, va = pure_support(s_from)
     jb, vb = pure_support(s_to)
-    dtype = complex if st.field == "C" else float
-    blocks = [np.eye(n, dtype=dtype) for n in st.dims]
-    if ja == jb:
-        blocks[ja] = _unitary_sending_vec(va, vb, st.field)
-        K = block_diag(*blocks)
-    else:
-        blocks[ja] = _unitary_sending_vec(va, vb, st.field)
-        delta = (jb - ja) % st.block_count
-        perm = [(j + delta) % st.block_count for j in range(st.block_count)]
-        K = _sector_perm_kraus(st, perm) @ block_diag(*blocks)
-    return model.make_reversible(conjugation_matrix([K], st), kraus=[K])
+    blocks = [np.eye(n) for n in st.dims]
+    blocks[ja] = _unitary_sending_vec(va, vb, st.field)
+    N = st.block_count
+    return block_reversible(model, blocks,
+                            [(j + jb - ja) % N for j in range(N)])
 
 
 def basis_aligning_reversible(model: ModelSpec, from_states,
@@ -657,19 +654,16 @@ def basis_aligning_reversible(model: ModelSpec, from_states,
     if len(set(sector_map.values())) != len(sector_map):
         raise GPTError("no reversible aligns these bases: "
                        "sector transport is not a permutation")
-    dH = st.hilbert_dim
-    offs = st.hilbert_offsets()
     dtype = complex if st.field == "C" else float
-    K = np.zeros((dH, dH), dtype=dtype)
+    blocks = [np.zeros((n, n), dtype=dtype) for n in st.dims]
     for (ja, va), (jb, vb) in zip(sup_a, sup_b):
-        ta = np.zeros(dH, dtype=dtype)
-        ta[offs[ja]: offs[ja] + len(va)] = va
-        tb = np.zeros(dH, dtype=dtype)
-        tb[offs[jb]: offs[jb] + len(vb)] = vb
-        K += np.outer(tb, ta.conj())
-    if np.abs(K @ K.conj().T - np.eye(dH)).max() > 1e-8:
+        blocks[ja] += np.outer(vb, va.conj())
+    if len(sector_map) < st.block_count or any(
+            np.abs(B @ B.conj().T - np.eye(len(B))).max() > 1e-8
+            for B in blocks):
         raise GPTError("basis alignment produced a non-reversible map")
-    return model.make_reversible(conjugation_matrix([K], st), kraus=[K])
+    return block_reversible(model, blocks,
+                            [sector_map[j] for j in range(st.block_count)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import click
@@ -7,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import gptt
 from gptt import zoo
 from gptt.cli import _get_state, main
 from gptt.core import StateVec
@@ -139,6 +143,10 @@ class TestLandauerErase:
         assert abs(rep["results"]["assisted_bound_rhs"]
                    + np.log(2)) < 1e-9
 
+    @pytest.mark.parametrize("command", ["landauer", "erase"])
+    def test_infinite_beta_is_valid(self, command):
+        assert invoke(command, "quantum:2", "--beta", "inf").exit_code == 0
+
     def test_erase_pure_exits_three(self):
         res = invoke("erase", "quantum:2", "--state", "pure:0", "--json")
         assert res.exit_code == 3
@@ -201,6 +209,18 @@ class TestVerify:
     ("gibbs", "square_bit", "--H", "[0,1]", "--beta", "1"),
     ("convert", "square_bit", "--from", "pure:0", "--to", "chi"),
     ("gibbs", "quantum:2", "--H", "[0,1]", "--E", "5"),  # outside the band
+    # non-finite input
+    ("diag", "quantum:2", "--state", "[NaN,0.5,0,0]"),
+    ("diag", "quantum:2", "--state", "[0.5,0.5,Infinity,0]"),
+    ("entropy", "quantum:2", "--state", "[NaN,0.5,0,0]"),
+    ("convert", "quantum:2", "--from", "[NaN,0.5,0,0]", "--to", "chi"),
+    ("gibbs", "quantum:2", "--H", "[NaN,1]", "--beta", "1"),
+    ("gibbs", "quantum:2", "--H", "[0,Infinity]", "--beta", "1"),
+    ("gibbs", "quantum:2", "--H", "[0,1]", "--beta", "nan"),
+    ("gibbs", "quantum:2", "--H", "[0,1]", "--E", "nan"),
+    ("landauer", "quantum:2", "--beta", "nan"),
+    ("landauer", "quantum:2", "--H", "[0,NaN]"),
+    ("erase", "quantum:2", "--beta", "nan"),
 ], ids=" ".join)
 def test_malformed_input_exits_two(args):
     assert invoke(*args).exit_code == 2
@@ -282,3 +302,15 @@ class TestDeterminism:
         b = invoke("entropy", "quantum:3", "--state", "random",
                    "--seed", "2", "--json").output
         assert a != b
+
+
+def test_import_loads_no_scipy():
+    """scipy loads on first use only, never when the CLI is imported."""
+    src = os.path.dirname(os.path.dirname(gptt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import gptt.cli, sys; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -84,6 +84,42 @@ class TestStateValidation:
             EffectVec(2 * q2.unit_effect, q2)
 
 
+class TestNonFinite:
+    """NaN and infinities are refused where states, effects and channels
+    are built, even where LAPACK returns finite eigenvalues for them."""
+
+    @pytest.mark.parametrize("x", [
+        [np.nan, 0.5, 0.0, 0.0],
+        [0.5, 0.5, np.nan, 0.0],
+        [0.5, 0.5, np.inf, 0.0],
+        [np.inf, -np.inf, 0.0, 0.0],
+    ])
+    def test_state(self, x):
+        with pytest.raises(GPTError):
+            StateVec(np.array(x), q2)
+
+    def test_state_three_level_block(self):
+        x = q3.chi.copy()
+        x[3] = np.nan  # off-diagonal: eigvalsh fails to converge on it
+        with pytest.raises(GPTError):
+            StateVec(x, q3)
+
+    @pytest.mark.parametrize("f", [
+        [np.nan, 0.0, 0.0, 0.0],
+        [0.5, 0.5, np.nan, 0.0],
+    ])
+    def test_effect(self, f):
+        with pytest.raises(GPTError):
+            EffectVec(np.array(f), q2)
+
+    @pytest.mark.parametrize("tags", [frozenset(), frozenset({"unital"})])
+    def test_channel(self, tags):
+        M = np.eye(cl3.vector_dim)
+        M[1, 2] = np.nan
+        with pytest.raises(GPTError):
+            ChannelMap(matrix=M, model_in=cl3, model_out=cl3, tags=tags)
+
+
 class TestPairingAndNorms:
     def test_pairing_is_probability(self):
         for _ in range(30):
