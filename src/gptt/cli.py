@@ -267,8 +267,7 @@ def gibbs(model, ham, beta, energy, as_json):
     S = thermo.entropy(g)
     checks = []
     if not math.isinf(beta):
-        lnz = thermo.log_partition(m, h, beta)
-        resid = abs(S - (beta * E + lnz))
+        resid = thermo.entropy_identity_residual(m, h, beta, S, E)
         checks.append({"name": "entropy_identity", "pass": resid <= 1e-9,
                        "residual": resid})
     _emit({

@@ -336,10 +336,17 @@ def _same_model(a: ModelSpec, b: ModelSpec):
 
 @dataclass(frozen=True, eq=False)
 class StateVec:
-    """Normalized state: cone member with unit pairing against the unit effect."""
+    """Normalized state: cone member with unit pairing against the unit effect.
+
+    The state is frozen and its coordinates are read-only, so results
+    derived from it alone (its diagonalizations, the support of a pure
+    state) are cached in `_derived` and never go stale.
+    """
 
     coords: np.ndarray
     model: ModelSpec
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.coords, dtype=float)

@@ -174,10 +174,20 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
     'peel' strips maximal pure weights one at a time and works on any
     model whose state actually admits such a decomposition.  Failures
     raise DiagonalizationError carrying the undecomposed residue.
+
+    The result is cached on the state, one entry per resolved method
+    ('auto' picks 'fast' on matrix models, 'peel' elsewhere): later calls
+    return the same Diagonalization object.  Errors are not cached and are
+    raised again on every call.
     """
     model = state.model
     if method == "auto":
         method = "fast" if model.structure is not None else "peel"
+    elif method != "fast":
+        method = "peel"
+    cached = state._derived.get(method)
+    if cached is not None:
+        return cached
     if method == "fast":
         if model.structure is None:
             raise UnsupportedModelError(
@@ -229,7 +239,8 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
                                       _lex_key(eigenstates_l[i].coords)))
         values = np.array([values_l[i] for i in order])
         eigenstates = tuple(eigenstates_l[i] for i in order)
-    return Diagonalization(model, values, eigenstates)
+    d = state._derived[method] = Diagonalization(model, values, eigenstates)
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -199,12 +199,10 @@ def basis_hamiltonian(basis, levels) -> np.ndarray:
 def gibbs_state(model: ModelSpec, hamiltonian, beta: float) -> StateVec:
     """Equilibrium state exp(-beta H)/Z in the energy eigenbasis.
 
-    The weights are stabilized against overflow; beta of +-inf selects the
-    uniform mixture on the extremal energy eigenspace.
+    The weights are stabilized against overflow: energies are measured from
+    the reference level, so no exponent is positive.  beta of +-inf selects
+    the uniform mixture on the extremal energy eigenspace.
     """
-    if model.structure is None:
-        raise UnsupportedModelError(
-            "equilibrium construction needs an eigenbasis calculus")
     h = as_coords(hamiltonian)
     levels = _spectrum_of_levels(model, h)
     if math.isinf(beta):
@@ -212,12 +210,16 @@ def gibbs_state(model: ModelSpec, hamiltonian, beta: float) -> StateVec:
         x = functional_calculus(
             model, h, lambda e: 1.0 if abs(e - target) <= 1e-12 else 0.0)
     else:
-        e0 = float(levels.min())
-        x = functional_calculus(model, h, lambda e: math.exp(-beta * (e - e0)))
+        e0 = _reference_level(levels, beta)
+        x = functional_calculus(
+            model, h, lambda e: math.exp(-beta * float(e - e0)))
     return StateVec(x / float(model.unit_effect @ x), model)
 
 
 def _spectrum_of_levels(model: ModelSpec, h: np.ndarray) -> np.ndarray:
+    if model.structure is None:
+        raise UnsupportedModelError(
+            "equilibrium construction needs an eigenbasis calculus")
     vals = []
     for B in vec_to_blocks(np.asarray(h, dtype=float), model.structure):
         vals.extend(np.linalg.eigvalsh(B))
@@ -229,11 +231,36 @@ def mean_energy(state: StateVec, hamiltonian) -> float:
     return float(h @ state.coords)
 
 
-def log_partition(model: ModelSpec, hamiltonian, beta: float) -> float:
+def _reference_level(levels: np.ndarray, beta: float) -> float:
+    """The level that makes every exponent -beta (e - e0) nonpositive: the
+    lowest for beta >= 0, the highest for beta < 0."""
+    return float(levels.min() if beta >= 0 else levels.max())
+
+
+def _shifted_log_partition(levels: np.ndarray, beta: float):
+    """(e0, log Z + beta e0) for the reference level e0; the second term
+    stays finite where log Z itself overflows."""
     from scipy.special import logsumexp
 
+    e0 = _reference_level(levels, beta)
+    with np.errstate(over="ignore"):  # an exponent of -inf weighs 0
+        return e0, float(logsumexp(-beta * (levels - e0)))
+
+
+def log_partition(model: ModelSpec, hamiltonian, beta: float) -> float:
     levels = _spectrum_of_levels(model, as_coords(hamiltonian))
-    return float(logsumexp(-beta * levels))
+    e0, shifted = _shifted_log_partition(levels, beta)
+    return -beta * e0 + shifted
+
+
+def entropy_identity_residual(model: ModelSpec, hamiltonian, beta: float,
+                              entropy: float, energy: float) -> float:
+    """|S - (beta E + log Z)| for an equilibrium state of entropy S and mean
+    energy E at finite beta.  E and log Z are both taken from the reference
+    level, so the check stays finite where beta E and log Z overflow."""
+    levels = _spectrum_of_levels(model, as_coords(hamiltonian))
+    e0, shifted = _shifted_log_partition(levels, beta)
+    return abs(entropy - (beta * (energy - e0) + shifted))
 
 
 def beta_from_energy(model: ModelSpec, hamiltonian, energy: float,
@@ -253,8 +280,7 @@ def beta_from_energy(model: ModelSpec, hamiltonian, energy: float,
         return -math.inf
 
     def gap(beta):
-        ref = lo if beta >= 0 else hi
-        w = np.exp(-beta * (levels - ref))
+        w = np.exp(-beta * (levels - _reference_level(levels, beta)))
         w /= w.sum()
         return float(w @ levels) - energy
 
@@ -284,8 +310,8 @@ def max_entropy_audit(model: ModelSpec, hamiltonian, energy: float,
     if math.isinf(beta):
         identity_residual = math.nan
     else:
-        lnz = log_partition(model, hamiltonian, beta)
-        identity_residual = abs(s_gamma - (beta * energy + lnz))
+        identity_residual = entropy_identity_residual(
+            model, hamiltonian, beta, s_gamma, energy)
     report = {
         "beta": beta,
         "gibbs": gamma,

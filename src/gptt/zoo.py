@@ -585,14 +585,25 @@ def pure_maximal_set(model: ModelSpec) -> list:
 
 
 def pure_support(state: StateVec):
-    """(sector, unit vector) carrying a pure matrix-model state."""
+    """(sector, unit vector) carrying a pure matrix-model state.
+
+    The vector is read-only and the result is cached on the state, so
+    eigenstates shared through a cached diagonalization are solved once.
+    Errors are not cached and are raised again on every call.
+    """
+    cached = state._derived.get("pure_support")
+    if cached is not None:
+        return cached
     st = state.model.structure
     if st is None:
         raise UnsupportedModelError("no sector support for polytope models")
     for b, B in enumerate(vec_to_blocks(state.coords, st)):
         w, V = np.linalg.eigh(B)
         if w[-1] > 1.0 - 1e-7:
-            return b, V[:, -1]
+            v = V[:, -1]
+            v.setflags(write=False)
+            state._derived["pure_support"] = (b, v)
+            return b, v
     raise GPTError("state is not pure")
 
 

@@ -118,6 +118,27 @@ class TestGibbs:
                      "0.5", "--json")
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("args", [
+        ("gibbs", "quantum:3", "--H", "[0,1,1]", "--beta", "-800"),
+        ("gibbs", "quantum:2", "--H", "[0,1]", "--beta", "-1e308"),
+        ("landauer", "quantum:2", "--beta", "-1e308"),
+        ("erase", "quantum:2", "--beta", "-1e308"),
+    ], ids=lambda a: " ".join(a))
+    def test_large_negative_beta(self, args):
+        res = invoke(*args, "--json")
+        assert res.exit_code == 0
+        checks = {c["name"]: c for c in json.loads(res.output)["checks"]}
+        identity = checks.get("entropy_identity", checks.get(
+            "ledger_identity", checks.get("no_energy_moved")))
+        assert identity["pass"]
+
+    @pytest.mark.parametrize("model", ["square_bit", "diamond_bit",
+                                       "restricted_trit"])
+    def test_energy_on_polytope_exits_two(self, model):
+        res = invoke("gibbs", model, "--H", "[0,1,3]", "--E", "1", "--json")
+        assert res.exit_code == 2
+        assert "eigenbasis calculus" in res.output
+
     def test_requires_exactly_one_of_beta_energy(self):
         res = invoke("gibbs", "quantum:2", "--H", "[0,1]")
         assert res.exit_code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptt import zoo
+from gptt import resource, spectral, thermo, zoo
 from gptt.core import (
     ConeSpec,
     DiagonalizationError,
@@ -138,6 +138,94 @@ class TestRestrictedTrit:
         m = zoo.build_model("restricted_trit")
         with pytest.raises((DiagonalizationError, GPTError)):
             diagonalize(m.invariant_state)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestMemo:
+    def test_second_call_is_cached(self, monkeypatch):
+        s = rand_state(q3, np.random.default_rng(61))
+        first = diagonalize(s)
+        calls = _counting(monkeypatch, spectral, "block_eigh")
+        assert diagonalize(s) is first
+        assert diagonalize(s, method="fast") is first
+        assert calls == []
+
+    def test_methods_cached_separately(self, monkeypatch):
+        s = rand_state(q3, np.random.default_rng(62))
+        fast = diagonalize(s, method="fast")
+        peel = diagonalize(s, method="peel")
+        assert peel is not fast
+        calls = _counting(monkeypatch, spectral, "block_eigh")
+        assert diagonalize(s, method="auto") is fast
+        assert diagonalize(s, method="peel") is peel
+        assert calls == []
+        c = StateVec(np.array([0.0, 0.0, 1.0]), sq)
+        assert diagonalize(c, method="auto") is diagonalize(c, method="peel")
+
+    def test_refusal_is_not_cached(self, monkeypatch):
+        m = zoo.build_model("restricted_trit")
+        s = m.invariant_state
+        calls = _counting(monkeypatch, spectral, "max_eigenvalue_peel")
+        for attempt in (1, 2, 3):
+            with pytest.raises(DiagonalizationError):
+                diagonalize(s)
+            assert len(calls) == attempt * m.capacity
+        assert s._derived == {}
+
+    @pytest.mark.parametrize("model", [q3, dq2, ec22, cl4],
+                             ids=lambda m: m.model_id)
+    def test_pure_support_cached_read_only(self, model):
+        for e in diagonalize(rand_state(model, np.random.default_rng(63))
+                             ).eigenstates:
+            fresh = zoo.pure_support(StateVec(e.coords, model))
+            b, v = zoo.pure_support(e)
+            assert zoo.pure_support(e)[1] is v
+            assert not v.flags.writeable
+            with pytest.raises(ValueError):
+                v[0] = 0
+            assert b == fresh[0]
+            assert v.dtype == fresh[1].dtype
+            assert v.tobytes() == fresh[1].tobytes()
+
+    @pytest.mark.parametrize("model", [q3, dq2, cl4],
+                             ids=lambda m: m.model_id)
+    def test_request_runs_two_eigendecompositions(self, monkeypatch, model):
+        r = np.random.default_rng(64)
+        rho = rand_state(model, r)
+        sigma = StateVec(0.5 * rho.coords + 0.5 * model.chi, model)
+
+        def request():
+            diagonalize(rho)
+            diagonalize(sigma)
+            for alpha in (0, 1, 2, math.inf):
+                thermo.entropy(rho, alpha)
+            thermo.relative_entropy(rho, sigma)
+            assert resource.convertible(rho, sigma, "unital").answer == "yes"
+            resource.convertible(rho, sigma, "rare")
+
+        decompositions = _counting(monkeypatch, spectral, "block_eigh")
+        request()
+        assert len(decompositions) == 2
+        assert decompositions[0][0] is rho.coords
+        assert decompositions[1][0] is sigma.coords
+        # a repeat reads every spectrum and eigenstate support from the
+        # states: no eigensolver runs at all
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+        request()
+        assert len(decompositions) == 2 and eigh == [] and eigvalsh == []
 
 
 class TestFunctionalCalculus:

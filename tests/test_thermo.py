@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gptt import thermo, zoo
-from gptt.core import GPTError, StateVec, apply_channel, lift_channel
+from gptt.core import (GPTError, StateVec, UnsupportedModelError,
+                       apply_channel, lift_channel)
 from gptt.embedding import blocks_to_vec, vec_to_blocks
 from gptt.spectral import dagger, diagonalize
 import oracles
@@ -175,10 +176,30 @@ class TestGibbs:
         g = thermo.gibbs_state(q2, H01, 500.0)
         assert np.all(np.isfinite(g.coords))
 
+    @pytest.mark.parametrize("beta", [800.0, 1e308, -800.0, -1e308])
+    def test_large_beta_reaches_limit(self, beta):
+        # degenerate top level: beta -> -inf spreads over two states
+        h = thermo.basis_hamiltonian(zoo.pure_maximal_set(q3), [0.0, 1.0, 1.0])
+        g = thermo.gibbs_state(q3, h, beta)
+        limit = thermo.gibbs_state(q3, h, math.copysign(math.inf, beta))
+        assert np.abs(g.coords - limit.coords).max() < 1e-12
+        S, E = thermo.entropy(g), thermo.mean_energy(g, h)
+        assert thermo.entropy_identity_residual(q3, h, beta, S, E) < 1e-9
+
     def test_polytope_refused(self):
         sq = zoo.build_model("square_bit")
         with pytest.raises(GPTError):
             thermo.gibbs_state(sq, np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize("kind", ["square_bit", "diamond_bit",
+                                      "restricted_trit"])
+    def test_polytope_refused_by_energy_solvers(self, kind):
+        m = zoo.build_model(kind)
+        h = np.array([0.0, 1.0, 3.0])
+        with pytest.raises(UnsupportedModelError):
+            thermo.beta_from_energy(m, h, 1.0)
+        with pytest.raises(UnsupportedModelError):
+            thermo.log_partition(m, h, 1.0)
 
 
 class TestBetaSolve:
