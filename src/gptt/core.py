@@ -26,6 +26,10 @@ from .embedding import (
 
 DEFAULT_TOL = 1e-9
 
+# A fast diagonalization is certified when its eigenstates' Gram matrix, unit
+# pairings and reconstruction of the state are each this close to exact.
+EIGENBASIS_TOL = 1e-9
+
 # Composed, tensored and mixed channels keep a Kraus form of at most this
 # many operators; longer lists are dropped and only the matrix is kept.
 KRAUS_CAP = 64
@@ -338,9 +342,14 @@ def _same_model(a: ModelSpec, b: ModelSpec):
 class StateVec:
     """Normalized state: cone member with unit pairing against the unit effect.
 
-    The state is frozen and its coordinates are read-only, so results
-    derived from it alone (its diagonalizations, the support of a pure
-    state) are cached in `_derived` and never go stale.
+    The constructor checks the unit pairing (within 1e-7) and cone
+    membership (margin at least -DEFAULT_TOL).  The eigenstates of a fast
+    diagonalization are the one exception: `_certified_eigenstates` builds
+    them after a single check of the whole decomposition, which they pass
+    with tighter tolerances than these.  The state is frozen and its
+    coordinates are read-only, so results derived from it alone (its
+    diagonalizations, the support of a pure state) are cached in `_derived`
+    and never go stale.
     """
 
     coords: np.ndarray
@@ -374,6 +383,51 @@ class StateVec:
 
     def __repr__(self):
         return f"StateVec({self.model.model_id}, {np.array2string(self.coords, precision=4)})"
+
+
+def _certified_eigenstates(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
+                           E: np.ndarray):
+    """Eigenstates of the state with coordinates x, one per row of E, built
+    after one check of the whole decomposition instead of one cone check per
+    eigenstate.
+
+    raw holds the eigenvalues as the eigensolver gave them, before clipping.
+    The check: the Gram matrix max|E E^T - I|, every unit pairing, and the
+    reconstruction max|raw^T E - x| each within EIGENBASIS_TOL, and the
+    smallest raw eigenvalue at least -DEFAULT_TOL, the tolerance x was
+    accepted under.  Each row is then a unit-pairing projector, orthogonal
+    to the others, and together they rebuild x.  Raises DiagonalizationError
+    carrying the failed figure as its residue; otherwise returns
+    (eigenstates, residual), the largest of the three deviations; E is made
+    read-only and its rows are the eigenstates' coordinates.  This is the
+    only way a StateVec is built without its own cone check.
+    """
+    G = E @ E.T
+    G.flat[::len(E) + 1] -= 1.0
+    deviations = (
+        ("Gram matrix", float(np.abs(G).max())),
+        ("unit pairing", float(np.abs(E @ model.unit_effect - 1.0).max())),
+        ("reconstruction", float(np.abs(raw @ E - x).max())),
+    )
+    for name, r in deviations:
+        if not r <= EIGENBASIS_TOL:
+            raise DiagonalizationError(
+                f"eigendecomposition of a {model.model_id} state fails its "
+                f"{name} check (deviation {r:.3e})", residue=r)
+    low = float(raw.min())
+    if not low >= -DEFAULT_TOL:
+        raise DiagonalizationError(
+            f"eigendecomposition of a {model.model_id} state has eigenvalue "
+            f"{low:.3e} below the cone tolerance", residue=-low)
+    E.setflags(write=False)
+    states = []
+    for row in E:
+        s = object.__new__(StateVec)
+        object.__setattr__(s, "coords", row)
+        object.__setattr__(s, "model", model)
+        object.__setattr__(s, "_derived", {})
+        states.append(s)
+    return tuple(states), max(r for _, r in deviations)
 
 
 @dataclass(frozen=True, eq=False)

@@ -295,31 +295,50 @@ def conjugation_matrix(kraus: list[np.ndarray], structure: BlockStructure) -> np
 def block_eigh(x: np.ndarray, structure: BlockStructure):
     """Eigendecompose coordinates block by block.
 
-    Returns a list of (block_index, eigenvalue, unit_vector) triples, one per
-    Hilbert-space dimension, with vectors living inside their own block.
+    Returns one (w, V) pair per block, as np.linalg.eigh gives them:
+    ascending eigenvalues w and the unit eigenvectors as the columns of V,
+    each living inside its own block.
     """
-    out = []
-    for b, B in enumerate(vec_to_blocks(x, structure)):
-        w, V = np.linalg.eigh(B)
-        for i in range(len(w)):
-            out.append((b, float(w[i]), V[:, i].copy()))
-    return out
+    return [np.linalg.eigh(B) for B in vec_to_blocks(x, structure)]
+
+
+def pure_block_coords(structure: BlockStructure, block: int,
+                      V: np.ndarray) -> np.ndarray:
+    """Coordinates of the rank-one states |v><v|, one row per column v of V.
+
+    Each column is first put in canonical phase (its first entry above 1e-10
+    in absolute value made real and positive) and then scaled to unit
+    length; the outer products are formed in one broadcast and embedded
+    with one gather.  A column whose norm falls below 1e-15 is refused.
+    """
+    V = np.asarray(V)
+    n = structure.dims[block]
+    if V.ndim != 2 or V.shape[0] != n:
+        raise ValueError("vectors do not fit the block")
+    k = V.shape[1]
+    cols = np.arange(k)
+    big = np.abs(V) > 1e-10
+    first = big.argmax(axis=0)
+    lead = V[first, cols]
+    lead[~big[first, cols]] = 1  # no entry above 1e-10: the phase stays 1
+    U = (V * (np.abs(lead) / lead)).T.copy()
+    nrm = [np.linalg.norm(u) for u in U]
+    if min(nrm, default=1.0) < 1e-15:
+        raise ValueError("zero vector")
+    U /= np.array(nrm)[:, None]
+    P = (U[:, :, None] * U[:, None, :].conj()).reshape(k, n * n)
+    if structure.field == "C":
+        P = P.astype(complex, copy=False).view(float)
+    maps = _herm_maps(n, structure.field)
+    x = np.zeros((k, structure.coord_dim))
+    off = structure.coord_offsets()[block]
+    x[:, off: off + maps.read.size] = P.real[:, maps.read] * maps.mul
+    return x
 
 
 def pure_block_vec(structure: BlockStructure, block: int, psi: np.ndarray) -> np.ndarray:
     """Coordinates of the rank-one state |psi><psi| supported in one block."""
     psi = np.asarray(psi)
-    n = structure.dims[block]
-    if psi.shape != (n,):
+    if psi.shape != (structure.dims[block],):
         raise ValueError("vector does not fit the block")
-    nrm = np.linalg.norm(psi)
-    if nrm < 1e-15:
-        raise ValueError("zero vector")
-    psi = psi / nrm
-    P = np.outer(psi, psi.conj())
-    if structure.field == "R":
-        P = P.real
-    x = np.zeros(structure.coord_dim)
-    off = structure.coord_offsets()[block]
-    x[off: off + structure.block_coord_dim(n)] = herm_to_vec(P, structure.field)
-    return x
+    return pure_block_coords(structure, block, psi[:, None])[0]

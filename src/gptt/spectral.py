@@ -29,32 +29,48 @@ from .core import (
     StateVec,
     UnsupportedModelError,
     _block_to_kron,
+    _certified_eigenstates,
     _kron_to_coords,
     _same_model,
     as_coords,
 )
-from .embedding import block_eigh, blocks_to_vec, pure_block_vec, vec_to_blocks
+from .embedding import block_eigh, blocks_to_vec, pure_block_coords, vec_to_blocks
 from . import zoo
-
-
-def _canonical_phase(v: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    for c in v:
-        if abs(c) > tol:
-            return v * (abs(c) / c)
-    return v
 
 
 def _lex_key(x: np.ndarray):
     return tuple(np.round(x, 10))
 
 
+def _descending_order(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Order of a decomposition: eigenvalues descending at 12 digits, ties
+    broken by the eigenstates' coordinates at 10 digits, lexicographically.
+
+    Without ties the coordinates cannot matter, and the stable sort of the
+    eigenvalues alone gives the same order.
+    """
+    first = [-round(v, 12) for v in values.tolist()]
+    if len(set(first)) == len(first):
+        return np.argsort(first, kind="stable")
+    return np.lexsort(np.vstack([np.round(rows, 10).T[::-1], first]))
+
+
 @dataclass(frozen=True, eq=False)
 class Diagonalization:
-    """Spectrum and eigenbasis of a state, padded to a maximal basis."""
+    """Spectrum and eigenbasis of a state, padded to a maximal basis.
+
+    `residual` is the route's certificate figure.  Fast route: the largest
+    of the eigenstates' Gram deviation max|E E^T - I|, their unit-pairing
+    deviation and the reconstruction residual max|w^T E - x| with the raw
+    eigenvalues w, each certified at most `core.EIGENBASIS_TOL` (1e-9).
+    Peel route: the reconstruction residual max|p^T E - x| of the reported
+    eigenvalues p, recorded only.
+    """
 
     model: ModelSpec
     eigenvalues: np.ndarray
     eigenstates: tuple
+    residual: float
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -90,6 +106,15 @@ def _peel_weights(F: np.ndarray, verts: np.ndarray, x: np.ndarray) -> np.ndarray
     return ratios.min(axis=0)
 
 
+def _block_spectrum(x: np.ndarray, st) -> tuple:
+    """Raw eigenvalues of x, block by block and ascending within a block,
+    and the coordinates of their eigenstates, one row each."""
+    parts = block_eigh(x, st)
+    return (np.concatenate([w for w, _ in parts]),
+            np.concatenate([pure_block_coords(st, b, V)
+                            for b, (_, V) in enumerate(parts)]))
+
+
 def max_eigenvalue_peel(state: StateVec) -> PeelStep:
     """Largest weight of a pure state inside the given state.
 
@@ -100,18 +125,15 @@ def max_eigenvalue_peel(state: StateVec) -> PeelStep:
     model = state.model
     x = state.coords
     if model.structure is not None:
-        best = None
-        for b, val, vec in block_eigh(x, model.structure):
-            cand = (val, b, _canonical_phase(vec))
-            if best is None or cand[0] > best[0] + 1e-14:
-                best = cand
-            elif abs(cand[0] - best[0]) <= 1e-14:
-                cb = pure_block_vec(model.structure, cand[1], cand[2])
-                bb = pure_block_vec(model.structure, best[1], best[2])
-                if _lex_key(cb) < _lex_key(bb):
-                    best = cand
-        p_star, b, vec = best
-        alpha = StateVec(pure_block_vec(model.structure, b, vec), model)
+        vals, rows = _block_spectrum(x, model.structure)
+        best = 0
+        for i, val in enumerate(vals.tolist()):
+            if (val > vals[best] + 1e-14
+                    or (abs(val - vals[best]) <= 1e-14
+                        and _lex_key(rows[i]) < _lex_key(rows[best]))):
+                best = i
+        p_star = float(vals[best])
+        alpha = StateVec(rows[best], model)
         vertex = None
     else:
         weights = _peel_weights(model.state_cone.facets, model.pure_states, x)
@@ -137,10 +159,8 @@ def _complete_matrix_basis(model: ModelSpec, used: list) -> list:
             if bb == b:
                 P = P - np.outer(vec, vec.conj())
         w, V = np.linalg.eigh(P)
-        for i in range(n):
-            if w[i] > 0.5:
-                out.append(StateVec(
-                    pure_block_vec(st, b, _canonical_phase(V[:, i])), model))
+        out.extend(StateVec(c, model)
+                   for c in pure_block_coords(st, b, V[:, w > 0.5]))
     return out
 
 
@@ -175,6 +195,18 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
     model whose state actually admits such a decomposition.  Failures
     raise DiagonalizationError carrying the undecomposed residue.
 
+    The fast route makes one eigensolve per block and certifies the whole
+    decomposition once: the eigenstates' Gram matrix, their unit pairings
+    and their reconstruction of the state with the raw eigenvalues must
+    each be exact within `core.EIGENBASIS_TOL` (1e-9), and the smallest
+    raw eigenvalue at least -`core.DEFAULT_TOL`, the cone tolerance the
+    state was accepted under.  A failure raises DiagonalizationError with
+    the failed figure as its residue; otherwise the eigenstates are built
+    without a cone check of their own, negative eigenvalues are reported
+    as 0, and the largest of the three deviations is the result's
+    `residual`.  The peel route records its reconstruction residual there
+    and refuses nothing more.
+
     The result is cached on the state, one entry per resolved method
     ('auto' picks 'fast' on matrix models, 'peel' elsewhere): later calls
     return the same Diagonalization object.  Errors are not cached and are
@@ -192,14 +224,12 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
         if model.structure is None:
             raise UnsupportedModelError(
                 f"{model.model_id} has no block eigendecomposition")
-        entries = []
-        for b, val, vec in block_eigh(state.coords, model.structure):
-            vec = _canonical_phase(vec)
-            coords = pure_block_vec(model.structure, b, vec)
-            entries.append((max(val, 0.0), coords))
-        entries.sort(key=lambda e: (-round(e[0], 12), _lex_key(e[1])))
-        eigenstates = tuple(StateVec(c, model) for _, c in entries)
-        values = np.array([v for v, _ in entries])
+        raw, rows = _block_spectrum(state.coords, model.structure)
+        values = np.where(raw < 0.0, 0.0, raw)
+        order = _descending_order(values, rows)
+        values = values[order]
+        eigenstates, residual = _certified_eigenstates(
+            model, state.coords, raw[order], rows[order])
     else:
         values_l, eigenstates_l, vertices = [], [], []
         cur, weight = state, 1.0
@@ -234,12 +264,13 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
             raise DiagonalizationError(
                 "could not complete the eigenbasis to a maximal set",
                 residue=0.0)
-        order = sorted(range(len(values_l)),
-                       key=lambda i: (-round(values_l[i], 12),
-                                      _lex_key(eigenstates_l[i].coords)))
+        rows = np.array([s.coords for s in eigenstates_l])
+        order = _descending_order(np.array(values_l, dtype=float), rows)
         values = np.array([values_l[i] for i in order])
         eigenstates = tuple(eigenstates_l[i] for i in order)
-    d = state._derived[method] = Diagonalization(model, values, eigenstates)
+        residual = float(np.abs(values @ rows[order] - state.coords).max())
+    d = state._derived[method] = Diagonalization(
+        model, values, eigenstates, residual)
     return d
 
 

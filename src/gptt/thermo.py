@@ -365,6 +365,17 @@ class ThermoLedger:
     details: dict = field(default_factory=dict)
 
 
+def _kt_bound_holds(beta: float, kT: float, energy: float, entropy: float,
+                    tol: float) -> bool:
+    """The bound beta * energy >= entropy, which reads energy >= kT * entropy
+    at beta > 0 and reverses at beta < 0 (beta kT = 1).  It is tested
+    divided by |beta|, so tol is in energy units and infinite beta stays
+    finite; at beta = 0 it holds trivially."""
+    if math.isinf(kT):
+        return True
+    return bool(math.copysign(1.0, beta) * (energy - kT * entropy) >= -tol)
+
+
 def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
                     beta: float, comp: ModelSpec) -> ThermoLedger:
     """Account for the energy pushed into a thermal environment.
@@ -373,7 +384,9 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
     the joint channel acts on system x environment.  For reversible joint
     dynamics the dumped energy splits exactly into the system's entropy
     drop, the forged correlations, and the environment's displacement from
-    equilibrium, each weighted by kT.
+    equilibrium, each weighted by kT.  The latter two are nonnegative, so
+    beta * dE >= drop: the Landauer bound dE >= kT * drop at positive
+    temperature, reversed at negative temperature.
     """
     if comp.composite is None or len(comp.composite.factors) != 2:
         raise GPTError("a two-part composite is required")
@@ -401,7 +414,7 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
         residual = math.nan
     else:
         residual = abs(dE_env - kT * (drop + mutual + relent))
-    bound_ok = (dE_env >= kT * drop - 1e-7) if not math.isinf(kT) else True
+    bound_ok = _kt_bound_holds(beta, kT, dE_env, drop, 1e-7)
     second_law = (s_out - s_in) + (s_E - s_gamma)
     return ThermoLedger(
         delta_E_env=dE_env,
@@ -410,7 +423,7 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
         relent_term=relent,
         kT=kT,
         equality_residual=residual,
-        bound_satisfied=bool(bound_ok),
+        bound_satisfied=bound_ok,
         second_law_residual=second_law,
         details={
             "S_system_in": s_in, "S_system_out": s_out,
@@ -431,7 +444,9 @@ def erasure_demo(rho_S: StateVec, beta: float,
     to a fixed pure product; the environment is a spectator, so no energy
     moves while the system's entropy falls to zero.  The memory pays: the
     conditional entropy of the system given the memory starts negative at
-    minus the system entropy, and that credit funds the erasure.
+    minus the system entropy, and that credit funds the erasure.  The
+    assisted bound is beta * dE >= -S: dE >= -kT S (`assisted_bound_rhs`)
+    at positive temperature, dE <= -kT S at negative temperature.
     """
     model_S = rho_S.model
     s_rho = entropy(rho_S)
@@ -472,6 +487,6 @@ def erasure_demo(rho_S: StateVec, beta: float,
         "memory_entropy_after": after["marginal_1"],
         "memory_not_degraded": after["marginal_1"] <= before["marginal_1"] + 1e-9,
         "assisted_bound_rhs": (-kT * s_rho) if not math.isinf(kT) else -math.inf,
-        "bound_satisfied": ledger.delta_E_env >= (
-            -kT * s_rho - 1e-9 if not math.isinf(kT) else -math.inf),
+        "bound_satisfied": _kt_bound_holds(beta, kT, ledger.delta_E_env,
+                                           -s_rho, 1e-9),
     }

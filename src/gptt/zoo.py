@@ -36,6 +36,7 @@ from .embedding import (
     BlockStructure,
     blocks_to_vec,
     conjugation_matrix,
+    pure_block_coords,
     pure_block_vec,
     vec_to_blocks,
 )
@@ -569,13 +570,8 @@ def pure_maximal_set(model: ModelSpec) -> list:
         raise UnsupportedModelError("no perfectly distinguishable states")
     if model.structure is not None:
         st = model.structure
-        out = []
-        for b, n in enumerate(st.dims):
-            for i in range(n):
-                e = np.zeros(n)
-                e[i] = 1.0
-                out.append(StateVec(pure_block_vec(st, b, e), model))
-        return out
+        return [StateVec(c, model) for b, n in enumerate(st.dims)
+                for c in pure_block_coords(st, b, np.eye(n))]
     return [StateVec(model.pure_states[i], model)
             for i in model.distinguishable_sets[0]]
 

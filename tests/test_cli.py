@@ -168,6 +168,17 @@ class TestLandauerErase:
     def test_infinite_beta_is_valid(self, command):
         assert invoke(command, "quantum:2", "--beta", "inf").exit_code == 0
 
+    @pytest.mark.parametrize("beta", ["-2", "-0.5"])
+    @pytest.mark.parametrize("model", ["quantum:2", "quantum:3",
+                                       "doubled_quantum:2"])
+    @pytest.mark.parametrize("command, check", [("landauer", "cost_bound"),
+                                                ("erase", "assisted_bound")])
+    def test_negative_beta_bounds_pass(self, command, check, model, beta):
+        res = invoke(command, model, "--beta", beta, "--json")
+        assert res.exit_code == 0
+        checks = {c["name"]: c["pass"] for c in json.loads(res.output)["checks"]}
+        assert checks[check] and all(checks.values())
+
     def test_erase_pure_exits_three(self):
         res = invoke("erase", "quantum:2", "--state", "pure:0", "--json")
         assert res.exit_code == 3

@@ -9,6 +9,7 @@ matrix must match explicit Kraus conjugation to 1e-12.
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,8 @@ from gptt.embedding import (
     blocks_to_vec,
     conjugation_matrix,
     herm_to_vec,
+    pure_block_coords,
+    pure_block_vec,
     total_to_vec,
     vec_to_blocks,
     vec_to_herm,
@@ -219,3 +222,29 @@ def test_conjugation_matrix_memory_stays_sliced():
         tracemalloc.stop()
     assert peak <= 8 * D * D + 16 * 2**20
     assert np.abs(M @ M.T - np.eye(D)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["C", "R"])
+def test_pure_block_coords_rows(field):
+    """Each row embeds |v><v| for the unit vector along column v, whatever
+    the column's length and phase; a zero column is refused."""
+    bs = BlockStructure((2, 3), field)
+    off = bs.coord_offsets()[1]
+    r = np.random.default_rng(3)
+    V = r.normal(size=(3, 3))
+    if field == "C":
+        V = V + 1j * r.normal(size=(3, 3))
+    phases = np.exp(1j * r.uniform(0, 6, 3)) if field == "C" else -1.0
+    W = V * r.uniform(0.5, 2.0, 3)
+    rows = pure_block_coords(bs, 1, W)
+    rephased = pure_block_coords(bs, 1, V * phases)
+    for v, w, row, again in zip(V.T, W.T, rows, rephased):
+        u = v / np.linalg.norm(v)
+        want = np.zeros(bs.coord_dim)
+        want[off:] = ref_herm_to_vec(np.outer(u, u.conj()), field)
+        assert np.abs(row - want).max() < 1e-15
+        assert np.abs(again - want).max() < 1e-15
+        assert row.tobytes() == pure_block_vec(bs, 1, w).tobytes()
+    assert pure_block_coords(bs, 0, np.zeros((2, 0))).shape == (0, bs.coord_dim)
+    with pytest.raises(ValueError):
+        pure_block_coords(bs, 1, np.zeros((3, 1)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptt import resource, spectral, thermo, zoo
+from gptt import core, resource, spectral, thermo, zoo
 from gptt.core import (
     ConeSpec,
     DiagonalizationError,
@@ -226,6 +226,127 @@ class TestMemo:
         eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
         request()
         assert len(decompositions) == 2 and eigh == [] and eigvalsh == []
+
+
+def _shear(w, V):
+    V[:, 1] += 1e-3 * V[:, 0]
+    return w, V
+
+
+def _shift(w, V):
+    w[0] += 1e-6
+    return w, V
+
+
+class TestCertificate:
+    """The fast route checks its whole decomposition once: a wrong basis or
+    a wrong spectrum from the eigensolver is refused, not returned."""
+
+    @pytest.mark.parametrize("corrupt", [_shear, _shift],
+                             ids=["shear", "shift"])
+    @pytest.mark.parametrize("model", [q3, dq2], ids=lambda m: m.model_id)
+    def test_corrupted_eigensolve_refused(self, monkeypatch, model, corrupt):
+        s = rand_state(model, np.random.default_rng(71))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda B: corrupt(*map(np.copy, eigh(B))))
+        with pytest.raises(DiagonalizationError) as exc:
+            diagonalize(s, method="fast")
+        assert exc.value.residue > core.EIGENBASIS_TOL
+        assert s._derived == {}
+        monkeypatch.undo()
+        assert diagonalize(s).residual <= core.EIGENBASIS_TOL
+
+    def test_duplicated_null_vector_refused(self, monkeypatch):
+        """A pure state rebuilt exactly from a basis whose two zero-weight
+        eigenstates coincide: only the Gram matrix sees the defect."""
+        s = StateVec(q3.pure_sampler(q3, np.random.default_rng(74)), q3)
+        eigh = np.linalg.eigh
+
+        def duplicated(B):
+            w, V = map(np.copy, eigh(B))
+            V[:, 0] = V[:, 1]
+            return w, V
+
+        monkeypatch.setattr(np.linalg, "eigh", duplicated)
+        with pytest.raises(DiagonalizationError, match="Gram") as exc:
+            diagonalize(s, method="fast")
+        assert exc.value.residue > 0.5
+
+    @pytest.mark.parametrize("check, E, raw, x", [
+        ("Gram", [[1, 0], [1, 0]], [1, 0], [1, 0]),
+        ("pairing", [[0.6, 0.8], [0.8, -0.6]], [0.5, 0.5], [0.7, 0.1]),
+        ("reconstruction", [[1, 0], [0, 1]], [0.5, 0.5], [0.6, 0.4]),
+        ("eigenvalue", [[1, 0], [0, 1]], [1 + 1e-6, -1e-6], [1 + 1e-6, -1e-6]),
+    ])
+    def test_each_check_refuses_alone(self, check, E, raw, x):
+        """Each of the four figures refuses a decomposition that the other
+        three accept."""
+        cl2 = zoo.build_model("classical", d=2)
+        with pytest.raises(DiagonalizationError, match=check) as exc:
+            core._certified_eigenstates(cl2, np.array(x, float),
+                                        np.array(raw, float),
+                                        np.array(E, float))
+        assert exc.value.residue > core.EIGENBASIS_TOL
+
+    def test_negative_eigenvalue_refused(self, monkeypatch):
+        """An eigenvalue below the cone tolerance the state was accepted
+        under is refused, even when the pieces rebuild the state."""
+        s = rand_state(q3, np.random.default_rng(72))
+        eigh = np.linalg.eigh
+        w0, V0 = eigh(vec_to_blocks(s.coords, q3.structure)[0])
+        w0[0] = -1e-6
+        x = blocks_to_vec([(V0 * w0) @ V0.conj().T], q3.structure)
+        monkeypatch.setattr(core, "cone_membership",
+                            lambda *a, **k: (True, 0.0))
+        bad = StateVec(x / float(q3.unit_effect @ x), q3)
+        with pytest.raises(DiagonalizationError) as exc:
+            diagonalize(bad, method="fast")
+        assert exc.value.residue > 1e-7
+
+    @pytest.mark.parametrize("model", [q3, dq2, sq], ids=lambda m: m.model_id)
+    def test_peel_records_its_residual(self, model):
+        s = (StateVec(np.array([0.0, 0.0, 1.0]), sq) if model is sq
+             else rand_state(model, np.random.default_rng(73)))
+        d = diagonalize(s, method="peel")
+        assert d.residual == float(np.abs(d.reconstruct() - s.coords).max())
+        assert d.residual < 1e-8
+
+
+_CERTIFIED_MODELS = [zoo.parse_model_string(t) for t in (
+    "classical:3", "quantum:2", "quantum:3", "rebit", "real_quantum:3",
+    "doubled_quantum:2", "extended_classical:2x2", "extended_classical:3x1")]
+_CERTIFIED_MODELS += [zoo.compose_systems(q2, q2), zoo.compose_systems(dq2, dq2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_CERTIFIED_MODELS), st.integers(0, 2**32 - 1),
+       st.sampled_from(["mixed", "pure", "toward_chi"]), st.floats(0.0, 1.0))
+def test_fast_route_certificate(model, seed, kind, t):
+    """On every matrix family and two composites: one block eigensolve per
+    fresh state and no per-eigenstate check, yet every eigenstate passes a
+    full rebuild, the residual is within its bound and the order is the
+    documented one (eigenvalues descending at 12 digits, then coordinates
+    at 10 digits)."""
+    r = np.random.default_rng(seed)
+    x = (model.pure_sampler(model, r) if kind == "pure"
+         else model.state_sampler(model, r))
+    if kind == "toward_chi":
+        x = t * x + (1 - t) * model.chi
+    s = StateVec(x, model)
+    with pytest.MonkeyPatch.context() as mp:
+        solves = _counting(mp, spectral, "block_eigh")
+        checks = _counting(mp, np.linalg, "eigvalsh")
+        d = diagonalize(s)
+    assert len(solves) == 1 and checks == []
+    assert d.residual <= core.EIGENBASIS_TOL
+    assert len(d.eigenstates) == model.capacity
+    for e in d.eigenstates:
+        StateVec(e.coords, model)
+    assert np.abs(d.reconstruct() - s.coords).max() <= 1e-8
+    keys = [(-round(v, 12), tuple(np.round(e.coords, 10)))
+            for v, e in zip(d.eigenvalues.tolist(), d.eigenstates)]
+    assert keys == sorted(keys)
 
 
 class TestFunctionalCalculus:

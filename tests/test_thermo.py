@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gptt import thermo, zoo
-from gptt.core import (GPTError, StateVec, UnsupportedModelError,
+from gptt.core import (ChannelMap, GPTError, StateVec, UnsupportedModelError,
                        apply_channel, lift_channel)
-from gptt.embedding import blocks_to_vec, vec_to_blocks
+from gptt.embedding import blocks_to_vec, conjugation_matrix, vec_to_blocks
 from gptt.spectral import dagger, diagonalize
 import oracles
 
@@ -340,3 +340,48 @@ class TestSecondLawLemma:
             ch = resource.build_unital_channel(rho, sigma).channel
             out = apply_channel(ch, rho)
             assert thermo.entropy(out) >= thermo.entropy(rho) - 1e-9
+
+
+class TestNegativeTemperatureBounds:
+    """At beta < 0 the ledger identity dE = kT (drop + I + D), with I and D
+    nonnegative and kT negative, gives dE <= kT * drop: both bounds flip."""
+
+    @pytest.mark.parametrize("beta", [-2.0, -0.5])
+    @pytest.mark.parametrize("model", [q2, q3, dq2], ids=lambda m: m.model_id)
+    def test_landauer_bound_reverses(self, model, beta):
+        comp = zoo.compose_systems(model, model)
+        h = thermo.basis_hamiltonian(zoo.pure_maximal_set(model),
+                                     np.arange(model.capacity, dtype=float))
+        r = np.random.default_rng(16)
+        for _ in range(4):
+            led = thermo.landauer_ledger(comp.group.sampler(comp, r),
+                                         rand_state(model, r), h, beta, comp)
+            assert led.equality_residual < 1e-7
+            assert led.delta_E_env <= led.kT * led.entropy_drop_system + 1e-7
+            assert led.bound_satisfied
+
+    @pytest.mark.parametrize("beta", [-2.0, -0.5])
+    @pytest.mark.parametrize("model", [q2, q3, dq2], ids=lambda m: m.model_id)
+    def test_assisted_bound_reverses(self, model, beta):
+        demo = thermo.erasure_demo(rand_state(model, np.random.default_rng(17)),
+                                   beta)
+        rhs = -demo["system_entropy_before"] / beta
+        assert abs(demo["assisted_bound_rhs"] - rhs) < 1e-12 and rhs > 0
+        assert demo["delta_E_env"] <= rhs
+        assert demo["bound_satisfied"]
+
+    @pytest.mark.parametrize("beta, level", [(1.0, 0), (-1.0, 1)])
+    def test_bound_still_refuses_a_reset(self, beta, level):
+        """A channel that resets the environment to one level is not
+        reversible, so the identity does not protect the bound: with the
+        system untouched (no entropy drop), a reset to the ground level at
+        beta > 0 and to the top level at beta < 0 each break it."""
+        comp = zoo.compose_systems(q2, q2)
+        kraus = [np.outer(np.eye(2)[level], e) for e in np.eye(2)]
+        reset = ChannelMap(conjugation_matrix(kraus, q2.structure), q2, q2,
+                           kraus=tuple(kraus))
+        led = thermo.landauer_ledger(lift_channel(comp, reset, 1),
+                                     rand_state(q2), H01, beta, comp)
+        assert abs(led.entropy_drop_system) < 1e-9
+        assert abs(led.delta_E_env) > 0.1
+        assert not led.bound_satisfied
