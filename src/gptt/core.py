@@ -26,10 +26,6 @@ from .embedding import (
 
 DEFAULT_TOL = 1e-9
 
-# A fast diagonalization is certified when its eigenstates' Gram matrix, unit
-# pairings and reconstruction of the state are each this close to exact.
-EIGENBASIS_TOL = 1e-9
-
 # Composed, tensored and mixed channels keep a Kraus form of at most this
 # many operators; longer lists are dropped and only the matrix is kept.
 KRAUS_CAP = 64
@@ -393,7 +389,7 @@ def _certified_eigenstates(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
 
     raw holds the eigenvalues as the eigensolver gave them, before clipping.
     The check: the Gram matrix max|E E^T - I|, every unit pairing, and the
-    reconstruction max|raw^T E - x| each within EIGENBASIS_TOL, and the
+    reconstruction max|raw^T E - x| each within DEFAULT_TOL, and the
     smallest raw eigenvalue at least -DEFAULT_TOL, the tolerance x was
     accepted under.  Each row is then a unit-pairing projector, orthogonal
     to the others, and together they rebuild x.  Raises DiagonalizationError
@@ -410,7 +406,7 @@ def _certified_eigenstates(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
         ("reconstruction", float(np.abs(raw @ E - x).max())),
     )
     for name, r in deviations:
-        if not r <= EIGENBASIS_TOL:
+        if not r <= DEFAULT_TOL:
             raise DiagonalizationError(
                 f"eigendecomposition of a {model.model_id} state fails its "
                 f"{name} check (deviation {r:.3e})", residue=r)

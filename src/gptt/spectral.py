@@ -44,14 +44,8 @@ def _lex_key(x: np.ndarray):
 
 def _descending_order(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Order of a decomposition: eigenvalues descending at 12 digits, ties
-    broken by the eigenstates' coordinates at 10 digits, lexicographically.
-
-    Without ties the coordinates cannot matter, and the stable sort of the
-    eigenvalues alone gives the same order.
-    """
+    broken by the eigenstates' coordinates at 10 digits, lexicographically."""
     first = [-round(v, 12) for v in values.tolist()]
-    if len(set(first)) == len(first):
-        return np.argsort(first, kind="stable")
     return np.lexsort(np.vstack([np.round(rows, 10).T[::-1], first]))
 
 
@@ -62,7 +56,7 @@ class Diagonalization:
     `residual` is the route's certificate figure.  Fast route: the largest
     of the eigenstates' Gram deviation max|E E^T - I|, their unit-pairing
     deviation and the reconstruction residual max|w^T E - x| with the raw
-    eigenvalues w, each certified at most `core.EIGENBASIS_TOL` (1e-9).
+    eigenvalues w, each certified at most `core.DEFAULT_TOL` (1e-9).
     Peel route: the reconstruction residual max|p^T E - x| of the reported
     eigenvalues p, recorded only.
     """
@@ -198,9 +192,9 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
     The fast route makes one eigensolve per block and certifies the whole
     decomposition once: the eigenstates' Gram matrix, their unit pairings
     and their reconstruction of the state with the raw eigenvalues must
-    each be exact within `core.EIGENBASIS_TOL` (1e-9), and the smallest
-    raw eigenvalue at least -`core.DEFAULT_TOL`, the cone tolerance the
-    state was accepted under.  A failure raises DiagonalizationError with
+    each be exact within `core.DEFAULT_TOL` (1e-9), and the smallest raw
+    eigenvalue at least -`core.DEFAULT_TOL`, the cone tolerance the state
+    was accepted under.  A failure raises DiagonalizationError with
     the failed figure as its residue; otherwise the eigenstates are built
     without a cone check of their own, negative eigenvalues are reported
     as 0, and the largest of the three deviations is the result's

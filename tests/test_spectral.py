@@ -252,10 +252,10 @@ class TestCertificate:
                             lambda B: corrupt(*map(np.copy, eigh(B))))
         with pytest.raises(DiagonalizationError) as exc:
             diagonalize(s, method="fast")
-        assert exc.value.residue > core.EIGENBASIS_TOL
+        assert exc.value.residue > core.DEFAULT_TOL
         assert s._derived == {}
         monkeypatch.undo()
-        assert diagonalize(s).residual <= core.EIGENBASIS_TOL
+        assert diagonalize(s).residual <= core.DEFAULT_TOL
 
     def test_duplicated_null_vector_refused(self, monkeypatch):
         """A pure state rebuilt exactly from a basis whose two zero-weight
@@ -287,7 +287,7 @@ class TestCertificate:
             core._certified_eigenstates(cl2, np.array(x, float),
                                         np.array(raw, float),
                                         np.array(E, float))
-        assert exc.value.residue > core.EIGENBASIS_TOL
+        assert exc.value.residue > core.DEFAULT_TOL
 
     def test_negative_eigenvalue_refused(self, monkeypatch):
         """An eigenvalue below the cone tolerance the state was accepted
@@ -339,7 +339,7 @@ def test_fast_route_certificate(model, seed, kind, t):
         checks = _counting(mp, np.linalg, "eigvalsh")
         d = diagonalize(s)
     assert len(solves) == 1 and checks == []
-    assert d.residual <= core.EIGENBASIS_TOL
+    assert d.residual <= core.DEFAULT_TOL
     assert len(d.eigenstates) == model.capacity
     for e in d.eigenstates:
         StateVec(e.coords, model)
