@@ -73,8 +73,11 @@ class ModelCompatibilityError(GPTError):
 class DiagonalizationError(GPTError):
     """No pure-state decomposition with the required structure exists.
 
-    Carries the undecomposed residue so callers can inspect how far the
-    peeling got.
+    `residue` is the failed figure: the weight a matrix peel left
+    undecomposed, a certificate's deviation, or on a polytope the smallest
+    miss over the stored distinguishable sets (or the gap between two
+    spectra).  `partial` holds a matrix peel's eigenvalues and eigenstates
+    so far; polytope refusals leave it None.
     """
 
     def __init__(self, message: str, residue: float | None = None, partial=None):

@@ -2,13 +2,15 @@
 
 A diagonalization writes a state as a convex combination of jointly
 perfectly distinguishable pure states.  Matrix models get it from block
-eigendecompositions; generic models get the peeling construction, which
-repeatedly strips the largest pure-state weight and must reach a pure
-remainder within the model's capacity; on polytope models the peeled
-vertices must lie in one of the model's stored distinguishable sets, which
-also completes them to a maximal basis.  Both routes report eigenvalues in
-descending order.  On matrix models the identifying effect of an eigenstate
-is `dagger(s)`, which the self-dual embedding gives the state's own
+eigendecompositions, all blocks at once (the fast route) or by peeling the
+largest pure weight off the unnormalized remainder, at most `capacity`
+times.  Polytope models look the state up among their stored
+distinguishable sets: one batched least-squares solve finds every set whose
+hull holds it, and the state is refused when no set does or when two give
+it different spectra.  Every route certifies its reconstruction of the
+state within `core.DEFAULT_TOL` and reports eigenvalues in descending
+order.  On matrix models the identifying effect of an eigenstate is
+`dagger(s)`, which the self-dual embedding gives the state's own
 coordinates; `transition_matrix` reads them off the eigenstates directly.
 """
 
@@ -16,12 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import (
-    FACET_TOL,
+    DEFAULT_TOL,
     DiagonalizationError,
     EffectVec,
     GPTError,
@@ -57,8 +58,9 @@ class Diagonalization:
     of the eigenstates' Gram deviation max|E E^T - I|, their unit-pairing
     deviation and the reconstruction residual max|w^T E - x| with the raw
     eigenvalues w, each certified at most `core.DEFAULT_TOL` (1e-9).
-    Peel route: the reconstruction residual max|p^T E - x| of the reported
-    eigenvalues p, recorded only.
+    Peel route, on matrix models and polytopes alike: the reconstruction
+    residual max|p^T E - x| of the reported eigenvalues p, certified at
+    most `core.DEFAULT_TOL`.
     """
 
     model: ModelSpec
@@ -75,31 +77,6 @@ class Diagonalization:
         return sum(p * s.coords for p, s in zip(self.eigenvalues, self.eigenstates))
 
 
-@dataclass(frozen=True, eq=False)
-class PeelStep:
-    """One peel: the weight p_star of a pure eigenstate, the normalized
-    remainder (None once the state is pure) and, on polytope models, the
-    eigenstate's vertex index."""
-
-    p_star: float
-    eigenstate: StateVec
-    remainder: Optional[StateVec]
-    vertex: Optional[int] = None
-
-
-def _peel_weights(F: np.ndarray, verts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """For each vertex v, the largest p with x - p v in the cone {y : F y >= 0}.
-
-    A facet through v does not bound p; every other facet caps it at
-    F_i.x / F_i.v, so the weight is the smallest of those ratios.
-    """
-    Fv = F @ verts.T
-    off = Fv > FACET_TOL * np.linalg.norm(verts, axis=1)
-    ratios = np.divide((F @ x)[:, None], Fv, out=np.full(Fv.shape, np.inf),
-                       where=off)
-    return ratios.min(axis=0)
-
-
 def _block_spectrum(x: np.ndarray, st) -> tuple:
     """Raw eigenvalues of x, block by block and ascending within a block,
     and the coordinates of their eigenstates, one row each."""
@@ -107,40 +84,6 @@ def _block_spectrum(x: np.ndarray, st) -> tuple:
     return (np.concatenate([w for w, _ in parts]),
             np.concatenate([pure_block_coords(st, b, V)
                             for b, (_, V) in enumerate(parts)]))
-
-
-def max_eigenvalue_peel(state: StateVec) -> PeelStep:
-    """Largest weight of a pure state inside the given state.
-
-    Matrix models read it off a block eigendecomposition; ray-cone models
-    take, over the vertices in lexicographic order, the largest weight that
-    can be removed while staying inside the cone, read off the facets.
-    """
-    model = state.model
-    x = state.coords
-    if model.structure is not None:
-        vals, rows = _block_spectrum(x, model.structure)
-        best = 0
-        for i, val in enumerate(vals.tolist()):
-            if (val > vals[best] + 1e-14
-                    or (abs(val - vals[best]) <= 1e-14
-                        and _lex_key(rows[i]) < _lex_key(rows[best]))):
-                best = i
-        p_star = float(vals[best])
-        alpha = StateVec(rows[best], model)
-        vertex = None
-    else:
-        weights = _peel_weights(model.state_cone.facets, model.pure_states, x)
-        best = None
-        for j in _lex_order(model):
-            if best is None or weights[j] > best[0] + 1e-12:
-                best = (float(weights[j]), j)
-        p_star, vertex = best
-        alpha = StateVec(model.pure_states[vertex], model)
-    if p_star >= 1.0 - 1e-11:
-        return PeelStep(1.0, alpha, None, vertex)
-    sigma = StateVec((x - p_star * alpha.coords) / (1.0 - p_star), model)
-    return PeelStep(float(p_star), alpha, sigma, vertex)
 
 
 def _complete_matrix_basis(model: ModelSpec, used: list) -> list:
@@ -158,36 +101,56 @@ def _complete_matrix_basis(model: ModelSpec, used: list) -> list:
     return out
 
 
-def _lex_order(model: ModelSpec) -> list:
-    """Vertex indices of a polytope model, its pure states in lexicographic
-    order."""
-    return sorted(range(len(model.pure_states)),
-                  key=lambda j: _lex_key(model.pure_states[j]))
+def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
+    """Weights and vertices, in decomposition order, of x over the stored
+    distinguishable set of a polytope model whose hull holds it.
 
-
-def _complete_polytope_basis(model: ModelSpec, peeled: list) -> list:
-    """The remaining pure states of the first stored distinguishable set that
-    holds the peeled vertices, sets ranked by their vertices in
-    lexicographic order; DiagonalizationError when no set holds them."""
-    rank = {j: r for r, j in enumerate(_lex_order(model))}
-    held = [c for c in model.distinguishable_sets if set(peeled) <= set(c)]
-    if not held:
+    One batched least-squares solve fits x by every stored set at once.  A
+    set holds x when its weights w are at least -DEFAULT_TOL and, clipped at
+    0, rebuild x within DEFAULT_TOL.  Held sets must agree on the spectrum
+    within DEFAULT_TOL; the first decomposition in `_descending_order` terms
+    is returned.  Raises DiagonalizationError when no set holds x (residue:
+    the smallest miss over the sets) or when two held sets give different
+    spectra (residue: their largest difference).
+    """
+    V = model.pure_states[np.asarray(model.distinguishable_sets)]
+    w = np.linalg.pinv(V.transpose(0, 2, 1)) @ x
+    p = np.clip(w, 0.0, None)
+    fit = np.abs(np.einsum("sc,scd->sd", p, V) - x).max(axis=1)
+    miss = np.maximum(fit, -w.min(axis=1))
+    held = np.flatnonzero(miss <= DEFAULT_TOL)
+    if not held.size:
         raise DiagonalizationError(
-            f"the peeled pure states of {model.model_id} are not part of a "
-            f"perfectly distinguishable set of {model.capacity}",
-            residue=0.0)
-    first = min(held, key=lambda c: sorted(rank[j] for j in c))
-    return [StateVec(model.pure_states[j], model)
-            for j in first if j not in peeled]
+            f"state of {model.model_id} lies in the hull of no perfectly "
+            f"distinguishable set of {model.capacity} pure states",
+            residue=float(miss.min()))
+
+    decompositions = []
+    for i in held:
+        order = _descending_order(p[i], V[i])
+        decompositions.append((p[i][order], V[i][order]))
+    values, rows = min(decompositions, key=lambda d: [
+        (-round(v, 12), _lex_key(r)) for v, r in zip(d[0].tolist(), d[1])])
+    spectra = -np.sort(-p[held], axis=1)
+    gaps = np.abs(spectra - values).max(axis=1)
+    if gaps.max() > DEFAULT_TOL:
+        other = spectra[gaps.argmax()]
+        raise DiagonalizationError(
+            f"state of {model.model_id} has two spectra over perfectly "
+            f"distinguishable sets: {np.round(values, 12).tolist()} and "
+            f"{np.round(other, 12).tolist()}", residue=float(gaps.max()))
+    return values, rows
 
 
 def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
     """Decompose a state into perfectly distinguishable pure states.
 
-    method 'fast' uses per-block eigendecomposition (matrix models only);
-    'peel' strips maximal pure weights one at a time and works on any
-    model whose state actually admits such a decomposition.  Failures
-    raise DiagonalizationError carrying the undecomposed residue.
+    method 'fast' uses per-block eigendecomposition (matrix models only).
+    'peel' works on any model: on a matrix model it strips the largest
+    pure weight from the unnormalized remainder, at most `capacity` times;
+    on a polytope it looks the state up among the stored distinguishable
+    sets (`_stored_set_decomposition`).  Failures raise
+    DiagonalizationError carrying the undecomposed residue.
 
     The fast route makes one eigensolve per block and certifies the whole
     decomposition once: the eigenstates' Gram matrix, their unit pairings
@@ -198,8 +161,9 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
     the failed figure as its residue; otherwise the eigenstates are built
     without a cone check of their own, negative eigenvalues are reported
     as 0, and the largest of the three deviations is the result's
-    `residual`.  The peel route records its reconstruction residual there
-    and refuses nothing more.
+    `residual`.  The peel route's `residual` is the reconstruction residual
+    of the reported eigenvalues, and one above `core.DEFAULT_TOL` raises
+    DiagonalizationError.
 
     The result is cached on the state, one entry per resolved method
     ('auto' picks 'fast' on matrix models, 'peel' elsewhere): later calls
@@ -225,44 +189,52 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
         eigenstates, residual = _certified_eigenstates(
             model, state.coords, raw[order], rows[order])
     else:
-        values_l, eigenstates_l, vertices = [], [], []
-        cur, weight = state, 1.0
-        done = False
-        for _ in range(model.capacity):
-            step = max_eigenvalue_peel(cur)
-            values_l.append(step.p_star * weight)
-            eigenstates_l.append(step.eigenstate)
-            vertices.append(step.vertex)
-            if step.remainder is None:
-                done = True
-                break
-            weight *= (1.0 - step.p_star)
-            cur = step.remainder
-        if not done:
-            raise DiagonalizationError(
-                f"state of {model.model_id} admits no decomposition into "
-                f"{model.capacity} perfectly distinguishable pure states",
-                residue=weight,
-                partial=(np.asarray(values_l), tuple(eigenstates_l)),
-            )
         if model.structure is None:
-            extra = _complete_polytope_basis(model, vertices)
-        elif len(eigenstates_l) < model.capacity:
-            used = [zoo.pure_support(s) for s in eigenstates_l]
-            extra = _complete_matrix_basis(model, used)
+            values, rows = _stored_set_decomposition(model, state.coords)
+            eigenstates = tuple(StateVec(r, model) for r in rows)
         else:
-            extra = []
-        eigenstates_l.extend(extra)
-        values_l.extend([0.0] * len(extra))
-        if len(eigenstates_l) != model.capacity:
+            values_l, eigenstates_l = [], []
+            r = state.coords
+            while (left := float(model.unit_effect @ r)) > 1e-12:
+                if len(values_l) == model.capacity:
+                    raise DiagonalizationError(
+                        f"state of {model.model_id} admits no decomposition "
+                        f"into {model.capacity} perfectly distinguishable "
+                        "pure states", residue=left,
+                        partial=(np.asarray(values_l), tuple(eigenstates_l)))
+                vals, rows = _block_spectrum(r, model.structure)
+                best = 0
+                for i, val in enumerate(vals.tolist()):
+                    if (val > vals[best] + 1e-14
+                            or (abs(val - vals[best]) <= 1e-14
+                                and _lex_key(rows[i]) < _lex_key(rows[best]))):
+                        best = i
+                eigenstates_l.append(StateVec(rows[best], model))
+                if vals[best] >= left - 1e-11:
+                    values_l.append(left)
+                    break
+                values_l.append(float(vals[best]))
+                r = r - vals[best] * rows[best]
+            if len(eigenstates_l) < model.capacity:
+                used = [zoo.pure_support(s) for s in eigenstates_l]
+                eigenstates_l.extend(_complete_matrix_basis(model, used))
+                values_l.extend([0.0] * (len(eigenstates_l) - len(values_l)))
+            if len(eigenstates_l) != model.capacity:
+                raise DiagonalizationError(
+                    "could not complete the eigenbasis to a maximal set",
+                    residue=0.0)
+            rows = np.array([s.coords for s in eigenstates_l])
+            order = _descending_order(np.array(values_l), rows)
+            values = np.array(values_l)[order]
+            eigenstates = tuple(eigenstates_l[i] for i in order)
+        residual = float(np.abs(
+            sum(p * s.coords for p, s in zip(values, eigenstates))
+            - state.coords).max())
+        if not residual <= DEFAULT_TOL:
             raise DiagonalizationError(
-                "could not complete the eigenbasis to a maximal set",
-                residue=0.0)
-        rows = np.array([s.coords for s in eigenstates_l])
-        order = _descending_order(np.array(values_l, dtype=float), rows)
-        values = np.array([values_l[i] for i in order])
-        eigenstates = tuple(eigenstates_l[i] for i in order)
-        residual = float(np.abs(values @ rows[order] - state.coords).max())
+                f"decomposition of a {model.model_id} state fails its "
+                f"reconstruction check (deviation {residual:.3e})",
+                residue=residual)
     d = state._derived[method] = Diagonalization(
         model, values, eigenstates, residual)
     return d

@@ -158,23 +158,6 @@ def cone_margin_lp(G, e, x):
     return float(res.x[-1])
 
 
-def peel_weight_lp(G, v, x):
-    """Largest p >= 0 with x - p v in the cone spanned by the rows of G;
-    None when even p = 0 is infeasible (x outside the cone)."""
-    G = np.asarray(G, dtype=float)
-    k = G.shape[0]
-    # variables: ray weights c >= 0 and the weight p >= 0; G^T c + p v = x
-    res = linprog(c=np.concatenate([np.zeros(k), [-1.0]]),
-                  A_eq=np.hstack([G.T, np.asarray(v, dtype=float)[:, None]]),
-                  b_eq=np.asarray(x, dtype=float),
-                  bounds=[(0.0, None)] * (k + 1), method="highs",
-                  options=_TIGHT)
-    if res.status == 2:
-        return None
-    assert res.success, res.message
-    return float(res.x[-1])
-
-
 def best_guess_lp(E, u, xs):
     """Largest total success sum_j e_j.x_j of a measurement guessing which
     of the states xs was prepared.
@@ -193,3 +176,19 @@ def best_guess_lp(E, u, xs):
                   options=_TIGHT)
     assert res.success, res.message
     return float(-res.fun)
+
+
+def in_hull_lp(V, x, tol):
+    """Whether some nonnegative weights w on the rows of V rebuild x within
+    tol in every coordinate: a feasibility LP with no objective.  When the
+    rows of V and x are states, such weights sum to one up to that
+    tolerance, so x lies in the hull of the rows."""
+    V = np.asarray(V, dtype=float)
+    x = np.asarray(x, dtype=float)
+    # |V^T w - x| <= tol, one row per sign
+    res = linprog(c=np.zeros(len(V)), A_ub=np.vstack([V.T, -V.T]),
+                  b_ub=np.concatenate([x + tol, tol - x]),
+                  bounds=[(0.0, None)] * len(V), method="highs",
+                  options=_TIGHT)
+    assert res.status in (0, 2), res.message
+    return res.status == 0

@@ -39,6 +39,17 @@ class TestDiag:
         rep = json.loads(res.output)
         assert abs(rep["results"]["residue"] - 0.1) < 1e-9
 
+    def test_near_pure_peel_exits_zero(self):
+        res = invoke("diag", "quantum:2", "--state",
+                     "[0.000728696125513, 0.999271303874487, "
+                     "-0.012686814818987, -0.035712395392741]",
+                     "--method", "peel", "--json")
+        assert res.exit_code == 0
+        rep = json.loads(res.output)
+        assert np.abs(np.asarray(rep["results"]["eigenvalues"])
+                      - [0.99999, 1e-5]).max() < 1e-9
+        assert rep["checks"][0]["pass"]
+
     def test_bad_model_exits_two(self):
         res = invoke("diag", "nonsense:9")
         assert res.exit_code == 2

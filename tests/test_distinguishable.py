@@ -1,7 +1,8 @@
 """Distinguishable vertex sets of polytope models: the sets stored at build
-against an independent LP, no LP after build, the peel's refusal of pieces
-no measurement tells apart, and model files with a non-positive unit
-pairing."""
+against an independent LP, no LP after build, diagonalization as a lookup
+of the state among the stored sets (checked against hull-membership and
+distinguishability LPs), its refusals, and model files with a non-positive
+unit pairing."""
 
 import json
 from itertools import combinations
@@ -9,6 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from gptt import core, resource, spectral, zoo
@@ -119,6 +121,88 @@ def test_peel_refuses_pieces_not_distinguishable():
 
 def _cli(*args):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
+
+
+def _diag_file(tmp_path, k, state):
+    path = tmp_path / f"{k}-gon.json"
+    path.write_text(json.dumps(kgon_json(k)))
+    return _cli("diag", str(path), "--state", state, "--json")
+
+
+def test_pentagon_diagonal_mixture_decomposes(tmp_path):
+    # 0.6 v0 + 0.4 v2: the vertex with the largest removable weight is v1,
+    # which lies in no distinguishable set with the rest of the state
+    m = _model("5-gon")
+    assert _distinguishable(m, (0, 2))
+    res = _diag_file(tmp_path, 5, "[0.27639320225, 0.235114100917, 1.0]")
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert np.abs(np.asarray(rep["results"]["eigenvalues"])
+                  - [0.6, 0.4]).max() < 1e-10
+    got = np.asarray(rep["results"]["eigenstates"])
+    assert np.abs(got - m.pure_states[[0, 2]]).max() < 1e-11
+
+
+def test_hexagon_two_spectra_refused(tmp_path):
+    # 0.75 v1 + 0.25 v4 = 0.5 v0 + 0.5 v2: two stored hulls cross at the
+    # state and give it different spectra, so neither is reported
+    m = _model("6-gon")
+    P = m.pure_states
+    x = 0.75 * P[1] + 0.25 * P[4]
+    assert np.abs(x - (0.5 * P[0] + 0.5 * P[2])).max() < 1e-15
+    res = _diag_file(tmp_path, 6, json.dumps(x.tolist()))
+    assert res.exit_code == 3, res.output
+    rep = json.loads(res.output)
+    assert "[0.75, 0.25]" in rep["error"] and "[0.5, 0.5]" in rep["error"]
+    assert abs(rep["results"]["residue"] - 0.25) < 1e-12
+    assert rep["results"]["partial_eigenvalues"] == []
+
+
+def test_triangle_state_near_an_edge_decomposes(tmp_path):
+    # its smallest weight is 8e-9: removing the largest vertex weight first
+    # leaves a remainder 1.7e-8 outside the cone
+    res = _diag_file(tmp_path, 3,
+                     "[-0.456844439107496, 0.8411095148532495, "
+                     "1.0000000000000002]")
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert len(rep["results"]["eigenvalues"]) == 3
+    assert rep["checks"][0]["pass"]
+
+
+def _index(m, s):
+    return int(np.flatnonzero((m.pure_states == s.coords).all(axis=1))[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(MODELS), st.integers(0, 2**16), st.booleans(),
+       st.lists(st.floats(0, 1), min_size=8, max_size=8))
+def test_lookup_matches_hull_lps(name, which, on_hull, weights):
+    """A point drawn on a stored hull decomposes into a stored set that the
+    reference LP tells apart, unless two held sets give it two spectra;
+    a point drawn anywhere that is refused lies in no stored hull."""
+    m = _model(name)
+    P = m.pure_states
+    sets = m.distinguishable_sets
+    idx = list(sets[which % len(sets)]) if on_hull else range(len(P))
+    w = np.asarray(weights[:len(idx)]) + 1e-3
+    x = (w / w.sum()) @ P[list(idx)]
+    try:
+        d = spectral.diagonalize(StateVec(x, m))
+    except DiagonalizationError as exc:
+        held = [c for c in sets if oracles.in_hull_lp(P[list(c)], x, 2e-9)]
+        if "two spectra" in str(exc):
+            assert len(held) >= 2
+        else:
+            assert not on_hull
+            assert not any(oracles.in_hull_lp(P[list(c)], x, 1e-10)
+                           for c in sets)
+        return
+    got = tuple(sorted(_index(m, s) for s in d.eigenstates))
+    assert got in sets
+    assert _distinguishable(m, got)
+    assert oracles.in_hull_lp(P[list(got)], x, 2e-9)
+    assert np.abs(d.reconstruct() - x).max() <= 1e-9
 
 
 def test_cli_refuses_peel_pieces_not_distinguishable(tmp_path):

@@ -1,5 +1,6 @@
-"""Facets of ray cones: the closed-form margin and peel weights against
-their LP references, the stored facets themselves, and the refusals."""
+"""Facets of ray cones: the closed-form margin against its LP reference,
+the stored facets themselves, a polytope diagonalization without an LP,
+and the refusals."""
 
 import json
 from functools import lru_cache
@@ -99,25 +100,6 @@ def test_margin_matches_lp(name, which, weights, offset, shift):
         x = x + np.asarray(offset)
     ref = oracles.cone_margin_lp(G, cone.interior_direction, x)
     assert abs(cone.margin(x) - ref) <= 1e-9
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(MODELS), _weights, _offset, st.booleans())
-def test_peel_weights_match_lp(name, weights, offset, shift):
-    m = _model(name)
-    G = m.state_cone.generators
-    verts = G / (G @ m.unit_effect)[:, None]
-    x = np.asarray(weights[:len(G)]) @ G
-    if shift:
-        x = x + np.asarray(offset)
-    margin = oracles.cone_margin_lp(G, m.state_cone.interior_direction, x)
-    got = spectral._peel_weights(m.state_cone.facets, verts, x)
-    refs = [oracles.peel_weight_lp(G, v, x) for v in verts]
-    if margin >= 1e-7:
-        for p, ref in zip(got, refs):
-            assert ref is not None and abs(p - ref) <= 1e-9
-    elif margin <= -1e-7:
-        assert all(ref is None for ref in refs)
 
 
 def test_cone_checks_and_peel_solve_no_lp(monkeypatch):

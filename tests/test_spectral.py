@@ -75,14 +75,20 @@ class TestDecompositionContract:
             effs = zoo.distinguishing_effects(model, d.eigenstates)
             assert effs is not None
 
-    @pytest.mark.parametrize("model", [q3, dq2], ids=lambda m: m.model_id)
+    @pytest.mark.parametrize("model", [q2, q3, dq2], ids=lambda m: m.model_id)
     def test_peel_agrees_with_fast(self, model):
+        """Random states, and pure states mixed with a fraction eps of a
+        random one: the peel keeps its remainders unnormalized, so rounding
+        is not amplified by 1 / (1 - p) on the way down to the eps pieces."""
         r = np.random.default_rng(13)
-        for _ in range(6):
-            s = rand_state(model, r)
-            a = np.asarray(diagonalize(s, method="fast").eigenvalues)
-            b = np.asarray(diagonalize(s, method="peel").eigenvalues)
-            assert np.abs(a - b).max() < 1e-8
+        for eps in 10.0 ** -np.arange(11):
+            for _ in range(3):
+                x = ((1 - eps) * model.pure_sampler(model, r)
+                     + eps * model.state_sampler(model, r))
+                s = StateVec(x, model)
+                a = diagonalize(s, method="fast").eigenvalues
+                b = diagonalize(s, method="peel").eigenvalues
+                assert np.abs(a - b).max() < 1e-10
 
     def test_chi_flat_everywhere(self):
         for m in (q2, q3, cl4, dq2, ec22):
@@ -177,11 +183,11 @@ class TestMemo:
     def test_refusal_is_not_cached(self, monkeypatch):
         m = zoo.build_model("restricted_trit")
         s = m.invariant_state
-        calls = _counting(monkeypatch, spectral, "max_eigenvalue_peel")
+        calls = _counting(monkeypatch, spectral, "_stored_set_decomposition")
         for attempt in (1, 2, 3):
             with pytest.raises(DiagonalizationError):
                 diagonalize(s)
-            assert len(calls) == attempt * m.capacity
+            assert len(calls) == attempt
         assert s._derived == {}
 
     @pytest.mark.parametrize("model", [q3, dq2, ec22, cl4],
@@ -303,6 +309,22 @@ class TestCertificate:
         with pytest.raises(DiagonalizationError) as exc:
             diagonalize(bad, method="fast")
         assert exc.value.residue > 1e-7
+
+    def test_peel_refuses_a_wrong_reconstruction(self, monkeypatch):
+        """Eigenvalues off by a relative 1e-6 leave the peeled pieces unable
+        to rebuild the state: the peel's reconstruction check refuses."""
+        s = rand_state(q3, np.random.default_rng(75))
+        eigh = np.linalg.eigh
+
+        def scaled(B):
+            w, V = eigh(B)
+            return w * (1 + 1e-6), V
+
+        monkeypatch.setattr(np.linalg, "eigh", scaled)
+        with pytest.raises(DiagonalizationError, match="reconstruction") as exc:
+            diagonalize(s, method="peel")
+        assert exc.value.residue > core.DEFAULT_TOL
+        assert s._derived == {}
 
     @pytest.mark.parametrize("model", [q3, dq2, sq], ids=lambda m: m.model_id)
     def test_peel_records_its_residual(self, model):
