@@ -148,7 +148,8 @@ class ConeSpec:
 
     @staticmethod
     def _check_pointed(G: np.ndarray):
-        # pointed iff no nontrivial nonnegative combination of rays vanishes
+        # pointed iff no nontrivial nonnegative combination of rays vanishes;
+        # the LP is feasible and bounded, so a failure is the solver's
         k = G.shape[0]
         res = linprog(
             c=-np.ones(k),
@@ -157,7 +158,9 @@ class ConeSpec:
             bounds=[(0.0, 1.0)] * k,
             method="highs",
         )
-        if not res.success or res.fun < -1e-9:
+        if not res.success:
+            raise GPTError(f"pointedness LP failed: {res.message}")
+        if res.fun < -1e-9:
             raise ValueError("cone contains a line (not pointed)")
 
     def margin(self, x) -> float:
@@ -274,9 +277,13 @@ class CompositeInfo:
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A model's data.  Polytope models also carry `pure_states`, their
-    vertices normalized to unit pairing, and `distinguishable_sets`, every
-    largest jointly perfectly distinguishable set of vertex indices in
-    lexicographic order; `capacity` is the size of those sets."""
+    vertices normalized to unit pairing; `maximal_sets`, every maximal
+    jointly perfectly distinguishable set of vertex indices in
+    lexicographic order, each with one distinguishing measurement (a
+    read-only array whose row i is the effect that is 1 on the set's i-th
+    vertex); and `distinguishable_sets`, the largest of those index sets.
+    `capacity` is their size.  A maximal set can be smaller than
+    `capacity`: a vertex that is in no distinguishable pair is one alone."""
 
     model_id: str
     kind: str
@@ -294,6 +301,7 @@ class ModelSpec:
     pure_sampler: Optional[Callable] = None   # (model, rng) -> coords
     state_sampler: Optional[Callable] = None  # (model, rng) -> coords
     pure_states: Optional[np.ndarray] = None
+    maximal_sets: tuple = ()
     distinguishable_sets: tuple = ()
 
     def __post_init__(self):
@@ -482,27 +490,60 @@ def pairing(effect, state) -> float:
     return float(as_coords(effect) @ as_coords(state))
 
 
+_NORM_FACETS: dict = {}  # model id -> _base_norm_facets(model)
+
+
+def _base_norm_facets(model: ModelSpec):
+    """Rows (a_i, b_i) of the ball conv(Omega u -Omega) = {x : a_i.x + b_i
+    >= 0 for every i}, with b_i > 0: the facets of the cone over the lifted
+    points (+-omega, 1).  Found on first use and kept by model id; None when
+    that cone has more facet candidates than MAX_FACET_SUBSETS.
+    """
+    if model.model_id not in _NORM_FACETS:
+        P = model.pure_states
+        n, D = P.shape
+        F = None
+        if math.comb(2 * n, D) <= MAX_FACET_SUBSETS:
+            L = np.hstack([np.vstack([P, -P]), np.ones((2 * n, 1))])
+            F = _ray_facets(L / np.linalg.norm(L, axis=1)[:, None],
+                            np.eye(D + 1)[-1])
+        _NORM_FACETS[model.model_id] = F
+    return _NORM_FACETS[model.model_id]
+
+
 def state_norm(model: ModelSpec, x) -> float:
     """Base norm of a state-space vector.
 
     For matrix models this is the total absolute spectrum (sum of |eigenvalue|
-    over all blocks).  For ray-cone models it is the optimal positive/negative
-    decomposition weight found by LP.
+    over all blocks).  For ray-cone models it is the gauge of the ball
+    conv(Omega u -Omega), Omega the normalized states: the largest
+    -a_i.x / b_i over the ball's facets (`_base_norm_facets`).  A polytope
+    too large for the facet search gets the same norm by LP: the least
+    (u|p) + (u|m) over x = p - m with p, m in the state cone.  A NaN or
+    infinite coordinate raises ValueError.
     """
     x = as_coords(x)
+    if not np.isfinite(x).all():
+        raise ValueError("vector has a NaN or infinite coordinate")
     if model.structure is not None:
         total = 0.0
         for B in vec_to_blocks(x, model.structure):
             total += float(np.abs(np.linalg.eigvalsh(B)).sum())
         return total
-    # min (u|p) + (u|m) over x = p - m with p, m in the state cone
+    F = _base_norm_facets(model)
+    if F is not None:
+        return float(np.max(-(F[:, :-1] @ x) / F[:, -1]))
     G = model.state_cone.generators
     k = G.shape[0]
     u = model.unit_effect
     c = np.concatenate([G @ u, G @ u])
     A_eq = np.hstack([G.T, -G.T])
+    # HiGHS's default feasibility tolerance (1e-7) would let p = m = 0
+    # stand for a vector that small
     res = linprog(c=c, A_eq=A_eq, b_eq=x, bounds=[(0.0, None)] * (2 * k),
-                  method="highs")
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     if not res.success:
         raise GPTError(f"base-norm LP failed: {res.message}")
     return float(res.fun)

@@ -106,9 +106,11 @@ def informational_equilibrium_check(model_a: ModelSpec, model_b: ModelSpec,
 def perfectly_distinguishable_search(model: ModelSpec, states) -> dict:
     """Measurement telling the given states apart with certainty, if any.
 
-    The matrix families reduce to support orthogonality and the ray models
-    to a feasibility program, so a miss is a certificate of impossibility,
-    not a search failure.
+    The matrix families reduce to support orthogonality.  On the ray models
+    vertices are looked up among the build's maximal distinguishable sets,
+    more states than `capacity` are refused outright, and other states
+    solve a feasibility program (see `zoo.distinguishing_effects`).  So a
+    miss is a certificate of impossibility, not a search failure.
     """
     effects = zoo.distinguishing_effects(model, list(states))
     if effects is None:

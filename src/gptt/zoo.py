@@ -30,6 +30,7 @@ from .core import (
     ModelSpec,
     StateVec,
     UnsupportedModelError,
+    _same_model,
     linprog,
 )
 from .embedding import (
@@ -193,45 +194,49 @@ def _support_projector(x: np.ndarray, structure: BlockStructure, tol=1e-9):
 
 
 def _ray_distinguishing_effects(G: np.ndarray, u: np.ndarray, xs: list):
-    """LP feasibility for a distinguishing measurement over ray generators."""
+    """Effects telling the states xs apart, as rows, from a feasibility LP
+    over ray generators; None when the LP is infeasible.
+
+    Infeasibility (HiGHS status 2) certifies that no distinguishing
+    measurement exists.  Any other failure is not a certificate and raises
+    GPTError with the solver's message.
+    """
     G = np.asarray(G, dtype=float)
-    u = np.asarray(u, dtype=float)
-    m = len(xs)
-    k = G.shape[0]
-    D = G.shape[1]
-    # variables: W[i, :] >= 0 with effect_i = G^T W[i]
-    nvar = m * k
-    A_rows, b_vals = [], []
-    for j, x in enumerate(xs):
-        gx = G @ x
-        for i in range(m):
-            row = np.zeros(nvar)
-            row[i * k: (i + 1) * k] = gx
-            A_rows.append(row)
-            b_vals.append(1.0 if i == j else 0.0)
-    for c in range(D):
-        row = np.zeros(nvar)
-        for i in range(m):
-            row[i * k: (i + 1) * k] = G[:, c]
-        A_rows.append(row)
-        b_vals.append(u[c])
-    res = linprog(c=np.zeros(nvar), A_eq=np.asarray(A_rows),
-                  b_eq=np.asarray(b_vals), bounds=[(0.0, None)] * nvar,
-                  method="highs")
-    if not res.success:
+    m, k = len(xs), G.shape[0]
+    # variables: W[i, :] >= 0 with effect_i = G^T W[i]; one row per
+    # (effect_i | x_j) = delta_ij, then sum_i effect_i = u
+    A = np.vstack([np.kron(np.eye(m), G @ x) for x in xs] + [np.tile(G.T, m)])
+    b = np.concatenate([np.eye(m).ravel(), u])
+    res = linprog(c=np.zeros(m * k), A_eq=A, b_eq=b,
+                  bounds=[(0.0, None)] * (m * k), method="highs")
+    if res.status == 2:
         return None
-    W = res.x.reshape(m, k)
-    return [G.T @ W[i] for i in range(m)]
+    if not res.success:
+        raise GPTError(f"distinguishability LP failed: {res.message}")
+    return res.x.reshape(m, k) @ G
 
 
 def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
-    """Effects perfectly distinguishing the given states, or None.
+    """Effects perfectly distinguishing the given states, in input order,
+    or None.
 
     Matrix models: exists iff the supports are pairwise orthogonal, and the
     effects are support projectors (remainder folded into the first).
-    Ray-cone models: feasibility LP over effect-cone generators; an
-    infeasible LP certifies that no distinguishing measurement exists.
+    Ray-cone models answer from the build's `maximal_sets` when every input
+    is a state (a StateVec, or a vertex within tol in every coordinate):
+    more states than `capacity` get None, since a vertex from each support
+    would be as many distinguishable vertices; distinct vertices get the
+    measurement of a maximal set that holds them, its other members'
+    effects folded into the first input's, or None when no set does; a
+    repeated vertex gets None.  Other inputs solve a feasibility LP over the
+    effect-cone generators, whose infeasibility certifies that no
+    distinguishing measurement exists.  A StateVec of another model raises
+    ModelCompatibilityError.
     """
+    states = list(states)
+    for s in states:
+        if isinstance(s, StateVec):
+            _same_model(model, s.model)
     xs = [np.asarray(s.coords if isinstance(s, StateVec) else s, dtype=float)
           for s in states]
     m = len(xs)
@@ -248,6 +253,22 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
         rest = [np.eye(n) - sum(Ps) for n, Ps in zip(st.dims, zip(*projs))]
         projs[0] = [P + R for P, R in zip(projs[0], rest)]
         return [EffectVec(blocks_to_vec(Ps, st), model) for Ps in projs]
+    miss = np.abs(np.asarray(xs)[:, None, :] - model.pure_states).max(axis=2)
+    idx = miss.argmin(axis=1).tolist()
+    vertex = miss[np.arange(m), idx] <= tol
+    if m > model.capacity and all(
+            v or isinstance(s, StateVec) for v, s in zip(vertex, states)):
+        return None
+    if vertex.all():
+        if len(set(idx)) < m:
+            return None
+        for c, E in model.maximal_sets:
+            if set(idx).issubset(c):
+                pos = [c.index(i) for i in idx]
+                F = E[pos]
+                F[0] += E[[p for p in range(len(c)) if p not in pos]].sum(axis=0)
+                return [EffectVec(f, model) for f in F]
+        return None
     raw = _ray_distinguishing_effects(model.effect_cone.generators,
                                       model.unit_effect, xs)
     if raw is None:
@@ -255,29 +276,42 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
     return [EffectVec(f, model) for f in raw]
 
 
-def _distinguishable_sets(verts: np.ndarray, G: np.ndarray, u: np.ndarray):
-    """Every largest jointly distinguishable set of vertices, as index tuples
-    in lexicographic order.
+def _maximal_sets(verts: np.ndarray, G: np.ndarray, u: np.ndarray):
+    """Every maximal jointly distinguishable set of vertices, as
+    (index tuple, effects) pairs in lexicographic order; row i of the
+    read-only effects array is 1 on the set's i-th vertex.
 
-    The search climbs from pairs: a set of s + 1 vertices gets an LP only
-    when each of its s-subsets passed, since dropping a state from a
-    distinguishable set leaves one (its effect merges into a kept one).
-    All vertices are tried first, which settles a simplex in one LP
-    instead of one per subset.
+    The search climbs from single vertices, which the unit effect alone
+    tells apart: a set of s + 1 vertices gets an LP only when each of its
+    s-subsets passed, since dropping a state from a distinguishable set
+    leaves one (its effect merges into a kept one).  So it finds every
+    distinguishable set, and a set that passed is maximal when no passing
+    set one larger contains it.  All vertices are tried first, which
+    settles a simplex in one LP instead of one per subset.
     """
-    if _ray_distinguishing_effects(G, u, verts) is not None:
-        return (tuple(range(len(verts))),)
-    level = [(i,) for i in range(len(verts))]
-    while True:
-        passed = set(level)
-        grown = [c + (j,) for c in level for j in range(c[-1] + 1, len(verts))]
-        grown = [c for c in grown
-                 if all(sub in passed for sub in combinations(c, len(c) - 1))
-                 and _ray_distinguishing_effects(G, u, verts[list(c)])
-                 is not None]
-        if not grown:
-            return tuple(level)
-        level = grown
+    n = len(verts)
+    E = _ray_distinguishing_effects(G, u, verts)
+    if E is not None:
+        found = [(tuple(range(n)), E)]
+    else:
+        found = []
+        level = {(i,): u[None, :].copy() for i in range(n)}
+        while level:
+            grown = {}
+            for c in level:
+                for j in range(c[-1] + 1, n):
+                    g = c + (j,)
+                    if all(sub in level for sub in combinations(g, len(g) - 1)):
+                        E = _ray_distinguishing_effects(G, u, verts[list(g)])
+                        if E is not None:
+                            grown[g] = E
+            covered = {sub for g in grown
+                       for sub in combinations(g, len(g) - 1)}
+            found += [(c, E) for c, E in level.items() if c not in covered]
+            level = grown
+    for _, E in found:
+        E.setflags(write=False)
+    return tuple(sorted(found, key=lambda item: item[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +436,8 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
     if not np.all(pairing > 0):
         raise ValueError("unit effect must be positive on every vertex")
     verts = V / pairing[:, None]
-    sets = _distinguishable_sets(verts, G, u)
+    maximal = _maximal_sets(verts, G, u)
+    capacity = max(len(c) for c, _ in maximal)
     group = GroupSpec(
         kind="finite",
         name=f"{kind}-group",
@@ -414,7 +449,7 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
         kind=kind,
         params={},
         vector_dim=D,
-        capacity=len(sets[0]),
+        capacity=capacity,
         unit_effect=u,
         chi=verts.mean(axis=0),
         state_cone=state_cone,
@@ -425,7 +460,8 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
         pure_sampler=_polytope_pure_sampler,
         state_sampler=_polytope_state_sampler,
         pure_states=verts,
-        distinguishable_sets=sets,
+        maximal_sets=maximal,
+        distinguishable_sets=tuple(c for c, _ in maximal if len(c) == capacity),
     )
 
 

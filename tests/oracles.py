@@ -158,6 +158,21 @@ def cone_margin_lp(G, e, x):
     return float(res.x[-1])
 
 
+def base_norm_lp(V, u, x):
+    """Base norm of x over the state cone spanned by the rows of V: the
+    least (u|p) + (u|m) over x = p - m with p, m in the cone."""
+    V = np.asarray(V, dtype=float)
+    k = V.shape[0]
+    # variables: cone weights a, b >= 0 with p = V^T a and m = V^T b
+    w = V @ np.asarray(u, dtype=float)
+    res = linprog(c=np.concatenate([w, w]), A_eq=np.hstack([V.T, -V.T]),
+                  b_eq=np.asarray(x, dtype=float),
+                  bounds=[(0.0, None)] * (2 * k), method="highs",
+                  options=_TIGHT)
+    assert res.success, res.message
+    return float(res.fun)
+
+
 def best_guess_lp(E, u, xs):
     """Largest total success sum_j e_j.x_j of a measurement guessing which
     of the states xs was prepared.

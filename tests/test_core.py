@@ -138,10 +138,17 @@ class TestPairingAndNorms:
         assert abs(state_norm(q2, x) - 0.75) < 1e-12
 
     def test_square_base_norm(self):
-        # outside the square: optimal split grows the norm above 1
-        x = np.array([2.0, 0.0, 1.0])
-        n = state_norm(sq, x)
-        assert n > 1 + 1e-6
+        # the square bit's ball conv(Omega u -Omega) is the cube [-1, 1]^3,
+        # so the norm is the largest absolute coordinate
+        assert abs(state_norm(sq, [2.0, 0.0, 1.0]) - 2.0) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_base_norm_refuses_non_finite(self, bad):
+        for model in (sq, q2):
+            x = np.zeros(model.vector_dim)
+            x[0] = bad
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                state_norm(model, x)
 
     def test_effect_norm(self):
         assert abs(effect_norm(q2, q2.unit_effect) - 1) < 1e-12

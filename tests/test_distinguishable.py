@@ -1,5 +1,6 @@
 """Distinguishable vertex sets of polytope models: the sets stored at build
-against an independent LP, no LP after build, diagonalization as a lookup
+against an independent LP, no LP after build, distinguishing measurements
+looked up among the maximal sets, diagonalization as a lookup
 of the state among the stored sets (checked against hull-membership and
 distinguishability LPs), its refusals, and model files with a non-positive
 unit pairing."""
@@ -13,10 +14,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gptt import core, resource, spectral, zoo
+from gptt import core, resource, spectral, symmetry, zoo
 from gptt.cli import main
-from gptt.core import DiagonalizationError, StateVec
-from test_facets import MODELS, _model, kgon_json
+from gptt.core import (DiagonalizationError, GPTError,
+                       ModelCompatibilityError, StateVec)
+from test_facets import MODELS, _model, failed_lp, kgon_json
 
 
 def _distinguishable(m, c):
@@ -57,8 +59,7 @@ def test_search_lp_count(name, lps, monkeypatch):
 
     monkeypatch.setattr(zoo, "linprog", counted)
     m = _model(name)
-    zoo._distinguishable_sets(m.pure_states, m.effect_cone.generators,
-                              m.unit_effect)
+    zoo._maximal_sets(m.pure_states, m.effect_cone.generators, m.unit_effect)
     assert len(calls) == lps
 
 
@@ -99,6 +100,79 @@ def test_no_lp_after_build(name, monkeypatch):
         idx = [int(np.flatnonzero((m.pure_states == s.coords).all(axis=1))[0])
                for s in d.eigenstates]
         assert tuple(sorted(idx)) in m.distinguishable_sets
+
+
+HOUSE = {  # a square with a roof vertex that lies in no distinguishable pair
+    "kind": "polytope", "vector_dim": 3, "unit_effect": [0, 0, 1],
+    "state_vertices": [[1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1],
+                       [0, 2, 1]],
+    "effect_generators": [[1, 0, 1], [-1, 0, 1], [0, -0.5, 1], [0, 0.5, 1]],
+    "group_generators": [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+}
+
+
+def _lookup_model(name):
+    return zoo.model_from_json(HOUSE) if name == "house" else _model(name)
+
+
+@pytest.mark.parametrize("name", MODELS + ("house",))
+def test_lookup_matches_lp_on_every_vertex_subset(name, monkeypatch):
+    m = _lookup_model(name)
+    P = m.pure_states
+    subsets = [c for r in range(1, len(P) + 1)
+               for c in combinations(range(len(P)), r)]
+    verdicts = {c: _distinguishable(m, c) for c in subsets}
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(core, "linprog", no_lp)
+    monkeypatch.setattr(zoo, "linprog", no_lp)
+    rng = np.random.default_rng(len(P))
+    for c, ok in verdicts.items():
+        for order in (list(c), list(rng.permutation(c))):
+            effects = zoo.distinguishing_effects(m, [StateVec(P[i], m)
+                                                     for i in order])
+            assert (effects is not None) == ok, (c, order)
+            if ok:
+                E = np.asarray([e.coords for e in effects])
+                assert np.abs(E.sum(axis=0) - m.unit_effect).max() <= 1e-9
+                assert np.abs(E @ P[order].T - np.eye(len(c))).max() <= 1e-9
+        if len(c) > 1:  # a repeated vertex is never told apart
+            assert zoo.distinguishing_effects(m, P[[c[0], *c]]) is None
+    chi = m.invariant_state
+    assert zoo.distinguishing_effects(m, [chi] * (m.capacity + 1)) is None
+
+
+def test_house_vertex_alone_is_a_maximal_set():
+    m = zoo.model_from_json(HOUSE)
+    assert m.capacity == 2
+    assert ((4,), ) == tuple(c for c, _ in m.maximal_sets if 4 in c)
+    assert not any(4 in c for c in m.distinguishable_sets)
+    effects = zoo.distinguishing_effects(m, [m.pure_states[4]])
+    assert np.abs(effects[0].coords - m.unit_effect).max() <= 1e-12
+    assert symmetry.perfectly_distinguishable_search(
+        m, [StateVec(m.pure_states[4], m), StateVec(m.pure_states[0], m)]
+    )["certified_none"]
+
+
+def test_states_of_another_model_refused():
+    sq, dm = _model("square_bit"), _model("diamond_bit")
+    for n in (2, 3):  # the LP and the capacity routes
+        with pytest.raises(ModelCompatibilityError):
+            zoo.distinguishing_effects(
+                sq, [StateVec(p, dm) for p in dm.pure_states[:n]])
+
+
+def test_failed_distinguishability_lp_is_not_a_verdict(monkeypatch):
+    # two mixed states that are not vertices take the LP
+    m = _model("square_bit")
+    P = m.pure_states
+    xs = [0.9 * P[0] + 0.1 * P[1], 0.9 * P[1] + 0.1 * P[0]]
+    assert zoo.distinguishing_effects(m, xs) is None  # infeasible: status 2
+    monkeypatch.setattr(zoo, "linprog", failed_lp)
+    with pytest.raises(GPTError, match="numerical difficulties"):
+        zoo.distinguishing_effects(m, xs)
 
 
 def _pentagon_mixture():

@@ -1,19 +1,22 @@
-"""Facets of ray cones: the closed-form margin against its LP reference,
-the stored facets themselves, a polytope diagonalization without an LP,
-and the refusals."""
+"""Facets of ray cones: the closed-form margin and base norm against their
+LP references, the stored facets themselves, polytope requests without an
+LP, and the refusals."""
 
 import json
 from functools import lru_cache
+from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from gptt import core, spectral, zoo
+from gptt import core, resource, spectral, symmetry, zoo
 from gptt.cli import main
-from gptt.core import ConeSpec, StateVec, UnsupportedModelError
+from gptt.core import (ConeSpec, DiagonalizationError, GPTError, StateVec,
+                       UnsupportedModelError)
 
 BUILTINS = ("square_bit", "diamond_bit", "restricted_trit")
 KGONS = tuple(range(3, 9))
@@ -103,17 +106,80 @@ def test_margin_matches_lp(name, which, weights, offset, shift):
 
 
 def test_cone_checks_and_peel_solve_no_lp(monkeypatch):
-    m = _model("square_bit")
+    """The polytope request mix solves no LP once the model is built."""
+    models = [_model(name) for name in BUILTINS + ("5-gon",)]
 
     def no_lp(*args, **kwargs):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(core, "linprog", no_lp)
-    v = m.state_cone.generators  # each vertex already has unit pairing
-    x = StateVec(0.7 * v[0] + 0.3 * v[3], m)
-    d = spectral.diagonalize(x)
-    assert np.abs(d.eigenvalues - [0.7, 0.3]).max() < 1e-12
-    assert np.abs(d.reconstruct() - x.coords).max() < 1e-12
+    monkeypatch.setattr(zoo, "linprog", no_lp)
+    rng = np.random.default_rng(0)
+    for m in models:
+        P = m.pure_states
+        if m.capacity > 1:
+            a, b = m.distinguishable_sets[0][:2]
+            x = StateVec(0.7 * P[a] + 0.3 * P[b], m)
+            d = spectral.diagonalize(x)
+            assert np.abs(d.eigenvalues - [0.7, 0.3]).max() < 1e-12
+            assert np.abs(d.reconstruct() - x.coords).max() < 1e-12
+        for _ in range(4):
+            x = StateVec(rng.dirichlet(np.ones(len(P))) @ P, m)
+            try:
+                spectral.diagonalize(x)
+            except DiagonalizationError:
+                pass
+            tw = symmetry.twirl(x)
+            assert core.state_norm(m, x.coords - tw.coords) >= 0
+        for r in (2, 3):
+            for c in combinations(range(len(P)), r):
+                symmetry.perfectly_distinguishable_search(
+                    m, [StateVec(P[i], m) for i in c])
+        resource.check_unrestricted_reversibility(m)
+        symmetry.invariant_state(m)
+        symmetry.is_transitive(m)
+
+
+_vector = st.lists(st.floats(-2, 2), min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODELS + ("26-gon",)), _vector)
+@example("square_bit", [1e-7, 0.0, 0.0])  # both read 0.0 by the LP with
+@example("26-gon", [0.0, 0.0, 6e-8])      # HiGHS's default tolerances
+def test_base_norm_matches_lp(name, x):
+    m = _model(name)
+    ref = oracles.base_norm_lp(m.state_cone.generators, m.unit_effect, x)
+    assert abs(core.state_norm(m, x) - ref) <= 1e-9
+
+
+def test_base_norm_lp_past_the_subset_cap(monkeypatch):
+    # the 26-gon's ball has C(52, 3) = 22,100 facet candidates, more than
+    # MAX_FACET_SUBSETS, while the 25-gon's has 19,600
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return zoo.linprog(*args, **kwargs)
+
+    monkeypatch.setattr(core, "linprog", counted)
+    m = _model("26-gon")
+    x = m.pure_states[0] - m.pure_states[13]
+    assert abs(core.state_norm(m, x) - 2.0) <= 1e-9
+    assert core._base_norm_facets(m) is None and len(calls) == 1
+    assert core._base_norm_facets(_model("8-gon")) is not None
+
+
+def failed_lp(*args, **kwargs):
+    """A linprog result with HiGHS status 4: the solver gave up."""
+    return SimpleNamespace(status=4, success=False, x=None, fun=None,
+                           message="numerical difficulties")
+
+
+def test_failed_pointedness_lp_is_not_a_verdict(monkeypatch):
+    monkeypatch.setattr(core, "linprog", failed_lp)
+    with pytest.raises(GPTError, match="numerical difficulties"):
+        ConeSpec("rays", 3, generators=_model("square_bit").state_cone.generators)
 
 
 def test_subset_cap_refused():
