@@ -9,6 +9,7 @@ blocks (matrix models) and finitely generated ray cones (polytope models).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -341,6 +342,21 @@ def _same_model(a: ModelSpec, b: ModelSpec):
         )
 
 
+def per_model_id(build):
+    """Decorator for fixed data of a model: build(model) runs on the first
+    call for each model id, and its result, None included, is kept and
+    returned to every later call.  Two different models never share an id,
+    so a kept result never serves the wrong model.  Errors are not kept."""
+    kept = {}
+
+    @functools.wraps(build)
+    def cached(model):
+        if model.model_id not in kept:
+            kept[model.model_id] = build(model)
+        return kept[model.model_id]
+    return cached
+
+
 # ---------------------------------------------------------------------------
 # States, effects, observables
 
@@ -490,25 +506,20 @@ def pairing(effect, state) -> float:
     return float(as_coords(effect) @ as_coords(state))
 
 
-_NORM_FACETS: dict = {}  # model id -> _base_norm_facets(model)
-
-
+@per_model_id
 def _base_norm_facets(model: ModelSpec):
     """Rows (a_i, b_i) of the ball conv(Omega u -Omega) = {x : a_i.x + b_i
     >= 0 for every i}, with b_i > 0: the facets of the cone over the lifted
     points (+-omega, 1).  Found on first use and kept by model id; None when
     that cone has more facet candidates than MAX_FACET_SUBSETS.
     """
-    if model.model_id not in _NORM_FACETS:
-        P = model.pure_states
-        n, D = P.shape
-        F = None
-        if math.comb(2 * n, D) <= MAX_FACET_SUBSETS:
-            L = np.hstack([np.vstack([P, -P]), np.ones((2 * n, 1))])
-            F = _ray_facets(L / np.linalg.norm(L, axis=1)[:, None],
-                            np.eye(D + 1)[-1])
-        _NORM_FACETS[model.model_id] = F
-    return _NORM_FACETS[model.model_id]
+    P = model.pure_states
+    n, D = P.shape
+    if math.comb(2 * n, D) > MAX_FACET_SUBSETS:
+        return None
+    L = np.hstack([np.vstack([P, -P]), np.ones((2 * n, 1))])
+    return _ray_facets(L / np.linalg.norm(L, axis=1)[:, None],
+                       np.eye(D + 1)[-1])
 
 
 def state_norm(model: ModelSpec, x) -> float:

@@ -302,21 +302,13 @@ def block_eigh(x: np.ndarray, structure: BlockStructure):
     return [np.linalg.eigh(B) for B in vec_to_blocks(x, structure)]
 
 
-def pure_block_coords(structure: BlockStructure, block: int,
-                      V: np.ndarray) -> np.ndarray:
-    """Coordinates of the rank-one states |v><v|, one row per column v of V.
-
-    Each column is first put in canonical phase (its first entry above 1e-10
-    in absolute value made real and positive) and then scaled to unit
-    length; the outer products are formed in one broadcast and embedded
-    with one gather.  A column whose norm falls below 1e-15 is refused.
-    """
+def canonical_rows(V: np.ndarray) -> np.ndarray:
+    """The columns of V as the rows of a new read-only array, each put in
+    canonical phase (its first entry above 1e-10 in absolute value made real
+    and positive) and then scaled to unit length.  A column whose norm falls
+    below 1e-15 is refused."""
     V = np.asarray(V)
-    n = structure.dims[block]
-    if V.ndim != 2 or V.shape[0] != n:
-        raise ValueError("vectors do not fit the block")
-    k = V.shape[1]
-    cols = np.arange(k)
+    cols = np.arange(V.shape[1])
     big = np.abs(V) > 1e-10
     first = big.argmax(axis=0)
     lead = V[first, cols]
@@ -326,6 +318,15 @@ def pure_block_coords(structure: BlockStructure, block: int,
     if min(nrm, default=1.0) < 1e-15:
         raise ValueError("zero vector")
     U /= np.array(nrm)[:, None]
+    U.setflags(write=False)
+    return U
+
+
+def rank_one_coords(structure: BlockStructure, block: int,
+                    U: np.ndarray) -> np.ndarray:
+    """Coordinates of the rank-one matrices |u><u|, one row per row u of U,
+    in one broadcast and one gather."""
+    k, n = U.shape
     P = (U[:, :, None] * U[:, None, :].conj()).reshape(k, n * n)
     if structure.field == "C":
         P = P.astype(complex, copy=False).view(float)
@@ -334,6 +335,17 @@ def pure_block_coords(structure: BlockStructure, block: int,
     off = structure.coord_offsets()[block]
     x[:, off: off + maps.read.size] = P.real[:, maps.read] * maps.mul
     return x
+
+
+def pure_block_coords(structure: BlockStructure, block: int,
+                      V: np.ndarray) -> np.ndarray:
+    """Coordinates of the rank-one states |v><v|, one row per column v of V,
+    each column first put in canonical phase and unit length
+    (`canonical_rows`)."""
+    V = np.asarray(V)
+    if V.ndim != 2 or V.shape[0] != structure.dims[block]:
+        raise ValueError("vectors do not fit the block")
+    return rank_one_coords(structure, block, canonical_rows(V))
 
 
 def pure_block_vec(structure: BlockStructure, block: int, psi: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from .core import (
     StateVec,
     UnsupportedModelError,
     _same_model,
-    compose,
+    per_model_id,
 )
 from .embedding import vec_to_blocks
 from . import zoo
@@ -102,7 +102,11 @@ def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
     """Write a doubly stochastic matrix as a convex sum of permutations.
 
     Returns [(weight, perm)] with perm[i] the column matched to row i;
-    the term count never exceeds (d-1)^2 + 1.
+    the term count never exceeds (d-1)^2 + 1.  Each term matches rows to
+    columns over the entries of the remainder above a threshold, given to
+    the matcher as a CSR graph built from their indices, and takes the
+    smallest matched entry as its weight.  The weights must sum to 1 within
+    1e-8, else GPTError.
     """
     D = np.asarray(D, dtype=float)
     d = D.shape[0]
@@ -112,7 +116,7 @@ def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
             or np.abs(D.sum(axis=1) - 1).max() > 1e-8
             or D.min() < -tol):
         raise ValueError("matrix is not doubly stochastic")
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csr_array
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
     R = np.clip(D, 0.0, None)
@@ -122,8 +126,11 @@ def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
         if mass <= 1e-11:
             break
         thresh = max(1e-12, 1e-12 * mass)
-        match = maximum_bipartite_matching(csr_matrix(R > thresh),
-                                           perm_type="column")
+        rows, cols = np.nonzero(R > thresh)
+        indptr = np.searchsorted(rows, np.arange(d + 1))
+        match = maximum_bipartite_matching(
+            csr_array((np.ones(cols.size, bool), cols, indptr), shape=(d, d)),
+            perm_type="column")
         if np.any(match < 0):
             raise GPTError("support of the remainder admits no matching; "
                            "input was not doubly stochastic enough")
@@ -280,9 +287,11 @@ def _sector_matching_reversible(model: ModelSpec, rho: StateVec,
     return block_reversible(model, blocks, perm)
 
 
-def _uniformizing_mixture(model: ModelSpec) -> Optional[list]:
+@per_model_id
+def _uniformizing_mixture(model: ModelSpec) -> Optional[tuple]:
     """Reversibles whose uniform mixture sends every state to the invariant
-    state; None when the required mixture would be too large."""
+    state; None when the required mixture would be too large.  Built once
+    per model id and kept for the life of the process."""
     st = model.structure
     if st is None:
         return None
@@ -303,9 +312,10 @@ def _uniformizing_mixture(model: ModelSpec) -> Optional[list]:
             return None
         sector_ops = [np.eye(1)]
     shifts = [[(j + k) % N for j in range(N)] for k in range(N)]
-    return [block_reversible(model, [sector_ops[c] for c in combo], sh)
-            for combo in itertools.product(range(len(sector_ops)), repeat=N)
-            for sh in shifts]
+    return tuple(block_reversible(model, [sector_ops[c] for c in combo], sh)
+                 for combo in itertools.product(range(len(sector_ops)),
+                                                repeat=N)
+                 for sh in shifts)
 
 
 def _rare_mixture_channel(model: ModelSpec, weights,
@@ -324,7 +334,18 @@ def _rare_mixture_channel(model: ModelSpec, weights,
 
 def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
                   ds: Diagonalization) -> ConversionOutcome:
-    """Mixture-of-reversibles verdict for a pair whose spectra majorise."""
+    """Mixture-of-reversibles verdict for a pair whose spectra majorise.
+
+    With unrestricted reversibility: the mixing matrix D (eigenvalues of
+    sigma = D times those of rho) is split into Birkhoff terms, and term
+    (w, perm) contributes weight w of the one reversible that sends source
+    eigenstate perm[i] onto target eigenstate i, for every i
+    (`basis_aligning_reversible`, built from the eigenstates' cached
+    supports).  Elsewhere: a pure source mixes reversibles onto each target
+    eigenstate, the invariant target averages a uniformizing family, and
+    sectorized models compare sector spectra.  Every witness channel must
+    reach sigma within 1e-8.
+    """
     model = rho.model
     if model.structure is None:
         return ConversionOutcome("unknown", None, {
@@ -334,15 +355,12 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
     # of a Birkhoff decomposition of the mixing matrix
     if model.flags.unrestricted_reversibility:
         D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
-        align = basis_aligning_reversible(model, dr.eigenstates,
-                                          ds.eigenstates)
-        d = len(ds.eigenstates)
         weights, reversibles = [], []
         for w, perm in birkhoff_decompose(D):
-            # permute the target basis: member at position perm[i] moves to i
-            src = [ds.eigenstates[perm[i]] for i in range(d)]
-            permute = basis_aligning_reversible(model, src, ds.eigenstates)
-            reversibles.append(compose(permute, align))
+            # source member perm[i] goes straight onto target member i
+            src = [dr.eigenstates[j] for j in perm.tolist()]
+            reversibles.append(
+                basis_aligning_reversible(model, src, ds.eigenstates))
             weights.append(w)
         chan = _rare_mixture_channel(model, weights, reversibles)
         resid = _target_residual(chan, rho, sigma, "synthesized mixture")

@@ -16,6 +16,7 @@ coordinates; `transition_matrix` reads them off the eigenstates directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,8 +35,10 @@ from .core import (
     _kron_to_coords,
     _same_model,
     as_coords,
+    per_model_id,
 )
-from .embedding import block_eigh, blocks_to_vec, pure_block_coords, vec_to_blocks
+from .embedding import (_frozen, block_eigh, blocks_to_vec, canonical_rows,
+                        pure_block_coords, rank_one_coords, vec_to_blocks)
 from . import zoo
 
 
@@ -45,9 +48,19 @@ def _lex_key(x: np.ndarray):
 
 def _descending_order(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Order of a decomposition: eigenvalues descending at 12 digits, ties
-    broken by the eigenstates' coordinates at 10 digits, lexicographically."""
+    broken by the eigenstates' coordinates at 10 digits, lexicographically,
+    and then by position.  Coordinates are read only within groups of tied
+    eigenvalues."""
     first = [-round(v, 12) for v in values.tolist()]
-    return np.lexsort(np.vstack([np.round(rows, 10).T[::-1], first]))
+    order = []
+    for _, group in itertools.groupby(
+            sorted(range(len(first)), key=first.__getitem__), first.__getitem__):
+        tied = list(group)
+        if len(tied) > 1:
+            tied = [tied[i] for i in
+                    np.lexsort(np.round(rows[tied], 10).T[::-1]).tolist()]
+        order += tied
+    return np.array(order, dtype=np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,11 +92,14 @@ class Diagonalization:
 
 def _block_spectrum(x: np.ndarray, st) -> tuple:
     """Raw eigenvalues of x, block by block and ascending within a block,
-    and the coordinates of their eigenstates, one row each."""
-    parts = block_eigh(x, st)
+    the coordinates of their eigenstates, one row each, and each
+    eigenstate's support (block, unit vector in canonical phase): the
+    vectors are read-only rows of one array per block."""
+    parts = [(w, canonical_rows(V)) for w, V in block_eigh(x, st)]
     return (np.concatenate([w for w, _ in parts]),
-            np.concatenate([pure_block_coords(st, b, V)
-                            for b, (_, V) in enumerate(parts)]))
+            np.concatenate([rank_one_coords(st, b, U)
+                            for b, (_, U) in enumerate(parts)]),
+            [(b, u) for b, (_, U) in enumerate(parts) for u in U])
 
 
 def _complete_matrix_basis(model: ModelSpec, used: list) -> list:
@@ -101,11 +117,20 @@ def _complete_matrix_basis(model: ModelSpec, used: list) -> list:
     return out
 
 
+@per_model_id
+def _stored_sets(model: ModelSpec) -> tuple:
+    """The stored distinguishable sets' vertex matrices V, one per set, and
+    the pseudo-inverses of their transposes, both read-only."""
+    V = model.pure_states[np.asarray(model.distinguishable_sets)]
+    return _frozen(V, np.linalg.pinv(V.transpose(0, 2, 1)))
+
+
 def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     """Weights and vertices, in decomposition order, of x over the stored
     distinguishable set of a polytope model whose hull holds it.
 
-    One batched least-squares solve fits x by every stored set at once.  A
+    One batched least-squares solve fits x by every stored set at once,
+    with pseudo-inverses kept from the model's first one (`_stored_sets`).  A
     set holds x when its weights w are at least -DEFAULT_TOL and, clipped at
     0, rebuild x within DEFAULT_TOL.  Held sets must agree on the spectrum
     within DEFAULT_TOL; the first decomposition in `_descending_order` terms
@@ -113,8 +138,8 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     the smallest miss over the sets) or when two held sets give different
     spectra (residue: their largest difference).
     """
-    V = model.pure_states[np.asarray(model.distinguishable_sets)]
-    w = np.linalg.pinv(V.transpose(0, 2, 1)) @ x
+    V, pinv = _stored_sets(model)
+    w = pinv @ x
     p = np.clip(w, 0.0, None)
     fit = np.abs(np.einsum("sc,scd->sd", p, V) - x).max(axis=1)
     miss = np.maximum(fit, -w.min(axis=1))
@@ -182,12 +207,14 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
         if model.structure is None:
             raise UnsupportedModelError(
                 f"{model.model_id} has no block eigendecomposition")
-        raw, rows = _block_spectrum(state.coords, model.structure)
+        raw, rows, supports = _block_spectrum(state.coords, model.structure)
         values = np.where(raw < 0.0, 0.0, raw)
         order = _descending_order(values, rows)
         values = values[order]
         eigenstates, residual = _certified_eigenstates(
             model, state.coords, raw[order], rows[order])
+        for s, i in zip(eigenstates, order.tolist()):
+            s._derived["pure_support"] = supports[i]
     else:
         if model.structure is None:
             values, rows = _stored_set_decomposition(model, state.coords)
@@ -202,7 +229,7 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
                         f"into {model.capacity} perfectly distinguishable "
                         "pure states", residue=left,
                         partial=(np.asarray(values_l), tuple(eigenstates_l)))
-                vals, rows = _block_spectrum(r, model.structure)
+                vals, rows, supports = _block_spectrum(r, model.structure)
                 best = 0
                 for i, val in enumerate(vals.tolist()):
                     if (val > vals[best] + 1e-14
@@ -210,6 +237,7 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
                                 and _lex_key(rows[i]) < _lex_key(rows[best]))):
                         best = i
                 eigenstates_l.append(StateVec(rows[best], model))
+                eigenstates_l[-1]._derived["pure_support"] = supports[best]
                 if vals[best] >= left - 1e-11:
                     values_l.append(left)
                     break

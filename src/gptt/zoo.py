@@ -32,10 +32,12 @@ from .core import (
     UnsupportedModelError,
     _same_model,
     linprog,
+    per_model_id,
 )
 from .embedding import (
     BlockStructure,
     blocks_to_vec,
+    canonical_rows,
     conjugation_matrix,
     pure_block_coords,
     pure_block_vec,
@@ -135,15 +137,9 @@ def _finite_group_sampler(model: ModelSpec, rng: np.random.Generator) -> Channel
     return model.make_reversible(M, kraus=None if K is None else [K])
 
 
-_CLOSURES: dict = {}
-
-
+@per_model_id
 def _closure_cache(model: ModelSpec):
-    cached = _CLOSURES.get(model.model_id)
-    if cached is None:
-        cached = close_group([(M, K) for M, K in model.group.generators])
-        _CLOSURES[model.model_id] = cached
-    return cached
+    return close_group([(M, K) for M, K in model.group.generators])
 
 
 def block_reversible(model: ModelSpec, blocks, perm=None) -> ChannelMap:
@@ -619,9 +615,13 @@ def pure_maximal_set(model: ModelSpec) -> list:
 def pure_support(state: StateVec):
     """(sector, unit vector) carrying a pure matrix-model state.
 
-    The vector is read-only and the result is cached on the state, so
-    eigenstates shared through a cached diagonalization are solved once.
-    Errors are not cached and are raised again on every call.
+    The vector is read-only, in canonical phase (`embedding.canonical_rows`:
+    its first entry above 1e-10 in absolute value real and positive), and
+    cached on the state.  An eigenstate made by `spectral.diagonalize`
+    arrives with the vector its coordinates were built from, so no
+    eigensolver runs for it; any other state gets one eigensolve per block
+    until a block shows an eigenvalue above 1 - 1e-7.  Errors are not
+    cached and are raised again on every call.
     """
     cached = state._derived.get("pure_support")
     if cached is not None:
@@ -632,8 +632,7 @@ def pure_support(state: StateVec):
     for b, B in enumerate(vec_to_blocks(state.coords, st)):
         w, V = np.linalg.eigh(B)
         if w[-1] > 1.0 - 1e-7:
-            v = V[:, -1]
-            v.setflags(write=False)
+            v = canonical_rows(V[:, -1:])[0]
             state._derived["pure_support"] = (b, v)
             return b, v
     raise GPTError("state is not pure")

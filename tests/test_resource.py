@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from gptt import resource, zoo
 from gptt.core import (DiagonalizationError, GPTError, ModelCompatibilityError,
-                       StateVec, UnsupportedModelError, apply_channel)
+                       StateVec, UnsupportedModelError, apply_channel, compose)
 from gptt.embedding import blocks_to_vec
 from gptt.spectral import diagonalize
 from oracles import doubly_stochastic_exists, majorizes as oracle_majorizes
@@ -174,6 +174,43 @@ class TestRareSynthesis:
                 K = U.kraus[0]
                 assert np.abs(K @ K.conj().T - np.eye(K.shape[0])).max() < 1e-8
 
+    @pytest.mark.parametrize("text", ["quantum:3", "quantum:4", "rebit",
+                                      "classical:4"])
+    def test_term_reversible_equals_composed_pair(self, text):
+        # each Birkhoff term is one reversible sending source eigenstate
+        # perm[i] onto target eigenstate i: the alignment of the two bases
+        # followed by the permutation of the target basis, fused
+        m = zoo.parse_model_string(text)
+        r = np.random.default_rng(33)
+        pairs = []
+        for _ in range(4):
+            rho = rand_state(m, r)
+            t = r.uniform(0.2, 0.8)
+            pairs.append((rho, StateVec((1 - t) * rho.coords + t * m.chi, m)))
+            pure = StateVec(m.pure_sampler(m, r), m)
+            pairs.append((pure, rand_state(m, r)))
+        terms_seen = 0
+        for rho, sigma in pairs:
+            out = resource.convertible(rho, sigma, "rare")
+            assert out.answer == "yes"
+            dr, ds = diagonalize(rho), diagonalize(sigma)
+            D = resource.t_transform_chain(dr.eigenvalues, ds.eigenvalues)
+            terms = resource.birkhoff_decompose(D)
+            fused = out.channel.witness["reversibles"]
+            assert len(fused) == len(terms)
+            weights = out.channel.witness["weights"]
+            assert weights.tolist() == [w for w, _ in terms]
+            align = zoo.basis_aligning_reversible(m, dr.eigenstates,
+                                                  ds.eigenstates)
+            for (_, perm), chan in zip(terms, fused):
+                src = [ds.eigenstates[j] for j in perm]
+                permute = zoo.basis_aligning_reversible(m, src, ds.eigenstates)
+                old = compose(permute, align)
+                assert np.abs(chan.matrix - old.matrix).max() <= 1e-12
+                assert np.abs(chan.kraus[0] - old.kraus[0]).max() <= 1e-12
+                terms_seen += 1
+        assert terms_seen > len(pairs)
+
     def test_gate_on_unflagged_model(self):
         rho, sig = rand_state(dq2), rand_state(dq2)
         with pytest.raises(UnsupportedModelError, match="not sufficient"):
@@ -221,6 +258,10 @@ class TestSectorVerdicts:
             assert out.answer == "yes"
             moved = apply_channel(out.channel, rho)
             assert np.abs(moved.coords - model.chi).max() < 1e-8
+            # the family is fixed data of the model, built once
+            fam = resource._uniformizing_mixture(model)
+            assert out.channel.witness["reversibles"] == fam
+            assert resource._uniformizing_mixture(model) is fam
 
     def test_honest_unknown(self):
         st_ = dq2.structure

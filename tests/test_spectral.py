@@ -12,7 +12,7 @@ from gptt.core import (
     StateVec,
     apply_channel,
 )
-from gptt.embedding import blocks_to_vec, vec_to_blocks
+from gptt.embedding import blocks_to_vec, pure_block_vec, vec_to_blocks
 from gptt.spectral import (
     dagger,
     diagonalize,
@@ -193,17 +193,23 @@ class TestMemo:
     @pytest.mark.parametrize("model", [q3, dq2, ec22, cl4],
                              ids=lambda m: m.model_id)
     def test_pure_support_cached_read_only(self, model):
+        # the fast route hands each eigenstate the vector its coordinates
+        # were built from; a fresh eigensolve of a copy agrees with it
+        st_ = model.structure
         for e in diagonalize(rand_state(model, np.random.default_rng(63))
                              ).eigenstates:
-            fresh = zoo.pure_support(StateVec(e.coords, model))
             b, v = zoo.pure_support(e)
             assert zoo.pure_support(e)[1] is v
             assert not v.flags.writeable
             with pytest.raises(ValueError):
                 v[0] = 0
-            assert b == fresh[0]
-            assert v.dtype == fresh[1].dtype
-            assert v.tobytes() == fresh[1].tobytes()
+            lead = v[np.flatnonzero(np.abs(v) > 1e-10)[0]]
+            assert lead.real > 0 and abs(lead.imag) <= 1e-15
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+            assert np.abs(pure_block_vec(st_, b, v) - e.coords).max() <= 1e-12
+            fb, fv = zoo.pure_support(StateVec(e.coords, model))
+            assert fb == b and fv.dtype == v.dtype
+            assert np.abs(fv - v).max() <= 1e-12
 
     @pytest.mark.parametrize("model", [q3, dq2, cl4],
                              ids=lambda m: m.model_id)
@@ -222,16 +228,91 @@ class TestMemo:
             resource.convertible(rho, sigma, "rare")
 
         decompositions = _counting(monkeypatch, spectral, "block_eigh")
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
         request()
         assert len(decompositions) == 2
         assert decompositions[0][0] is rho.coords
         assert decompositions[1][0] is sigma.coords
+        # one eigensolve per block per state: the witnesses read every
+        # eigenstate's support from the fast route
+        assert len(eigh) == 2 * model.structure.block_count
+        for s in diagonalize(rho).eigenstates + diagonalize(sigma).eigenstates:
+            assert zoo.pure_support(s) is s._derived["pure_support"]
         # a repeat reads every spectrum and eigenstate support from the
         # states: no eigensolver runs at all
-        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        eigh.clear()
         eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
         request()
         assert len(decompositions) == 2 and eigh == [] and eigvalsh == []
+
+    def test_stored_set_solve_kept_per_model(self, monkeypatch):
+        for kind in ("square_bit", "diamond_bit", "restricted_trit"):
+            m = zoo.build_model(kind)
+            c = list(m.distinguishable_sets[0])
+            w = np.arange(len(c), 0, -1.0)
+            x = w @ m.pure_states[c] / w.sum()
+            pinv = _counting(monkeypatch, np.linalg, "pinv")
+            first = diagonalize(StateVec(x, m))
+            assert len(pinv) <= 1  # none when an earlier model had this id
+            pinv.clear()
+            second = diagonalize(StateVec(x, m))
+            assert pinv == []
+            assert second.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+            assert all(a.coords.tobytes() == b.coords.tobytes() for a, b
+                       in zip(first.eigenstates, second.eigenstates))
+
+
+def _full_lexsort(values, rows):
+    first = [-round(v, 12) for v in values.tolist()]
+    return np.lexsort(np.vstack([np.round(rows, 10).T[::-1], first]))
+
+
+def _planted_tie_state(model, r):
+    """A state whose blocks share one spectrum with repeated values (and
+    zeros), each block in a Haar-random basis."""
+    st_ = model.structure
+    n = st_.dims[0]
+    p = r.choice([0.0, 1.0, 2.0], size=n)
+    p[0] = 1.0
+    blocks = []
+    for m in st_.dims:
+        U = zoo._haar_unitary(r, m, st_.field)
+        blocks.append((U * p[:m]) @ U.conj().T)
+    x = blocks_to_vec(blocks, st_)
+    return StateVec(x / float(model.unit_effect @ x), model)
+
+
+class TestDescendingOrder:
+    @pytest.mark.parametrize("model", [q3, cl4, dq2, ec22,
+                                       zoo.build_model("quantum", n=4)],
+                             ids=lambda m: m.model_id)
+    def test_matches_full_lexsort_on_states(self, model):
+        r = np.random.default_rng(81)
+        states = [rand_state(model, r) for _ in range(10)]
+        states += [_planted_tie_state(model, r) for _ in range(10)]
+        states += [model.invariant_state,
+                   StateVec(model.pure_sampler(model, r), model)]
+        ties = 0
+        for s in states:
+            raw, rows, _ = spectral._block_spectrum(s.coords, model.structure)
+            values = np.where(raw < 0.0, 0.0, raw)
+            want = _full_lexsort(values, rows)
+            got = spectral._descending_order(values, rows)
+            assert got.tolist() == want.tolist()
+            ties += len(set(np.round(values, 12).tolist())) < len(values)
+        assert ties >= 10
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_lexsort_on_planted_ties(self, seed):
+        # few distinct values and coordinates, so ties run several keys deep
+        # and whole rows repeat
+        r = np.random.default_rng(seed)
+        k = int(r.integers(1, 9))
+        values = r.choice([0.0, 0.25, 0.5 + 1e-14], size=k)
+        rows = r.choice([-1.0, 0.0, 1.0 + 1e-12], size=(k, 5))
+        got = spectral._descending_order(values, rows)
+        assert got.tolist() == _full_lexsort(values, rows).tolist()
 
 
 def _shear(w, V):
