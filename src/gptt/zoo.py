@@ -617,11 +617,12 @@ def pure_support(state: StateVec):
 
     The vector is read-only, in canonical phase (`embedding.canonical_rows`:
     its first entry above 1e-10 in absolute value real and positive), and
-    cached on the state.  An eigenstate made by `spectral.diagonalize`
-    arrives with the vector its coordinates were built from, so no
-    eigensolver runs for it; any other state gets one eigensolve per block
-    until a block shows an eigenvalue above 1 - 1e-7.  Errors are not
-    cached and are raised again on every call.
+    cached on the state.  An eigenstate made by the fast route of
+    `spectral.diagonalize`, or peeled by the matrix peel, arrives with the
+    vector its coordinates were built from, so no eigensolver runs for it;
+    any other state gets one eigensolve per block until a block shows an
+    eigenvalue above 1 - 1e-7.  Errors are not cached and are raised again
+    on every call.
     """
     cached = state._derived.get("pure_support")
     if cached is not None:
