@@ -19,6 +19,7 @@ import numpy as np
 
 from .embedding import (
     BlockStructure,
+    block_eigh,
     conjugation_matrix,
     vec_to_blocks,
     vec_to_total,
@@ -164,16 +165,22 @@ class ConeSpec:
         if res.fun < -1e-9:
             raise ValueError("cone contains a line (not pointed)")
 
-    def margin(self, x) -> float:
+    def margin(self, x, eig: Optional[list] = None) -> float:
         """Largest m with x - m * (interior direction) still in the cone.
 
         Nonnegative exactly on cone members; for psd cones this is the
-        minimum block eigenvalue.
+        minimum block eigenvalue.  Given a list `eig`, a psd cone finds it
+        with `block_eigh` and fills the list with the blocks' (w, V) pairs:
+        this is where a matrix-model state's one eigensolve happens
+        (`StateVec`).  Without it, eigenvalues alone are computed.
         """
         x = as_coords(x)
         if x.shape != (self.dim,):
             raise ValueError("vector has wrong dimension")
         if self.kind == "psd":
+            if eig is not None:
+                eig[:] = block_eigh(x, self.structure)
+                return min(float(w[0]) for w, _ in eig)
             worst = np.inf
             for B in vec_to_blocks(x, self.structure):
                 w = np.linalg.eigvalsh(B)
@@ -187,13 +194,14 @@ class ConeSpec:
 
 
 def cone_membership(model: "ModelSpec", x, which: str = "state",
-                    tol: float = DEFAULT_TOL):
+                    tol: float = DEFAULT_TOL, eig: Optional[list] = None):
     """Membership test with a signed separation margin.
 
-    Returns (inside, margin); margin >= -tol counts as inside.
+    Returns (inside, margin); margin >= -tol counts as inside.  `eig` is
+    passed on to `ConeSpec.margin`.
     """
     cone = model.state_cone if which == "state" else model.effect_cone
-    m = cone.margin(as_coords(x))
+    m = cone.margin(as_coords(x), eig)
     return (m >= -tol, m)
 
 
@@ -366,13 +374,16 @@ class StateVec:
     """Normalized state: cone member with unit pairing against the unit effect.
 
     The constructor checks the unit pairing (within 1e-7) and cone
-    membership (margin at least -DEFAULT_TOL).  The eigenstates of a fast
-    diagonalization are the one exception: `_certified_eigenstates` builds
-    them after a single check of the whole decomposition, which they pass
-    with tighter tolerances than these.  The state is frozen and its
-    coordinates are read-only, so results derived from it alone (its
-    diagonalizations, the support of a pure state) are cached in `_derived`
-    and never go stale.
+    membership (margin at least -DEFAULT_TOL).  On a matrix model the
+    membership check is the state's one block eigendecomposition: its
+    (w, V) pairs are kept in `_derived["block_eigh"]` until the fast route
+    of `spectral.diagonalize` takes them out, so no second eigensolve runs.
+    The eigenstates of a fast diagonalization are the one exception to the
+    check: `_certified_eigenstates` builds them, without kept pairs, after a
+    single check of the whole decomposition, which they pass with tighter
+    tolerances than these.  The state is frozen and its coordinates are
+    read-only, so results derived from it alone (its diagonalizations, the
+    support of a pure state) are cached in `_derived` and never go stale.
     """
 
     coords: np.ndarray
@@ -392,9 +403,12 @@ class StateVec:
         p = float(self.model.unit_effect @ x)
         if not abs(p - 1.0) <= 1e-7:
             raise NormalizationError(f"state has unit pairing {p!r}, expected 1")
-        ok, margin = cone_membership(self.model, x, "state")
+        eig = []
+        ok, margin = cone_membership(self.model, x, "state", eig=eig)
         if not ok:
             raise ConeError(f"state outside cone (margin {margin:.3e})")
+        if eig:
+            self._derived["block_eigh"] = eig
 
     @classmethod
     def normalized(cls, model: ModelSpec, raw) -> "StateVec":

@@ -41,8 +41,9 @@ arrays (about 1 MB each at D = 2048) plus two D x d row gathers of K.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +76,10 @@ class BlockStructure:
             return n * n
         return n * (n + 1) // 2
 
-    @property
+    @cached_property
     def coord_dim(self) -> int:
+        """Summed once per structure; not a field, so hashing and equality
+        ignore it."""
         return sum(self.block_coord_dim(n) for n in self.dims)
 
     @property
@@ -297,7 +300,9 @@ def block_eigh(x: np.ndarray, structure: BlockStructure):
 
     Returns one (w, V) pair per block, as np.linalg.eigh gives them:
     ascending eigenvalues w and the unit eigenvectors as the columns of V,
-    each living inside its own block.
+    each living inside its own block.  A matrix-model state runs it once,
+    in its cone check (`core.ConeSpec.margin`), and keeps the pairs for its
+    fast diagonalization.
     """
     return [np.linalg.eigh(B) for B in vec_to_blocks(x, structure)]
 
@@ -314,7 +319,11 @@ def canonical_rows(V: np.ndarray) -> np.ndarray:
     lead = V[first, cols]
     lead[~big[first, cols]] = 1  # no entry above 1e-10: the phase stays 1
     U = (V * (np.abs(lead) / lead)).T.copy()
-    nrm = [np.linalg.norm(u) for u in U]
+    # the sums np.linalg.norm forms, without its per-call overhead
+    if np.iscomplexobj(U):
+        nrm = [math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag)) for u in U]
+    else:
+        nrm = [math.sqrt(u.dot(u)) for u in U]
     if min(nrm, default=1.0) < 1e-15:
         raise ValueError("zero vector")
     U /= np.array(nrm)[:, None]

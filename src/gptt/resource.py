@@ -48,9 +48,10 @@ def _majorization_certificate(p, q, tol: float = 1e-10):
     majorizes q."""
     p = np.sort(np.asarray(p, dtype=float))[::-1]
     q = np.sort(np.asarray(q, dtype=float))[::-1]
-    n = max(len(p), len(q))
-    p = np.pad(p, (0, n - len(p)))
-    q = np.pad(q, (0, n - len(q)))
+    if len(p) != len(q):
+        n = max(len(p), len(q))
+        p = np.pad(p, (0, n - len(p)))
+        q = np.pad(q, (0, n - len(q)))
     cp, cq = np.cumsum(p), np.cumsum(q)
     bad = np.where(cp < cq - tol)[0]
     if len(bad) == 0:

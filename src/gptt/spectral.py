@@ -90,12 +90,13 @@ class Diagonalization:
         return sum(p * s.coords for p, s in zip(self.eigenvalues, self.eigenstates))
 
 
-def _block_spectrum(x: np.ndarray, st) -> tuple:
+def _block_spectrum(x: np.ndarray, st, pairs=None) -> tuple:
     """Raw eigenvalues of x, block by block and ascending within a block,
     the coordinates of their eigenstates, one row each, and each
     eigenstate's support (block, unit vector in canonical phase): the
-    vectors are read-only rows of one array per block."""
-    parts = [(w, canonical_rows(V)) for w, V in block_eigh(x, st)]
+    vectors are read-only rows of one array per block.  `pairs`, the
+    `block_eigh` pairs of x kept by its StateVec, replace the eigensolve."""
+    parts = [(w, canonical_rows(V)) for w, V in pairs or block_eigh(x, st)]
     return (np.concatenate([w for w, _ in parts]),
             np.concatenate([rank_one_coords(st, b, U)
                             for b, (_, U) in enumerate(parts)]),
@@ -177,18 +178,23 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
     sets (`_stored_set_decomposition`).  Failures raise
     DiagonalizationError carrying the undecomposed residue.
 
-    The fast route makes one eigensolve per block and certifies the whole
-    decomposition once: the eigenstates' Gram matrix, their unit pairings
-    and their reconstruction of the state with the raw eigenvalues must
-    each be exact within `core.DEFAULT_TOL` (1e-9), and the smallest raw
-    eigenvalue at least -`core.DEFAULT_TOL`, the cone tolerance the state
-    was accepted under.  A failure raises DiagonalizationError with
-    the failed figure as its residue; otherwise the eigenstates are built
-    without a cone check of their own, negative eigenvalues are reported
-    as 0, and the largest of the three deviations is the result's
-    `residual`.  The peel route's `residual` is the reconstruction residual
-    of the reported eigenvalues, and one above `core.DEFAULT_TOL` raises
-    DiagonalizationError.
+    The fast route makes no eigensolve of its own on a constructed state:
+    it takes out (pops) the `block_eigh` pairs the state's cone check kept
+    (`core.StateVec`), so each block is solved once in the state's life;
+    an eigenstate of an earlier fast route, built without pairs, gets one
+    eigensolve per block here.  Popped before the check, the pairs are
+    gone whether it passes or not, and a retry after a refusal solves
+    afresh.  It certifies the whole decomposition once: the eigenstates'
+    Gram matrix, their unit pairings and their reconstruction of the state
+    with the raw eigenvalues must each be exact within `core.DEFAULT_TOL`
+    (1e-9), and the smallest raw eigenvalue at least -`core.DEFAULT_TOL`,
+    the cone tolerance the state was accepted under.  A failure raises
+    DiagonalizationError with the failed figure as its residue; otherwise
+    the eigenstates are built without a cone check of their own, negative
+    eigenvalues are reported as 0, and the largest of the three deviations
+    is the result's `residual`.  The peel route's `residual` is the
+    reconstruction residual of the reported eigenvalues, and one above
+    `core.DEFAULT_TOL` raises DiagonalizationError.
 
     The result is cached on the state, one entry per resolved method
     ('auto' picks 'fast' on matrix models, 'peel' elsewhere): later calls
@@ -207,7 +213,9 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
         if model.structure is None:
             raise UnsupportedModelError(
                 f"{model.model_id} has no block eigendecomposition")
-        raw, rows, supports = _block_spectrum(state.coords, model.structure)
+        kept = state._derived.pop("block_eigh", None)
+        raw, rows, supports = _block_spectrum(state.coords, model.structure,
+                                              kept)
         values = np.where(raw < 0.0, 0.0, raw)
         order = _descending_order(values, rows)
         values = values[order]

@@ -1,0 +1,79 @@
+"""Golden set of `gptt --json` CLI calls, one hashed line per call.
+
+Runs a fixed list of calls in-process through click's CliRunner and prints,
+for each, its exit code, the sha256 of its stdout and its argv:
+
+    0 3f5a...c2 diag quantum:3 --state random --method fast --seed 1 --json
+
+Two checkouts print the same lines exactly when every call exits the same
+way and writes the same bytes, so comparing them is one `diff`:
+
+    PYTHONPATH=src python tests/golden_cli.py > before.txt
+    (change the code)
+    PYTHONPATH=src python tests/golden_cli.py > after.txt
+    diff before.txt after.txt
+
+The calls cover `diag` (auto, fast, peel), `entropy`, `convert` in the
+unital, rare and noisy regimes, `landauer`, `gibbs`, `erase` and `verify`
+on the matrix models and the builtin polytopes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+
+from click.testing import CliRunner
+
+from gptt import zoo
+from gptt.cli import main
+
+MATRIX_MODELS = ("classical:3", "quantum:2", "quantum:3", "rebit",
+                 "real_quantum:3", "doubled_quantum:2",
+                 "extended_classical:2x2")
+POLYTOPES = ("square_bit", "diamond_bit", "restricted_trit")
+STATES = ("chi", "pure:0", "random")
+SEEDS = ("0", "1")
+
+
+def calls():
+    """The golden argv lists, in a fixed order."""
+    models = MATRIX_MODELS + POLYTOPES
+    out = []
+    for model, seed in itertools.product(models, SEEDS):
+        tail = ("--seed", seed, "--json")
+        for state in STATES:
+            for method in ("auto", "fast", "peel"):
+                out.append(("diag", model, "--state", state,
+                            "--method", method) + tail)
+            out.append(("entropy", model, "--state", state) + tail)
+            out.append(("entropy", model, "--state", state,
+                        "--alpha", "0.5") + tail)
+            out.append(("landauer", model, "--state", state) + tail)
+            out.append(("erase", model, "--state", state) + tail)
+        for src, dst in itertools.product(STATES, STATES):
+            for regime in ("unital", "rare", "noisy"):
+                out.append(("convert", model, "--from", src, "--to", dst,
+                            "--regime", regime) + tail)
+        out.append(("verify", model) + tail)
+    for model in models:
+        levels = str(list(range(zoo.parse_model_string(model).capacity)))
+        out.append(("gibbs", model, "--H", levels, "--beta", "0.7", "--json"))
+        out.append(("gibbs", model, "--H", levels, "--E", "0.3", "--json"))
+    return [list(argv) for argv in out]
+
+
+def golden_lines(argvs):
+    """One line "exit sha256 argv" per call, each run in-process."""
+    runner = CliRunner()
+    lines = []
+    for argv in argvs:
+        res = runner.invoke(main, argv)
+        digest = hashlib.sha256(res.stdout_bytes).hexdigest()
+        lines.append(f"{res.exit_code} {digest} {' '.join(argv)}")
+    return lines
+
+
+if __name__ == "__main__":
+    for line in golden_lines(calls()):
+        print(line, flush=True)

@@ -84,6 +84,60 @@ class TestStateValidation:
             EffectVec(2 * q2.unit_effect, q2)
 
 
+def _planted_state(model, low, r):
+    """Coordinates whose first block has the smallest eigenvalue `low` and
+    whose spectrum sums to 1, in random eigenbases."""
+    st_ = model.structure
+    weights = r.dirichlet(np.ones(st_.hilbert_dim - 1)) * (1 - low)
+    spectra = np.split(np.concatenate([[low], weights]),
+                       np.cumsum(st_.dims)[:-1])
+    blocks = []
+    for n, w in zip(st_.dims, spectra):
+        G = r.normal(size=(n, n))
+        if st_.field == "C":
+            G = G + 1j * r.normal(size=(n, n))
+        V = np.linalg.qr(G)[0]
+        blocks.append((V * w) @ V.conj().T)
+    return blocks_to_vec(blocks, st_)
+
+
+_KEPT_MODELS = [q2, q3, dq2, zoo.parse_model_string("rebit"),
+                zoo.parse_model_string("extended_classical:2x2")]
+
+
+class TestKeptEigenpairs:
+    """A matrix-model state's cone check is its block eigendecomposition;
+    the constructor keeps the pairs and accepts what ConeSpec.margin
+    accepts."""
+
+    @pytest.mark.parametrize("model", _KEPT_MODELS, ids=lambda m: m.model_id)
+    def test_planted_eigenvalue_at_the_tolerance(self, model):
+        r = np.random.default_rng(8)
+        for _ in range(5):
+            with pytest.raises(ConeError):
+                StateVec(_planted_state(model, -2e-9, r), model)
+            s = StateVec(_planted_state(model, -5e-10, r), model)
+            w = s._derived["block_eigh"][0][0]
+            assert abs(w[0] + 5e-10) <= 1e-14
+
+    def test_kept_margin_equals_cone_margin(self):
+        r = np.random.default_rng(9)
+        for model in _KEPT_MODELS:
+            for i in range(40):
+                sampler = model.pure_sampler if i % 2 else model.state_sampler
+                s = StateVec(sampler(model, r), model)
+                pairs = s._derived["block_eigh"]
+                blocks = vec_to_blocks(s.coords, model.structure)
+                assert len(pairs) == len(blocks)
+                for (w, V), B in zip(pairs, blocks):
+                    assert np.abs((V * w) @ V.conj().T - B).max() <= 1e-12
+                kept = min(float(w[0]) for w, _ in pairs)
+                assert abs(kept - model.state_cone.margin(s.coords)) <= 1e-12
+
+    def test_polytope_state_keeps_nothing(self):
+        assert StateVec(np.array([0.0, 0.0, 1.0]), sq)._derived == {}
+
+
 class TestNonFinite:
     """NaN and infinities are refused where states, effects and channels
     are built, even where LAPACK returns finite eigenvalues for them."""
@@ -183,7 +237,8 @@ class TestChannels:
         margin = ConeSpec.margin
         calls = []
         monkeypatch.setattr(ConeSpec, "margin",
-                            lambda cone, x: calls.append(1) or margin(cone, x))
+                            lambda cone, x, *eig: calls.append(1)
+                            or margin(cone, x, *eig))
         ident = ChannelMap(matrix=np.eye(q2.vector_dim), model_in=q2,
                            model_out=q2)
         apply_channel(ident, psi)

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptt import embedding
 from gptt.embedding import (
     BlockStructure,
     blocks_to_vec,
+    canonical_rows,
     conjugation_matrix,
     herm_to_vec,
     pure_block_coords,
@@ -248,3 +250,36 @@ def test_pure_block_coords_rows(field):
     assert pure_block_coords(bs, 0, np.zeros((2, 0))).shape == (0, bs.coord_dim)
     with pytest.raises(ValueError):
         pure_block_coords(bs, 1, np.zeros((3, 1)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 6), st.integers(0, 6), st.sampled_from(["C", "R"]),
+       seeds)
+def test_canonical_rows_normalize_as_linalg_norm(n, k, field, seed):
+    """Each row is divided by the np.linalg.norm of its rephased column,
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    V = random_matrix(rng, max(n, k), field)[:n, :k]
+    V = V * rng.uniform(0.1, 10.0, k)
+    lead = np.array([v[np.flatnonzero(np.abs(v) > 1e-10)[0]] for v in V.T])
+    W = (V * (np.abs(lead) / lead)).T.copy()
+    U = canonical_rows(V)
+    assert U.shape == W.shape
+    for w, u in zip(W, U):
+        assert (w / np.linalg.norm(w)).tobytes() == u.tobytes()
+
+
+def test_coord_dim_computed_once():
+    """coord_dim is summed once and kept on the structure; it is not a
+    field, so hashing, equality, the frozen fields and the cached index
+    maps behave as before it was read."""
+    fresh, read = BlockStructure((2, 3), "C"), BlockStructure((2, 3), "C")
+    assert read.coord_dim == 13 and read.__dict__["coord_dim"] == 13
+    assert "coord_dim" not in fresh.__dict__
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == "BlockStructure(dims=(2, 3), field='C')"
+    assert embedding._maps(read) is embedding._maps(fresh)
+    assert BlockStructure((2, 3), "R").coord_dim == 9
+    assert BlockStructure((2, 3), "R") != read
+    with pytest.raises(AttributeError):
+        read.dims = (1,)

@@ -60,6 +60,21 @@ class TestMajorization:
     def test_padding(self):
         assert resource.majorizes([0.7, 0.3], [0.7, 0.2, 0.1])
 
+    def test_unequal_lengths_padded_certificate(self):
+        """A shorter spectrum is padded with zeros: the certificate is the
+        one its explicitly padded pair gets."""
+        cert = resource._majorization_certificate
+        r = np.random.default_rng(4)
+        for _ in range(50):
+            n, m = r.choice(np.arange(1, 6), size=2, replace=False)
+            p, q = random_simplex(r, n), random_simplex(r, m)
+            k = max(n, m)
+            padded = [np.pad(v, (0, k - len(v))) for v in (p, q)]
+            assert cert(p, q) == cert(*padded)
+            assert cert(q, p) == cert(*padded[::-1])
+        assert cert([0.6, 0.3, 0.1], [0.6, 0.4])["prefix_index"] == 1
+        assert cert([0.6, 0.4], [0.6, 0.3, 0.1]) is None
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10_000))
     def test_agrees_with_ds_lp(self, seed):

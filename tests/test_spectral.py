@@ -214,9 +214,13 @@ class TestMemo:
     @pytest.mark.parametrize("model", [q3, dq2, cl4],
                              ids=lambda m: m.model_id)
     def test_request_runs_two_eigendecompositions(self, monkeypatch, model):
+        # counted over the two constructions and the first request
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
         r = np.random.default_rng(64)
         rho = rand_state(model, r)
         sigma = StateVec(0.5 * rho.coords + 0.5 * model.chi, model)
+        assert "block_eigh" in rho._derived and "block_eigh" in sigma._derived
 
         def request():
             diagonalize(rho)
@@ -228,22 +232,57 @@ class TestMemo:
             resource.convertible(rho, sigma, "rare")
 
         decompositions = _counting(monkeypatch, spectral, "block_eigh")
-        eigh = _counting(monkeypatch, np.linalg, "eigh")
         request()
-        assert len(decompositions) == 2
-        assert decompositions[0][0] is rho.coords
-        assert decompositions[1][0] is sigma.coords
-        # one eigensolve per block per state: the witnesses read every
+        # one eigensolve per block per state, in its cone check: the fast
+        # route takes the kept pairs, and the witnesses read every
         # eigenstate's support from the fast route
-        assert len(eigh) == 2 * model.structure.block_count
+        blocks = (vec_to_blocks(rho.coords, model.structure)
+                  + vec_to_blocks(sigma.coords, model.structure))
+        assert len(eigh) == len(blocks) and eigvalsh == []
+        for (B,), want in zip(eigh, blocks):
+            assert np.array_equal(B, want)
+        assert decompositions == []
+        assert "block_eigh" not in rho._derived
+        assert "block_eigh" not in sigma._derived
         for s in diagonalize(rho).eigenstates + diagonalize(sigma).eigenstates:
             assert zoo.pure_support(s) is s._derived["pure_support"]
         # a repeat reads every spectrum and eigenstate support from the
         # states: no eigensolver runs at all
         eigh.clear()
-        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
         request()
-        assert len(decompositions) == 2 and eigh == [] and eigvalsh == []
+        assert decompositions == [] and eigh == [] and eigvalsh == []
+
+    @pytest.mark.parametrize("model", [q3, dq2, ec22],
+                             ids=lambda m: m.model_id)
+    def test_kept_pairs_taken_by_the_fast_route(self, monkeypatch, model):
+        r = np.random.default_rng(65)
+        s = rand_state(model, r)
+        kept = s._derived["block_eigh"]
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        d = diagonalize(s, method="fast")
+        assert eigh == [] and s._derived.keys() == {"fast"}
+        raw, _, _ = spectral._block_spectrum(s.coords, model.structure)
+        assert np.array_equal(np.concatenate([w for w, _ in kept]), raw)
+        # eigenstates are built without kept pairs: one solve per block
+        e = d.eigenstates[0]
+        assert e._derived.keys() == {"pure_support"}
+        eigh.clear()
+        diagonalize(e, method="fast")
+        assert len(eigh) == model.structure.block_count
+        # the peel leaves the pairs where they are
+        t = rand_state(model, r)
+        diagonalize(t, method="peel")
+        assert t._derived["block_eigh"] is not None
+        # refused: the pairs are gone too, and the retry solves afresh
+        u = rand_state(model, r)
+        V = u._derived["block_eigh"][0][1]
+        V[:, 1] += 1e-3 * V[:, 0]
+        with pytest.raises(DiagonalizationError, match="Gram"):
+            diagonalize(u, method="fast")
+        assert u._derived == {}
+        eigh.clear()
+        assert diagonalize(u).residual <= core.DEFAULT_TOL
+        assert len(eigh) == model.structure.block_count
 
     def test_stored_set_solve_kept_per_model(self, monkeypatch):
         for kind in ("square_bit", "diamond_bit", "restricted_trit"):
@@ -333,10 +372,12 @@ class TestCertificate:
                              ids=["shear", "shift"])
     @pytest.mark.parametrize("model", [q3, dq2], ids=lambda m: m.model_id)
     def test_corrupted_eigensolve_refused(self, monkeypatch, model, corrupt):
-        s = rand_state(model, np.random.default_rng(71))
+        # built under the corrupted eigensolver: the state's cone check is
+        # its one eigensolve, and the fast route certifies what it kept
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda B: corrupt(*map(np.copy, eigh(B))))
+        s = rand_state(model, np.random.default_rng(71))
         with pytest.raises(DiagonalizationError) as exc:
             diagonalize(s, method="fast")
         assert exc.value.residue > core.DEFAULT_TOL
@@ -347,7 +388,6 @@ class TestCertificate:
     def test_duplicated_null_vector_refused(self, monkeypatch):
         """A pure state rebuilt exactly from a basis whose two zero-weight
         eigenstates coincide: only the Gram matrix sees the defect."""
-        s = StateVec(q3.pure_sampler(q3, np.random.default_rng(74)), q3)
         eigh = np.linalg.eigh
 
         def duplicated(B):
@@ -356,9 +396,13 @@ class TestCertificate:
             return w, V
 
         monkeypatch.setattr(np.linalg, "eigh", duplicated)
+        s = StateVec(q3.pure_sampler(q3, np.random.default_rng(74)), q3)
         with pytest.raises(DiagonalizationError, match="Gram") as exc:
             diagonalize(s, method="fast")
         assert exc.value.residue > 0.5
+        assert s._derived == {}
+        monkeypatch.undo()
+        assert diagonalize(s).residual <= core.DEFAULT_TOL
 
     @pytest.mark.parametrize("check, E, raw, x", [
         ("Gram", [[1, 0], [1, 0]], [1, 0], [1, 0]),
@@ -384,12 +428,19 @@ class TestCertificate:
         w0, V0 = eigh(vec_to_blocks(s.coords, q3.structure)[0])
         w0[0] = -1e-6
         x = blocks_to_vec([(V0 * w0) @ V0.conj().T], q3.structure)
+        # the constructor accepts it at a looser tolerance and keeps the
+        # pairs of its own eigensolve, which the fast route then refuses
+        check = core.cone_membership
         monkeypatch.setattr(core, "cone_membership",
-                            lambda *a, **k: (True, 0.0))
+                            lambda m, x, which, tol=core.DEFAULT_TOL, eig=None:
+                            check(m, x, which, 1e-5, eig))
         bad = StateVec(x / float(q3.unit_effect @ x), q3)
+        w = bad._derived["block_eigh"][0][0]
+        assert -1.1e-6 < w[0] < -0.9e-6
         with pytest.raises(DiagonalizationError) as exc:
             diagonalize(bad, method="fast")
         assert exc.value.residue > 1e-7
+        assert bad._derived == {}
 
     def test_peel_refuses_a_wrong_reconstruction(self, monkeypatch):
         """Eigenvalues off by a relative 1e-6 leave the peeled pieces unable
@@ -405,7 +456,8 @@ class TestCertificate:
         with pytest.raises(DiagonalizationError, match="reconstruction") as exc:
             diagonalize(s, method="peel")
         assert exc.value.residue > core.DEFAULT_TOL
-        assert s._derived == {}
+        # nothing cached: the state holds only its cone check's pairs
+        assert list(s._derived) == ["block_eigh"]
 
     @pytest.mark.parametrize("model", [q3, dq2, sq], ids=lambda m: m.model_id)
     def test_peel_records_its_residual(self, model):
@@ -436,12 +488,14 @@ def test_fast_route_certificate(model, seed, kind, t):
          else model.state_sampler(model, r))
     if kind == "toward_chi":
         x = t * x + (1 - t) * model.chi
-    s = StateVec(x, model)
     with pytest.MonkeyPatch.context() as mp:
-        solves = _counting(mp, spectral, "block_eigh")
+        solves = _counting(mp, np.linalg, "eigh")
         checks = _counting(mp, np.linalg, "eigvalsh")
+        s = StateVec(x, model)
         d = diagonalize(s)
-    assert len(solves) == 1 and checks == []
+    # construction and diagonalization together: one eigensolve per block
+    assert len(solves) == model.structure.block_count and checks == []
+    assert s._derived.keys() == {"fast"}
     assert d.residual <= core.DEFAULT_TOL
     assert len(d.eigenstates) == model.capacity
     for e in d.eigenstates:
