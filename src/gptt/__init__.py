@@ -12,7 +12,6 @@ from .core import (
     ModelCompatibilityError,
     ModelSpec,
     NormalizationError,
-    Observable,
     StateVec,
     UnsupportedModelError,
     apply_channel,

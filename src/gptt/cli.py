@@ -137,6 +137,12 @@ def _not_nan(ctx, param, value):
     return value
 
 
+def _nonnegative(ctx, param, value):
+    if value is not None and not value >= 0:  # refuses nan too
+        raise click.BadParameter("must be a nonnegative number or inf")
+    return value
+
+
 _beta_opt = click.option("--beta", type=float, default=1.0, show_default=True,
                          callback=_not_nan)
 
@@ -217,7 +223,7 @@ def convert(model, source, target, regime, seed, as_json):
 @main.command()
 @_model_arg
 @click.option("--state", default="chi", show_default=True)
-@click.option("--alpha", type=float, default=None,
+@click.option("--alpha", type=float, default=None, callback=_nonnegative,
               help="Renyi order; omit for a standard panel")
 @_seed_opt
 @_json_flag

@@ -20,8 +20,8 @@ import numpy as np
 from .embedding import (
     BlockStructure,
     block_eigh,
+    block_eigvalsh,
     conjugation_matrix,
-    vec_to_blocks,
     vec_to_total,
     total_to_vec,
 )
@@ -93,7 +93,7 @@ class UnsupportedModelError(GPTError):
 
 
 def as_coords(x) -> np.ndarray:
-    if isinstance(x, (StateVec, EffectVec, Observable)):
+    if isinstance(x, (StateVec, EffectVec)):
         return x.coords
     return np.asarray(x, dtype=float)
 
@@ -181,11 +181,7 @@ class ConeSpec:
             if eig is not None:
                 eig[:] = block_eigh(x, self.structure)
                 return min(float(w[0]) for w, _ in eig)
-            worst = np.inf
-            for B in vec_to_blocks(x, self.structure):
-                w = np.linalg.eigvalsh(B)
-                worst = min(worst, float(w[0]))
-            return worst
+            return min(float(w[0]) for w in block_eigvalsh(x, self.structure))
         F = self.facets
         return float(np.min((F @ x) / (F @ self.interior_direction)))
 
@@ -494,28 +490,9 @@ class EffectVec:
         return f"EffectVec({self.model.model_id}, {np.array2string(self.coords, precision=4)})"
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
-    """Real linear functional on states; no positivity constraints.
-
-    Used for Hamiltonians and other quantities built from a spectral basis.
-    """
-
-    coords: np.ndarray
-    model: ModelSpec
-
-    def __post_init__(self):
-        f = np.asarray(self.coords, dtype=float)
-        if f.shape != (self.model.vector_dim,):
-            raise ValueError("observable has wrong dimension")
-        f = f.copy()
-        f.setflags(write=False)
-        object.__setattr__(self, "coords", f)
-
-
 def pairing(effect, state) -> float:
     """Probability pairing; the embedding makes it a plain dot product."""
-    if isinstance(effect, (EffectVec, Observable)) and isinstance(state, StateVec):
+    if isinstance(effect, EffectVec) and isinstance(state, StateVec):
         _same_model(effect.model, state.model)
     return float(as_coords(effect) @ as_coords(state))
 
@@ -551,10 +528,8 @@ def state_norm(model: ModelSpec, x) -> float:
     if not np.isfinite(x).all():
         raise ValueError("vector has a NaN or infinite coordinate")
     if model.structure is not None:
-        total = 0.0
-        for B in vec_to_blocks(x, model.structure):
-            total += float(np.abs(np.linalg.eigvalsh(B)).sum())
-        return total
+        return sum(float(np.abs(w).sum())
+                   for w in block_eigvalsh(x, model.structure))
     F = _base_norm_facets(model)
     if F is not None:
         return float(np.max(-(F[:, :-1] @ x) / F[:, -1]))
@@ -581,11 +556,8 @@ def effect_norm(model: ModelSpec, f) -> float:
     """
     f = as_coords(f)
     if model.structure is not None:
-        worst = 0.0
-        for B in vec_to_blocks(f, model.structure):
-            w = np.linalg.eigvalsh(B)
-            worst = max(worst, float(np.abs(w).max()))
-        return worst
+        return max(float(np.abs(w).max())
+                   for w in block_eigvalsh(f, model.structure))
     return float(np.abs(model.pure_states @ f).max())
 
 

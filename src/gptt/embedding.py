@@ -300,11 +300,16 @@ def block_eigh(x: np.ndarray, structure: BlockStructure):
 
     Returns one (w, V) pair per block, as np.linalg.eigh gives them:
     ascending eigenvalues w and the unit eigenvectors as the columns of V,
-    each living inside its own block.  A matrix-model state runs it once,
-    in its cone check (`core.ConeSpec.margin`), and keeps the pairs for its
-    fast diagonalization.
+    each living inside its own block.  It and `block_eigvalsh` are the only
+    per-block eigensolvers.  A matrix-model state runs it once, in its cone
+    check, and keeps the pairs for its diagonalizations and support.
     """
     return [np.linalg.eigh(B) for B in vec_to_blocks(x, structure)]
+
+
+def block_eigvalsh(x: np.ndarray, structure: BlockStructure):
+    """Ascending eigenvalues of each block, as np.linalg.eigvalsh gives them."""
+    return [np.linalg.eigvalsh(B) for B in vec_to_blocks(x, structure)]
 
 
 def canonical_rows(V: np.ndarray) -> np.ndarray:

@@ -26,7 +26,6 @@ from .core import (
     _same_model,
     per_model_id,
 )
-from .embedding import vec_to_blocks
 from . import zoo
 from .spectral import Diagonalization, diagonalize
 from .zoo import (basis_aligning_reversible, block_reversible, pure_support,
@@ -246,16 +245,23 @@ def build_rare_channel(rho: StateVec, sigma: StateVec) -> ConversionOutcome:
 # sector invariants for the sectorized families
 
 
+def _eigenstates_by_sector(state: StateVec) -> list:
+    """(eigenvalues, eigenstates) of each sector, in block order: the
+    state's cached fast diagonalization grouped by each eigenstate's
+    `pure_support` sector, descending within a sector."""
+    d = diagonalize(state)
+    sectors = np.array([pure_support(s)[0] for s in d.eigenstates])
+    return [(d.eigenvalues[idx], [d.eigenstates[i] for i in idx.tolist()])
+            for idx in (np.flatnonzero(sectors == b)
+                        for b in range(state.model.structure.block_count))]
+
+
 def sector_spectra(state: StateVec) -> list:
-    """Per-sector eigenvalue lists (descending, carrying sector mass)."""
-    st = state.model.structure
-    if st is None:
+    """Per-sector eigenvalue lists (descending, carrying sector mass, 0 for
+    negative ones), read off the state's fast diagonalization."""
+    if state.model.structure is None:
         raise UnsupportedModelError("no sectors")
-    out = []
-    for B in vec_to_blocks(state.coords, st):
-        w = np.sort(np.linalg.eigvalsh(B))[::-1]
-        out.append(np.clip(w, 0.0, None))
-    return out
+    return [w for w, _ in _eigenstates_by_sector(state)]
 
 
 def _matching_sector_perm(sr: list, ss: list, tol: float = 1e-8):
@@ -277,15 +283,6 @@ def rare_equivalent_doubled(rho: StateVec, sigma: StateVec) -> bool:
         raise UnsupportedModelError("sector comparison needs a sectorized model")
     return _matching_sector_perm(sector_spectra(rho),
                                  sector_spectra(sigma)) is not None
-
-
-def _sector_matching_reversible(model: ModelSpec, rho: StateVec,
-                                sigma: StateVec, perm) -> ChannelMap:
-    rb = vec_to_blocks(rho.coords, model.structure)
-    sb = vec_to_blocks(sigma.coords, model.structure)
-    blocks = [np.linalg.eigh(sb[t])[1] @ np.linalg.eigh(rb[j])[1].conj().T
-              for j, t in enumerate(perm)]
-    return block_reversible(model, blocks, perm)
 
 
 @per_model_id
@@ -344,8 +341,9 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
     (`basis_aligning_reversible`, built from the eigenstates' cached
     supports).  Elsewhere: a pure source mixes reversibles onto each target
     eigenstate, the invariant target averages a uniformizing family, and
-    sectorized models compare sector spectra.  Every witness channel must
-    reach sigma within 1e-8.
+    sectorized models compare sector spectra, aligning each sector's
+    eigenstates with those of its matched sector.  Every witness channel
+    must reach sigma within 1e-8.
     """
     model = rho.model
     if model.structure is None:
@@ -394,10 +392,15 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
             len(dr.eigenvalues) == len(ds.eigenvalues)
             and np.abs(dr.eigenvalues - ds.eigenvalues).max() <= 1e-9)
         if equal_spectra:
-            sr, ss = sector_spectra(rho), sector_spectra(sigma)
+            by_r = _eigenstates_by_sector(rho)
+            by_s = _eigenstates_by_sector(sigma)
+            sr, ss = [w for w, _ in by_r], [w for w, _ in by_s]
             perm = _matching_sector_perm(sr, ss)
             if perm is not None:
-                chan = _sector_matching_reversible(model, rho, sigma, perm)
+                # sector j's eigenstates go, in order, onto sector perm[j]'s
+                chan = basis_aligning_reversible(
+                    model, [e for _, es in by_r for e in es],
+                    [e for t in perm for e in by_s[t][1]])
                 resid = _target_residual(chan, rho, sigma)
                 if resid > 1e-8:
                     return ConversionOutcome("unknown", None, {

@@ -38,7 +38,7 @@ from .core import (
     per_model_id,
 )
 from .embedding import (_frozen, block_eigh, blocks_to_vec, canonical_rows,
-                        pure_block_coords, rank_one_coords, vec_to_blocks)
+                        pure_block_coords, rank_one_coords)
 from . import zoo
 
 
@@ -192,7 +192,8 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
     DiagonalizationError with the failed figure as its residue; otherwise
     the eigenstates are built without a cone check of their own, negative
     eigenvalues are reported as 0, and the largest of the three deviations
-    is the result's `residual`.  The peel route's `residual` is the
+    is the result's `residual`.  The matrix peel's first step reads the
+    kept pairs and leaves them.  The peel route's `residual` is the
     reconstruction residual of the reported eigenvalues, and one above
     `core.DEFAULT_TOL` raises DiagonalizationError.
 
@@ -230,6 +231,7 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
         else:
             values_l, eigenstates_l = [], []
             r = state.coords
+            pairs = state._derived.get("block_eigh")  # 'fast' still pops them
             while (left := float(model.unit_effect @ r)) > 1e-12:
                 if len(values_l) == model.capacity:
                     raise DiagonalizationError(
@@ -237,7 +239,9 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
                         f"into {model.capacity} perfectly distinguishable "
                         "pure states", residue=left,
                         partial=(np.asarray(values_l), tuple(eigenstates_l)))
-                vals, rows, supports = _block_spectrum(r, model.structure)
+                vals, rows, supports = _block_spectrum(r, model.structure,
+                                                       pairs)
+                pairs = None
                 best = 0
                 for i, val in enumerate(vals.tolist()):
                     if (val > vals[best] + 1e-14
@@ -295,17 +299,20 @@ def dagger(state: StateVec) -> EffectVec:
 def functional_calculus(model: ModelSpec, x, fn) -> np.ndarray:
     """Apply fn to the spectrum of a block-Hermitian vector.
 
-    Raises GPTError when fn produces a non-finite value (for instance a
-    logarithm evaluated at zero).
+    One `block_eigh` of x.  Raises GPTError when fn produces a non-finite
+    value (for instance a logarithm evaluated at zero).
     """
     if model.structure is None:
         raise UnsupportedModelError(
             f"{model.model_id} has no functional calculus")
-    x = as_coords(x)
-    st = model.structure
+    return _calculus_on_pairs(block_eigh(as_coords(x), model.structure), fn,
+                              model.structure)
+
+
+def _calculus_on_pairs(pairs, fn, st) -> np.ndarray:
+    """Coordinates of sum fn(w) v v^dagger over the `block_eigh` pairs."""
     out_blocks = []
-    for B in vec_to_blocks(x, st):
-        w, V = np.linalg.eigh(B)
+    for w, V in pairs:
         try:
             fw = np.array([fn(v) for v in w], dtype=float)
         except ValueError as exc:

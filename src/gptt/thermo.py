@@ -25,12 +25,12 @@ from .core import (
     marginal,
     tensor_states,
 )
-from .embedding import vec_to_blocks
+from .embedding import block_eigh, block_eigvalsh
 from .spectral import (
     Diagonalization,
+    _calculus_on_pairs,
     dagger,
     diagonalize,
-    functional_calculus,
     purify,
     transition_matrix,
 )
@@ -199,31 +199,34 @@ def basis_hamiltonian(basis, levels) -> np.ndarray:
 def gibbs_state(model: ModelSpec, hamiltonian, beta: float) -> StateVec:
     """Equilibrium state exp(-beta H)/Z in the energy eigenbasis.
 
-    The weights are stabilized against overflow: energies are measured from
-    the reference level, so no exponent is positive.  beta of +-inf selects
-    the uniform mixture on the extremal energy eigenspace.
+    H is solved once (`block_eigh`); its levels and weights share the
+    pairs.  The weights are stabilized against overflow: energies are
+    measured from the reference level, so no exponent is positive.  beta
+    of +-inf selects the uniform mixture on the extremal energy eigenspace.
     """
-    h = as_coords(hamiltonian)
-    levels = _spectrum_of_levels(model, h)
+    st = _structure(model)
+    pairs = block_eigh(as_coords(hamiltonian), st)
+    levels = np.concatenate([w for w, _ in pairs])
     if math.isinf(beta):
         target = levels.min() if beta > 0 else levels.max()
-        x = functional_calculus(
-            model, h, lambda e: 1.0 if abs(e - target) <= 1e-12 else 0.0)
+        x = _calculus_on_pairs(
+            pairs, lambda e: 1.0 if abs(e - target) <= 1e-12 else 0.0, st)
     else:
         e0 = _reference_level(levels, beta)
-        x = functional_calculus(
-            model, h, lambda e: math.exp(-beta * float(e - e0)))
+        x = _calculus_on_pairs(
+            pairs, lambda e: math.exp(-beta * float(e - e0)), st)
     return StateVec(x / float(model.unit_effect @ x), model)
 
 
-def _spectrum_of_levels(model: ModelSpec, h: np.ndarray) -> np.ndarray:
+def _structure(model: ModelSpec):
     if model.structure is None:
         raise UnsupportedModelError(
             "equilibrium construction needs an eigenbasis calculus")
-    vals = []
-    for B in vec_to_blocks(np.asarray(h, dtype=float), model.structure):
-        vals.extend(np.linalg.eigvalsh(B))
-    return np.asarray(vals)
+    return model.structure
+
+
+def _spectrum_of_levels(model: ModelSpec, h: np.ndarray) -> np.ndarray:
+    return np.concatenate(block_eigvalsh(h, _structure(model)))
 
 
 def mean_energy(state: StateVec, hamiltonian) -> float:

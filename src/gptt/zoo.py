@@ -36,6 +36,7 @@ from .core import (
 )
 from .embedding import (
     BlockStructure,
+    block_eigh,
     blocks_to_vec,
     canonical_rows,
     conjugation_matrix,
@@ -182,8 +183,7 @@ _MATRIX_GROUP = GroupSpec(kind="parametric", name="block_unitary",
 def _support_projector(x: np.ndarray, structure: BlockStructure, tol=1e-9):
     """Projector onto the support of x, one block per sector."""
     projs = []
-    for B in vec_to_blocks(x, structure):
-        w, V = np.linalg.eigh(B)
+    for w, V in block_eigh(x, structure):
         keep = V[:, w > tol]
         projs.append(keep @ keep.conj().T)
     return projs
@@ -619,10 +619,10 @@ def pure_support(state: StateVec):
     its first entry above 1e-10 in absolute value real and positive), and
     cached on the state.  An eigenstate made by the fast route of
     `spectral.diagonalize`, or peeled by the matrix peel, arrives with the
-    vector its coordinates were built from, so no eigensolver runs for it;
-    any other state gets one eigensolve per block until a block shows an
-    eigenvalue above 1 - 1e-7.  Errors are not cached and are raised again
-    on every call.
+    vector its coordinates were built from; any other state reads it off
+    the `block_eigh` pairs its cone check kept (left for the fast route),
+    else solves them.  Errors are not cached and are raised again on
+    every call.
     """
     cached = state._derived.get("pure_support")
     if cached is not None:
@@ -630,8 +630,8 @@ def pure_support(state: StateVec):
     st = state.model.structure
     if st is None:
         raise UnsupportedModelError("no sector support for polytope models")
-    for b, B in enumerate(vec_to_blocks(state.coords, st)):
-        w, V = np.linalg.eigh(B)
+    pairs = state._derived.get("block_eigh") or block_eigh(state.coords, st)
+    for b, (w, V) in enumerate(pairs):
         if w[-1] > 1.0 - 1e-7:
             v = canonical_rows(V[:, -1:])[0]
             state._derived["pure_support"] = (b, v)

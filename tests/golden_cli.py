@@ -15,7 +15,10 @@ way and writes the same bytes, so comparing them is one `diff`:
 
 The calls cover `diag` (auto, fast, peel), `entropy`, `convert` in the
 unital, rare and noisy regimes, `landauer`, `gibbs`, `erase` and `verify`
-on the matrix models and the builtin polytopes.
+on the matrix models and the builtin polytopes.  Fixed vectors on the two
+sectorized models reach the sector-matched rare witness and its "no"
+certificate, and `gibbs` runs at beta = +-inf on Hamiltonians off the
+diagonal.
 """
 
 from __future__ import annotations
@@ -34,6 +37,28 @@ MATRIX_MODELS = ("classical:3", "quantum:2", "quantum:3", "rebit",
 POLYTOPES = ("square_bit", "diamond_bit", "restricted_trit")
 STATES = ("chi", "pure:0", "random")
 SEEDS = ("0", "1")
+
+# (source, target) vectors on the sectorized models, blocks (2, 2): a
+# sector-swapped pair (answer "yes" with a sector_perm) and a pair with
+# equal spectra on mismatched sectors (answer "no" with source_sectors)
+SECTOR_PAIRS = {
+    "doubled_quantum:2": (
+        ("[0.35,0.25,0.1,0.05,0.3,0.1,0.05,-0.05]",
+         "[0.1,0.3,0.05,0.05,0.25,0.35,0.1,-0.05]"),
+        ("[0.3,0.3,0.2,0.2,0.2,0.2,0.1,0.1]",
+         "[0.4,0.4,0.1,-0.1,0.1,0.1,0,0]")),
+    "extended_classical:2x2": (
+        ("[0.2,0.2,0.1,0.1,0.3,0.3,0.2,0.2]",
+         "[0.3,0.3,-0.2,0.2,0.2,0.2,0.1,-0.1]"),
+        ("[0.4,0.4,0.1,0.1,0.1,0.1,0,0]",
+         "[0.2,0.2,-0.1,0.1,0.3,0.3,0.2,-0.2]")),
+}
+
+# full coordinate vectors of Hamiltonians with off-diagonal entries
+OFF_DIAGONAL_H = {
+    "quantum:3": "[0.2,0.5,1,0.3,-0.1,0,0.2,0.1,0]",
+    "doubled_quantum:2": "[0,1,0.3,0.2,0.5,0.5,0.1,0]",
+}
 
 
 def calls():
@@ -60,6 +85,14 @@ def calls():
         levels = str(list(range(zoo.parse_model_string(model).capacity)))
         out.append(("gibbs", model, "--H", levels, "--beta", "0.7", "--json"))
         out.append(("gibbs", model, "--H", levels, "--E", "0.3", "--json"))
+    for model, pairs in SECTOR_PAIRS.items():
+        for (src, dst), regime in itertools.product(pairs, ("rare", "noisy")):
+            out.append(("convert", model, "--from", src, "--to", dst,
+                        "--regime", regime, "--json"))
+    for model, h in OFF_DIAGONAL_H.items():
+        levels = str(list(range(zoo.parse_model_string(model).capacity)))
+        for ham, beta in itertools.product((levels, h), ("inf", "-inf")):
+            out.append(("gibbs", model, "--H", ham, "--beta", beta, "--json"))
     return [list(argv) for argv in out]
 
 

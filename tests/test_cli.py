@@ -264,6 +264,8 @@ class TestVerify:
     ("landauer", "quantum:2", "--beta", "nan"),
     ("landauer", "quantum:2", "--H", "[0,NaN]"),
     ("erase", "quantum:2", "--beta", "nan"),
+    ("entropy", "quantum:2", "--alpha", "-1"),
+    ("entropy", "quantum:2", "--alpha", "nan"),
 ], ids=" ".join)
 def test_malformed_input_exits_two(args):
     assert invoke(*args).exit_code == 2

@@ -192,10 +192,12 @@ class TestMemo:
 
     @pytest.mark.parametrize("model", [q3, dq2, ec22, cl4],
                              ids=lambda m: m.model_id)
-    def test_pure_support_cached_read_only(self, model):
+    def test_pure_support_cached_read_only(self, monkeypatch, model):
         # the fast route hands each eigenstate the vector its coordinates
-        # were built from; a fresh eigensolve of a copy agrees with it
+        # were built from; a copy reads its vector off the pairs its cone
+        # check kept, without an eigensolve, and agrees with it
         st_ = model.structure
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
         for e in diagonalize(rand_state(model, np.random.default_rng(63))
                              ).eigenstates:
             b, v = zoo.pure_support(e)
@@ -207,7 +209,10 @@ class TestMemo:
             assert lead.real > 0 and abs(lead.imag) <= 1e-15
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
             assert np.abs(pure_block_vec(st_, b, v) - e.coords).max() <= 1e-12
-            fb, fv = zoo.pure_support(StateVec(e.coords, model))
+            fresh = StateVec(e.coords, model)
+            eigh.clear()
+            fb, fv = zoo.pure_support(fresh)
+            assert eigh == [] and "block_eigh" in fresh._derived
             assert fb == b and fv.dtype == v.dtype
             assert np.abs(fv - v).max() <= 1e-12
 
@@ -269,10 +274,22 @@ class TestMemo:
         eigh.clear()
         diagonalize(e, method="fast")
         assert len(eigh) == model.structure.block_count
-        # the peel leaves the pairs where they are
+        # the peel's first step reads the pairs and leaves them in place,
+        # and the fast route still takes them
         t = rand_state(model, r)
+        kept = t._derived["block_eigh"]
+        solves = _counting(monkeypatch, spectral, "block_eigh")
         diagonalize(t, method="peel")
-        assert t._derived["block_eigh"] is not None
+        assert t._derived["block_eigh"] is kept
+        assert solves and not any(np.array_equal(x, t.coords)
+                                  for x, _ in solves)
+        eigh.clear()
+        diagonalize(t, method="fast")
+        assert eigh == [] and "block_eigh" not in t._derived
+        # a pure state takes one step: the peel solves nothing
+        solves.clear()
+        diagonalize(StateVec(d.eigenstates[1].coords, model), method="peel")
+        assert solves == []
         # refused: the pairs are gone too, and the retry solves afresh
         u = rand_state(model, r)
         V = u._derived["block_eigh"][0][1]
@@ -283,6 +300,37 @@ class TestMemo:
         eigh.clear()
         assert diagonalize(u).residual <= core.DEFAULT_TOL
         assert len(eigh) == model.structure.block_count
+
+    @pytest.mark.parametrize("beta", [0.7, -0.7, math.inf, -math.inf])
+    @pytest.mark.parametrize("model", [q3, dq2], ids=lambda m: m.model_id)
+    def test_gibbs_state_solves_h_once(self, monkeypatch, model, beta):
+        st_ = model.structure
+        h = 3.0 * rand_state(model, np.random.default_rng(66)).coords
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+        g = thermo.gibbs_state(model, h, beta)
+        # one eigh per block of h, then the equilibrium state's cone check
+        blocks = vec_to_blocks(h, st_) + vec_to_blocks(g.coords, st_)
+        assert len(eigh) == len(blocks) and eigvalsh == []
+        for (B,), want in zip(eigh, blocks):
+            assert np.array_equal(B, want)
+
+    @pytest.mark.parametrize("model", [dq2, ec22], ids=lambda m: m.model_id)
+    def test_sector_matched_verdict_solves_nothing(self, monkeypatch, model):
+        # the witness aligns the two fast diagonalizations' eigenstates
+        A = np.array([[0.35, 0.1 + 0.05j], [0.1 - 0.05j, 0.25]])
+        B = np.array([[0.3, 0.05 - 0.05j], [0.05 + 0.05j, 0.1]])
+        X = np.array([[0.0, 1.0], [1.0, 0.0]])
+        rho = StateVec(blocks_to_vec([A, B], model.structure), model)
+        sigma = StateVec(blocks_to_vec([X @ B @ X, A.conj()],
+                                       model.structure), model)
+        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+        out = resource.convertible(rho, sigma, "rare")
+        assert out.answer == "yes" and out.certificate["sector_perm"] == (1, 0)
+        assert eigh == [] and eigvalsh == []
+        assert np.abs(apply_channel(out.channel, rho).coords
+                      - sigma.coords).max() <= 1e-8
 
     def test_stored_set_solve_kept_per_model(self, monkeypatch):
         for kind in ("square_bit", "diamond_bit", "restricted_trit"):
