@@ -54,7 +54,6 @@ from .resource import (
     check_unrestricted_reversibility,
     convertible,
     majorizes,
-    rare_equivalent_doubled,
 )
 from .thermo import (
     ThermoLedger,

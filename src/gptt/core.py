@@ -98,6 +98,14 @@ def as_coords(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _finite_coords(x) -> np.ndarray:
+    """as_coords, refusing a NaN or infinite coordinate with ValueError."""
+    x = as_coords(x)
+    if not np.isfinite(x).all():
+        raise ValueError("vector has a NaN or infinite coordinate")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Cones
 
@@ -524,9 +532,7 @@ def state_norm(model: ModelSpec, x) -> float:
     (u|p) + (u|m) over x = p - m with p, m in the state cone.  A NaN or
     infinite coordinate raises ValueError.
     """
-    x = as_coords(x)
-    if not np.isfinite(x).all():
-        raise ValueError("vector has a NaN or infinite coordinate")
+    x = _finite_coords(x)
     if model.structure is not None:
         return sum(float(np.abs(w).sum())
                    for w in block_eigvalsh(x, model.structure))
@@ -552,9 +558,10 @@ def state_norm(model: ModelSpec, x) -> float:
 def effect_norm(model: ModelSpec, f) -> float:
     """Observable norm: the largest absolute value over normalized states.
 
-    For matrix models this is the largest absolute block eigenvalue.
+    For matrix models this is the largest absolute block eigenvalue.  A NaN
+    or infinite coordinate raises ValueError.
     """
-    f = as_coords(f)
+    f = _finite_coords(f)
     if model.structure is not None:
         return max(float(np.abs(w).max())
                    for w in block_eigvalsh(f, model.structure))

@@ -98,15 +98,76 @@ def t_transform_chain(p, q) -> np.ndarray:
     return D
 
 
+def _perfect_matching(support: np.ndarray) -> Optional[np.ndarray]:
+    """The column matched to each row of a square boolean support, or None
+    when the support admits no perfect matching.
+
+    Hopcroft-Karp, taking its steps in the order of scipy.sparse.csgraph's
+    maximum_bipartite_matching, so both return the same matching.  A greedy
+    pass gives each row in turn its lowest free column.  Then, while rows
+    are free, each phase layers the rows by a breadth-first search from the
+    free rows that expands no row once a layer has reached a free column,
+    and searches depth first from each free row in ascending order: it pops
+    the row pushed last, which leaves the layering, and either takes that
+    row's lowest free column, when it sits just below the layer of free
+    columns, or pushes the rows matched to its columns in the next layer,
+    in ascending column order.  A phase that reaches no free column leaves
+    the matching maximum but imperfect.
+    """
+    adj = [[c for c, on in enumerate(row) if on] for row in support.tolist()]
+    d = len(adj)
+    col_of, row_of = [-1] * d, [-1] * d
+    for r, cols in enumerate(adj):
+        c = next((c for c in cols if row_of[c] < 0), -1)
+        if c >= 0:
+            col_of[r], row_of[c] = c, r
+    while -1 in col_of:
+        free = [r for r in range(d) if col_of[r] < 0]
+        layer = [math.inf] * d
+        for r in free:
+            layer[r] = 0
+        top = math.inf  # the layer of the first free column reached
+        for r in (queue := list(free)):
+            if layer[r] < top:
+                for c in adj[r]:
+                    if row_of[c] < 0:
+                        top = min(top, layer[r] + 1)
+                    elif layer[row_of[c]] == math.inf:
+                        layer[row_of[c]] = layer[r] + 1
+                        queue.append(row_of[c])
+        if top == math.inf:
+            return None
+        for root in free:
+            stack, parent = [root], {}
+            while stack:
+                r = stack.pop()
+                depth, layer[r] = layer[r] + 1, math.inf
+                if depth == math.inf:
+                    continue
+                c = next((c for c in adj[r] if row_of[c] < 0), -1)
+                if depth == top and c >= 0:
+                    while r != root:  # flip the path back to the root
+                        c, col_of[r] = col_of[r], c
+                        row_of[col_of[r]] = r
+                        r = parent[r]
+                    col_of[r], row_of[c] = c, r
+                    break
+                for c in adj[r]:
+                    if row_of[c] >= 0 and layer[row_of[c]] == depth:
+                        parent[row_of[c]] = r
+                        stack.append(row_of[c])
+    return np.array(col_of)
+
+
 def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
     """Write a doubly stochastic matrix as a convex sum of permutations.
 
     Returns [(weight, perm)] with perm[i] the column matched to row i;
     the term count never exceeds (d-1)^2 + 1.  Each term matches rows to
-    columns over the entries of the remainder above a threshold, given to
-    the matcher as a CSR graph built from their indices, and takes the
-    smallest matched entry as its weight.  The weights must sum to 1 within
-    1e-8, else GPTError.
+    columns over the entries of the remainder above a threshold
+    (`_perfect_matching`, the matching scipy's maximum_bipartite_matching
+    returns) and takes the smallest matched entry as its weight.  The
+    weights must sum to 1 within 1e-8, else GPTError.
     """
     D = np.asarray(D, dtype=float)
     d = D.shape[0]
@@ -116,9 +177,6 @@ def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
             or np.abs(D.sum(axis=1) - 1).max() > 1e-8
             or D.min() < -tol):
         raise ValueError("matrix is not doubly stochastic")
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import maximum_bipartite_matching
-
     R = np.clip(D, 0.0, None)
     terms = []
     mass = 1.0
@@ -126,18 +184,14 @@ def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
         if mass <= 1e-11:
             break
         thresh = max(1e-12, 1e-12 * mass)
-        rows, cols = np.nonzero(R > thresh)
-        indptr = np.searchsorted(rows, np.arange(d + 1))
-        match = maximum_bipartite_matching(
-            csr_array((np.ones(cols.size, bool), cols, indptr), shape=(d, d)),
-            perm_type="column")
-        if np.any(match < 0):
+        match = _perfect_matching(R > thresh)
+        if match is None:
             raise GPTError("support of the remainder admits no matching; "
                            "input was not doubly stochastic enough")
         w = float(R[np.arange(d), match].min())
         if w <= 1e-13:
             raise GPTError("decomposition stalled")
-        terms.append((w, match.copy()))
+        terms.append((w, match))
         R[np.arange(d), match] -= w
         mass -= w
     total = sum(w for w, _ in terms)
@@ -256,14 +310,6 @@ def _eigenstates_by_sector(state: StateVec) -> list:
                         for b in range(state.model.structure.block_count))]
 
 
-def sector_spectra(state: StateVec) -> list:
-    """Per-sector eigenvalue lists (descending, carrying sector mass, 0 for
-    negative ones), read off the state's fast diagonalization."""
-    if state.model.structure is None:
-        raise UnsupportedModelError("no sectors")
-    return [w for w, _ in _eigenstates_by_sector(state)]
-
-
 def _matching_sector_perm(sr: list, ss: list, tol: float = 1e-8):
     """A sector relabeling carrying the spectra `sr` onto `ss`, or None."""
     for perm in itertools.permutations(range(len(sr))):
@@ -271,18 +317,6 @@ def _matching_sector_perm(sr: list, ss: list, tol: float = 1e-8):
                for j in range(len(sr))):
             return perm
     return None
-
-
-def rare_equivalent_doubled(rho: StateVec, sigma: StateVec) -> bool:
-    """Interconvertibility by mixtures of reversibles in a sectorized model.
-
-    Holds exactly when the per-sector spectra agree up to an implementable
-    sector relabeling; then a single reversible already does the job.
-    """
-    if not rho.model.flags.sectorized:
-        raise UnsupportedModelError("sector comparison needs a sectorized model")
-    return _matching_sector_perm(sector_spectra(rho),
-                                 sector_spectra(sigma)) is not None
 
 
 @per_model_id

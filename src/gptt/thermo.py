@@ -19,6 +19,7 @@ from .core import (
     ModelSpec,
     StateVec,
     UnsupportedModelError,
+    _finite_coords,
     apply_channel,
     as_coords,
     lift_channel,
@@ -225,7 +226,10 @@ def _structure(model: ModelSpec):
     return model.structure
 
 
-def _spectrum_of_levels(model: ModelSpec, h: np.ndarray) -> np.ndarray:
+def _spectrum_of_levels(model: ModelSpec, hamiltonian) -> np.ndarray:
+    """The energy levels of a Hamiltonian; a NaN or infinite coordinate
+    raises ValueError."""
+    h = _finite_coords(hamiltonian)
     return np.concatenate(block_eigvalsh(h, _structure(model)))
 
 
@@ -242,16 +246,30 @@ def _reference_level(levels: np.ndarray, beta: float) -> float:
 
 def _shifted_log_partition(levels: np.ndarray, beta: float):
     """(e0, log Z + beta e0) for the reference level e0; the second term
-    stays finite where log Z itself overflows."""
-    from scipy.special import logsumexp
+    stays finite where log Z itself overflows.
 
+    The log-sum-exp of the exponents x = -beta (e - e0) is formed as
+    scipy.special.logsumexp forms it for real input, so it has the same
+    bits: with t the top exponent, m the number of exponents equal to t and
+    s the sum of exp(x - t) over the others, it is log1p(s / m) + log m + t.
+    s sums over all positions, the top ones as exp(-inf), since summing the
+    others alone can round differently.  At beta = +-inf the reference
+    level's exponent is NaN, and so is the result.
+    """
     e0 = _reference_level(levels, beta)
     with np.errstate(over="ignore"):  # an exponent of -inf weighs 0
-        return e0, float(logsumexp(-beta * (levels - e0)))
+        x = -beta * (levels - e0)
+    # a NaN top exponent leaves m = 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        top = x.max()
+        at_top = x == top
+        m = at_top.sum()
+        s = np.exp(np.where(at_top, -np.inf, x) - top).sum()
+        return e0, float(np.log1p(s if s == 0 else s / m) + np.log(m) + top)
 
 
 def log_partition(model: ModelSpec, hamiltonian, beta: float) -> float:
-    levels = _spectrum_of_levels(model, as_coords(hamiltonian))
+    levels = _spectrum_of_levels(model, hamiltonian)
     e0, shifted = _shifted_log_partition(levels, beta)
     return -beta * e0 + shifted
 
@@ -261,16 +279,72 @@ def entropy_identity_residual(model: ModelSpec, hamiltonian, beta: float,
     """|S - (beta E + log Z)| for an equilibrium state of entropy S and mean
     energy E at finite beta.  E and log Z are both taken from the reference
     level, so the check stays finite where beta E and log Z overflow."""
-    levels = _spectrum_of_levels(model, as_coords(hamiltonian))
+    levels = _spectrum_of_levels(model, hamiltonian)
     e0, shifted = _shifted_log_partition(levels, beta)
     return abs(entropy - (beta * (energy - e0) + shifted))
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float, rtol: float, maxiter: int) -> float:
+    """A root of f between xa and xb, where f changes sign, by Brent's
+    method: a port of scipy.optimize.brentq that takes the same steps in
+    the same float arithmetic, so it returns the same root to the bit.
+    Opposite signs are required of f(xa) and f(xb) (ValueError), and a root
+    within maxiter steps (GPTError)."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise GPTError(f"root search did not converge in {maxiter} steps")
 
 
 def beta_from_energy(model: ModelSpec, hamiltonian, energy: float,
                      tol: float = 1e-10) -> float:
     """Inverse temperature whose equilibrium state has the given mean
-    energy; +-inf at the spectrum edges."""
-    levels = _spectrum_of_levels(model, as_coords(hamiltonian))
+    energy; +-inf at the spectrum edges.
+
+    Inside the band the root of the energy gap is found by `_brentq`,
+    which returns what scipy.optimize.brentq returns with the same
+    tolerances (xtol 1e-14, rtol 8.9e-16, 200 steps), and must leave a gap
+    of at most tol."""
+    levels = _spectrum_of_levels(model, hamiltonian)
     lo, hi = float(levels.min()), float(levels.max())
     if energy < lo - 1e-9 or energy > hi + 1e-9:
         raise ValueError(f"energy {energy} outside the reachable band "
@@ -292,9 +366,7 @@ def beta_from_energy(model: ModelSpec, hamiltonian, energy: float,
         b *= 2.0
         if b > 1e8:
             raise GPTError("no bracketing inverse temperature found")
-    from scipy.optimize import brentq
-
-    beta = brentq(gap, -b, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
+    beta = _brentq(gap, -b, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     if abs(gap(beta)) > tol:
         raise GPTError(f"energy residual {gap(beta):.2e} above tolerance")
     return float(beta)

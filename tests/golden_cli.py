@@ -17,8 +17,8 @@ The calls cover `diag` (auto, fast, peel), `entropy`, `convert` in the
 unital, rare and noisy regimes, `landauer`, `gibbs`, `erase` and `verify`
 on the matrix models and the builtin polytopes.  Fixed vectors on the two
 sectorized models reach the sector-matched rare witness and its "no"
-certificate, and `gibbs` runs at beta = +-inf on Hamiltonians off the
-diagonal.
+certificate, and `gibbs` runs at beta = +-inf and at fixed mean energies
+(one near the band's edge) on Hamiltonians off the diagonal.
 """
 
 from __future__ import annotations
@@ -60,6 +60,19 @@ OFF_DIAGONAL_H = {
     "doubled_quantum:2": "[0,1,0.3,0.2,0.5,0.5,0.1,0]",
 }
 
+# mean energies for `gibbs --E` on OFF_DIAGONAL_H: two inside the band and
+# one within 1e-3 of its edge (quantum:3 spans [0.05998, 1.03398],
+# doubled_quantum:2 spans [-0.06125, 1.06125])
+OFF_DIAGONAL_E = {
+    "quantum:3": ("0.3", "0.8", "1.0335"),
+    "doubled_quantum:2": ("-0.0605", "0", "0.5"),
+}
+
+# models and seeds of the extra random-to-random rare and noisy conversions,
+# whose Birkhoff matchings meet 3x3 supports
+RANDOM_PAIR_MODELS = ("quantum:3", "real_quantum:3")
+RANDOM_PAIR_SEEDS = ("2", "3")
+
 
 def calls():
     """The golden argv lists, in a fixed order."""
@@ -93,6 +106,12 @@ def calls():
         levels = str(list(range(zoo.parse_model_string(model).capacity)))
         for ham, beta in itertools.product((levels, h), ("inf", "-inf")):
             out.append(("gibbs", model, "--H", ham, "--beta", beta, "--json"))
+        for energy in OFF_DIAGONAL_E[model]:
+            out.append(("gibbs", model, "--H", h, "--E", energy, "--json"))
+    for model, seed, regime in itertools.product(
+            RANDOM_PAIR_MODELS, RANDOM_PAIR_SEEDS, ("rare", "noisy")):
+        out.append(("convert", model, "--from", "random", "--to", "random",
+                    "--regime", regime, "--seed", seed, "--json"))
     return [list(argv) for argv in out]
 
 

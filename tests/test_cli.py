@@ -349,13 +349,51 @@ class TestDeterminism:
         assert a != b
 
 
-def test_import_loads_no_scipy():
-    """scipy loads on first use only, never when the CLI is imported."""
+def _scipy_modules_after(code):
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
     src = os.path.dirname(os.path.dirname(gptt.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import gptt.cli, sys; "
-            "print([m for m in sys.modules if m.startswith('scipy')])")
+    code += ("\nimport sys\n"
+             "print([m for m in sys.modules if m.startswith('scipy')])")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    """scipy loads on first use only, never when the CLI is imported."""
+    assert _scipy_modules_after("import gptt.cli") == "[]"
+
+
+# each command's arguments after the model; LEVELS stands for one energy
+# per perfectly distinguishable state.  The rare conversion from a pure
+# state to a random one splits a nontrivial Birkhoff matrix on quantum:3.
+NO_SCIPY_COMMANDS = {
+    **{command: ("--state", "random", "--seed", "3")
+       for command in ("diag", "entropy", "landauer", "erase")},
+    "verify": (),
+    **{f"convert_{regime}": ("--from", "pure:0", "--to", "random",
+                             "--regime", regime, "--seed", "3")
+       for regime in ("unital", "rare", "noisy")},
+    "gibbs_beta": ("--H", "LEVELS", "--beta", "0.7"),
+    "gibbs_E": ("--H", "LEVELS", "--E", "0.3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_SCIPY_COMMANDS))
+def test_matrix_model_command_loads_no_scipy(command):
+    """A matrix-model command loads no scipy module: only polytope LPs do."""
+    argvs = []
+    for model in ("quantum:3", "doubled_quantum:2"):
+        levels = str(list(range(zoo.parse_model_string(model).capacity)))
+        argvs.append([command.split("_")[0], model]
+                     + [levels if a == "LEVELS" else a
+                        for a in NO_SCIPY_COMMANDS[command]]
+                     + ["--json"])
+    code = ("from click.testing import CliRunner\n"
+            "from gptt.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    res = CliRunner().invoke(main, argv)\n"
+            "    assert res.exit_code == 0, (argv, res.output)\n")
+    assert _scipy_modules_after(code) == "[]"

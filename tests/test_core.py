@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -198,11 +200,12 @@ class TestPairingAndNorms:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_base_norm_refuses_non_finite(self, bad):
-        for model in (sq, q2):
+        for model, norm in itertools.product((sq, q2),
+                                             (state_norm, effect_norm)):
             x = np.zeros(model.vector_dim)
             x[0] = bad
             with pytest.raises(ValueError, match="NaN or infinite"):
-                state_norm(model, x)
+                norm(model, x)
 
     def test_effect_norm(self):
         assert abs(effect_norm(q2, q2.unit_effect) - 1) < 1e-12

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from gptt import resource, zoo
 from gptt.core import (DiagonalizationError, GPTError, ModelCompatibilityError,
@@ -19,6 +23,12 @@ ec22 = zoo.build_model("extended_classical", N=2, n=2)
 
 def rand_state(m, r=rng):
     return StateVec(m.state_sampler(m, r), m)
+
+
+def scipy_matching(support):
+    """scipy's maximum matching of a square boolean support: the column of
+    each row, -1 for a row left unmatched."""
+    return maximum_bipartite_matching(csr_array(support), perm_type="column")
 
 
 def random_simplex(r, d):
@@ -105,6 +115,46 @@ class TestBirkhoff:
     def test_rejects_non_ds(self):
         with pytest.raises(ValueError):
             resource.birkhoff_decompose(np.array([[0.5, 0.5], [0.5, 0.4]]))
+
+    @pytest.mark.parametrize("d, matchable", [(1, 1), (2, 7), (3, 247)])
+    def test_matching_is_scipys_on_every_support(self, d, matchable):
+        seen = 0
+        for bits in itertools.product((False, True), repeat=d * d):
+            support = np.array(bits).reshape(d, d)
+            ref = scipy_matching(support)
+            got = resource._perfect_matching(support)
+            if (ref < 0).any():
+                assert got is None
+            else:
+                assert got.tolist() == ref.tolist()
+                seen += 1
+        assert seen == matchable
+
+    def test_matching_takes_the_lowest_free_column(self):
+        # searching from the highest column down matches rows 0 and 2 the
+        # other way round
+        support = np.array([[0, 1, 1, 1], [0, 1, 0, 0], [1, 0, 1, 1],
+                            [1, 0, 0, 0]], bool)
+        assert (resource._perfect_matching(support).tolist()
+                == scipy_matching(support).tolist() == [2, 1, 3, 0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matching_perfect_inside_support(self, data):
+        d = data.draw(st.integers(1, 8))
+        support = np.array(data.draw(st.lists(
+            st.booleans(), min_size=d * d, max_size=d * d))).reshape(d, d)
+        planted = data.draw(st.one_of(st.none(), st.permutations(range(d))))
+        if planted is not None:
+            support[np.arange(d), planted] = True
+        ref = scipy_matching(support)
+        got = resource._perfect_matching(support)
+        if (ref < 0).any():
+            assert got is None and planted is None
+        else:
+            assert sorted(got.tolist()) == list(range(d))
+            assert support[np.arange(d), got].all()
+            assert got.tolist() == ref.tolist()
 
 
 class TestTChain:
@@ -249,12 +299,15 @@ class TestSectorVerdicts:
         assert "sector" in out.certificate["reason"]
 
     def test_equivalence_under_sector_swap(self):
-        assert resource.rare_equivalent_doubled(self.rho, self.swapped)
-        assert not resource.rare_equivalent_doubled(self.rho, self.sigma)
         out = resource.convertible(self.rho, self.swapped, "rare")
         assert out.answer == "yes"
+        assert out.certificate == {"sector_perm": (1, 0)}
         moved = apply_channel(out.channel, self.rho)
         assert np.abs(moved.coords - self.swapped.coords).max() < 1e-9
+        out = resource.convertible(self.rho, self.sigma, "rare")
+        assert out.answer == "no" and out.channel is None
+        assert out.certificate["source_sectors"] == [[0.5, 0.5], [0.0, 0.0]]
+        assert out.certificate["target_sectors"] == [[0.5, 0.0], [0.5, 0.0]]
 
     def test_pure_source_always_converts(self):
         r = np.random.default_rng(41)

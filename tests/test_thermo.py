@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 from gptt import thermo, zoo
 from gptt.core import (ChannelMap, GPTError, StateVec, UnsupportedModelError,
@@ -200,6 +203,88 @@ class TestGibbs:
             thermo.beta_from_energy(m, h, 1.0)
         with pytest.raises(UnsupportedModelError):
             thermo.log_partition(m, h, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_energy_solvers_refuse_non_finite(self, bad):
+        h = H01.copy()
+        h[0] = bad
+        for solve in (lambda: thermo.log_partition(q2, h, 1.0),
+                      lambda: thermo.beta_from_energy(q2, h, 0.5),
+                      lambda: thermo.entropy_identity_residual(
+                          q2, h, 1.0, 0.5, 0.5)):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                solve()
+
+
+def same_bits(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestScipyKernels:
+    """The log-sum-exp of `_shifted_log_partition` and the root finder
+    `_brentq` return the very floats of the scipy routines they port."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(levels=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, -2.0]),
+                                     st.floats(-1e6, 1e6)),
+                           min_size=1, max_size=24),
+           beta=st.one_of(st.sampled_from([0.0, -0.0, 1e300, -1e300,
+                                           math.inf, -math.inf]),
+                          st.floats(-1e4, 1e4)))
+    def test_log_sum_exp_is_scipys(self, levels, beta):
+        levels = np.array(levels)
+        with np.errstate(over="ignore", invalid="ignore"):  # beta = +-inf
+            e0, got = thermo._shifted_log_partition(levels, beta)
+            ref = float(logsumexp(-beta * (levels - e0)))
+        assert same_bits(got, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(levels=st.lists(st.one_of(st.sampled_from([0.0, 1.0, -0.5]),
+                                     st.floats(-50, 50)),
+                           min_size=3, max_size=3),
+           t=st.one_of(st.sampled_from([1e-3, 1 - 1e-3]),
+                       st.floats(0, 1)))
+    def test_beta_root_is_scipys(self, levels, t):
+        h = np.zeros(q3.vector_dim)
+        for E, s in zip(levels, zoo.pure_maximal_set(q3)):
+            h += E * dagger(s).coords
+        lo, hi = min(levels), max(levels)
+        assume(hi - lo == 0 or hi - lo >= 1e-3)
+        roots = []
+        port = thermo._brentq
+
+        def both(f, a, b, **kw):
+            got = port(f, a, b, **kw)
+            assert got == brentq(f, a, b, **kw)
+            roots.append(got)
+            return got
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thermo, "_brentq", both)
+            beta = thermo.beta_from_energy(q3, h, lo + t * (hi - lo))
+        assert roots == ([] if math.isinf(beta) or hi - lo <= 1e-12
+                         else [beta])
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["cubic", "tanh", "sine"]),
+           root=st.floats(-10, 10), scale=st.floats(1e-3, 1e3),
+           a=st.floats(-20, 20), b=st.floats(-20, 20))
+    def test_brentq_is_scipys(self, kind, root, scale, a, b):
+        f = {"cubic": lambda x: scale * (x - root) * (1 + (x - root) ** 2),
+             "tanh": lambda x: math.tanh(scale * (x - root)),
+             "sine": lambda x: math.sin(scale * (x - root))}[kind]
+        kw = dict(xtol=1e-14, rtol=8.9e-16, maxiter=200)
+        try:
+            ref = brentq(f, a, b, **kw)
+        except ValueError:
+            with pytest.raises(ValueError, match="different signs"):
+                thermo._brentq(f, a, b, **kw)
+            return
+        except RuntimeError:  # no root within maxiter steps
+            with pytest.raises(GPTError, match="did not converge"):
+                thermo._brentq(f, a, b, **kw)
+            return
+        assert thermo._brentq(f, a, b, **kw) == ref
 
 
 class TestBetaSolve:
