@@ -150,24 +150,20 @@ _beta_opt = click.option("--beta", type=float, default=1.0, show_default=True,
 @main.command()
 @_model_arg
 @click.option("--state", default="chi", show_default=True)
-@click.option("--method", type=click.Choice(["auto", "fast", "peel"]),
-              default="auto", show_default=True)
 @_seed_opt
 @_json_flag
-def diag(model, state, method, seed, as_json):
+def diag(model, state, seed, as_json):
     """Diagonalize a state into distinguishable pure pieces."""
     m = _get_model(model)
     rng = np.random.default_rng(seed)
     rho = _get_state(m, state, rng)
     try:
-        d = diagonalize(rho, method=method)
+        d = diagonalize(rho)
     except DiagonalizationError as exc:
         _emit({
             "command": "diag", "model": m.model_id, "seed": seed,
             "error": str(exc),
-            "results": {"residue": exc.residue,
-                        "partial_eigenvalues": list(exc.partial[0])
-                        if exc.partial else []},
+            "results": {"residue": exc.residue},
         }, as_json)
         sys.exit(EXIT_DIAG_FAILURE)
     recon = d.reconstruct()

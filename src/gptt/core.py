@@ -75,17 +75,14 @@ class ModelCompatibilityError(GPTError):
 class DiagonalizationError(GPTError):
     """No pure-state decomposition with the required structure exists.
 
-    `residue` is the failed figure: the weight a matrix peel left
-    undecomposed, a certificate's deviation, or on a polytope the smallest
-    miss over the stored distinguishable sets (or the gap between two
-    spectra).  `partial` holds a matrix peel's eigenvalues and eigenstates
-    so far; polytope refusals leave it None.
+    `residue` is the failed figure: a certificate's deviation, or on a
+    polytope the smallest miss over the stored distinguishable sets (or the
+    gap between two spectra).
     """
 
-    def __init__(self, message: str, residue: float | None = None, partial=None):
+    def __init__(self, message: str, residue: float | None = None):
         super().__init__(message)
         self.residue = residue
-        self.partial = partial
 
 
 class UnsupportedModelError(GPTError):
@@ -269,7 +266,6 @@ class GroupSpec:
     """
 
     kind: str
-    name: str
     generators: tuple = ()
     sampler: Optional[Callable] = None  # (model, rng) -> ChannelMap
 
@@ -284,7 +280,6 @@ class CompositeInfo:
 
     factors: tuple
     perm: np.ndarray
-    rule: str  # 'product' or 'residue'
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,15 +330,13 @@ class ModelSpec:
     def invariant_state(self) -> "StateVec":
         return StateVec(self.chi, self)
 
-    def make_reversible(self, matrix: np.ndarray, kraus=None,
-                        witness=None) -> "ChannelMap":
+    def make_reversible(self, matrix: np.ndarray, kraus=None) -> "ChannelMap":
         return ChannelMap(
             matrix=np.asarray(matrix, dtype=float),
             model_in=self,
             model_out=self,
             tags=frozenset({"reversible", "unital", "rare"}),
             kraus=None if kraus is None else tuple(kraus),
-            witness=witness,
         )
 
 
@@ -377,16 +370,17 @@ def per_model_id(build):
 class StateVec:
     """Normalized state: cone member with unit pairing against the unit effect.
 
-    The constructor checks the unit pairing (within 1e-7) and cone
-    membership (margin at least -DEFAULT_TOL).  On a matrix model the
-    membership check is the state's one block eigendecomposition: its
-    (w, V) pairs are kept in `_derived["block_eigh"]` until the fast route
-    of `spectral.diagonalize` takes them out, so no second eigensolve runs.
-    The eigenstates of a fast diagonalization are the one exception to the
-    check: `_certified_eigenstates` builds them, without kept pairs, after a
+    The constructor refuses a NaN or infinite coordinate, then checks the
+    unit pairing (within 1e-7) and cone membership (margin at least
+    -DEFAULT_TOL).  On a matrix model the membership check is the state's
+    one block eigendecomposition: its (w, V) pairs are kept in
+    `_derived["block_eigh"]` until `spectral.diagonalize` takes them out, so
+    no second eigensolve runs.  The eigenstates of a matrix-model
+    diagonalization are the one exception to these checks:
+    `_certified_eigenstates` builds them, without kept pairs, after a
     single check of the whole decomposition, which they pass with tighter
     tolerances than these.  The state is frozen and its coordinates are
-    read-only, so results derived from it alone (its diagonalizations, the
+    read-only, so results derived from it alone (its diagonalization, the
     support of a pure state) are cached in `_derived` and never go stale.
     """
 
@@ -402,8 +396,10 @@ class StateVec:
         x = x.copy()
         x.setflags(write=False)
         object.__setattr__(self, "coords", x)
-        # first: a NaN or infinite coordinate makes the pairing NaN or
-        # infinite, while LAPACK may give such a matrix finite eigenvalues
+        # before the pairing, which would warn and come out NaN, and the
+        # cone check, where LAPACK may give such a matrix finite eigenvalues
+        if not np.isfinite(x).all():
+            raise ConeError("state has a NaN or infinite coordinate")
         p = float(self.model.unit_effect @ x)
         if not abs(p - 1.0) <= 1e-7:
             raise NormalizationError(f"state has unit pairing {p!r}, expected 1")

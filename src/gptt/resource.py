@@ -301,7 +301,7 @@ def build_rare_channel(rho: StateVec, sigma: StateVec) -> ConversionOutcome:
 
 def _eigenstates_by_sector(state: StateVec) -> list:
     """(eigenvalues, eigenstates) of each sector, in block order: the
-    state's cached fast diagonalization grouped by each eigenstate's
+    state's cached diagonalization grouped by each eigenstate's
     `pure_support` sector, descending within a sector."""
     d = diagonalize(state)
     sectors = np.array([pure_support(s)[0] for s in d.eigenstates])

@@ -1,14 +1,13 @@
 """Pure-state decompositions and everything built on top of them.
 
 A diagonalization writes a state as a convex combination of jointly
-perfectly distinguishable pure states.  Matrix models get it from block
-eigendecompositions, all blocks at once (the fast route) or by peeling the
-largest pure weight off the unnormalized remainder, at most `capacity`
-times.  Polytope models look the state up among their stored
+perfectly distinguishable pure states, by one route per model family.
+Matrix models get it from one block eigendecomposition of the state, all
+blocks at once.  Polytope models look the state up among their stored
 distinguishable sets: one batched least-squares solve finds every set whose
 hull holds it, and the state is refused when no set does or when two give
-it different spectra.  Every route certifies its reconstruction of the
-state within `core.DEFAULT_TOL` and reports eigenvalues in descending
+it different spectra.  Both routes certify their reconstruction of the
+state within `core.DEFAULT_TOL` and report eigenvalues in descending
 order.  On matrix models the identifying effect of an eigenstate is
 `dagger(s)`, which the self-dual embedding gives the state's own
 coordinates; `transition_matrix` reads them off the eigenstates directly.
@@ -38,7 +37,7 @@ from .core import (
     per_model_id,
 )
 from .embedding import (_frozen, block_eigh, blocks_to_vec, canonical_rows,
-                        pure_block_coords, rank_one_coords)
+                        rank_one_coords)
 from . import zoo
 
 
@@ -67,13 +66,12 @@ def _descending_order(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 class Diagonalization:
     """Spectrum and eigenbasis of a state, padded to a maximal basis.
 
-    `residual` is the route's certificate figure.  Fast route: the largest
-    of the eigenstates' Gram deviation max|E E^T - I|, their unit-pairing
-    deviation and the reconstruction residual max|w^T E - x| with the raw
-    eigenvalues w, each certified at most `core.DEFAULT_TOL` (1e-9).
-    Peel route, on matrix models and polytopes alike: the reconstruction
-    residual max|p^T E - x| of the reported eigenvalues p, certified at
-    most `core.DEFAULT_TOL`.
+    `residual` is the route's certificate figure.  Matrix models: the
+    largest of the eigenstates' Gram deviation max|E E^T - I|, their
+    unit-pairing deviation and the reconstruction residual max|w^T E - x|
+    with the raw eigenvalues w, each certified at most `core.DEFAULT_TOL`
+    (1e-9).  Polytopes: the reconstruction residual max|p^T E - x| of the
+    reported eigenvalues p, certified at most `core.DEFAULT_TOL`.
     """
 
     model: ModelSpec
@@ -101,21 +99,6 @@ def _block_spectrum(x: np.ndarray, st, pairs=None) -> tuple:
             np.concatenate([rank_one_coords(st, b, U)
                             for b, (_, U) in enumerate(parts)]),
             [(b, u) for b, (_, U) in enumerate(parts) for u in U])
-
-
-def _complete_matrix_basis(model: ModelSpec, used: list) -> list:
-    """Pure states spanning the orthocomplement of the used eigenvectors."""
-    st = model.structure
-    out = []
-    for b, n in enumerate(st.dims):
-        P = np.eye(n, dtype=complex if st.field == "C" else float)
-        for (bb, vec) in used:
-            if bb == b:
-                P = P - np.outer(vec, vec.conj())
-        w, V = np.linalg.eigh(P)
-        out.extend(StateVec(c, model)
-                   for c in pure_block_coords(st, b, V[:, w > 0.5]))
-    return out
 
 
 @per_model_id
@@ -168,21 +151,20 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     return values, rows
 
 
-def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
+def diagonalize(state: StateVec) -> Diagonalization:
     """Decompose a state into perfectly distinguishable pure states.
 
-    method 'fast' uses per-block eigendecomposition (matrix models only).
-    'peel' works on any model: on a matrix model it strips the largest
-    pure weight from the unnormalized remainder, at most `capacity` times;
-    on a polytope it looks the state up among the stored distinguishable
-    sets (`_stored_set_decomposition`).  Failures raise
-    DiagonalizationError carrying the undecomposed residue.
+    One route per model family.  On a matrix model the decomposition is the
+    state's block eigendecomposition; on a polytope the state is looked up
+    among the stored distinguishable sets (`_stored_set_decomposition`).
+    Failures raise DiagonalizationError carrying the failed figure as its
+    residue.
 
-    The fast route makes no eigensolve of its own on a constructed state:
+    The matrix route makes no eigensolve of its own on a constructed state:
     it takes out (pops) the `block_eigh` pairs the state's cone check kept
     (`core.StateVec`), so each block is solved once in the state's life;
-    an eigenstate of an earlier fast route, built without pairs, gets one
-    eigensolve per block here.  Popped before the check, the pairs are
+    an eigenstate of an earlier diagonalization, built without pairs, gets
+    one eigensolve per block here.  Popped before the check, the pairs are
     gone whether it passes or not, and a retry after a refusal solves
     afresh.  It certifies the whole decomposition once: the eigenstates'
     Gram matrix, their unit pairings and their reconstruction of the state
@@ -192,28 +174,19 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
     DiagonalizationError with the failed figure as its residue; otherwise
     the eigenstates are built without a cone check of their own, negative
     eigenvalues are reported as 0, and the largest of the three deviations
-    is the result's `residual`.  The matrix peel's first step reads the
-    kept pairs and leaves them.  The peel route's `residual` is the
+    is the result's `residual`.  The polytope route's `residual` is the
     reconstruction residual of the reported eigenvalues, and one above
     `core.DEFAULT_TOL` raises DiagonalizationError.
 
-    The result is cached on the state, one entry per resolved method
-    ('auto' picks 'fast' on matrix models, 'peel' elsewhere): later calls
-    return the same Diagonalization object.  Errors are not cached and are
-    raised again on every call.
+    The result is cached on the state: later calls return the same
+    Diagonalization object.  Errors are not cached and are raised again on
+    every call.
     """
-    model = state.model
-    if method == "auto":
-        method = "fast" if model.structure is not None else "peel"
-    elif method != "fast":
-        method = "peel"
-    cached = state._derived.get(method)
+    cached = state._derived.get("diagonalization")
     if cached is not None:
         return cached
-    if method == "fast":
-        if model.structure is None:
-            raise UnsupportedModelError(
-                f"{model.model_id} has no block eigendecomposition")
+    model = state.model
+    if model.structure is not None:
         kept = state._derived.pop("block_eigh", None)
         raw, rows, supports = _block_spectrum(state.coords, model.structure,
                                               kept)
@@ -225,48 +198,8 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
         for s, i in zip(eigenstates, order.tolist()):
             s._derived["pure_support"] = supports[i]
     else:
-        if model.structure is None:
-            values, rows = _stored_set_decomposition(model, state.coords)
-            eigenstates = tuple(StateVec(r, model) for r in rows)
-        else:
-            values_l, eigenstates_l = [], []
-            r = state.coords
-            pairs = state._derived.get("block_eigh")  # 'fast' still pops them
-            while (left := float(model.unit_effect @ r)) > 1e-12:
-                if len(values_l) == model.capacity:
-                    raise DiagonalizationError(
-                        f"state of {model.model_id} admits no decomposition "
-                        f"into {model.capacity} perfectly distinguishable "
-                        "pure states", residue=left,
-                        partial=(np.asarray(values_l), tuple(eigenstates_l)))
-                vals, rows, supports = _block_spectrum(r, model.structure,
-                                                       pairs)
-                pairs = None
-                best = 0
-                for i, val in enumerate(vals.tolist()):
-                    if (val > vals[best] + 1e-14
-                            or (abs(val - vals[best]) <= 1e-14
-                                and _lex_key(rows[i]) < _lex_key(rows[best]))):
-                        best = i
-                eigenstates_l.append(StateVec(rows[best], model))
-                eigenstates_l[-1]._derived["pure_support"] = supports[best]
-                if vals[best] >= left - 1e-11:
-                    values_l.append(left)
-                    break
-                values_l.append(float(vals[best]))
-                r = r - vals[best] * rows[best]
-            if len(eigenstates_l) < model.capacity:
-                used = [zoo.pure_support(s) for s in eigenstates_l]
-                eigenstates_l.extend(_complete_matrix_basis(model, used))
-                values_l.extend([0.0] * (len(eigenstates_l) - len(values_l)))
-            if len(eigenstates_l) != model.capacity:
-                raise DiagonalizationError(
-                    "could not complete the eigenbasis to a maximal set",
-                    residue=0.0)
-            rows = np.array([s.coords for s in eigenstates_l])
-            order = _descending_order(np.array(values_l), rows)
-            values = np.array(values_l)[order]
-            eigenstates = tuple(eigenstates_l[i] for i in order)
+        values, rows = _stored_set_decomposition(model, state.coords)
+        eigenstates = tuple(StateVec(r, model) for r in rows)
         residual = float(np.abs(
             sum(p * s.coords for p, s in zip(values, eigenstates))
             - state.coords).max())
@@ -275,7 +208,7 @@ def diagonalize(state: StateVec, method: str = "auto") -> Diagonalization:
                 f"decomposition of a {model.model_id} state fails its "
                 f"reconstruction check (deviation {residual:.3e})",
                 residue=residual)
-    d = state._derived[method] = Diagonalization(
+    d = state._derived["diagonalization"] = Diagonalization(
         model, values, eigenstates, residual)
     return d
 

@@ -269,9 +269,18 @@ def _shifted_log_partition(levels: np.ndarray, beta: float):
 
 
 def log_partition(model: ModelSpec, hamiltonian, beta: float) -> float:
+    """log Z, from the reference level e0 as -beta e0 + (log Z + beta e0).
+
+    At beta = +-inf it is the limit log m - beta e0, m the number of levels
+    within 1e-12 of e0: the eigenspace `gibbs_state` selects there.  The
+    term -beta e0 is added only when e0 != 0, so no limit forms inf * 0."""
     levels = _spectrum_of_levels(model, hamiltonian)
-    e0, shifted = _shifted_log_partition(levels, beta)
-    return -beta * e0 + shifted
+    if math.isinf(beta):
+        e0 = _reference_level(levels, beta)
+        shifted = math.log(np.count_nonzero(np.abs(levels - e0) <= 1e-12))
+    else:
+        e0, shifted = _shifted_log_partition(levels, beta)
+    return shifted if e0 == 0 else -beta * e0 + shifted
 
 
 def entropy_identity_residual(model: ModelSpec, hamiltonian, beta: float,

@@ -172,8 +172,7 @@ def _matrix_group_sampler(model: ModelSpec, rng: np.random.Generator) -> Channel
 
 # every matrix family: block unitaries (orthogonals over R), then a random
 # permutation of the equal-dimension sectors
-_MATRIX_GROUP = GroupSpec(kind="parametric", name="block_unitary",
-                          sampler=_matrix_group_sampler)
+_MATRIX_GROUP = GroupSpec(kind="parametric", sampler=_matrix_group_sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +435,6 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
     capacity = max(len(c) for c, _ in maximal)
     group = GroupSpec(
         kind="finite",
-        name=f"{kind}-group",
         generators=tuple((M, None) for M in group_matrices),
         sampler=_finite_group_sampler,
     )
@@ -554,13 +552,11 @@ def compose_systems(mA: ModelSpec, mB: ModelSpec) -> ModelSpec:
     if FAMILIES[kind].flags.sectorized:
         dims, perm = _residue_perm(stA, stB)
         base = _matrix_model(kind, len(dims), dims[0])
-        rule = "residue"
     else:
         base = _matrix_model(kind, stA.block_count * stB.block_count,
                              stA.dims[0] * stB.dims[0])
         perm = np.arange(base.structure.hilbert_dim)
-        rule = "product"
-    info = CompositeInfo(factors=(mA, mB), perm=perm, rule=rule)
+    info = CompositeInfo(factors=(mA, mB), perm=perm)
     return dataclasses.replace(base, model_id=f"({mA.model_id})x({mB.model_id})",
                                composite=info)
 
@@ -617,12 +613,11 @@ def pure_support(state: StateVec):
 
     The vector is read-only, in canonical phase (`embedding.canonical_rows`:
     its first entry above 1e-10 in absolute value real and positive), and
-    cached on the state.  An eigenstate made by the fast route of
-    `spectral.diagonalize`, or peeled by the matrix peel, arrives with the
-    vector its coordinates were built from; any other state reads it off
-    the `block_eigh` pairs its cone check kept (left for the fast route),
-    else solves them.  Errors are not cached and are raised again on
-    every call.
+    cached on the state.  An eigenstate made by `spectral.diagonalize`
+    arrives with the vector its coordinates were built from; any other
+    state reads it off the `block_eigh` pairs its cone check kept (left for
+    `spectral.diagonalize`), else solves them.  Errors are not cached and
+    are raised again on every call.
     """
     cached = state._derived.get("pure_support")
     if cached is not None:

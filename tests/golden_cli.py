@@ -3,7 +3,7 @@
 Runs a fixed list of calls in-process through click's CliRunner and prints,
 for each, its exit code, the sha256 of its stdout and its argv:
 
-    0 3f5a...c2 diag quantum:3 --state random --method fast --seed 1 --json
+    0 3f5a...c2 diag quantum:3 --state random --seed 1 --json
 
 Two checkouts print the same lines exactly when every call exits the same
 way and writes the same bytes, so comparing them is one `diff`:
@@ -13,12 +13,12 @@ way and writes the same bytes, so comparing them is one `diff`:
     PYTHONPATH=src python tests/golden_cli.py > after.txt
     diff before.txt after.txt
 
-The calls cover `diag` (auto, fast, peel), `entropy`, `convert` in the
-unital, rare and noisy regimes, `landauer`, `gibbs`, `erase` and `verify`
-on the matrix models and the builtin polytopes.  Fixed vectors on the two
-sectorized models reach the sector-matched rare witness and its "no"
-certificate, and `gibbs` runs at beta = +-inf and at fixed mean energies
-(one near the band's edge) on Hamiltonians off the diagonal.
+The calls cover `diag`, `entropy`, `convert` in the unital, rare and noisy
+regimes, `landauer`, `gibbs`, `erase` and `verify` on the matrix models and
+the builtin polytopes.  Fixed vectors on the two sectorized models reach
+the sector-matched rare witness and its "no" certificate, and `gibbs` runs
+at beta = +-inf and at fixed mean energies (one near the band's edge) on
+Hamiltonians off the diagonal.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ def calls():
     for model, seed in itertools.product(models, SEEDS):
         tail = ("--seed", seed, "--json")
         for state in STATES:
-            for method in ("auto", "fast", "peel"):
-                out.append(("diag", model, "--state", state,
-                            "--method", method) + tail)
+            out.append(("diag", model, "--state", state) + tail)
             out.append(("entropy", model, "--state", state) + tail)
             out.append(("entropy", model, "--state", state,
                         "--alpha", "0.5") + tail)

@@ -39,11 +39,10 @@ class TestDiag:
         rep = json.loads(res.output)
         assert abs(rep["results"]["residue"] - 0.1) < 1e-9
 
-    def test_near_pure_peel_exits_zero(self):
+    def test_near_pure_state_exits_zero(self):
         res = invoke("diag", "quantum:2", "--state",
                      "[0.000728696125513, 0.999271303874487, "
-                     "-0.012686814818987, -0.035712395392741]",
-                     "--method", "peel", "--json")
+                     "-0.012686814818987, -0.035712395392741]", "--json")
         assert res.exit_code == 0
         rep = json.loads(res.output)
         assert np.abs(np.asarray(rep["results"]["eigenvalues"])
@@ -349,16 +348,32 @@ class TestDeterminism:
         assert a != b
 
 
-def _scipy_modules_after(code):
-    """The scipy modules loaded once `code` has run in a fresh interpreter."""
+def _fresh_python(*args, check=True):
+    """Run the interpreter on args in a fresh process that imports this
+    gptt, capturing its output as text."""
     src = os.path.dirname(os.path.dirname(gptt.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], check=check,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def _scipy_modules_after(code):
+    """The scipy modules loaded once `code` has run in a fresh interpreter."""
     code += ("\nimport sys\n"
              "print([m for m in sys.modules if m.startswith('scipy')])")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
-    return out.stdout.strip().splitlines()[-1]
+    return _fresh_python("-c", code).stdout.strip().splitlines()[-1]
+
+
+def test_non_finite_state_refused_without_warning():
+    """An infinite coordinate is refused by name before the unit pairing,
+    so stderr holds the usage error alone and no numpy warning."""
+    out = _fresh_python("-m", "gptt.cli", "diag", "quantum:2", "--state",
+                        "[0.5,0.5,Infinity,0]", "--json", check=False)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.endswith("Error: not a valid state of quantum:2: "
+                               "state has a NaN or infinite coordinate\n")
+    assert "Warning" not in out.stderr
 
 
 def test_import_loads_no_scipy():

@@ -150,8 +150,10 @@ class TestNonFinite:
         [0.5, 0.5, np.inf, 0.0],
         [np.inf, -np.inf, 0.0, 0.0],
     ])
+    @pytest.mark.filterwarnings("error")
     def test_state(self, x):
-        with pytest.raises(GPTError):
+        with pytest.raises(ConeError,
+                           match="state has a NaN or infinite coordinate"):
             StateVec(np.array(x), q2)
 
     def test_state_three_level_block(self):

@@ -184,9 +184,8 @@ def _pentagon_mixture():
 def test_peel_refuses_pieces_not_distinguishable():
     m, x = _pentagon_mixture()
     assert not _distinguishable(m, (0, 1))
-    for method in ("auto", "peel"):
-        with pytest.raises(DiagonalizationError, match="distinguishable"):
-            spectral.diagonalize(StateVec(x, m), method)
+    with pytest.raises(DiagonalizationError, match="distinguishable"):
+        spectral.diagonalize(StateVec(x, m))
     # a distinguishable pair still decomposes
     y = 0.7 * m.state_cone.generators[0] + 0.3 * m.state_cone.generators[2]
     d = spectral.diagonalize(StateVec(y, m))
@@ -229,7 +228,7 @@ def test_hexagon_two_spectra_refused(tmp_path):
     rep = json.loads(res.output)
     assert "[0.75, 0.25]" in rep["error"] and "[0.5, 0.5]" in rep["error"]
     assert abs(rep["results"]["residue"] - 0.25) < 1e-12
-    assert rep["results"]["partial_eigenvalues"] == []
+    assert rep["results"].keys() == {"residue"}
 
 
 def test_triangle_state_near_an_edge_decomposes(tmp_path):
@@ -284,8 +283,8 @@ def test_cli_refuses_peel_pieces_not_distinguishable(tmp_path):
     path = tmp_path / "pentagon.json"
     path.write_text(json.dumps(kgon_json(5)))
     state = json.dumps(x.tolist())
-    for args in (("diag", "--method", "peel"), ("diag",), ("entropy",)):
-        res = _cli(args[0], str(path), "--state", state, *args[1:], "--json")
+    for command in ("diag", "entropy"):
+        res = _cli(command, str(path), "--state", state, "--json")
         assert res.exit_code == 3, res.output
         assert "distinguishable" in json.loads(res.output)["error"]
 

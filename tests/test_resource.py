@@ -390,9 +390,9 @@ class TestConvertibleContract:
         for rho, sigma in pairs:
             seen = []
 
-            def counting(state, method="auto"):
+            def counting(state):
                 seen.append(state)
-                return diagonalize(state, method)
+                return diagonalize(state)
 
             monkeypatch.setattr(resource, "diagonalize", counting)
             resource.convertible(rho, sigma, regime)

@@ -76,19 +76,20 @@ class TestDecompositionContract:
             assert effs is not None
 
     @pytest.mark.parametrize("model", [q2, q3, dq2], ids=lambda m: m.model_id)
-    def test_peel_agrees_with_fast(self, model):
-        """Random states, and pure states mixed with a fraction eps of a
-        random one: the peel keeps its remainders unnormalized, so rounding
-        is not amplified by 1 / (1 - p) on the way down to the eps pieces."""
+    def test_near_pure_spectra_match_oracle(self, model):
+        """Pure states mixed with a fraction eps of a random one, down to
+        eps pieces of 1e-10: every eigenvalue within 1e-10 of the oracle's
+        spectrum of the blocks."""
         r = np.random.default_rng(13)
         for eps in 10.0 ** -np.arange(11):
             for _ in range(3):
                 x = ((1 - eps) * model.pure_sampler(model, r)
                      + eps * model.state_sampler(model, r))
                 s = StateVec(x, model)
-                a = diagonalize(s, method="fast").eigenvalues
-                b = diagonalize(s, method="peel").eigenvalues
-                assert np.abs(a - b).max() < 1e-10
+                want = np.sort(np.concatenate([
+                    oracle_spectrum(B)
+                    for B in vec_to_blocks(x, model.structure)]))[::-1]
+                assert np.abs(diagonalize(s).eigenvalues - want).max() < 1e-10
 
     def test_chi_flat_everywhere(self):
         for m in (q2, q3, cl4, dq2, ec22):
@@ -111,7 +112,7 @@ class TestDecompositionContract:
             return margin(cone, x)
 
         monkeypatch.setattr(ConeSpec, "margin", counting)
-        d = diagonalize(s, method="fast")
+        d = diagonalize(s)
         assert len(calls) <= len(d.eigenstates) == 3
 
     def test_deterministic_under_ties(self):
@@ -163,22 +164,18 @@ class TestMemo:
     def test_second_call_is_cached(self, monkeypatch):
         s = rand_state(q3, np.random.default_rng(61))
         first = diagonalize(s)
+        assert s._derived.keys() == {"diagonalization"}
         calls = _counting(monkeypatch, spectral, "block_eigh")
         assert diagonalize(s) is first
-        assert diagonalize(s, method="fast") is first
         assert calls == []
 
-    def test_methods_cached_separately(self, monkeypatch):
-        s = rand_state(q3, np.random.default_rng(62))
-        fast = diagonalize(s, method="fast")
-        peel = diagonalize(s, method="peel")
-        assert peel is not fast
-        calls = _counting(monkeypatch, spectral, "block_eigh")
-        assert diagonalize(s, method="auto") is fast
-        assert diagonalize(s, method="peel") is peel
-        assert calls == []
+    def test_polytope_cached_in_one_entry(self, monkeypatch):
         c = StateVec(np.array([0.0, 0.0, 1.0]), sq)
-        assert diagonalize(c, method="auto") is diagonalize(c, method="peel")
+        first = diagonalize(c)
+        assert c._derived.keys() == {"diagonalization"}
+        calls = _counting(monkeypatch, spectral, "_stored_set_decomposition")
+        assert diagonalize(c) is first
+        assert calls == []
 
     def test_refusal_is_not_cached(self, monkeypatch):
         m = zoo.build_model("restricted_trit")
@@ -193,7 +190,7 @@ class TestMemo:
     @pytest.mark.parametrize("model", [q3, dq2, ec22, cl4],
                              ids=lambda m: m.model_id)
     def test_pure_support_cached_read_only(self, monkeypatch, model):
-        # the fast route hands each eigenstate the vector its coordinates
+        # the matrix route hands each eigenstate the vector its coordinates
         # were built from; a copy reads its vector off the pairs its cone
         # check kept, without an eigensolve, and agrees with it
         st_ = model.structure
@@ -238,9 +235,9 @@ class TestMemo:
 
         decompositions = _counting(monkeypatch, spectral, "block_eigh")
         request()
-        # one eigensolve per block per state, in its cone check: the fast
+        # one eigensolve per block per state, in its cone check: the matrix
         # route takes the kept pairs, and the witnesses read every
-        # eigenstate's support from the fast route
+        # eigenstate's support from the matrix route
         blocks = (vec_to_blocks(rho.coords, model.structure)
                   + vec_to_blocks(sigma.coords, model.structure))
         assert len(eigh) == len(blocks) and eigvalsh == []
@@ -264,38 +261,22 @@ class TestMemo:
         s = rand_state(model, r)
         kept = s._derived["block_eigh"]
         eigh = _counting(monkeypatch, np.linalg, "eigh")
-        d = diagonalize(s, method="fast")
-        assert eigh == [] and s._derived.keys() == {"fast"}
+        d = diagonalize(s)
+        assert eigh == [] and s._derived.keys() == {"diagonalization"}
         raw, _, _ = spectral._block_spectrum(s.coords, model.structure)
         assert np.array_equal(np.concatenate([w for w, _ in kept]), raw)
         # eigenstates are built without kept pairs: one solve per block
         e = d.eigenstates[0]
         assert e._derived.keys() == {"pure_support"}
         eigh.clear()
-        diagonalize(e, method="fast")
+        diagonalize(e)
         assert len(eigh) == model.structure.block_count
-        # the peel's first step reads the pairs and leaves them in place,
-        # and the fast route still takes them
-        t = rand_state(model, r)
-        kept = t._derived["block_eigh"]
-        solves = _counting(monkeypatch, spectral, "block_eigh")
-        diagonalize(t, method="peel")
-        assert t._derived["block_eigh"] is kept
-        assert solves and not any(np.array_equal(x, t.coords)
-                                  for x, _ in solves)
-        eigh.clear()
-        diagonalize(t, method="fast")
-        assert eigh == [] and "block_eigh" not in t._derived
-        # a pure state takes one step: the peel solves nothing
-        solves.clear()
-        diagonalize(StateVec(d.eigenstates[1].coords, model), method="peel")
-        assert solves == []
         # refused: the pairs are gone too, and the retry solves afresh
         u = rand_state(model, r)
         V = u._derived["block_eigh"][0][1]
         V[:, 1] += 1e-3 * V[:, 0]
         with pytest.raises(DiagonalizationError, match="Gram"):
-            diagonalize(u, method="fast")
+            diagonalize(u)
         assert u._derived == {}
         eigh.clear()
         assert diagonalize(u).residual <= core.DEFAULT_TOL
@@ -317,7 +298,7 @@ class TestMemo:
 
     @pytest.mark.parametrize("model", [dq2, ec22], ids=lambda m: m.model_id)
     def test_sector_matched_verdict_solves_nothing(self, monkeypatch, model):
-        # the witness aligns the two fast diagonalizations' eigenstates
+        # the witness aligns the two diagonalizations' eigenstates
         A = np.array([[0.35, 0.1 + 0.05j], [0.1 - 0.05j, 0.25]])
         B = np.array([[0.3, 0.05 - 0.05j], [0.05 + 0.05j, 0.1]])
         X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -413,7 +394,7 @@ def _shift(w, V):
 
 
 class TestCertificate:
-    """The fast route checks its whole decomposition once: a wrong basis or
+    """The matrix route checks its whole decomposition once: a wrong basis or
     a wrong spectrum from the eigensolver is refused, not returned."""
 
     @pytest.mark.parametrize("corrupt", [_shear, _shift],
@@ -421,13 +402,13 @@ class TestCertificate:
     @pytest.mark.parametrize("model", [q3, dq2], ids=lambda m: m.model_id)
     def test_corrupted_eigensolve_refused(self, monkeypatch, model, corrupt):
         # built under the corrupted eigensolver: the state's cone check is
-        # its one eigensolve, and the fast route certifies what it kept
+        # its one eigensolve, and the matrix route certifies what it kept
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda B: corrupt(*map(np.copy, eigh(B))))
         s = rand_state(model, np.random.default_rng(71))
         with pytest.raises(DiagonalizationError) as exc:
-            diagonalize(s, method="fast")
+            diagonalize(s)
         assert exc.value.residue > core.DEFAULT_TOL
         assert s._derived == {}
         monkeypatch.undo()
@@ -446,7 +427,7 @@ class TestCertificate:
         monkeypatch.setattr(np.linalg, "eigh", duplicated)
         s = StateVec(q3.pure_sampler(q3, np.random.default_rng(74)), q3)
         with pytest.raises(DiagonalizationError, match="Gram") as exc:
-            diagonalize(s, method="fast")
+            diagonalize(s)
         assert exc.value.residue > 0.5
         assert s._derived == {}
         monkeypatch.undo()
@@ -477,7 +458,7 @@ class TestCertificate:
         w0[0] = -1e-6
         x = blocks_to_vec([(V0 * w0) @ V0.conj().T], q3.structure)
         # the constructor accepts it at a looser tolerance and keeps the
-        # pairs of its own eigensolve, which the fast route then refuses
+        # pairs of its own eigensolve, which the matrix route then refuses
         check = core.cone_membership
         monkeypatch.setattr(core, "cone_membership",
                             lambda m, x, which, tol=core.DEFAULT_TOL, eig=None:
@@ -486,32 +467,13 @@ class TestCertificate:
         w = bad._derived["block_eigh"][0][0]
         assert -1.1e-6 < w[0] < -0.9e-6
         with pytest.raises(DiagonalizationError) as exc:
-            diagonalize(bad, method="fast")
+            diagonalize(bad)
         assert exc.value.residue > 1e-7
         assert bad._derived == {}
 
-    def test_peel_refuses_a_wrong_reconstruction(self, monkeypatch):
-        """Eigenvalues off by a relative 1e-6 leave the peeled pieces unable
-        to rebuild the state: the peel's reconstruction check refuses."""
-        s = rand_state(q3, np.random.default_rng(75))
-        eigh = np.linalg.eigh
-
-        def scaled(B):
-            w, V = eigh(B)
-            return w * (1 + 1e-6), V
-
-        monkeypatch.setattr(np.linalg, "eigh", scaled)
-        with pytest.raises(DiagonalizationError, match="reconstruction") as exc:
-            diagonalize(s, method="peel")
-        assert exc.value.residue > core.DEFAULT_TOL
-        # nothing cached: the state holds only its cone check's pairs
-        assert list(s._derived) == ["block_eigh"]
-
-    @pytest.mark.parametrize("model", [q3, dq2, sq], ids=lambda m: m.model_id)
-    def test_peel_records_its_residual(self, model):
-        s = (StateVec(np.array([0.0, 0.0, 1.0]), sq) if model is sq
-             else rand_state(model, np.random.default_rng(73)))
-        d = diagonalize(s, method="peel")
+    def test_polytope_records_its_residual(self):
+        s = StateVec(np.array([0.0, 0.0, 1.0]), sq)
+        d = diagonalize(s)
         assert d.residual == float(np.abs(d.reconstruct() - s.coords).max())
         assert d.residual < 1e-8
 
@@ -543,7 +505,7 @@ def test_fast_route_certificate(model, seed, kind, t):
         d = diagonalize(s)
     # construction and diagonalization together: one eigensolve per block
     assert len(solves) == model.structure.block_count and checks == []
-    assert s._derived.keys() == {"fast"}
+    assert s._derived.keys() == {"diagonalization"}
     assert d.residual <= core.DEFAULT_TOL
     assert len(d.eigenstates) == model.capacity
     for e in d.eigenstates:

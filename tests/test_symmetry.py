@@ -63,7 +63,7 @@ class TestTwirl:
         sq = zoo.build_model("square_bit")
         frozen = dataclasses.replace(
             sq, model_id="square_no_motion",
-            group=GroupSpec(kind="parametric", name="trivial", generators=(),
+            group=GroupSpec(kind="parametric", generators=(),
                             sampler=lambda m, r: m.make_reversible(np.eye(3))))
         rep = symmetry.invariant_state(frozen)
         assert not rep["unique"] and rep["dimension"] == 3

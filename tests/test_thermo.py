@@ -189,6 +189,18 @@ class TestGibbs:
         S, E = thermo.entropy(g), thermo.mean_energy(g, h)
         assert thermo.entropy_identity_residual(q3, h, beta, S, E) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("model, levels, beta, limit", [
+        (q2, [0.0, 1.0], math.inf, 0.0),
+        (q2, [1.0, 2.0], math.inf, -math.inf),
+        (q2, [-1.0, 0.0], -math.inf, 0.0),
+        (q2, [1.0, 2.0], -math.inf, math.inf),
+        (q3, [-1.0, 0.0, 0.0], -math.inf, math.log(2)),
+    ])
+    def test_log_partition_at_infinite_beta(self, model, levels, beta, limit):
+        h = thermo.basis_hamiltonian(zoo.pure_maximal_set(model), levels)
+        assert thermo.log_partition(model, h, beta) == limit
+
     def test_polytope_refused(self):
         sq = zoo.build_model("square_bit")
         with pytest.raises(GPTError):
@@ -365,9 +377,9 @@ class TestLandauer:
         rho, U = rand_state(q2, r), comp.group.sampler(comp, r)
         seen = []
 
-        def counting(state, method="auto"):
+        def counting(state):
             seen.append(state)
-            return diagonalize(state, method)
+            return diagonalize(state)
 
         monkeypatch.setattr(thermo, "diagonalize", counting)
         led = thermo.landauer_ledger(U, rho, H01, 1.0, comp)
