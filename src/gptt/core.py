@@ -44,12 +44,15 @@ MAX_FACET_SUBSETS = 20_000
 # on a facet when their product is at most this in absolute value.
 FACET_TOL = 1e-10
 
+_NOT_POINTED = "cone contains a line (not pointed)"
+
 
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on first use.
 
-    Only the ray-cone (polytope) paths solve LPs, so matrix models never pay
-    for loading scipy.optimize.  Every LP in the package goes through here.
+    The one LP left in the package is `state_norm` on a polytope whose
+    base-norm ball has more facet candidates than MAX_FACET_SUBSETS; every
+    other call, a polytope build included, loads no scipy module.
     """
     from scipy.optimize import linprog as solve
 
@@ -116,7 +119,10 @@ class ConeSpec:
     built: rows of `facets` are unit inward normals, each nonnegative on
     every generator and zero on dim - 1 independent ones.  The cone is the
     set where every facet is nonnegative, and the signed margin against the
-    fixed interior direction e is min_i F_i.x / F_i.e.
+    fixed interior direction e is min_i F_i.x / F_i.e.  Pointedness is read
+    off the same facets, with no LP (`_ray_facets`): a cone whose unit
+    generators sum to about 0, or whose facet normals sum to a vector not
+    positive on every generator, contains a line and raises ValueError.
     kind 'psd': membership means every Hermitian block has nonnegative
     spectrum; the margin is the smallest block eigenvalue.
     """
@@ -139,9 +145,10 @@ class ConeSpec:
             object.__setattr__(self, "generators", G)
             if np.linalg.matrix_rank(G, tol=1e-10) < self.dim:
                 raise ValueError("cone is not full-dimensional")
-            self._check_pointed(G)
             U = G / norms[:, None]
             e = U.sum(axis=0)
+            if np.linalg.norm(e) <= FACET_TOL:
+                raise ValueError(_NOT_POINTED)
             e = e / np.linalg.norm(e)
             object.__setattr__(self, "interior_direction", e)
             object.__setattr__(self, "facets", _ray_facets(U, e))
@@ -152,23 +159,6 @@ class ConeSpec:
                 raise ValueError("block structure does not match dim")
         else:
             raise ValueError(f"unknown cone kind {self.kind!r}")
-
-    @staticmethod
-    def _check_pointed(G: np.ndarray):
-        # pointed iff no nontrivial nonnegative combination of rays vanishes;
-        # the LP is feasible and bounded, so a failure is the solver's
-        k = G.shape[0]
-        res = linprog(
-            c=-np.ones(k),
-            A_eq=G.T,
-            b_eq=np.zeros(G.shape[1]),
-            bounds=[(0.0, 1.0)] * k,
-            method="highs",
-        )
-        if not res.success:
-            raise GPTError(f"pointedness LP failed: {res.message}")
-        if res.fun < -1e-9:
-            raise ValueError("cone contains a line (not pointed)")
 
     def margin(self, x, eig: Optional[list] = None) -> float:
         """Largest m with x - m * (interior direction) still in the cone.
@@ -206,6 +196,19 @@ def cone_membership(model: "ModelSpec", x, which: str = "state",
     return (m >= -tol, m)
 
 
+def _subsets(n: int, r: int, what: str) -> np.ndarray:
+    """Every r-subset of range(n), in lexicographic order, as the rows of
+    an int array.  More than MAX_FACET_SUBSETS of them raise
+    UnsupportedModelError, whose message begins with `what`."""
+    count = math.comb(n, r)
+    if count > MAX_FACET_SUBSETS:
+        raise UnsupportedModelError(
+            f"{what} has {count} candidate subsets, more than "
+            f"MAX_FACET_SUBSETS = {MAX_FACET_SUBSETS}")
+    return np.array(list(combinations(range(n), r)),
+                    dtype=int).reshape(count, r)
+
+
 def _ray_facets(U: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Unit inward facet normals of the pointed cone spanned by the rows of U.
 
@@ -213,18 +216,16 @@ def _ray_facets(U: np.ndarray, e: np.ndarray) -> np.ndarray:
     (dim - 1)-subset of independent generators spans a hyperplane; it bounds
     a facet when all generators lie on one side.  Subsets on one facet are
     merged by the generators the facet contains, and the normal is refit to
-    all of them.  Each facet is then checked: nonnegative on every
-    generator, zero on dim - 1 independent ones, positive on e.
+    all of them.  The sum of the facet normals is positive on every
+    generator exactly when the cone is pointed: a generator in a vanishing
+    combination of generators lies on every facet.  So a sum at most
+    FACET_TOL on some generator raises ValueError (not pointed), before
+    each facet is checked: nonnegative on every generator, zero on dim - 1
+    independent ones, positive on e.
     """
     k, D = U.shape
-    n = math.comb(k, D - 1)
-    if n > MAX_FACET_SUBSETS:
-        raise UnsupportedModelError(
-            f"a cone with {k} generators in dimension {D} has {n} facet "
-            f"candidates, more than MAX_FACET_SUBSETS = {MAX_FACET_SUBSETS}")
-    subsets = np.array(list(combinations(range(k), D - 1)),
-                       dtype=int).reshape(n, D - 1)
-    _, s, Vt = np.linalg.svd(U[subsets])
+    _, s, Vt = np.linalg.svd(U[_subsets(
+        k, D - 1, f"a cone with {k} generators in dimension {D}")])
     normals = Vt[(s > FACET_TOL).all(axis=1), -1]
     side = normals @ U.T
     bounding = ((side >= -FACET_TOL).all(axis=1)
@@ -234,6 +235,8 @@ def _ray_facets(U: np.ndarray, e: np.ndarray) -> np.ndarray:
         f = np.linalg.svd(U[on])[2][-1]
         facets.append(f if f @ e > 0 else -f)
     F = np.array(facets).reshape(-1, D)
+    if (U @ F.sum(axis=0)).min() <= FACET_TOL:
+        raise ValueError(_NOT_POINTED)
     bad = len(F) < D
     for f, row in zip(F, F @ U.T):
         on = np.abs(row) <= FACET_TOL
@@ -375,13 +378,15 @@ class StateVec:
     -DEFAULT_TOL).  On a matrix model the membership check is the state's
     one block eigendecomposition: its (w, V) pairs are kept in
     `_derived["block_eigh"]` until `spectral.diagonalize` takes them out, so
-    no second eigensolve runs.  The eigenstates of a matrix-model
-    diagonalization are the one exception to these checks:
+    no second eigensolve runs.  The eigenstates of a diagonalization are the
+    one exception to these checks (`_checked_state`): on a matrix model
     `_certified_eigenstates` builds them, without kept pairs, after a
     single check of the whole decomposition, which they pass with tighter
-    tolerances than these.  The state is frozen and its coordinates are
-    read-only, so results derived from it alone (its diagonalization, the
-    support of a pure state) are cached in `_derived` and never go stale.
+    tolerances than these; on a polytope they are rows of `pure_states`,
+    generators of the state cone normalized to unit pairing.  The state is
+    frozen and its coordinates are read-only, so results derived from it
+    alone (its diagonalization, the support of a pure state) are cached in
+    `_derived` and never go stale.
     """
 
     coords: np.ndarray
@@ -436,8 +441,8 @@ def _certified_eigenstates(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
     to the others, and together they rebuild x.  Raises DiagonalizationError
     carrying the failed figure as its residue; otherwise returns
     (eigenstates, residual), the largest of the three deviations; E is made
-    read-only and its rows are the eigenstates' coordinates.  This is the
-    only way a StateVec is built without its own cone check.
+    read-only and its rows are the eigenstates' coordinates, built with
+    `_checked_state`.
     """
     G = E @ E.T
     G.flat[::len(E) + 1] -= 1.0
@@ -457,14 +462,18 @@ def _certified_eigenstates(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
             f"eigendecomposition of a {model.model_id} state has eigenvalue "
             f"{low:.3e} below the cone tolerance", residue=-low)
     E.setflags(write=False)
-    states = []
-    for row in E:
-        s = object.__new__(StateVec)
-        object.__setattr__(s, "coords", row)
-        object.__setattr__(s, "model", model)
-        object.__setattr__(s, "_derived", {})
-        states.append(s)
-    return tuple(states), max(r for _, r in deviations)
+    return (tuple(_checked_state(row, model) for row in E),
+            max(r for _, r in deviations))
+
+
+def _checked_state(row: np.ndarray, model: ModelSpec) -> StateVec:
+    """A StateVec on the read-only row, built without the constructor's
+    checks: the caller has already checked it as a state of the model."""
+    s = object.__new__(StateVec)
+    object.__setattr__(s, "coords", row)
+    object.__setattr__(s, "model", model)
+    object.__setattr__(s, "_derived", {})
+    return s
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,7 @@ from .core import (
     UnsupportedModelError,
     _block_to_kron,
     _certified_eigenstates,
+    _checked_state,
     _kron_to_coords,
     _same_model,
     as_coords,
@@ -176,7 +177,8 @@ def diagonalize(state: StateVec) -> Diagonalization:
     eigenvalues are reported as 0, and the largest of the three deviations
     is the result's `residual`.  The polytope route's `residual` is the
     reconstruction residual of the reported eigenvalues, and one above
-    `core.DEFAULT_TOL` raises DiagonalizationError.
+    `core.DEFAULT_TOL` raises DiagonalizationError; its eigenstates are
+    stored vertices of the model, built without a second cone check.
 
     The result is cached on the state: later calls return the same
     Diagonalization object.  Errors are not cached and are raised again on
@@ -199,15 +201,15 @@ def diagonalize(state: StateVec) -> Diagonalization:
             s._derived["pure_support"] = supports[i]
     else:
         values, rows = _stored_set_decomposition(model, state.coords)
-        eigenstates = tuple(StateVec(r, model) for r in rows)
-        residual = float(np.abs(
-            sum(p * s.coords for p, s in zip(values, eigenstates))
-            - state.coords).max())
+        residual = float(np.abs(sum(p * r for p, r in zip(values, rows))
+                                - state.coords).max())
         if not residual <= DEFAULT_TOL:
             raise DiagonalizationError(
                 f"decomposition of a {model.model_id} state fails its "
                 f"reconstruction check (deviation {residual:.3e})",
                 residue=residual)
+        rows.setflags(write=False)
+        eigenstates = tuple(_checked_state(r, model) for r in rows)
     d = state._derived["diagonalization"] = Diagonalization(
         model, values, eigenstates, residual)
     return d

@@ -108,9 +108,10 @@ def perfectly_distinguishable_search(model: ModelSpec, states) -> dict:
 
     The matrix families reduce to support orthogonality.  On the ray models
     vertices are looked up among the build's maximal distinguishable sets,
-    more states than `capacity` are refused outright, and other states
-    solve a feasibility program (see `zoo.distinguishing_effects`).  So a
-    miss is a certificate of impossibility, not a search failure.
+    more states than `capacity` are refused outright, and other states get
+    a decision whose "no" is a checked Farkas vector (see
+    `zoo.distinguishing_effects`).  So a miss is a certificate of
+    impossibility, not a search failure.
     """
     effects = zoo.distinguishing_effects(model, list(states))
     if effects is None:

@@ -19,6 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
+    DEFAULT_TOL,
+    FACET_TOL,
     ChannelMap,
     CompositeInfo,
     ConeSpec,
@@ -31,7 +33,7 @@ from .core import (
     StateVec,
     UnsupportedModelError,
     _same_model,
-    linprog,
+    _subsets,
     per_model_id,
 )
 from .embedding import (
@@ -188,27 +190,82 @@ def _support_projector(x: np.ndarray, structure: BlockStructure, tol=1e-9):
     return projs
 
 
-def _ray_distinguishing_effects(G: np.ndarray, u: np.ndarray, xs: list):
-    """Effects telling the states xs apart, as rows, from a feasibility LP
-    over ray generators; None when the LP is infeasible.
+def _effects_check(E: np.ndarray, X: np.ndarray, u: np.ndarray) -> bool:
+    """Whether the rows of E tell the states X apart: E X^T = I and the rows
+    sum to u, each within 1e-8."""
+    return bool(np.abs(E @ X.T - np.eye(len(X))).max() <= 1e-8
+                and np.abs(E.sum(axis=0) - u).max() <= 1e-8)
 
-    Infeasibility (HiGHS status 2) certifies that no distinguishing
-    measurement exists.  Any other failure is not a certificate and raises
-    GPTError with the solver's message.
+
+def _farkas_check(H: np.ndarray, u: np.ndarray, y: np.ndarray) -> bool:
+    """Whether y certifies that u is not in the cone of the unit rows of H:
+    H y >= -FACET_TOL and u.y < -FACET_TOL, with u and y at unit length."""
+    y = y / np.linalg.norm(y)
+    return bool((H @ y).min(initial=0.0) >= -FACET_TOL
+                and u @ y / np.linalg.norm(u) < -FACET_TOL)
+
+
+def _ray_distinguishability(G: np.ndarray, u: np.ndarray, X) -> tuple:
+    """Whether the states X are perfectly distinguishable, decided with no
+    LP: (effects, None) when they are, the effects as rows, and (None, y)
+    with a Farkas vector y when they are not.
+
+    Effect generators are nonnegative on states, so a distinguishing effect
+    e_i uses only generators that vanish on every x_j with j != i.  With H
+    the unit generators positive (above FACET_TOL) on at most one state, the
+    states are distinguishable iff u lies in cone(H).  "Yes": a linearly
+    independent rank(H)-subset of H rebuilds u with weights at least
+    -FACET_TOL (Caratheodory); each weight, clipped at 0, goes to the effect
+    of the state its generator is positive on, or to the first effect, and
+    the effects must pass `_effects_check`.  "No": a Farkas vector that
+    passes `_farkas_check`, either u's component off span(H), negated, or
+    the normal within span(H) of a (rank - 1)-subset of H.  Both searches
+    run; when neither certificate or both check, GPTError is raised.  Each
+    enumeration is refused past MAX_FACET_SUBSETS subsets with
+    UnsupportedModelError.
     """
-    G = np.asarray(G, dtype=float)
-    m, k = len(xs), G.shape[0]
-    # variables: W[i, :] >= 0 with effect_i = G^T W[i]; one row per
-    # (effect_i | x_j) = delta_ij, then sum_i effect_i = u
-    A = np.vstack([np.kron(np.eye(m), G @ x) for x in xs] + [np.tile(G.T, m)])
-    b = np.concatenate([np.eye(m).ravel(), u])
-    res = linprog(c=np.zeros(m * k), A_eq=A, b_eq=b,
-                  bounds=[(0.0, None)] * (m * k), method="highs")
-    if res.status == 2:
-        return None
-    if not res.success:
-        raise GPTError(f"distinguishability LP failed: {res.message}")
-    return res.x.reshape(m, k) @ G
+    X = np.asarray(X, dtype=float)
+    U = G / np.linalg.norm(G, axis=1)[:, None]
+    positive = U @ X.T > FACET_TOL
+    keep = positive.sum(axis=1) <= 1
+    H, owner = U[keep], positive[keep].argmax(axis=1)
+    s, B = np.linalg.svd(H)[1:]
+    r = int((s > FACET_TOL).sum())
+    B = B[:r]                   # orthonormal rows spanning span(H)
+    n_u = u / np.linalg.norm(u)
+    what = f"a distinguishability search over {len(H)} generators"
+    effects = None
+    if r:
+        S = _subsets(len(H), r, what)
+        Ua, sa, Va = np.linalg.svd(H[S], full_matrices=False)
+        ok = (sa > FACET_TOL).all(axis=1)
+        S, Ua, sa, Va = S[ok], Ua[ok], sa[ok], Va[ok]
+        c = np.einsum("nij,nj->ni", Ua, (Va @ n_u) / sa)
+        miss = np.abs(np.einsum("ni,nid->nd", c, H[S]) - n_u).max(axis=1)
+        for i in np.flatnonzero((miss <= FACET_TOL)
+                                & (c.min(axis=1) >= -FACET_TOL)):
+            w = np.linalg.norm(u) * np.clip(c[i], 0.0, None)
+            E = np.zeros((len(X), len(u)))
+            np.add.at(E, owner[S[i]], w[:, None] * H[S[i]])
+            if _effects_check(E, X, u):
+                effects = E
+                break
+    candidates = [B.T @ (B @ n_u) - n_u]
+    if r:
+        Hc = H @ B.T            # H in coordinates of span(H)
+        _, st, Vt = np.linalg.svd(Hc[_subsets(len(H), r - 1, what)])
+        normals = Vt[(st > FACET_TOL).all(axis=1), -1]
+        side = normals @ Hc.T
+        normals = np.where((side >= -FACET_TOL).all(axis=1)[:, None],
+                           normals, -normals)
+        candidates += list(normals @ B)
+    farkas = next((y for y in candidates if np.linalg.norm(y) > FACET_TOL
+                   and _farkas_check(H, u, y)), None)
+    if (effects is None) == (farkas is None):
+        raise GPTError("distinguishability is numerically undecided: "
+                       + ("both certificates check" if effects is not None
+                          else "neither certificate checks"))
+    return effects, farkas
 
 
 def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
@@ -217,15 +274,16 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
 
     Matrix models: exists iff the supports are pairwise orthogonal, and the
     effects are support projectors (remainder folded into the first).
-    Ray-cone models answer from the build's `maximal_sets` when every input
-    is a state (a StateVec, or a vertex within tol in every coordinate):
-    more states than `capacity` get None, since a vertex from each support
-    would be as many distinguishable vertices; distinct vertices get the
-    measurement of a maximal set that holds them, its other members'
-    effects folded into the first input's, or None when no set does; a
-    repeated vertex gets None.  Other inputs solve a feasibility LP over the
-    effect-cone generators, whose infeasibility certifies that no
-    distinguishing measurement exists.  A StateVec of another model raises
+    Ray-cone models take states: a StateVec, a vertex within tol in every
+    coordinate, or a vector that passes as a StateVec (one that does not
+    raises its ConeError or NormalizationError).  More states than
+    `capacity` get None, since a vertex from each support would be as many
+    distinguishable vertices.  Vertices are answered from the build's
+    `maximal_sets`: distinct vertices get the measurement of a maximal set
+    that holds them, its other members' effects folded into the first
+    input's, or None when no set does; a repeated vertex gets None.  Other
+    inputs are decided by `_ray_distinguishability`, whose effects or Farkas
+    vector is checked before it answers.  A StateVec of another model raises
     ModelCompatibilityError.
     """
     states = list(states)
@@ -251,8 +309,10 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
     miss = np.abs(np.asarray(xs)[:, None, :] - model.pure_states).max(axis=2)
     idx = miss.argmin(axis=1).tolist()
     vertex = miss[np.arange(m), idx] <= tol
-    if m > model.capacity and all(
-            v or isinstance(s, StateVec) for v, s in zip(vertex, states)):
+    for x, v, s in zip(xs, vertex, states):
+        if not (v or isinstance(s, StateVec)):
+            StateVec(x, model)
+    if m > model.capacity:
         return None
     if vertex.all():
         if len(set(idx)) < m:
@@ -264,8 +324,8 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
                 F[0] += E[[p for p in range(len(c)) if p not in pos]].sum(axis=0)
                 return [EffectVec(f, model) for f in F]
         return None
-    raw = _ray_distinguishing_effects(model.effect_cone.generators,
-                                      model.unit_effect, xs)
+    raw, _ = _ray_distinguishability(model.effect_cone.generators,
+                                     model.unit_effect, xs)
     if raw is None:
         return None
     return [EffectVec(f, model) for f in raw]
@@ -277,15 +337,18 @@ def _maximal_sets(verts: np.ndarray, G: np.ndarray, u: np.ndarray):
     read-only effects array is 1 on the set's i-th vertex.
 
     The search climbs from single vertices, which the unit effect alone
-    tells apart: a set of s + 1 vertices gets an LP only when each of its
+    tells apart: a set of s + 1 vertices is decided only when each of its
     s-subsets passed, since dropping a state from a distinguishable set
     leaves one (its effect merges into a kept one).  So it finds every
     distinguishable set, and a set that passed is maximal when no passing
     set one larger contains it.  All vertices are tried first, which
-    settles a simplex in one LP instead of one per subset.
+    settles a simplex in one decision instead of one per subset.  Each
+    decision is `_ray_distinguishability`'s, so every set kept stands on
+    checked effects and every set left out on a checked Farkas vector; an
+    undecided set raises GPTError and is never read as "no".
     """
     n = len(verts)
-    E = _ray_distinguishing_effects(G, u, verts)
+    E, _ = _ray_distinguishability(G, u, verts)
     if E is not None:
         found = [(tuple(range(n)), E)]
     else:
@@ -297,7 +360,7 @@ def _maximal_sets(verts: np.ndarray, G: np.ndarray, u: np.ndarray):
                 for j in range(c[-1] + 1, n):
                     g = c + (j,)
                     if all(sub in level for sub in combinations(g, len(g) - 1)):
-                        E = _ray_distinguishing_effects(G, u, verts[list(g)])
+                        E, _ = _ray_distinguishability(G, u, verts[list(g)])
                         if E is not None:
                             grown[g] = E
             covered = {sub for g in grown
@@ -431,6 +494,15 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
     if not np.all(pairing > 0):
         raise ValueError("unit effect must be positive on every vertex")
     verts = V / pairing[:, None]
+    # the distinguishability decision is sound only on these two facts
+    probs = G @ verts.T
+    if (probs / np.linalg.norm(G, axis=1)[:, None]).min() < -DEFAULT_TOL:
+        raise ValueError(f"an effect generator is negative on a state "
+                         f"vertex (probability {probs.min():.3e})")
+    margin = effect_cone.margin(u)
+    if margin < -DEFAULT_TOL:
+        raise ValueError(f"unit effect is outside the effect cone "
+                         f"(margin {margin:.3e})")
     maximal = _maximal_sets(verts, G, u)
     capacity = max(len(c) for c, _ in maximal)
     group = GroupSpec(

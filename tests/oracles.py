@@ -207,3 +207,32 @@ def in_hull_lp(V, x, tol):
                   options=_TIGHT)
     assert res.status in (0, 2), res.message
     return res.status == 0
+
+
+def is_pointed_lp(G):
+    """Whether the cone spanned by the rows of G is pointed: no nonnegative
+    combination of them with weights summing to 1 vanishes."""
+    G = np.asarray(G, dtype=float)
+    k = len(G)
+    res = linprog(c=np.zeros(k), A_eq=np.vstack([G.T, np.ones((1, k))]),
+                  b_eq=np.concatenate([np.zeros(G.shape[1]), [1.0]]),
+                  bounds=[(0.0, None)] * k, method="highs", options=_TIGHT)
+    assert res.status in (0, 2), res.message
+    return res.status == 2
+
+
+def distinguishable_lp(E, u, xs):
+    """Whether one measurement tells the states xs apart: a feasibility LP
+    for effects e_i = E^T w_i with w_i >= 0, sum_i e_i = u and
+    e_i.x_j = delta_ij."""
+    E = np.asarray(E, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    m, k = len(xs), E.shape[0]
+    rows = [np.kron(np.eye(m)[j], E @ x) for j in range(m) for x in xs]
+    A_eq = np.vstack(rows + [np.hstack([E.T] * m)])
+    b_eq = np.concatenate([np.eye(m).ravel(), np.asarray(u, dtype=float)])
+    res = linprog(c=np.zeros(m * k), A_eq=A_eq, b_eq=b_eq,
+                  bounds=[(0.0, None)] * (m * k), method="highs",
+                  options=_TIGHT)
+    assert res.status in (0, 2), res.message
+    return res.status == 0

@@ -14,6 +14,7 @@ import gptt
 from gptt import zoo
 from gptt.cli import _get_state, main
 from gptt.core import StateVec
+from test_facets import kgon_json
 
 runner = CliRunner()
 
@@ -396,19 +397,44 @@ NO_SCIPY_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(NO_SCIPY_COMMANDS))
-def test_matrix_model_command_loads_no_scipy(command):
-    """A matrix-model command loads no scipy module: only polytope LPs do."""
+def _command_argvs(command, models):
     argvs = []
-    for model in ("quantum:3", "doubled_quantum:2"):
-        levels = str(list(range(zoo.parse_model_string(model).capacity)))
+    for model in models:
+        levels = str(list(range(zoo.load_model(model).capacity
+                                if model.endswith(".json") else
+                                zoo.parse_model_string(model).capacity)))
         argvs.append([command.split("_")[0], model]
                      + [levels if a == "LEVELS" else a
                         for a in NO_SCIPY_COMMANDS[command]]
                      + ["--json"])
+    return argvs
+
+
+@pytest.mark.parametrize("command", sorted(NO_SCIPY_COMMANDS))
+def test_matrix_model_command_loads_no_scipy(command):
+    """A matrix-model command loads no scipy module."""
+    argvs = _command_argvs(command, ("quantum:3", "doubled_quantum:2"))
     code = ("from click.testing import CliRunner\n"
             "from gptt.cli import main\n"
             f"for argv in {argvs!r}:\n"
             "    res = CliRunner().invoke(main, argv)\n"
             "    assert res.exit_code == 0, (argv, res.output)\n")
+    assert _scipy_modules_after(code) == "[]"
+
+
+@pytest.mark.parametrize("command", sorted(NO_SCIPY_COMMANDS))
+def test_polytope_command_loads_no_scipy(command, tmp_path):
+    """A command on a builtin polytope or a k-gon model file builds the
+    model, answers or refuses without a traceback, and loads no scipy
+    module: a polytope build solves no LP."""
+    path = tmp_path / "heptagon.json"
+    path.write_text(json.dumps(kgon_json(7)))
+    argvs = _command_argvs(command, ("square_bit", "diamond_bit",
+                                     "restricted_trit", str(path)))
+    code = ("from click.testing import CliRunner\n"
+            "from gptt.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    res = CliRunner().invoke(main, argv)\n"
+            "    assert isinstance(res.exception, (SystemExit, type(None))),"
+            " (argv, res.output)\n")
     assert _scipy_modules_after(code) == "[]"

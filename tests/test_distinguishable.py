@@ -1,6 +1,8 @@
 """Distinguishable vertex sets of polytope models: the sets stored at build
-against an independent LP, no LP after build, distinguishing measurements
-looked up among the maximal sets, diagonalization as a lookup
+against an independent LP, the certified decision behind them (its effects
+and Farkas vectors, checked and corrupted, against reference LPs), no LP in
+build or after it, distinguishing measurements looked up among the maximal
+sets, diagonalization as a lookup
 of the state among the stored sets (checked against hull-membership and
 distinguishability LPs), its refusals, and model files with a non-positive
 unit pairing."""
@@ -16,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from gptt import core, resource, spectral, symmetry, zoo
 from gptt.cli import main
-from gptt.core import (DiagonalizationError, GPTError,
-                       ModelCompatibilityError, StateVec)
-from test_facets import MODELS, _model, failed_lp, kgon_json
+from gptt.core import (ConeError, DiagonalizationError, GPTError,
+                       ModelCompatibilityError, StateVec,
+                       UnsupportedModelError)
+from test_facets import BUILTINS, MODELS, _model, kgon_json
 
 
 def _distinguishable(m, c):
@@ -44,23 +47,40 @@ def test_stored_sets_match_reference(name):
                    for c in combinations(range(n), cap + 1))
 
 
-@pytest.mark.parametrize("name,lps", [
+@pytest.mark.parametrize("name,decisions", [
     ("3-gon", 1),            # all vertices at once
     ("restricted_trit", 4),  # all, then 3 pairs
     ("square_bit", 11),      # all, 6 pairs, 4 triples
     ("8-gon", 29),           # all, 28 pairs; no triple has only passing pairs
 ])
-def test_search_lp_count(name, lps, monkeypatch):
+def test_search_decision_count(name, decisions, monkeypatch):
     calls = []
+    decide = zoo._ray_distinguishability
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return core.linprog(*args, **kwargs)
+        return decide(*args)
 
-    monkeypatch.setattr(zoo, "linprog", counted)
+    monkeypatch.setattr(zoo, "_ray_distinguishability", counted)
     m = _model(name)
     zoo._maximal_sets(m.pure_states, m.effect_cone.generators, m.unit_effect)
-    assert len(calls) == lps
+    assert len(calls) == decisions
+
+
+def _no_lp(*args, **kwargs):
+    raise AssertionError("an LP was solved")
+
+
+@pytest.mark.parametrize("name", MODELS + ("house",))
+def test_build_solves_no_lp(name, monkeypatch):
+    monkeypatch.setattr(core, "linprog", _no_lp)
+    if name in BUILTINS:
+        m = zoo.build_model(name)
+    else:
+        m = zoo.model_from_json(HOUSE if name == "house" else
+                                kgon_json(int(name.split("-")[0])))
+    assert [(c, E.tolist()) for c, E in m.maximal_sets] == [
+        (c, E.tolist()) for c, E in _lookup_model(name).maximal_sets]
 
 
 @pytest.mark.parametrize("name", [n for n in MODELS if _model(n).capacity > 1])
@@ -85,11 +105,7 @@ def test_completion_is_first_in_lexicographic_scan(name):
 def test_no_lp_after_build(name, monkeypatch):
     m = _model(name)
 
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved")
-
-    monkeypatch.setattr(core, "linprog", no_lp)
-    monkeypatch.setattr(zoo, "linprog", no_lp)
+    monkeypatch.setattr(core, "linprog", _no_lp)
     basis = zoo.pure_maximal_set(m)
     assert [list(b.coords) for b in basis] == [
         list(m.pure_states[i]) for i in m.distinguishable_sets[0]]
@@ -123,11 +139,7 @@ def test_lookup_matches_lp_on_every_vertex_subset(name, monkeypatch):
                for c in combinations(range(len(P)), r)]
     verdicts = {c: _distinguishable(m, c) for c in subsets}
 
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved")
-
-    monkeypatch.setattr(core, "linprog", no_lp)
-    monkeypatch.setattr(zoo, "linprog", no_lp)
+    monkeypatch.setattr(core, "linprog", _no_lp)
     rng = np.random.default_rng(len(P))
     for c, ok in verdicts.items():
         for order in (list(c), list(rng.permutation(c))):
@@ -164,15 +176,135 @@ def test_states_of_another_model_refused():
                 sq, [StateVec(p, dm) for p in dm.pure_states[:n]])
 
 
-def test_failed_distinguishability_lp_is_not_a_verdict(monkeypatch):
-    # two mixed states that are not vertices take the LP
-    m = _model("square_bit")
+def _usable_generators(m, X):
+    """The unit effect generators of m positive on at most one state of X:
+    the only ones a distinguishing effect can use."""
+    G = m.effect_cone.generators
+    U = G / np.linalg.norm(G, axis=1)[:, None]
+    return U[((U @ np.asarray(X).T) > core.FACET_TOL).sum(axis=1) <= 1]
+
+
+def _certificate_checks(m, X, effects, farkas):
+    """Check the decision's certificate on the states X of model m, with
+    the package's check and restated here: the effects tell X apart, or the
+    Farkas vector y separates u from every usable generator.  Returns
+    whether the states are distinguishable."""
+    u = m.unit_effect
+    if effects is not None:
+        assert farkas is None and zoo._effects_check(effects, X, u)
+        assert np.abs(effects @ np.asarray(X).T - np.eye(len(X))).max() <= 1e-8
+        assert np.abs(effects.sum(axis=0) - u).max() <= 1e-8
+        assert all(m.effect_cone.contains(e) for e in effects)
+        return True
+    H = _usable_generators(m, X)
+    assert zoo._farkas_check(H, u, farkas)
+    y = farkas / np.linalg.norm(farkas)
+    assert (H @ y).min(initial=0.0) >= -core.FACET_TOL
+    assert u @ y / np.linalg.norm(u) < -core.FACET_TOL
+    return False
+
+
+def _rotation_class(c, k):
+    """The least rotation of the vertex subset c of a regular k-gon."""
+    return min(tuple(sorted((i + s) % k for i in c)) for s in range(k))
+
+
+@pytest.mark.parametrize("name", MODELS + ("12-gon", "26-gon"))
+def test_decision_matches_lp_on_vertex_subsets(name):
+    """Every vertex subset of at most 4 vertices: the decision agrees with
+    the reference LP and its certificate checks.  On a regular polygon the
+    rotation maps the model onto itself, so the reference runs once per
+    rotation class of subsets; the decision runs on every subset."""
+    m = _model(name)
+    P, G, u = m.pure_states, m.effect_cone.generators, m.unit_effect
+    k = len(P) if name.endswith("-gon") else None
+    reference = {}
+    for r in range(1, 5):
+        for c in combinations(range(len(P)), r):
+            key = _rotation_class(c, k) if k else c
+            if key not in reference:
+                reference[key] = oracles.best_guess_lp(
+                    G, u, P[list(key)]) >= len(c) - 1e-7
+            effects, farkas = zoo._ray_distinguishability(G, u, P[list(c)])
+            assert _certificate_checks(m, P[list(c)], effects, farkas) \
+                == reference[key], c
+
+
+_mixture = st.lists(st.integers(0, 3), min_size=8, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MODELS), st.lists(_mixture, min_size=1, max_size=3))
+def test_decision_matches_lp_on_mixed_states(name, weights):
+    """States mixed from a few vertices, often on a face: the decision of
+    distinguishing_effects agrees with a feasibility LP, and the effects or
+    the Farkas vector behind it check."""
+    m = _model(name)
     P = m.pure_states
-    xs = [0.9 * P[0] + 0.1 * P[1], 0.9 * P[1] + 0.1 * P[0]]
-    assert zoo.distinguishing_effects(m, xs) is None  # infeasible: status 2
-    monkeypatch.setattr(zoo, "linprog", failed_lp)
-    with pytest.raises(GPTError, match="numerical difficulties"):
-        zoo.distinguishing_effects(m, xs)
+    W = np.asarray([w[:len(P)] for w in weights], dtype=float)
+    if (W.sum(axis=1) == 0).any():
+        return
+    X = (W / W.sum(axis=1)[:, None]) @ P
+    ref = oracles.distinguishable_lp(m.effect_cone.generators,
+                                     m.unit_effect, X)
+    effects, farkas = zoo._ray_distinguishability(
+        m.effect_cone.generators, m.unit_effect, X)
+    assert _certificate_checks(m, X, effects, farkas) == ref
+    assert (zoo.distinguishing_effects(m, list(X)) is not None) == ref
+
+
+def test_corrupted_certificates_refused():
+    m = _model("square_bit")
+    G, u, P = m.effect_cone.generators, m.unit_effect, m.pure_states
+    effects, _ = zoo._ray_distinguishability(G, u, P[[0, 3]])
+    assert zoo._effects_check(effects, P[[0, 3]], u)
+    for i in range(2):
+        bad = effects.copy()
+        bad[i, 0] += 1e-6
+        assert not zoo._effects_check(bad, P[[0, 3]], u)
+    # two mixed states on one edge: no measurement
+    X = np.array([0.9 * P[0] + 0.1 * P[1], 0.9 * P[1] + 0.1 * P[0]])
+    effects, y = zoo._ray_distinguishability(G, u, X)
+    assert effects is None
+    H = _usable_generators(m, X)
+    assert len(H) and zoo._farkas_check(H, u, y)
+    assert not zoo._farkas_check(H, u, -y)
+    h = H[np.argmax(H @ y)]   # tilt y until one generator goes negative
+    assert not zoo._farkas_check(H, u, y - (h @ y + 1e-6) * h)
+
+
+def test_input_that_is_no_state_refused():
+    # the decision holds for states only: (2, 0, 1) lies outside the square
+    m = _model("square_bit")
+    with pytest.raises(ConeError):
+        zoo.distinguishing_effects(m, [m.invariant_state, [2.0, 0.0, 1.0]])
+
+
+def test_undecided_distinguishability_raises(monkeypatch):
+    # u = (1, -5e-11) lies 5e-11 outside the cone of g1 = (1, 0) and
+    # g2 = (cos 0.1, sin 0.1): its weight on g2 is -5e-10, below
+    # -FACET_TOL, and its pairing with the facet normal (0, 1) is -5e-11,
+    # above -FACET_TOL, so neither certificate checks
+    G = np.array([[1.0, 0.0], [np.cos(0.1), np.sin(0.1)]])
+    u = np.array([1.0, -5e-11])
+    X = np.array([[1.0, 0.0]])
+    with pytest.raises(GPTError, match="neither"):
+        zoo._ray_distinguishability(G, u, X)
+    assert zoo._ray_distinguishability(G, np.array([1.0, 5e-11]), X)[0] \
+        is not None
+    monkeypatch.setattr(zoo, "_farkas_check", lambda H, u, y: True)
+    with pytest.raises(GPTError, match="both"):
+        zoo._ray_distinguishability(G, np.array([1.0, 0.05]), X)
+
+
+def test_decision_enumeration_cap_refused():
+    # 60 generators, all positive on the one state: C(60, 3) = 34,220
+    # bases to try, more than MAX_FACET_SUBSETS
+    t = np.arange(60)
+    G = np.column_stack([np.cos(t), np.sin(t), np.full(60, 2.0)])
+    with pytest.raises(UnsupportedModelError, match="MAX_FACET_SUBSETS"):
+        zoo._ray_distinguishability(G, np.array([0.0, 0.0, 1.0]),
+                                    np.array([[0.0, 0.0, 1.0]]))
 
 
 def _pentagon_mixture():

@@ -2,10 +2,11 @@
 LP references, the stored facets themselves, polytope requests without an
 LP, and the refusals."""
 
+import ast
 import json
+import pathlib
 from functools import lru_cache
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from gptt import core, resource, spectral, symmetry, zoo
 from gptt.cli import main
-from gptt.core import (ConeSpec, DiagonalizationError, GPTError, StateVec,
+from gptt.core import (ConeSpec, DiagonalizationError, StateVec,
                        UnsupportedModelError)
 
 BUILTINS = ("square_bit", "diamond_bit", "restricted_trit")
@@ -113,7 +114,6 @@ def test_cone_checks_and_peel_solve_no_lp(monkeypatch):
         raise AssertionError("an LP was solved")
 
     monkeypatch.setattr(core, "linprog", no_lp)
-    monkeypatch.setattr(zoo, "linprog", no_lp)
     rng = np.random.default_rng(0)
     for m in models:
         P = m.pure_states
@@ -157,10 +157,11 @@ def test_base_norm_lp_past_the_subset_cap(monkeypatch):
     # the 26-gon's ball has C(52, 3) = 22,100 facet candidates, more than
     # MAX_FACET_SUBSETS, while the 25-gon's has 19,600
     calls = []
+    solve = core.linprog
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return zoo.linprog(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(core, "linprog", counted)
     m = _model("26-gon")
@@ -170,16 +171,46 @@ def test_base_norm_lp_past_the_subset_cap(monkeypatch):
     assert core._base_norm_facets(_model("8-gon")) is not None
 
 
-def failed_lp(*args, **kwargs):
-    """A linprog result with HiGHS status 4: the solver gave up."""
-    return SimpleNamespace(status=4, success=False, x=None, fun=None,
-                           message="numerical difficulties")
+def test_only_state_norm_calls_linprog():
+    """The one LP left in the package is state_norm's, past the subset cap:
+    no other function of src/gptt calls core.linprog."""
+    callers = set()
+    for path in pathlib.Path(core.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers |= {fn.name for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "linprog"}
+    assert callers == {"state_norm"}
 
 
-def test_failed_pointedness_lp_is_not_a_verdict(monkeypatch):
-    monkeypatch.setattr(core, "linprog", failed_lp)
-    with pytest.raises(GPTError, match="numerical difficulties"):
-        ConeSpec("rays", 3, generators=_model("square_bit").state_cone.generators)
+_SMALL_INT = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SMALL_INT, min_size=3, max_size=7))
+def test_pointedness_matches_lp(rows):
+    """A full-dimensional ray cone is refused as not pointed exactly when
+    the reference LP finds a vanishing nonnegative combination of its
+    generators; a cone that builds has facets that bound it."""
+    G = np.asarray(rows, dtype=float)
+    G = G[np.abs(G).sum(axis=1) > 0]
+    if len(G) == 0 or np.linalg.matrix_rank(G) < 3:
+        return
+    pointed = oracles.is_pointed_lp(G)
+    try:
+        cone = ConeSpec("rays", 3, generators=G)
+    except ValueError as exc:
+        assert "not pointed" in str(exc) and not pointed
+        return
+    assert pointed
+    assert (cone.facets @ G.T).min() >= -1e-10
+
+
+def test_generators_summing_to_zero_refused():
+    G = np.vstack([np.eye(3), -np.eye(3)])
+    with pytest.raises(ValueError, match="not pointed"):
+        ConeSpec("rays", 3, generators=G)
 
 
 def test_subset_cap_refused():
@@ -210,10 +241,27 @@ def _cli(*args):
     return CliRunner().invoke(main, list(args), catch_exceptions=False)
 
 
+_SQUARE = {"kind": "polytope", "vector_dim": 3, "unit_effect": [0, 0, 1],
+           "state_vertices": [[1, 1, 1], [1, -1, 1], [-1, 1, 1], [-1, -1, 1]],
+           "effect_generators": [[1, 0, 1], [-1, 0, 1], [0, 1, 1],
+                                 [0, -1, 1]],
+           "group_generators": []}
+# (2, 0, 1) gives probability -1 on the vertex (-1, 1, 1)
+_NEGATIVE_EFFECT = {**_SQUARE, "effect_generators": [
+    [2, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]}
+# every effect generator is nonnegative on the triangle's vertices, but no
+# nonnegative combination of them is the unit (0, 0, 1)
+_UNIT_OUTSIDE = {**_SQUARE,
+                 "state_vertices": [[0, 0, 1], [1, 0, 1], [0, 1, 1]],
+                 "effect_generators": [[1, 0, 1], [0, 1, 1], [1, 1, 1]]}
+
+
 @pytest.mark.parametrize("data,message", [
     (kgon_json(201), "MAX_FACET_SUBSETS"),
     (_LINE, "not pointed"),
-], ids=["subset_cap", "line"])
+    (_NEGATIVE_EFFECT, "effect generator is negative on a state vertex"),
+    (_UNIT_OUTSIDE, "unit effect is outside the effect cone"),
+], ids=["subset_cap", "line", "negative_effect", "unit_outside"])
 def test_cli_refuses_model_file(tmp_path, data, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))
