@@ -361,10 +361,14 @@ def erase(model, state, beta, seed, as_json):
     rho = _get_state(m, state, rng)
     try:
         demo = thermo.erasure_demo(rho, beta)
-    except (GPTError, DiagonalizationError) as exc:
+    except DiagonalizationError as exc:
         _emit({"command": "erase", "model": m.model_id, "seed": seed,
                "error": str(exc)}, as_json)
         sys.exit(EXIT_DIAG_FAILURE)
+    except UnsupportedModelError:
+        raise                   # _Command reports it, as for landauer
+    except GPTError as exc:     # such as a pure input
+        raise click.UsageError(str(exc))
     _emit({
         "command": "erase", "model": m.model_id, "seed": seed,
         "results": {

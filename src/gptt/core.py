@@ -10,9 +10,7 @@ blocks (matrix models) and finitely generated ray cones (polytope models).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,25 +33,19 @@ KRAUS_CAP = 64
 # Tags a composite or product channel keeps when every part carries them.
 _SHARED_TAGS = frozenset({"reversible", "unital", "rare"})
 
-# A ray cone finds its facets among the (dim - 1)-subsets of its generators,
-# once, when it is built.  A cone with more subsets than this is refused
-# with UnsupportedModelError; the builtin polytopes have at most 6.
-MAX_FACET_SUBSETS = 20_000
+# `cone_facets` refuses a cone with more generators than this, before any
+# work on it; the base-norm ball of a polygon with 200 vertices has 400.
+MAX_CONE_GENERATORS = 400
 
 # Facet normals and generators are compared at unit length: a generator lies
 # on a facet when their product is at most this in absolute value.
 FACET_TOL = 1e-10
 
-_NOT_POINTED = "cone contains a line (not pointed)"
-
 
 def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on first use.
-
-    The one LP left in the package is `state_norm` on a polytope whose
-    base-norm ball has more facet candidates than MAX_FACET_SUBSETS; every
-    other call, a polytope build included, loads no scipy module.
-    """
+    """scipy.optimize.linprog, imported on first use.  No function of the
+    package calls it; it stays because a benchmark tracer binds
+    `core.linprog` when it installs, to count LP solves."""
     from scipy.optimize import linprog as solve
 
     return solve(*args, **kwargs)
@@ -115,14 +107,10 @@ class ConeSpec:
     """A proper cone, either finitely generated or a product of PSD blocks.
 
     kind 'rays': generators are rows of `generators`, spanning a pointed,
-    full-dimensional cone.  Its facets are found once, when the cone is
-    built: rows of `facets` are unit inward normals, each nonnegative on
-    every generator and zero on dim - 1 independent ones.  The cone is the
-    set where every facet is nonnegative, and the signed margin against the
-    fixed interior direction e is min_i F_i.x / F_i.e.  Pointedness is read
-    off the same facets, with no LP (`_ray_facets`): a cone whose unit
-    generators sum to about 0, or whose facet normals sum to a vector not
-    positive on every generator, contains a line and raises ValueError.
+    full-dimensional cone.  Its facets, unit inward normals in the rows of
+    `facets`, are found once, when the cone is built (`cone_facets`).  The
+    cone is the set where every facet is nonnegative, and the margin
+    against the interior direction e is min_i F_i.x / F_i.e.
     kind 'psd': membership means every Hermitian block has nonnegative
     spectrum; the margin is the smallest block eigenvalue.
     """
@@ -146,12 +134,9 @@ class ConeSpec:
             if np.linalg.matrix_rank(G, tol=1e-10) < self.dim:
                 raise ValueError("cone is not full-dimensional")
             U = G / norms[:, None]
-            e = U.sum(axis=0)
-            if np.linalg.norm(e) <= FACET_TOL:
-                raise ValueError(_NOT_POINTED)
-            e = e / np.linalg.norm(e)
-            object.__setattr__(self, "interior_direction", e)
-            object.__setattr__(self, "facets", _ray_facets(U, e))
+            e = U.sum(axis=0)       # about 0 only in a cone with a line
+            object.__setattr__(self, "facets", cone_facets(U, e)[1])
+            object.__setattr__(self, "interior_direction", e / np.linalg.norm(e))
         elif self.kind == "psd":
             if self.structure is None:
                 raise ValueError("psd cone needs a block structure")
@@ -167,18 +152,24 @@ class ConeSpec:
         minimum block eigenvalue.  Given a list `eig`, a psd cone finds it
         with `block_eigh` and fills the list with the blocks' (w, V) pairs:
         this is where a matrix-model state's one eigensolve happens
-        (`StateVec`).  Without it, eigenvalues alone are computed.
+        (`StateVec`).  Without it, eigenvalues alone are computed.  A NaN or
+        infinite coordinate raises ValueError, found from a non-finite margin
+        on a ray cone and beforehand on a psd one (LAPACK may pass it).
         """
         x = as_coords(x)
         if x.shape != (self.dim,):
             raise ValueError("vector has wrong dimension")
         if self.kind == "psd":
+            _finite_coords(x)
             if eig is not None:
                 eig[:] = block_eigh(x, self.structure)
                 return min(float(w[0]) for w, _ in eig)
             return min(float(w[0]) for w in block_eigvalsh(x, self.structure))
         F = self.facets
-        return float(np.min((F @ x) / (F @ self.interior_direction)))
+        m = float(np.min((F @ x) / (F @ self.interior_direction)))
+        if not -np.inf < m < np.inf:
+            _finite_coords(x)
+        return m
 
     def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
         return self.margin(x) >= -tol
@@ -196,56 +187,81 @@ def cone_membership(model: "ModelSpec", x, which: str = "state",
     return (m >= -tol, m)
 
 
-def _subsets(n: int, r: int, what: str) -> np.ndarray:
-    """Every r-subset of range(n), in lexicographic order, as the rows of
-    an int array.  More than MAX_FACET_SUBSETS of them raise
-    UnsupportedModelError, whose message begins with `what`."""
-    count = math.comb(n, r)
-    if count > MAX_FACET_SUBSETS:
-        raise UnsupportedModelError(
-            f"{what} has {count} candidate subsets, more than "
-            f"MAX_FACET_SUBSETS = {MAX_FACET_SUBSETS}")
-    return np.array(list(combinations(range(n), r)),
-                    dtype=int).reshape(count, r)
+def cone_facets(U: np.ndarray, e: np.ndarray):
+    """(B, F): orthonormal rows B spanning span(U), the identity when the
+    unit rows of U span the whole space, and the unit inward facet normals
+    F of their cone within that span; e lies in its relative interior.
 
-
-def _ray_facets(U: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Unit inward facet normals of the pointed cone spanned by the rows of U.
-
-    U holds unit generators and e the interior direction.  Every
-    (dim - 1)-subset of independent generators spans a hyperplane; it bounds
-    a facet when all generators lie on one side.  Subsets on one facet are
-    merged by the generators the facet contains, and the normal is refit to
-    all of them.  The sum of the facet normals is positive on every
-    generator exactly when the cone is pointed: a generator in a vanishing
-    combination of generators lies on every facet.  So a sum at most
-    FACET_TOL on some generator raises ValueError (not pointed), before
-    each facet is checked: nonnegative on every generator, zero on dim - 1
-    independent ones, positive on e.
+    Double description (Motzkin et al., 1953; Fukuda and Prodon, 1996)
+    finds the extreme rays of {y in span(U) : U y >= 0} and the generators
+    each is zero on: from the cone of r = rank(U) generators of largest
+    residual, the others are added in order.  Rays below -FACET_TOL on the
+    new one go; each adjacent pair across it (the generators zero on both
+    have rank r - 2 at FACET_TOL) gives the ray between them.  Each zero
+    set, in `np.unique` order, gives a facet refit by SVD and oriented to
+    be positive on e.  Normals summing to at most FACET_TOL on a generator
+    mean a line in the cone (ValueError, not pointed).  Else at least r
+    facets, each nonnegative on the generators, positive on e, zero on
+    r - 1 independent ones and on no other, holding no other facet's zero
+    set, are returned, or ValueError.  More than MAX_CONE_GENERATORS
+    generators, or its square in ray pairs at one step, raise
+    UnsupportedModelError.
     """
-    k, D = U.shape
-    _, s, Vt = np.linalg.svd(U[_subsets(
-        k, D - 1, f"a cone with {k} generators in dimension {D}")])
-    normals = Vt[(s > FACET_TOL).all(axis=1), -1]
-    side = normals @ U.T
-    bounding = ((side >= -FACET_TOL).all(axis=1)
-                | (side <= FACET_TOL).all(axis=1))
-    facets = []
-    for on in np.unique(np.abs(side[bounding]) <= FACET_TOL, axis=0):
-        f = np.linalg.svd(U[on])[2][-1]
-        facets.append(f if f @ e > 0 else -f)
-    F = np.array(facets).reshape(-1, D)
-    if (U @ F.sum(axis=0)).min() <= FACET_TOL:
-        raise ValueError(_NOT_POINTED)
-    bad = len(F) < D
-    for f, row in zip(F, F @ U.T):
-        on = np.abs(row) <= FACET_TOL
-        bad |= (row.min() < -FACET_TOL or f @ e <= FACET_TOL
-                or np.linalg.matrix_rank(U[on], tol=FACET_TOL) != D - 1)
-    if bad:
+    k, n = U.shape
+    if k > MAX_CONE_GENERATORS:
+        raise UnsupportedModelError(f"a cone with {k} generators is past "
+                                    f"MAX_CONE_GENERATORS = {MAX_CONE_GENERATORS}")
+    s, Vt = np.linalg.svd(U)[1:]
+    r = int((s > FACET_TOL).sum())
+    if r == 0:
+        return Vt[:0], Vt[:0]
+    B = np.eye(n) if r == n else Vt[:r]
+    C, e = (U, e) if r == n else (U @ B.T, B @ e)   # coordinates in span
+    start, res = [], C.copy()
+    for _ in range(r):
+        d = (res * res).sum(axis=1)
+        start.append(j := int(d.argmax()))
+        res -= np.outer(res @ res[j], res[j] / d[j])
+    R = np.linalg.inv(C[start]).T
+    R /= np.linalg.norm(R, axis=1)[:, None]
+    Z = np.zeros((r, k), dtype=bool)
+    Z[:, start] = ~np.eye(r, dtype=bool)
+    for g in (g for g in range(k) if g not in start):
+        v = R @ C[g]
+        pos, neg = v > FACET_TOL, v < -FACET_TOL
+        Z[:, g] = ~(pos | neg)
+        rays, sets = [R[~neg]], [Z[~neg]]
+        P, N = np.flatnonzero(pos), np.flatnonzero(neg)
+        if len(P) * len(N) > MAX_CONE_GENERATORS ** 2:   # bounds the memory
+            raise UnsupportedModelError("cone ray pairs past MAX_CONE_GENERATORS ** 2")
+        shared = Z[P].astype(float) @ Z[N].T.astype(float)
+        for i, j in zip(*np.nonzero(shared >= r - 2)):
+            both = Z[P[i]] & Z[N[j]]    # unit rows: rank = count up to one
+            if (shared[i, j] if shared[i, j] <= 1 else np.linalg.matrix_rank(
+                    C[both], tol=FACET_TOL)) == r - 2:
+                y = v[P[i]] * R[N[j]] - v[N[j]] * R[P[i]]
+                both[g] = True
+                rays.append(y[None] / np.linalg.norm(y))
+                sets.append(both[None])
+        R, Z = np.vstack(rays), np.vstack(sets)
+    Z = Z[np.lexsort(Z.T[::-1])]    # sorted as np.unique sorts them
+    F, rank, size = np.zeros((len(Z), r)), np.zeros(len(Z), int), Z.sum(1)
+    for m in set(size.tolist()):    # one batch of SVDs per set size
+        i = np.flatnonzero(size == m)
+        _, sv, Vt = np.linalg.svd(C[np.nonzero(Z[i])[1].reshape(len(i), m)])
+        F[i], rank[i] = Vt[:, -1], (sv > FACET_TOL).sum(axis=1)
+    F[F @ e <= 0] *= -1
+    if (C @ F.sum(axis=0)).min() <= FACET_TOL:
+        raise ValueError("cone contains a line (not pointed)")
+    vals, O = F @ C.T, Z.astype(float)
+    nested = (O @ (1.0 - O).T == 0).sum() > len(Z)   # a set within another
+    if (len(F) < r or (rank != r - 1).any() or nested
+            or not np.array_equal(np.abs(vals) <= FACET_TOL, Z)
+            or (vals < -FACET_TOL).any()
+            or (F @ e <= FACET_TOL * np.linalg.norm(e)).any()):
         raise ValueError("cone facets are numerically ambiguous: a "
                          "generator lies too close to a facet")
-    return F
+    return B, F if r == n else F @ B
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +528,14 @@ def pairing(effect, state) -> float:
 
 @per_model_id
 def _base_norm_facets(model: ModelSpec):
-    """Rows (a_i, b_i) of the ball conv(Omega u -Omega) = {x : a_i.x + b_i
-    >= 0 for every i}, with b_i > 0: the facets of the cone over the lifted
-    points (+-omega, 1).  Found on first use and kept by model id; None when
-    that cone has more facet candidates than MAX_FACET_SUBSETS.
+    """Rows (a_i, b_i), b_i > 0, of the ball conv(Omega u -Omega) = {x :
+    a_i.x + b_i >= 0 for every i}: the facets (`cone_facets`) of the cone
+    over the lifted points (+-omega, 1), found once per model id.
     """
     P = model.pure_states
-    n, D = P.shape
-    if math.comb(2 * n, D) > MAX_FACET_SUBSETS:
-        return None
-    L = np.hstack([np.vstack([P, -P]), np.ones((2 * n, 1))])
-    return _ray_facets(L / np.linalg.norm(L, axis=1)[:, None],
-                       np.eye(D + 1)[-1])
+    L = np.hstack([np.vstack([P, -P]), np.ones((2 * len(P), 1))])
+    return cone_facets(L / np.linalg.norm(L, axis=1)[:, None],
+                       np.eye(P.shape[1] + 1)[-1])[1]
 
 
 def state_norm(model: ModelSpec, x) -> float:
@@ -532,32 +544,16 @@ def state_norm(model: ModelSpec, x) -> float:
     For matrix models this is the total absolute spectrum (sum of |eigenvalue|
     over all blocks).  For ray-cone models it is the gauge of the ball
     conv(Omega u -Omega), Omega the normalized states: the largest
-    -a_i.x / b_i over the ball's facets (`_base_norm_facets`).  A polytope
-    too large for the facet search gets the same norm by LP: the least
-    (u|p) + (u|m) over x = p - m with p, m in the state cone.  A NaN or
-    infinite coordinate raises ValueError.
+    -a_i.x / b_i over the ball's facets (`_base_norm_facets`; past
+    MAX_CONE_GENERATORS, twice the vertices, UnsupportedModelError).  A NaN
+    or infinite coordinate raises ValueError.
     """
     x = _finite_coords(x)
     if model.structure is not None:
         return sum(float(np.abs(w).sum())
                    for w in block_eigvalsh(x, model.structure))
     F = _base_norm_facets(model)
-    if F is not None:
-        return float(np.max(-(F[:, :-1] @ x) / F[:, -1]))
-    G = model.state_cone.generators
-    k = G.shape[0]
-    u = model.unit_effect
-    c = np.concatenate([G @ u, G @ u])
-    A_eq = np.hstack([G.T, -G.T])
-    # HiGHS's default feasibility tolerance (1e-7) would let p = m = 0
-    # stand for a vector that small
-    res = linprog(c=c, A_eq=A_eq, b_eq=x, bounds=[(0.0, None)] * (2 * k),
-                  method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if not res.success:
-        raise GPTError(f"base-norm LP failed: {res.message}")
-    return float(res.fun)
+    return float(np.max(-(F[:, :-1] @ x) / F[:, -1]))
 
 
 def effect_norm(model: ModelSpec, f) -> float:

@@ -33,7 +33,7 @@ from .core import (
     StateVec,
     UnsupportedModelError,
     _same_model,
-    _subsets,
+    cone_facets,
     per_model_id,
 )
 from .embedding import (
@@ -205,6 +205,28 @@ def _farkas_check(H: np.ndarray, u: np.ndarray, y: np.ndarray) -> bool:
                 and u @ y / np.linalg.norm(u) < -FACET_TOL)
 
 
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least |A c - b| over c >= 0, by the active-set method of Lawson and
+    Hanson (1974, ch. 23): least-squares weights on the passive set."""
+    n, tol = A.shape[1], 10 * np.finfo(float).eps * max(A.shape)
+    passive, c = np.zeros(n, dtype=bool), np.zeros(n)
+    for _ in range(3 * n):
+        w = np.where(passive, -np.inf, A.T @ (b - A @ c))
+        if w.max() <= tol:
+            break
+        passive[w.argmax()] = True
+        while passive.any():
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+            if z[passive].min() > 0:
+                break
+            out = passive & (z <= 0)    # step back to the first weight at 0
+            c += (c[out] / (c[out] - z[out])).min() * (z - c)
+            passive &= c > tol
+        c = z
+    return c
+
+
 def _ray_distinguishability(G: np.ndarray, u: np.ndarray, X) -> tuple:
     """Whether the states X are perfectly distinguishable, decided with no
     LP: (effects, None) when they are, the effects as rows, and (None, y)
@@ -213,53 +235,31 @@ def _ray_distinguishability(G: np.ndarray, u: np.ndarray, X) -> tuple:
     Effect generators are nonnegative on states, so a distinguishing effect
     e_i uses only generators that vanish on every x_j with j != i.  With H
     the unit generators positive (above FACET_TOL) on at most one state, the
-    states are distinguishable iff u lies in cone(H).  "Yes": a linearly
-    independent rank(H)-subset of H rebuilds u with weights at least
-    -FACET_TOL (Caratheodory); each weight, clipped at 0, goes to the effect
-    of the state its generator is positive on, or to the first effect, and
-    the effects must pass `_effects_check`.  "No": a Farkas vector that
-    passes `_farkas_check`, either u's component off span(H), negated, or
-    the normal within span(H) of a (rank - 1)-subset of H.  Both searches
-    run; when neither certificate or both check, GPTError is raised.  Each
-    enumeration is refused past MAX_FACET_SUBSETS subsets with
-    UnsupportedModelError.
+    states are distinguishable iff u lies in cone(H).  "Yes": weights of H
+    from `_nnls`, at least -FACET_TOL and rebuilding u within FACET_TOL,
+    each given to the effect of the state its generator is positive on (or
+    the first), with the effects passing `_effects_check`.  "No": u's
+    component off span(H), negated, or a facet of cone(H) (`cone_facets`),
+    passing `_farkas_check`.  Both are tried; neither or both checking, or
+    ambiguous facets of cone(H), raise GPTError.
     """
     X = np.asarray(X, dtype=float)
     U = G / np.linalg.norm(G, axis=1)[:, None]
     positive = U @ X.T > FACET_TOL
     keep = positive.sum(axis=1) <= 1
     H, owner = U[keep], positive[keep].argmax(axis=1)
-    s, B = np.linalg.svd(H)[1:]
-    r = int((s > FACET_TOL).sum())
-    B = B[:r]                   # orthonormal rows spanning span(H)
+    try:
+        B, F = cone_facets(H, H.sum(axis=0))
+    except ValueError as exc:   # cone(H) has ambiguous facets
+        raise GPTError(f"distinguishability is undecided: {exc}") from exc
     n_u = u / np.linalg.norm(u)
-    what = f"a distinguishability search over {len(H)} generators"
-    effects = None
-    if r:
-        S = _subsets(len(H), r, what)
-        Ua, sa, Va = np.linalg.svd(H[S], full_matrices=False)
-        ok = (sa > FACET_TOL).all(axis=1)
-        S, Ua, sa, Va = S[ok], Ua[ok], sa[ok], Va[ok]
-        c = np.einsum("nij,nj->ni", Ua, (Va @ n_u) / sa)
-        miss = np.abs(np.einsum("ni,nid->nd", c, H[S]) - n_u).max(axis=1)
-        for i in np.flatnonzero((miss <= FACET_TOL)
-                                & (c.min(axis=1) >= -FACET_TOL)):
-            w = np.linalg.norm(u) * np.clip(c[i], 0.0, None)
-            E = np.zeros((len(X), len(u)))
-            np.add.at(E, owner[S[i]], w[:, None] * H[S[i]])
-            if _effects_check(E, X, u):
-                effects = E
-                break
-    candidates = [B.T @ (B @ n_u) - n_u]
-    if r:
-        Hc = H @ B.T            # H in coordinates of span(H)
-        _, st, Vt = np.linalg.svd(Hc[_subsets(len(H), r - 1, what)])
-        normals = Vt[(st > FACET_TOL).all(axis=1), -1]
-        side = normals @ Hc.T
-        normals = np.where((side >= -FACET_TOL).all(axis=1)[:, None],
-                           normals, -normals)
-        candidates += list(normals @ B)
-    farkas = next((y for y in candidates if np.linalg.norm(y) > FACET_TOL
+    c = _nnls(H.T, n_u)
+    E = np.eye(len(X))[owner].T @ (np.linalg.norm(u) * c[:, None] * H)
+    effects = E if (np.abs(c @ H - n_u).max() <= FACET_TOL
+                    and c.min(initial=0.0) >= -FACET_TOL
+                    and _effects_check(E, X, u)) else None
+    farkas = next((y for y in [B.T @ (B @ n_u) - n_u, *F]
+                   if np.linalg.norm(y) > FACET_TOL
                    and _farkas_check(H, u, y)), None)
     if (effects is None) == (farkas is None):
         raise GPTError("distinguishability is numerically undecided: "
@@ -487,9 +487,8 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
     for M in group_matrices:
         if np.abs(M.T @ u - u).max() > 1e-9:
             raise GPTError("group generator does not preserve the unit effect")
-        for v in V:
-            if not state_cone.contains(M @ v, 1e-9):
-                raise GPTError("group generator does not preserve the state cone")
+        if min(state_cone.margin(M @ v) for v in V) < -1e-9:
+            raise GPTError("group generator does not preserve the state cone")
     pairing = V @ u
     if not np.all(pairing > 0):
         raise ValueError("unit effect must be positive on every vertex")

@@ -5,6 +5,7 @@ numpy and scipy only, sharing no code with the package under test.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -236,3 +237,48 @@ def distinguishable_lp(E, u, xs):
                   options=_TIGHT)
     assert res.status in (0, 2), res.message
     return res.status == 0
+
+
+# a generator lies on a facet when their product at unit length is at most
+# this in absolute value
+FACET_TOL = 1e-10
+
+
+def facets_by_subsets(U, e):
+    """Unit inward facet normals of the pointed, full-dimensional cone
+    spanned by the unit rows of U, e a unit interior direction, found by
+    trying every (D - 1)-subset of the generators.
+
+    A subset of independent generators spans a hyperplane; it bounds a
+    facet when every generator lies on one side.  Subsets on one facet are
+    merged by the generators the facet holds (sorted by `np.unique`), and
+    the normal is refit by SVD to all of them and oriented to be positive
+    on e.  Raises ValueError when the facet normals sum to a vector at most
+    FACET_TOL on some generator (not pointed), or when there are fewer than
+    D facets or one of them is negative on a generator, zero on fewer than
+    D - 1 independent ones or not positive on e (numerically ambiguous).
+    """
+    U = np.asarray(U, dtype=float)
+    k, D = U.shape
+    subsets = np.array(list(combinations(range(k), D - 1)),
+                       dtype=int).reshape(-1, D - 1)
+    _, s, Vt = np.linalg.svd(U[subsets])
+    normals = Vt[(s > FACET_TOL).all(axis=1), -1]
+    side = normals @ U.T
+    bounding = ((side >= -FACET_TOL).all(axis=1)
+                | (side <= FACET_TOL).all(axis=1))
+    facets = []
+    for on in np.unique(np.abs(side[bounding]) <= FACET_TOL, axis=0):
+        f = np.linalg.svd(U[on])[2][-1]
+        facets.append(f if f @ e > 0 else -f)
+    F = np.array(facets).reshape(-1, D)
+    if (U @ F.sum(axis=0)).min() <= FACET_TOL:
+        raise ValueError("cone contains a line (not pointed)")
+    bad = len(F) < D
+    for f, row in zip(F, F @ U.T):
+        on = np.abs(row) <= FACET_TOL
+        bad |= (row.min() < -FACET_TOL or f @ e <= FACET_TOL
+                or np.linalg.matrix_rank(U[on], tol=FACET_TOL) != D - 1)
+    if bad:
+        raise ValueError("cone facets are numerically ambiguous")
+    return F

@@ -190,9 +190,16 @@ class TestLandauerErase:
         checks = {c["name"]: c["pass"] for c in json.loads(res.output)["checks"]}
         assert checks[check] and all(checks.values())
 
-    def test_erase_pure_exits_three(self):
+    def test_erase_pure_exits_two(self):
         res = invoke("erase", "quantum:2", "--state", "pure:0", "--json")
-        assert res.exit_code == 3
+        assert res.exit_code == 2
+        assert "input is already pure; nothing to erase" in res.output
+
+    @pytest.mark.parametrize("model", ["square_bit", "classical:3"])
+    def test_erase_without_purification_exits_two(self, model):
+        res = invoke("erase", model, "--json")
+        assert res.exit_code == 2
+        assert f"{model} does not admit purification" in res.output
 
 
 # model: permutability, strong symmetry, transitivity,
@@ -419,6 +426,19 @@ def test_matrix_model_command_loads_no_scipy(command):
             f"for argv in {argvs!r}:\n"
             "    res = CliRunner().invoke(main, argv)\n"
             "    assert res.exit_code == 0, (argv, res.output)\n")
+    assert _scipy_modules_after(code) == "[]"
+
+
+def test_polytope_base_norm_loads_no_scipy(tmp_path):
+    """The base norm on a 26-gon model file, whose ball has more facet
+    candidates than a subset enumeration could try, loads no scipy
+    module: its facets come from the double description."""
+    path = tmp_path / "26-gon.json"
+    path.write_text(json.dumps(kgon_json(26)))
+    code = ("from gptt import core, zoo\n"
+            f"m = zoo.load_model({str(path)!r})\n"
+            "x = m.pure_states[0] - m.pure_states[13]\n"
+            "assert abs(core.state_norm(m, x) - 2.0) <= 1e-9\n")
     assert _scipy_modules_after(code) == "[]"
 
 

@@ -170,6 +170,20 @@ class TestNonFinite:
         with pytest.raises(GPTError):
             EffectVec(np.array(f), q2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("model", [q2, sq], ids=["quantum:2", "square_bit"])
+    def test_cone_check(self, model, bad):
+        # on quantum:2, eigvalsh gives [0, -0] for the block [[nan, 0],
+        # [0, 0.5]], so [nan, 0.5, 0, 0] would pass as a member
+        x = model.chi.copy()
+        x[0] = bad
+        for which, cone in (("state", model.state_cone),
+                            ("effect", model.effect_cone)):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                cone_membership(model, x, which)
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                cone.contains(x)
+
     @pytest.mark.parametrize("tags", [frozenset(), frozenset({"unital"})])
     def test_channel(self, tags):
         M = np.eye(cl3.vector_dim)

@@ -281,30 +281,42 @@ def test_input_that_is_no_state_refused():
 
 
 def test_undecided_distinguishability_raises(monkeypatch):
-    # u = (1, -5e-11) lies 5e-11 outside the cone of g1 = (1, 0) and
-    # g2 = (cos 0.1, sin 0.1): its weight on g2 is -5e-10, below
-    # -FACET_TOL, and its pairing with the facet normal (0, 1) is -5e-11,
-    # above -FACET_TOL, so neither certificate checks
-    G = np.array([[1.0, 0.0], [np.cos(0.1), np.sin(0.1)]])
-    u = np.array([1.0, -5e-11])
-    X = np.array([[1.0, 0.0]])
+    # the cone of g0 = (0, 0, 1) and g+- = (cos 0.1, +-sin 0.1, 0) has the
+    # facets n+- = (sin 0.1, -+cos 0.1, 0) through g0, 0.2 rad apart.
+    # u = (-5e-10, 0, 1) lies 5e-11 outside each of them, above -FACET_TOL,
+    # so no facet is a Farkas vector; its distance from the cone, along
+    # their sharp edge g0, is 5e-10, so no nonnegative weights rebuild it
+    # within FACET_TOL: neither certificate checks
+    G = np.array([[0.0, 0.0, 1.0], [np.cos(0.1), np.sin(0.1), 0.0],
+                  [np.cos(0.1), -np.sin(0.1), 0.0]])
+    X = np.array([[0.0, 0.0, 1.0]])
     with pytest.raises(GPTError, match="neither"):
-        zoo._ray_distinguishability(G, u, X)
-    assert zoo._ray_distinguishability(G, np.array([1.0, 5e-11]), X)[0] \
+        zoo._ray_distinguishability(G, np.array([-5e-10, 0.0, 1.0]), X)
+    assert zoo._ray_distinguishability(G, np.array([5e-10, 0.0, 1.0]), X)[0] \
         is not None
     monkeypatch.setattr(zoo, "_farkas_check", lambda H, u, y: True)
     with pytest.raises(GPTError, match="both"):
-        zoo._ray_distinguishability(G, np.array([1.0, 0.05]), X)
+        zoo._ray_distinguishability(G, np.array([0.05, 0.0, 1.0]), X)
 
 
-def test_decision_enumeration_cap_refused():
+def test_decision_past_the_old_enumeration_cap():
     # 60 generators, all positive on the one state: C(60, 3) = 34,220
-    # bases to try, more than MAX_FACET_SUBSETS
+    # Caratheodory bases, past the 20,000 subsets an enumeration was once
+    # capped at.  u = (0, 0, 1) lies in their cone and (1, 0, 1) does not;
+    # both decisions match the reference LP, and their certificates check
     t = np.arange(60)
     G = np.column_stack([np.cos(t), np.sin(t), np.full(60, 2.0)])
-    with pytest.raises(UnsupportedModelError, match="MAX_FACET_SUBSETS"):
-        zoo._ray_distinguishability(G, np.array([0.0, 0.0, 1.0]),
-                                    np.array([[0.0, 0.0, 1.0]]))
+    X = np.array([[0.0, 0.0, 1.0]])
+    U = G / np.linalg.norm(G, axis=1)[:, None]
+    for u, ok in (([0.0, 0.0, 1.0], True), ([1.0, 0.0, 1.0], False)):
+        u = np.asarray(u)
+        assert oracles.distinguishable_lp(G, u, X) == ok
+        effects, farkas = zoo._ray_distinguishability(G, u, X)
+        if ok:
+            assert farkas is None and zoo._effects_check(effects, X, u)
+            assert oracles.cone_margin_lp(G, U.sum(axis=0), effects[0]) >= 0
+        else:
+            assert effects is None and zoo._farkas_check(U, u, farkas)
 
 
 def _pentagon_mixture():

@@ -3,8 +3,10 @@ LP references, the stored facets themselves, polytope requests without an
 LP, and the refusals."""
 
 import ast
+import itertools
 import json
 import pathlib
+import time
 from functools import lru_cache
 from itertools import combinations
 
@@ -106,14 +108,14 @@ def test_margin_matches_lp(name, which, weights, offset, shift):
     assert abs(cone.margin(x) - ref) <= 1e-9
 
 
+def _no_lp(*args, **kwargs):
+    raise AssertionError("an LP was solved")
+
+
 def test_cone_checks_and_peel_solve_no_lp(monkeypatch):
     """The polytope request mix solves no LP once the model is built."""
     models = [_model(name) for name in BUILTINS + ("5-gon",)]
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("an LP was solved")
-
-    monkeypatch.setattr(core, "linprog", no_lp)
+    monkeypatch.setattr(core, "linprog", _no_lp)
     rng = np.random.default_rng(0)
     for m in models:
         P = m.pure_states
@@ -154,26 +156,26 @@ def test_base_norm_matches_lp(name, x):
 
 
 def test_base_norm_lp_past_the_subset_cap(monkeypatch):
-    # the 26-gon's ball has C(52, 3) = 22,100 facet candidates, more than
-    # MAX_FACET_SUBSETS, while the 25-gon's has 19,600
-    calls = []
-    solve = core.linprog
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(core, "linprog", counted)
+    """The 26-gon's ball has C(52, 3) = 22,100 (D - 1)-subsets, past the
+    20,000 a subset enumeration of its facets was once capped at.  Its 28
+    facets (a prism: 26 sides, top and bottom) come from the double
+    description, and state_norm matches the reference LP without one."""
+    monkeypatch.setattr(core, "linprog", _no_lp)
     m = _model("26-gon")
-    x = m.pure_states[0] - m.pure_states[13]
-    assert abs(core.state_norm(m, x) - 2.0) <= 1e-9
-    assert core._base_norm_facets(m) is None and len(calls) == 1
-    assert core._base_norm_facets(_model("8-gon")) is not None
+    F = core._base_norm_facets(m)
+    assert F.shape == (28, 4) and (F[:, -1] > 0).all()
+    P, G, u = m.pure_states, m.state_cone.generators, m.unit_effect
+    rng = np.random.default_rng(26)
+    for x in [P[0] - P[13], P[0] - P[1], 0.3 * P[5] - P[9],
+              *rng.normal(size=(20, 3))]:
+        assert abs(core.state_norm(m, x) - oracles.base_norm_lp(G, u, x)) \
+            <= 1e-9
+    assert abs(core.state_norm(m, P[0] - P[13]) - 2.0) <= 1e-9
 
 
-def test_only_state_norm_calls_linprog():
-    """The one LP left in the package is state_norm's, past the subset cap:
-    no other function of src/gptt calls core.linprog."""
+def test_no_function_calls_linprog():
+    """No function of src/gptt calls linprog: every cone fact, the base
+    norm included, comes from `core.cone_facets`."""
     callers = set()
     for path in pathlib.Path(core.__file__).parent.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -181,7 +183,81 @@ def test_only_state_norm_calls_linprog():
                 callers |= {fn.name for node in ast.walk(fn)
                             if isinstance(node, ast.Call)
                             and getattr(node.func, "id", None) == "linprog"}
-    assert callers == {"state_norm"}
+    assert callers == set()
+
+
+def _unit_cone(G):
+    U = G / np.linalg.norm(G, axis=1)[:, None]
+    e = U.sum(axis=0)
+    return U, e / np.linalg.norm(e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(4, 6), st.integers(0, 6), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_facets_match_subset_reference(D, extra, seed, rounded):
+    """On random pointed cones in D = 4 to 6, half of them with coordinates
+    rounded to integers (so that many generators share a facet), the
+    engine's facets are bit-identical to the subset enumeration of
+    `oracles.facets_by_subsets` wherever that reference answers."""
+    G = np.random.default_rng(seed).normal(size=(D + extra, D))
+    if rounded:
+        G = np.round(G)
+    G[:, -1] = np.abs(G[:, -1]) + 1.0
+    U, e = _unit_cone(G)
+    if np.linalg.matrix_rank(U, tol=1e-10) < D:
+        return
+    try:
+        ref = oracles.facets_by_subsets(U, e)
+    except ValueError:
+        return
+    assert np.array_equal(core.cone_facets(U, e)[1], ref)
+
+
+def _cube_cone(D):
+    V = np.array(list(itertools.product((-1.0, 1.0), repeat=D)))
+    return np.hstack([V, np.ones((len(V), 1))])
+
+
+def _kgon_ball(k):
+    P = np.asarray(kgon_json(k)["state_vertices"])
+    return np.hstack([np.vstack([P, -P]), np.ones((2 * k, 1))])
+
+
+@pytest.mark.parametrize("G,count", [
+    (_kgon_ball(26), 28), (_kgon_ball(25), 52), (_kgon_ball(100), 102),
+    (_cube_cone(5), 10), (_cube_cone(3), 6),
+], ids=["26-gon ball", "25-gon ball", "100-gon ball", "5-cube", "3-cube"])
+def test_facets_past_the_old_subset_cap(G, count):
+    """Cones with more (D - 1)-subsets than a subset enumeration could try
+    get their facets, each checked here: a unit normal, nonnegative on
+    every generator, zero on D - 1 independent ones and positive on the
+    interior direction.  A prism over an even polygon has k + 2 facets, an
+    antiprism over an odd one 2k + 2, and the 5-cube 10."""
+    U, e = _unit_cone(G)
+    B, F = core.cone_facets(U, e)
+    D = G.shape[1]
+    assert np.array_equal(B, np.eye(D)) and F.shape == (count, D)
+    vals = F @ U.T
+    assert np.abs(np.linalg.norm(F, axis=1) - 1).max() < 1e-12
+    assert vals.min() >= -1e-10 and (F @ e).min() > 0
+    for row in vals:
+        assert np.linalg.matrix_rank(U[np.abs(row) <= 1e-10],
+                                     tol=1e-10) == D - 1
+
+
+def test_facets_within_the_span():
+    """Generators spanning a plane of R^3: the basis spans that plane and
+    the facets lie in it, each zero on one generator."""
+    G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    U, e = _unit_cone(G)
+    B, F = core.cone_facets(U, e)
+    assert B.shape == (2, 3) and F.shape == (2, 3)
+    assert np.abs(F - F @ B.T @ B).max() < 1e-12
+    assert np.abs(np.sort(np.abs(F @ U.T), axis=1)[:, 0]).max() < 1e-12
+    assert (F @ U.T).min() >= -1e-12
+    B, F = core.cone_facets(np.zeros((0, 3)), np.zeros(3))
+    assert B.shape == F.shape == (0, 3)
 
 
 _SMALL_INT = st.lists(st.integers(-2, 2), min_size=3, max_size=3)
@@ -213,15 +289,28 @@ def test_generators_summing_to_zero_refused():
         ConeSpec("rays", 3, generators=G)
 
 
-def test_subset_cap_refused():
-    k = 2
-    while k * (k - 1) // 2 <= core.MAX_FACET_SUBSETS:
-        k += 1
-    with pytest.raises(UnsupportedModelError, match="MAX_FACET_SUBSETS"):
+def test_generator_cap_refused():
+    """A cone with more than MAX_CONE_GENERATORS generators is refused
+    before any work on it: a polygon model file with one vertex too many
+    within a second, a ray cone, and the engine itself.  A step with more
+    than MAX_CONE_GENERATORS ** 2 ray pairs is refused too: the cone over a
+    cyclic polytope in D = 7, 60 points on the moment curve."""
+    k = core.MAX_CONE_GENERATORS + 1
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedModelError, match="MAX_CONE_GENERATORS"):
         zoo.model_from_json(kgon_json(k))
+    assert time.perf_counter() - start < 1.0
     G = np.column_stack([np.cos(np.arange(k)), np.sin(np.arange(k)), np.ones(k)])
-    with pytest.raises(UnsupportedModelError):
+    with pytest.raises(UnsupportedModelError, match="MAX_CONE_GENERATORS"):
         ConeSpec("rays", 3, generators=G)
+    with pytest.raises(UnsupportedModelError, match="MAX_CONE_GENERATORS"):
+        core.cone_facets(*_unit_cone(G))
+    core.cone_facets(*_unit_cone(G[:-1]))
+    t = np.linspace(0.1, 3.0, 60)
+    G = np.column_stack([t ** p for p in range(7)])
+    with pytest.raises(UnsupportedModelError,
+                       match=r"MAX_CONE_GENERATORS \*\* 2"):
+        core.cone_facets(*_unit_cone(G))
 
 
 _LINE = {  # generators (1, 0, 0) and (-1, 0, 0): the cone contains a line
@@ -257,11 +346,11 @@ _UNIT_OUTSIDE = {**_SQUARE,
 
 
 @pytest.mark.parametrize("data,message", [
-    (kgon_json(201), "MAX_FACET_SUBSETS"),
+    (kgon_json(core.MAX_CONE_GENERATORS + 1), "MAX_CONE_GENERATORS"),
     (_LINE, "not pointed"),
     (_NEGATIVE_EFFECT, "effect generator is negative on a state vertex"),
     (_UNIT_OUTSIDE, "unit effect is outside the effect cone"),
-], ids=["subset_cap", "line", "negative_effect", "unit_outside"])
+], ids=["generator_cap", "line", "negative_effect", "unit_outside"])
 def test_cli_refuses_model_file(tmp_path, data, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))
