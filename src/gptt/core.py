@@ -277,14 +277,10 @@ class ModelFlags:
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """Reversible transformations of a model.
+    """Reversible transformations of a model: `sampler` draws one at random.
+    A finite group also has `generators`, matrices permuting the pure
+    states, and its elements in `zoo.group_table`."""
 
-    kind 'finite': `generators` (matrix, kraus-or-None pairs) generate the
-    whole group under composition.  kind 'parametric': `sampler` draws a
-    random reversible.
-    """
-
-    kind: str
     generators: tuple = ()
     sampler: Optional[Callable] = None  # (model, rng) -> ChannelMap
 
@@ -310,7 +306,9 @@ class ModelSpec:
     read-only array whose row i is the effect that is 1 on the set's i-th
     vertex); and `distinguishable_sets`, the largest of those index sets.
     `capacity` is their size.  A maximal set can be smaller than
-    `capacity`: a vertex that is in no distinguishable pair is one alone."""
+    `capacity`: a vertex that is in no distinguishable pair is one alone.
+    A polytope's `group` is finite, closed once when the model is built
+    (`zoo.group_table`) and refused past 10,000 elements."""
 
     model_id: str
     kind: str

@@ -503,21 +503,18 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
 # reversibility axioms
 
 
-def _group_maps_tuple(elements, src, dst, tol=1e-8) -> bool:
-    for M, _ in elements:
-        if all(np.abs(M @ a - b).max() <= tol for a, b in zip(src, dst)):
-            return True
-    return False
-
-
 def check_unrestricted_reversibility(model: ModelSpec) -> dict:
     """Evaluate the two reversibility axioms on a model.
 
     Permutability: every relabeling of every maximal distinguishable set of
     pure states is implemented by some reversible.  Strong symmetry: every
-    ordered maximal set maps reversibly onto every other.  Finite models
-    are checked exhaustively; matrix families analytically, with explicit
-    counterexamples where an axiom fails.
+    ordered maximal set maps reversibly onto every other.  Matrix families
+    are decided analytically, with explicit counterexamples where an axiom
+    fails.  Polytopes are decided exactly on the permutations of
+    `zoo.group_table`: a relabeling must be some element's action on the
+    set, and every ordered set must lie in the orbit of the first, whose
+    first miss is the counterexample.  The verdict is relative to the
+    model's declared group.
     """
     st = model.structure
     if st is not None and not model.flags.sectorized:
@@ -546,40 +543,31 @@ def check_unrestricted_reversibility(model: ModelSpec) -> dict:
                     "fixing a third is incompatible with sector transport",
             "counterexample_verified": obstructed,
         }
-    # finite polytope families: exhaustive search
-    elements = zoo._closure_cache(model)
+    # finite polytope families: every relabeling against the group table
     if model.capacity < 2:
         return {"permutability": True, "strong_symmetry": True,
                 "note": "no nontrivial distinguishable sets exist"}
-    sets = [[model.pure_states[i] for i in c]
-            for c in model.distinguishable_sets]
-    tuples = [list(p) for pts in sets for p in itertools.permutations(pts)]
-    perm_ok = True
-    perm_witness = None
-    for pts in sets:
-        for p in itertools.permutations(range(len(pts))):
-            dst = [pts[i] for i in p]
-            if not _group_maps_tuple(elements, pts, dst):
-                perm_ok = False
-                perm_witness = {"set": [x.tolist() for x in pts],
-                                "relabeling": list(p)}
-                break
-        if not perm_ok:
+    perms, _ = zoo.group_table(model)
+    pts = model.pure_states
+    out = {"permutability": True, "strong_symmetry": True}
+    for c in model.distinguishable_sets:
+        images = set(map(tuple, perms[:, c].tolist()))
+        p = next((p for p in itertools.permutations(range(len(c)))
+                  if tuple(c[i] for i in p) not in images), None)
+        if p is not None:
+            out["permutability"] = False
+            out["permutability_counterexample"] = {
+                "set": pts[list(c)].tolist(), "relabeling": list(p)}
             break
-    strong_ok = True
-    strong_witness = None
-    for i, src in enumerate(tuples):
-        for dst in tuples:
-            if not _group_maps_tuple(elements, src, dst):
-                strong_ok = False
-                strong_witness = {"source": [x.tolist() for x in src],
-                                  "target": [x.tolist() for x in dst]}
-                break
-        if not strong_ok:
-            break
-    out = {"permutability": perm_ok, "strong_symmetry": strong_ok}
-    if perm_witness:
-        out["permutability_counterexample"] = perm_witness
-    if strong_witness:
-        out["strong_symmetry_counterexample"] = strong_witness
+    # reachability is an orbit relation, so every ordered set must lie in
+    # the orbit of the first
+    tuples = [t for c in model.distinguishable_sets
+              for t in itertools.permutations(c)]
+    orbit = set(map(tuple, perms[:, tuples[0]].tolist()))
+    miss = next((t for t in tuples if t not in orbit), None)
+    if miss is not None:
+        out["strong_symmetry"] = False
+        out["strong_symmetry_counterexample"] = {
+            "source": pts[list(tuples[0])].tolist(),
+            "target": pts[list(miss)].tolist()}
     return out

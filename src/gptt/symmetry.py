@@ -20,8 +20,8 @@ from .core import (
 from . import zoo
 
 def _group_probe_matrices(model: ModelSpec, n_probes: int = 40, seed: int = 0):
-    if model.group.kind == "finite":
-        return [M for M, _ in zoo._closure_cache(model)]
+    if model.group.generators:
+        return zoo.group_table(model)[1]
     rng = np.random.default_rng(seed)
     return [model.group.sampler(model, rng).matrix for _ in range(n_probes)]
 
@@ -56,18 +56,14 @@ def invariant_state(model: ModelSpec, n_probes: int = 40) -> dict:
 
 
 def is_transitive(model: ModelSpec) -> bool:
-    """Whether the reversible group carries every pure state to every other."""
+    """Whether the reversible group carries every pure state to every other:
+    on a polytope, whether the orbit of vertex 0 is every vertex."""
     if model.structure is not None:
         # block rotations act transitively inside a sector and the sector
         # permutations connect the equal-dimension sectors
         return True
-    pts = model.pure_states
-    elems = zoo._closure_cache(model)
-    ref = pts[0]
-    for p in pts[1:]:
-        if not any(np.abs(M @ ref - p).max() <= 1e-8 for M, _ in elems):
-            return False
-    return True
+    perms, _ = zoo.group_table(model)
+    return len(set(perms[:, 0].tolist())) == len(model.pure_states)
 
 
 def twirl(state: StateVec, n_probes: int = 40) -> StateVec:
@@ -78,8 +74,8 @@ def twirl(state: StateVec, n_probes: int = 40) -> StateVec:
     space triggers a warning and an orthogonal projection instead.
     """
     model = state.model
-    if model.group.kind == "finite":
-        mats = [M for M, _ in zoo._closure_cache(model)]
+    if model.group.generators:
+        _, mats = zoo.group_table(model)
         avg = sum(M @ state.coords for M in mats) / len(mats)
         return StateVec(avg, model)
     report = invariant_state(model, n_probes)

@@ -144,8 +144,7 @@ def _merge_proportional(effects, probs):
 
 
 def monotone_audit(state: StateVec, f: Callable[[np.ndarray], float],
-                   n_random: int = 20, rng=None,
-                   extra_povms: Optional[list] = None) -> dict:
+                   n_random: int = 20, rng=None) -> dict:
     """Check that the eigenbasis measurement minimizes a Schur-concave
     statistic over complete fine-grained measurements.
 
@@ -165,10 +164,6 @@ def monotone_audit(state: StateVec, f: Callable[[np.ndarray], float],
         effs = [dagger(s) for s in basis]
         probs = measurement_distribution(state, effs)
         competitors.append(_merge_proportional(effs, probs))
-    if extra_povms:
-        for povm in extra_povms:
-            probs = measurement_distribution(state, povm)
-            competitors.append(_merge_proportional(povm, probs))
     vals = [f(c) for c in competitors]
     violations = [v for v in vals if v < base_val - 1e-8]
     return {
@@ -373,7 +368,7 @@ def beta_from_energy(model: ModelSpec, hamiltonian, energy: float,
     b = 1.0
     while gap(-b) * gap(b) > 0:
         b *= 2.0
-        if b > 1e8:
+        if b > 1e300:
             raise GPTError("no bracketing inverse temperature found")
     beta = _brentq(gap, -b, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     if abs(gap(beta)) > tol:
@@ -531,12 +526,15 @@ def erasure_demo(rho_S: StateVec, beta: float,
     minus the system entropy, and that credit funds the erasure.  The
     assisted bound is beta * dE >= -S: dE >= -kT S (`assisted_bound_rhs`)
     at positive temperature, dE <= -kT S at negative temperature.
+
+    A model without purification is refused first, whatever the state
+    (`UnsupportedModelError`), then a pure input (GPTError).
     """
     model_S = rho_S.model
+    comp_SM, psi = purify(rho_S)
     s_rho = entropy(rho_S)
     if s_rho <= 1e-10:
         raise GPTError("input is already pure; nothing to erase")
-    comp_SM, psi = purify(rho_S)
     model_M = comp_SM.composite.factors[1]
 
     # fixed pure product target inside the same composite sector

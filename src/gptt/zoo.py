@@ -104,45 +104,57 @@ def _polytope_pure_sampler(model: ModelSpec, rng: np.random.Generator) -> np.nda
 # group machinery
 
 
-def close_group(generators, cap: int = 10_000, tol: float = 1e-9):
-    """BFS closure of (matrix, kraus-or-None) pairs under composition."""
+def close_group(vertices, generators, cap: int = 10_000, tol: float = 1e-9):
+    """The group the matrices `generators` generate, as (perms, matrices):
+    element k sends vertex i to vertex perms[k, i] and has the matrix
+    matrices[k].  Both arrays are read-only.
 
-    def key(M):
-        return np.round(M / tol).astype(np.int64).tobytes()
-
-    gens = [(np.asarray(M, dtype=float), K) for M, K in generators]
-    dim = gens[0][0].shape[0]
-    eye = np.eye(dim)
-    have_kraus = all(K is not None for _, K in gens)
-    ident = (eye, np.eye(gens[0][1].shape[0]) if have_kraus else None)
-    elements = {key(eye): ident}
+    Each generator must map the vertices one to one onto themselves, each
+    image within tol of its vertex, or it raises GPTError.  The closure runs
+    breadth first from the identity, each element multiplied on the left by
+    every generator in turn, and keys elements by their permutation, which
+    is exact; an element keeps the product it was first found as.  More
+    than cap elements raise GPTError.
+    """
+    V = np.asarray(vertices, dtype=float)
+    n = len(V)
+    gens = []
+    for G in generators:
+        miss = np.abs((V @ G.T)[:, None, :] - V).max(axis=2)
+        p = miss.argmin(axis=1)
+        if miss[np.arange(n), p].max() > tol or len(set(p.tolist())) != n:
+            raise GPTError("group generator does not permute the state vertices")
+        gens.append((p, G))
+    ident = (np.arange(n), np.eye(V.shape[1]))
+    elements = {ident[0].tobytes(): ident}
     frontier = [ident]
     while frontier:
         nxt = []
-        for M, K in frontier:
-            for G, KG in gens:
-                M2 = G @ M
-                k2 = key(M2)
-                if k2 in elements:
-                    continue
-                K2 = KG @ K if (K is not None and KG is not None) else None
-                elements[k2] = (M2, K2)
-                nxt.append((M2, K2))
-                if len(elements) > cap:
-                    raise GPTError(f"group closure exceeded {cap} elements")
+        for p, M in frontier:
+            for g, G in gens:
+                key = g[p].tobytes()
+                if key not in elements:
+                    elements[key] = (g[p], G @ M)
+                    nxt.append(elements[key])
+                    if len(elements) > cap:
+                        raise GPTError(f"group closure exceeded {cap} elements")
         frontier = nxt
-    return list(elements.values())
-
-
-def _finite_group_sampler(model: ModelSpec, rng: np.random.Generator) -> ChannelMap:
-    elems = _closure_cache(model)
-    M, K = elems[int(rng.integers(len(elems)))]
-    return model.make_reversible(M, kraus=None if K is None else [K])
+    perms, mats = (np.array(a) for a in zip(*elements.values()))
+    perms.setflags(write=False)
+    mats.setflags(write=False)
+    return perms, mats
 
 
 @per_model_id
-def _closure_cache(model: ModelSpec):
-    return close_group([(M, K) for M, K in model.group.generators])
+def group_table(model: ModelSpec):
+    """`close_group` of a polytope's reversible group on its pure states,
+    built when the model is."""
+    return close_group(model.pure_states, model.group.generators)
+
+
+def _finite_group_sampler(model: ModelSpec, rng: np.random.Generator) -> ChannelMap:
+    _, mats = group_table(model)
+    return model.make_reversible(mats[int(rng.integers(len(mats)))])
 
 
 def block_reversible(model: ModelSpec, blocks, perm=None) -> ChannelMap:
@@ -174,7 +186,7 @@ def _matrix_group_sampler(model: ModelSpec, rng: np.random.Generator) -> Channel
 
 # every matrix family: block unitaries (orthogonals over R), then a random
 # permutation of the equal-dimension sectors
-_MATRIX_GROUP = GroupSpec(kind="parametric", sampler=_matrix_group_sampler)
+_MATRIX_GROUP = GroupSpec(sampler=_matrix_group_sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +499,12 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
     for M in group_matrices:
         if np.abs(M.T @ u - u).max() > 1e-9:
             raise GPTError("group generator does not preserve the unit effect")
-        if min(state_cone.margin(M @ v) for v in V) < -1e-9:
-            raise GPTError("group generator does not preserve the state cone")
     pairing = V @ u
     if not np.all(pairing > 0):
         raise ValueError("unit effect must be positive on every vertex")
     verts = V / pairing[:, None]
+    if (np.abs(verts[:, None] - verts).max(axis=2) <= 1e-9).sum() > len(V):
+        raise ValueError("state vertices must be distinct rays")
     # the distinguishability decision is sound only on these two facts
     probs = G @ verts.T
     if (probs / np.linalg.norm(G, axis=1)[:, None]).min() < -DEFAULT_TOL:
@@ -504,12 +516,9 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
                          f"(margin {margin:.3e})")
     maximal = _maximal_sets(verts, G, u)
     capacity = max(len(c) for c, _ in maximal)
-    group = GroupSpec(
-        kind="finite",
-        generators=tuple((M, None) for M in group_matrices),
-        sampler=_finite_group_sampler,
-    )
-    return ModelSpec(
+    group = GroupSpec(generators=tuple(group_matrices),
+                      sampler=_finite_group_sampler)
+    model = ModelSpec(
         model_id=model_id,
         kind=kind,
         params={},
@@ -528,6 +537,8 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
         maximal_sets=maximal,
         distinguishable_sets=tuple(c for c, _ in maximal if len(c) == capacity),
     )
+    group_table(model)      # closed and checked now: a bad group fails the load
+    return model
 
 
 def build_model(kind: str, **params) -> ModelSpec:
@@ -787,7 +798,7 @@ def model_to_json(model: ModelSpec) -> dict:
             "unit_effect": model.unit_effect.tolist(),
             "state_vertices": model.state_cone.generators.tolist(),
             "effect_generators": model.effect_cone.generators.tolist(),
-            "group_generators": [M.tolist() for M, _ in model.group.generators],
+            "group_generators": [M.tolist() for M in model.group.generators],
         }
     if model.composite is not None:
         raise UnsupportedModelError("composites are not serializable; "

@@ -5,7 +5,7 @@ numpy and scipy only, sharing no code with the package under test.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 from scipy.optimize import linprog
@@ -282,3 +282,66 @@ def facets_by_subsets(U, e):
     if bad:
         raise ValueError("cone facets are numerically ambiguous")
     return F
+
+
+def group_closure_rounded(generators, cap=10_000, tol=1e-9):
+    """Every product of the matrices `generators`, breadth first from the
+    identity, each element multiplied on the left by every generator in
+    turn; two products are one element when their entries, rounded to
+    multiples of tol, agree."""
+    def key(M):
+        return np.round(M / tol).astype(np.int64).tobytes()
+
+    gens = [np.asarray(G, dtype=float) for G in generators]
+    eye = np.eye(gens[0].shape[0])
+    elements = {key(eye): eye}
+    frontier = [eye]
+    while frontier:
+        nxt = []
+        for M in frontier:
+            for G in gens:
+                M2 = G @ M
+                if key(M2) not in elements:
+                    elements[key(M2)] = M2
+                    nxt.append(M2)
+                    if len(elements) > cap:
+                        raise RuntimeError("group closure too large")
+        frontier = nxt
+    return list(elements.values())
+
+
+def _maps(matrices, src, dst, tol):
+    return any(all(np.abs(M @ a - b).max() <= tol for a, b in zip(src, dst))
+               for M in matrices)
+
+
+def reversibility_axioms_search(points, sets, matrices, tol=1e-8):
+    """Permutability and strong symmetry of the index sets `sets` of the
+    vertices `points`, with the first counterexample of each, by trying
+    every matrix of the group on every pair of ordered sets."""
+    sets = [[points[i] for i in c] for c in sets]
+    out = {"permutability": True, "strong_symmetry": True}
+    for pts in sets:
+        p = next((p for p in permutations(range(len(pts)))
+                  if not _maps(matrices, pts, [pts[i] for i in p], tol)), None)
+        if p is not None:
+            out["permutability"] = False
+            out["permutability_counterexample"] = {
+                "set": [x.tolist() for x in pts], "relabeling": list(p)}
+            break
+    tuples = [list(p) for pts in sets for p in permutations(pts)]
+    for src in tuples:
+        dst = next((d for d in tuples if not _maps(matrices, src, d, tol)), None)
+        if dst is not None:
+            out["strong_symmetry"] = False
+            out["strong_symmetry_counterexample"] = {
+                "source": [x.tolist() for x in src],
+                "target": [x.tolist() for x in dst]}
+            break
+    return out
+
+
+def transitive_search(points, matrices, tol=1e-8):
+    """Whether some matrix of the group carries the first vertex onto each
+    other one."""
+    return all(_maps(matrices, [points[0]], [p], tol) for p in points[1:])

@@ -195,11 +195,14 @@ class TestLandauerErase:
         assert res.exit_code == 2
         assert "input is already pure; nothing to erase" in res.output
 
-    @pytest.mark.parametrize("model", ["square_bit", "classical:3"])
+    @pytest.mark.parametrize("model", ["square_bit", "classical:3",
+                                       "restricted_trit"])
     def test_erase_without_purification_exits_two(self, model):
-        res = invoke("erase", model, "--json")
-        assert res.exit_code == 2
-        assert f"{model} does not admit purification" in res.output
+        # refused on the model, before any state is diagonalized
+        for state in ("chi", "random"):
+            res = invoke("erase", model, "--state", state, "--json")
+            assert res.exit_code == 2
+            assert f"{model} does not admit purification" in res.output
 
 
 # model: permutability, strong symmetry, transitivity,

@@ -343,6 +343,18 @@ _NEGATIVE_EFFECT = {**_SQUARE, "effect_generators": [
 _UNIT_OUTSIDE = {**_SQUARE,
                  "state_vertices": [[0, 0, 1], [1, 0, 1], [0, 1, 1]],
                  "effect_generators": [[1, 0, 1], [0, 1, 1], [1, 1, 1]]}
+# the square with its first vertex again, at twice the length
+_REPEATED_VERTEX = {**_SQUARE,
+                    "state_vertices": [*_SQUARE["state_vertices"], [2, 2, 2]]}
+# preserves the square's cone and unit, but shrinks it: no reversible
+_CONTRACTION = {**_SQUARE, "group_generators": [np.diag([0.5, 0.5, 1]).tolist()]}
+# the classical 8-simplex under a transposition and an 8-cycle: S8, whose
+# 40,320 elements are past the closure's cap of 10,000
+_SIMPLEX_S8 = {"kind": "polytope", "vector_dim": 8, "unit_effect": [1] * 8,
+               "state_vertices": np.eye(8).tolist(),
+               "effect_generators": np.eye(8).tolist(),
+               "group_generators": [np.eye(8)[[1, 0, 2, 3, 4, 5, 6, 7]].tolist(),
+                                    np.eye(8)[np.roll(np.arange(8), 1)].tolist()]}
 
 
 @pytest.mark.parametrize("data,message", [
@@ -350,7 +362,11 @@ _UNIT_OUTSIDE = {**_SQUARE,
     (_LINE, "not pointed"),
     (_NEGATIVE_EFFECT, "effect generator is negative on a state vertex"),
     (_UNIT_OUTSIDE, "unit effect is outside the effect cone"),
-], ids=["generator_cap", "line", "negative_effect", "unit_outside"])
+    (_REPEATED_VERTEX, "state vertices must be distinct rays"),
+    (_CONTRACTION, "group generator does not permute the state vertices"),
+    (_SIMPLEX_S8, "group closure exceeded 10000 elements"),
+], ids=["generator_cap", "line", "negative_effect", "unit_outside",
+        "repeated_vertex", "contraction", "group_cap"])
 def test_cli_refuses_model_file(tmp_path, data, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))

@@ -439,7 +439,7 @@ class TestConvertibleContract:
         sq = zoo.build_model("square_bit")
         rho = StateVec(np.array([1.0, 0.0, 1.0]), sq)
         sigma = StateVec(np.array([0.5, 0.5, 1.0]), sq)
-        turn = sq.group.generators[0][0]
+        turn = sq.group.generators[0]
         mix = 0.5 * (np.eye(3) + turn)
         assert np.abs(mix @ rho.coords - sigma.coords).max() == 0
         spectra = [diagonalize(s).eigenvalues for s in (rho, sigma)]
@@ -470,6 +470,12 @@ class TestAxioms:
         assert rep["counterexample_verified"]
 
     def test_square_witness_reported(self):
-        rep = resource.check_unrestricted_reversibility(
-            zoo.build_model("square_bit"))
-        assert "strong_symmetry_counterexample" in rep
+        sq = zoo.build_model("square_bit")
+        witness = resource.check_unrestricted_reversibility(sq)[
+            "strong_symmetry_counterexample"]
+        # the first ordered edge, which no symmetry carries onto a diagonal
+        assert witness == {"source": [[1.0, 1.0, 1.0], [1.0, -1.0, 1.0]],
+                           "target": [[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]}
+        src, dst = np.array(witness["source"]), np.array(witness["target"])
+        assert all(np.abs(src @ M.T - dst).max() > 1 for M in
+                   zoo.group_table(sq)[1])

@@ -5,8 +5,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gptt import symmetry, zoo
+import oracles
+from gptt import resource, symmetry, zoo
 from gptt.core import GroupSpec, StateVec
+from test_facets import kgon_json
 
 rng = np.random.default_rng(19)
 
@@ -40,6 +42,35 @@ def test_transitivity_table():
     assert not symmetry.is_transitive(zoo.build_model("diamond_bit"))
 
 
+def _kgon(k, reflect):
+    data = kgon_json(k)
+    if reflect:
+        data["group_generators"].append(np.diag([1.0, -1.0, 1.0]).tolist())
+    return zoo.model_from_json(data)
+
+
+@pytest.mark.parametrize("name", ["square_bit", "diamond_bit", "restricted_trit",
+                                  *(f"{k}-gon{tag}" for k in range(3, 13)
+                                    for tag in ("", "+reflection"))])
+def test_group_table_matches_references(name):
+    m = (zoo.build_model(name) if name in zoo.FAMILIES
+         else _kgon(int(name.split("-")[0]), name.endswith("+reflection")))
+    perms, mats = zoo.group_table(m)
+    ref = oracles.group_closure_rounded(m.group.generators)
+    assert mats.tobytes() == np.array(ref).tobytes()
+    pts = m.pure_states
+    assert np.abs(mats @ pts.T - pts[perms].transpose(0, 2, 1)).max() <= 1e-9
+    assert symmetry.is_transitive(m) == oracles.transitive_search(pts, ref)
+    tw = symmetry.twirl(StateVec(pts[0], m)).coords
+    assert tw.tobytes() == (sum(M @ pts[0] for M in ref) / len(ref)).tobytes()
+    rep = resource.check_unrestricted_reversibility(m)
+    if m.capacity < 2:
+        assert rep["note"] == "no nontrivial distinguishable sets exist"
+    else:
+        assert rep == oracles.reversibility_axioms_search(
+            pts, m.distinguishable_sets, ref)
+
+
 class TestTwirl:
     def test_continuous_average_is_invariant_state(self):
         q3 = zoo.build_model("quantum", n=3)
@@ -63,8 +94,8 @@ class TestTwirl:
         sq = zoo.build_model("square_bit")
         frozen = dataclasses.replace(
             sq, model_id="square_no_motion",
-            group=GroupSpec(kind="parametric", generators=(),
-                            sampler=lambda m, r: m.make_reversible(np.eye(3))))
+            group=GroupSpec(
+                sampler=lambda m, r: m.make_reversible(np.eye(3))))
         rep = symmetry.invariant_state(frozen)
         assert not rep["unique"] and rep["dimension"] == 3
         with warnings.catch_warnings(record=True) as w:

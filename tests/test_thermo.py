@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
@@ -256,6 +256,8 @@ class TestScipyKernels:
                            min_size=3, max_size=3),
            t=st.one_of(st.sampled_from([1e-3, 1 - 1e-3]),
                        st.floats(0, 1)))
+    # 1e-11 above the ground level, 1e-9 below the next: beta is 4.6e9
+    @example(levels=[0.0, 1.0, 1e-9], t=1e-11)
     def test_beta_root_is_scipys(self, levels, t):
         h = np.zeros(q3.vector_dim)
         for E, s in zip(levels, zoo.pure_maximal_set(q3)):
