@@ -26,6 +26,10 @@ from .embedding import (
 
 DEFAULT_TOL = 1e-9
 
+# A matrix-model decomposition is certified on its blocks within this, so
+# that its eigenstates' coordinates pass DEFAULT_TOL (`_block_figures`).
+BLOCK_TOL = DEFAULT_TOL / 2
+
 # Composed, tensored and mixed channels keep a Kraus form of at most this
 # many operators; longer lists are dropped and only the matrix is kept.
 KRAUS_CAP = 64
@@ -279,10 +283,11 @@ class ModelFlags:
 class GroupSpec:
     """Reversible transformations of a model: `sampler` draws one at random.
     A finite group also has `generators`, matrices permuting the pure
-    states, and its elements in `zoo.group_table`."""
+    states, and `table`, its elements as `zoo.close_group` gives them."""
 
     generators: tuple = ()
     sampler: Optional[Callable] = None  # (model, rng) -> ChannelMap
+    table: Optional[tuple] = None       # (perms, matrices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,13 +399,13 @@ class StateVec:
     `_derived["block_eigh"]` until `spectral.diagonalize` takes them out, so
     no second eigensolve runs.  The eigenstates of a diagonalization are the
     one exception to these checks (`_checked_state`): on a matrix model
-    `_certified_eigenstates` builds them, without kept pairs, after a
-    single check of the whole decomposition, which they pass with tighter
-    tolerances than these; on a polytope they are rows of `pure_states`,
-    generators of the state cone normalized to unit pairing.  The state is
-    frozen and its coordinates are read-only, so results derived from it
-    alone (its diagonalization, the support of a pure state) are cached in
-    `_derived` and never go stale.
+    `_certified_eigenstates` builds them, without kept pairs, when they are
+    first read, after checks of the whole decomposition, which they pass
+    with tighter tolerances than these; on a polytope they are rows of
+    `pure_states`, generators of the state cone normalized to unit pairing.
+    The state is frozen and its coordinates are read-only, so results
+    derived from it alone (its diagonalization, the support of a pure state)
+    are cached in `_derived` and never go stale.
     """
 
     coords: np.ndarray
@@ -441,32 +446,60 @@ class StateVec:
         return f"StateVec({self.model.model_id}, {np.array2string(self.coords, precision=4)})"
 
 
-def _certified_eigenstates(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
-                           E: np.ndarray):
-    """Eigenstates of the state with coordinates x, one per row of E, built
-    after one check of the whole decomposition instead of one cone check per
-    eigenstate.
+def _block_figures(x: np.ndarray, raw: np.ndarray, pairs,
+                   st: BlockStructure) -> tuple:
+    """The figures of a matrix-model decomposition from its `block_eigh`
+    pairs (w, V), all blocks as one block-diagonal V, with the w in `raw`.
 
-    raw holds the eigenvalues as the eigensolver gave them, before clipping.
-    The check: the Gram matrix max|E E^T - I|, every unit pairing, and the
-    reconstruction max|raw^T E - x| each within DEFAULT_TOL, and the
-    smallest raw eigenvalue at least -DEFAULT_TOL, the tolerance x was
-    accepted under.  Each row is then a unit-pairing projector, orthogonal
-    to the others, and together they rebuild x.  Raises DiagonalizationError
-    carrying the failed figure as its residue; otherwise returns
-    (eigenstates, residual), the largest of the three deviations; E is made
-    read-only and its rows are the eigenstates' coordinates, built with
-    `_checked_state`.
+    Gram matrix: max |v_i^dagger v_j| over distinct eigenvectors.  Unit
+    pairing: max ||v_i|^2 - 1|, since the unit effect is the trace.
+    Reconstruction: the largest |coordinate| of the embedded sum_i w_i v_i
+    v_i^dagger / |v_i|^2, minus x.  A NaN makes its figure NaN.  Within BLOCK_TOL = DEFAULT_TOL
+    / 2 they put the eigenstates' `_coordinate_figures` within DEFAULT_TOL:
+    the rows embed v_i v_i^dagger / |v_i|^2, so their Gram entries off the
+    diagonal are below (BLOCK_TOL / (1 - BLOCK_TOL))^2, those on it and the
+    unit pairings are exact up to rounding, and the reconstruction is this
+    one up to rounding.  It is taken on coordinates because on matrix
+    entries it could be up to sqrt(2) times smaller.
     """
+    if len(pairs) == 1:
+        V = pairs[0][1]
+    else:
+        V = np.zeros((st.hilbert_dim,) * 2,
+                     dtype=np.result_type(*(V for _, V in pairs)))
+        for o, (_, Vb) in zip(st.hilbert_offsets(), pairs):
+            V[o: o + len(Vb), o: o + len(Vb)] = Vb
+    Vh = V.conj().T
+    G = Vh @ V
+    d = G.real.diagonal().copy()
+    recon = np.abs(total_to_vec((V * (raw / d)) @ Vh, st) - x).max()
+    pairing = np.abs(d - 1.0).max()
+    G.flat[::len(G) + 1] = 0.0
+    return (("Gram matrix", float(np.abs(G).max())),
+            ("unit pairing", float(pairing)),
+            ("reconstruction", float(recon)))
+
+
+def _coordinate_figures(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
+                        E: np.ndarray) -> tuple:
+    """The same three figures on the eigenstates' coordinates, one per row
+    of E: max|E E^T - I|, max|E u - 1| for the unit effect u and
+    max|raw^T E - x|."""
     G = E @ E.T
     G.flat[::len(E) + 1] -= 1.0
-    deviations = (
-        ("Gram matrix", float(np.abs(G).max())),
-        ("unit pairing", float(np.abs(E @ model.unit_effect - 1.0).max())),
-        ("reconstruction", float(np.abs(raw @ E - x).max())),
-    )
-    for name, r in deviations:
-        if not r <= DEFAULT_TOL:
+    return (("Gram matrix", float(np.abs(G).max())),
+            ("unit pairing", float(np.abs(E @ model.unit_effect - 1.0).max())),
+            ("reconstruction", float(np.abs(raw @ E - x).max())))
+
+
+def _certify(model: ModelSpec, figures: tuple, raw: np.ndarray,
+             tol: float) -> float:
+    """The one check of a decomposition: each figure at most tol, and the
+    smallest raw eigenvalue at least -DEFAULT_TOL, the tolerance the state
+    was accepted under.  Raises DiagonalizationError carrying the first
+    failed figure as its residue; otherwise returns the largest figure."""
+    for name, r in figures:
+        if not r <= tol:
             raise DiagonalizationError(
                 f"eigendecomposition of a {model.model_id} state fails its "
                 f"{name} check (deviation {r:.3e})", residue=r)
@@ -475,9 +508,20 @@ def _certified_eigenstates(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
         raise DiagonalizationError(
             f"eigendecomposition of a {model.model_id} state has eigenvalue "
             f"{low:.3e} below the cone tolerance", residue=-low)
+    return max(r for _, r in figures)
+
+
+def _certified_eigenstates(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
+                           E: np.ndarray) -> tuple:
+    """Eigenstates of the state x, one per row of E (made read-only), built
+    with `_checked_state` after one check of the whole decomposition instead
+    of a cone check each: `_certify` of the `_coordinate_figures` at
+    DEFAULT_TOL, with raw the eigenvalues before clipping.  Each row is then
+    a unit-pairing projector orthogonal to the others, and together they
+    rebuild x."""
+    _certify(model, _coordinate_figures(model, x, raw, E), raw, DEFAULT_TOL)
     E.setflags(write=False)
-    return (tuple(_checked_state(row, model) for row in E),
-            max(r for _, r in deviations))
+    return tuple(_checked_state(row, model) for row in E)
 
 
 def _checked_state(row: np.ndarray, model: ModelSpec) -> StateVec:

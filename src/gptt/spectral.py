@@ -8,9 +8,11 @@ distinguishable sets: one batched least-squares solve finds every set whose
 hull holds it, and the state is refused when no set does or when two give
 it different spectra.  Both routes certify their reconstruction of the
 state within `core.DEFAULT_TOL` and report eigenvalues in descending
-order.  On matrix models the identifying effect of an eigenstate is
-`dagger(s)`, which the self-dual embedding gives the state's own
-coordinates; `transition_matrix` reads them off the eigenstates directly.
+order.  Eigenstates are built only when a caller reads them: entropies and
+majorisation need the spectrum alone.  On matrix models the identifying
+effect of an eigenstate is `dagger(s)`, which the self-dual embedding gives
+the state's own coordinates; `transition_matrix` reads them off the
+eigenstates directly.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import (
+    BLOCK_TOL,
     DEFAULT_TOL,
     DiagonalizationError,
     EffectVec,
@@ -29,8 +33,10 @@ from .core import (
     ModelSpec,
     StateVec,
     UnsupportedModelError,
+    _block_figures,
     _block_to_kron,
     _certified_eigenstates,
+    _certify,
     _checked_state,
     _kron_to_coords,
     _same_model,
@@ -46,33 +52,35 @@ def _lex_key(x: np.ndarray):
     return tuple(np.round(x, 10))
 
 
-def _descending_order(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _descending_order(values: np.ndarray, rows_of: Callable) -> np.ndarray:
     """Order of a decomposition: eigenvalues descending at 12 digits, ties
     broken by the eigenstates' coordinates at 10 digits, lexicographically,
     and then by position.  Coordinates are read only within groups of tied
-    eigenvalues."""
+    eigenvalues: rows_of(indices) gives those eigenstates' rows."""
     first = [-round(v, 12) for v in values.tolist()]
-    order = []
-    for _, group in itertools.groupby(
-            sorted(range(len(first)), key=first.__getitem__), first.__getitem__):
-        tied = list(group)
-        if len(tied) > 1:
-            tied = [tied[i] for i in
-                    np.lexsort(np.round(rows[tied], 10).T[::-1]).tolist()]
-        order += tied
+    order = sorted(range(len(first)), key=first.__getitem__)
+    if len(set(first)) < len(first):
+        grouped = []
+        for _, group in itertools.groupby(order, first.__getitem__):
+            tied = list(group)
+            if len(tied) > 1:
+                tied = [tied[i] for i in np.lexsort(
+                    np.round(rows_of(tied), 10).T[::-1]).tolist()]
+            grouped += tied
+        order = grouped
     return np.array(order, dtype=np.intp)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Diagonalization:
     """Spectrum and eigenbasis of a state, padded to a maximal basis.
 
-    `residual` is the route's certificate figure.  Matrix models: the
-    largest of the eigenstates' Gram deviation max|E E^T - I|, their
-    unit-pairing deviation and the reconstruction residual max|w^T E - x|
-    with the raw eigenvalues w, each certified at most `core.DEFAULT_TOL`
-    (1e-9).  Polytopes: the reconstruction residual max|p^T E - x| of the
-    reported eigenvalues p, certified at most `core.DEFAULT_TOL`.
+    `eigenstates` (on a matrix model with their `pure_support`) are built
+    when first read, then kept.  `residual` is the route's certificate
+    figure: on a matrix model the largest `core._block_figures` figure,
+    at most `core.BLOCK_TOL` (5e-10); on a polytope the reconstruction
+    residual max|p^T E - x| of the reported eigenvalues p, at most
+    `core.DEFAULT_TOL`.
     """
 
     model: ModelSpec
@@ -80,26 +88,34 @@ class Diagonalization:
     eigenstates: tuple
     residual: float
 
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
+    def __init__(self, model: ModelSpec, eigenvalues, residual: float,
+                 build: Callable):
+        """build() returns the eigenstates when they are first read."""
+        ev = np.asarray(eigenvalues, dtype=float)
         ev.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
+        self.__dict__.update(model=model, eigenvalues=ev, residual=residual,
+                             _build=build)
+
+    def __getattr__(self, name):
+        # reached only while `eigenstates` is not yet set
+        if name != "eigenstates" or "_build" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__[name] = self._build()
+        return self.eigenstates
 
     def reconstruct(self) -> np.ndarray:
         return sum(p * s.coords for p, s in zip(self.eigenvalues, self.eigenstates))
 
 
-def _block_spectrum(x: np.ndarray, st, pairs=None) -> tuple:
-    """Raw eigenvalues of x, block by block and ascending within a block,
-    the coordinates of their eigenstates, one row each, and each
-    eigenstate's support (block, unit vector in canonical phase): the
-    vectors are read-only rows of one array per block.  `pairs`, the
-    `block_eigh` pairs of x kept by its StateVec, replace the eigensolve."""
-    parts = [(w, canonical_rows(V)) for w, V in pairs or block_eigh(x, st)]
-    return (np.concatenate([w for w, _ in parts]),
-            np.concatenate([rank_one_coords(st, b, U)
-                            for b, (_, U) in enumerate(parts)]),
-            [(b, u) for b, (_, U) in enumerate(parts) for u in U])
+def _eigenstate_rows(st, pairs) -> tuple:
+    """The coordinates of the `block_eigh` pairs' eigenstates, one row each
+    in the order of the concatenated eigenvalues, and their supports (block,
+    unit vector in canonical phase, a read-only row of one array per
+    block)."""
+    parts = [canonical_rows(V) for _, V in pairs]
+    return (np.concatenate([rank_one_coords(st, b, U)
+                            for b, U in enumerate(parts)]),
+            [(b, u) for b, U in enumerate(parts) for u in U])
 
 
 @per_model_id
@@ -137,7 +153,7 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
 
     decompositions = []
     for i in held:
-        order = _descending_order(p[i], V[i])
+        order = _descending_order(p[i], V[i].__getitem__)
         decompositions.append((p[i][order], V[i][order]))
     values, rows = min(decompositions, key=lambda d: [
         (-round(v, 12), _lex_key(r)) for v, r in zip(d[0].tolist(), d[1])])
@@ -155,50 +171,49 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
 def diagonalize(state: StateVec) -> Diagonalization:
     """Decompose a state into perfectly distinguishable pure states.
 
-    One route per model family.  On a matrix model the decomposition is the
-    state's block eigendecomposition; on a polytope the state is looked up
-    among the stored distinguishable sets (`_stored_set_decomposition`).
-    Failures raise DiagonalizationError carrying the failed figure as its
-    residue.
-
-    The matrix route makes no eigensolve of its own on a constructed state:
-    it takes out (pops) the `block_eigh` pairs the state's cone check kept
-    (`core.StateVec`), so each block is solved once in the state's life;
-    an eigenstate of an earlier diagonalization, built without pairs, gets
-    one eigensolve per block here.  Popped before the check, the pairs are
-    gone whether it passes or not, and a retry after a refusal solves
-    afresh.  It certifies the whole decomposition once: the eigenstates'
-    Gram matrix, their unit pairings and their reconstruction of the state
-    with the raw eigenvalues must each be exact within `core.DEFAULT_TOL`
-    (1e-9), and the smallest raw eigenvalue at least -`core.DEFAULT_TOL`,
-    the cone tolerance the state was accepted under.  A failure raises
-    DiagonalizationError with the failed figure as its residue; otherwise
-    the eigenstates are built without a cone check of their own, negative
-    eigenvalues are reported as 0, and the largest of the three deviations
-    is the result's `residual`.  The polytope route's `residual` is the
-    reconstruction residual of the reported eigenvalues, and one above
-    `core.DEFAULT_TOL` raises DiagonalizationError; its eigenstates are
-    stored vertices of the model, built without a second cone check.
-
-    The result is cached on the state: later calls return the same
-    Diagonalization object.  Errors are not cached and are raised again on
-    every call.
+    A matrix model's decomposition is the state's block eigendecomposition,
+    from the `block_eigh` pairs its cone check kept (popped, so each block
+    is solved once in the state's life; a state without them, or a retry
+    after a refusal, solves afresh).  It is certified here, in block form:
+    the `core._block_figures` within `core.BLOCK_TOL` and the smallest raw
+    eigenvalue at least -`core.DEFAULT_TOL`, the state's cone tolerance.
+    Negative eigenvalues are reported as 0.  Only ties in the order need
+    eigenstate coordinates; the eigenstates themselves are built when first
+    read, after their coordinates pass the same figures within
+    `core.DEFAULT_TOL` (`core._certified_eigenstates`).  A polytope state is
+    looked up among the stored distinguishable sets
+    (`_stored_set_decomposition`) and refused when the reported eigenvalues
+    rebuild it only beyond `core.DEFAULT_TOL`.  Failures raise
+    DiagonalizationError carrying the failed figure as its residue.  The
+    result is cached on the state; errors are not.
     """
     cached = state._derived.get("diagonalization")
     if cached is not None:
         return cached
     model = state.model
     if model.structure is not None:
-        kept = state._derived.pop("block_eigh", None)
-        raw, rows, supports = _block_spectrum(state.coords, model.structure,
-                                              kept)
+        st, x = model.structure, state.coords
+        pairs = state._derived.pop("block_eigh", None) or block_eigh(x, st)
+        raw = np.concatenate([w for w, _ in pairs])
+        residual = _certify(model, _block_figures(x, raw, pairs, st), raw,
+                            BLOCK_TOL)
+        kept = []   # the eigenstates' rows, made once: for ties or a read
+
+        def rows():
+            if not kept:
+                kept.append(_eigenstate_rows(st, pairs))
+            return kept[0]
+
         values = np.where(raw < 0.0, 0.0, raw)
-        order = _descending_order(values, rows)
+        order = _descending_order(values, lambda tied: rows()[0][tied])
         values = values[order]
-        eigenstates, residual = _certified_eigenstates(
-            model, state.coords, raw[order], rows[order])
-        for s, i in zip(eigenstates, order.tolist()):
-            s._derived["pure_support"] = supports[i]
+
+        def build():
+            E, supports = rows()
+            states = _certified_eigenstates(model, x, raw[order], E[order])
+            for s, i in zip(states, order.tolist()):
+                s._derived["pure_support"] = supports[i]
+            return states
     else:
         values, rows = _stored_set_decomposition(model, state.coords)
         residual = float(np.abs(sum(p * r for p, r in zip(values, rows))
@@ -209,9 +224,11 @@ def diagonalize(state: StateVec) -> Diagonalization:
                 f"reconstruction check (deviation {residual:.3e})",
                 residue=residual)
         rows.setflags(write=False)
-        eigenstates = tuple(_checked_state(r, model) for r in rows)
+
+        def build():
+            return tuple(_checked_state(r, model) for r in rows)
     d = state._derived["diagonalization"] = Diagonalization(
-        model, values, eigenstates, residual)
+        model, values, residual, build)
     return d
 
 

@@ -34,7 +34,6 @@ from .core import (
     UnsupportedModelError,
     _same_model,
     cone_facets,
-    per_model_id,
 )
 from .embedding import (
     BlockStructure,
@@ -145,11 +144,10 @@ def close_group(vertices, generators, cap: int = 10_000, tol: float = 1e-9):
     return perms, mats
 
 
-@per_model_id
 def group_table(model: ModelSpec):
     """`close_group` of a polytope's reversible group on its pure states,
-    built when the model is."""
-    return close_group(model.pure_states, model.group.generators)
+    built when the model is, before its maximal sets are searched."""
+    return model.group.table
 
 
 def _finite_group_sampler(model: ModelSpec, rng: np.random.Generator) -> ChannelMap:
@@ -505,6 +503,8 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
     verts = V / pairing[:, None]
     if (np.abs(verts[:, None] - verts).max(axis=2) <= 1e-9).sum() > len(V):
         raise ValueError("state vertices must be distinct rays")
+    # closed and checked now, so a bad group fails the load before the search
+    table = close_group(verts, group_matrices)
     # the distinguishability decision is sound only on these two facts
     probs = G @ verts.T
     if (probs / np.linalg.norm(G, axis=1)[:, None]).min() < -DEFAULT_TOL:
@@ -517,7 +517,7 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
     maximal = _maximal_sets(verts, G, u)
     capacity = max(len(c) for c, _ in maximal)
     group = GroupSpec(generators=tuple(group_matrices),
-                      sampler=_finite_group_sampler)
+                      sampler=_finite_group_sampler, table=table)
     model = ModelSpec(
         model_id=model_id,
         kind=kind,
@@ -537,7 +537,6 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
         maximal_sets=maximal,
         distinguishable_sets=tuple(c for c, _ in maximal if len(c) == capacity),
     )
-    group_table(model)      # closed and checked now: a bad group fails the load
     return model
 
 

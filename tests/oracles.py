@@ -345,3 +345,101 @@ def transitive_search(points, matrices, tol=1e-8):
     """Whether some matrix of the group carries the first vertex onto each
     other one."""
     return all(_maps(matrices, [points[0]], [p], tol) for p in points[1:])
+
+
+_SQRT2 = np.sqrt(2.0)
+
+
+def _hermitian_blocks(x, dims, field):
+    """The blocks of block coordinates x: in each, the diagonal, then every
+    upper pair (i, j), i < j, in row-major order as sqrt(2) Re and, on
+    complex blocks, sqrt(2) Im."""
+    blocks, pos = [], 0
+    for n in dims:
+        H = np.zeros((n, n), dtype=complex if field == "C" else float)
+        for i in range(n):
+            H[i, i] = x[pos]
+            pos += 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                re = x[pos] / _SQRT2
+                pos += 1
+                if field == "C":
+                    im = x[pos] / _SQRT2
+                    pos += 1
+                    H[i, j], H[j, i] = complex(re, im), complex(re, -im)
+                else:
+                    H[i, j] = H[j, i] = re
+        blocks.append(H)
+    return blocks
+
+
+def _rank_one_coords(u, field):
+    """Block coordinates of |u><u|, in the order of `_hermitian_blocks`."""
+    P = u[:, None] * u[None, :].conj()
+    n = len(u)
+    out = [P[i, i].real for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            out.append(P[i, j].real * _SQRT2)
+            if field == "C":
+                out.append(P[i, j].imag * _SQRT2)
+    return out
+
+
+def _canonical_columns(V):
+    """The columns of V as rows, each with its first entry above 1e-10 in
+    absolute value made real and positive, then scaled to unit length."""
+    cols = np.arange(V.shape[1])
+    big = np.abs(V) > 1e-10
+    first = big.argmax(axis=0)
+    lead = V[first, cols]
+    lead[~big[first, cols]] = 1
+    U = (V * (np.abs(lead) / lead)).T.copy()
+    if np.iscomplexobj(U):
+        nrm = [math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag)) for u in U]
+    else:
+        nrm = [math.sqrt(u.dot(u)) for u in U]
+    return U / np.array(nrm)[:, None]
+
+
+def eager_diagonalization(x, dims, field, tol=1e-9):
+    """The block diagonalization of a matrix-model state as it was made
+    with every eigenstate built up front, kept to check a lazy construction
+    bit for bit.
+
+    One np.linalg.eigh per block; each eigenvector in canonical phase and
+    unit length, embedded as the coordinates of its rank-one projector.
+    Eigenvalues (negative ones read as 0) descend at 12 digits; a tie is
+    broken by the eigenstates' coordinates rounded to 10 digits,
+    lexicographically, then by position.  The eigenstates' Gram matrix,
+    unit pairings and reconstruction of x with the raw eigenvalues must be
+    exact within tol.  Returns (eigenvalues, eigenstate coordinates, one row
+    each, supports as (block, unit vector)), all in that order.
+    """
+    rows, raw, supports = [], [], []
+    width = [n * n if field == "C" else n * (n + 1) // 2 for n in dims]
+    for b, H in enumerate(_hermitian_blocks(x, dims, field)):
+        w, V = np.linalg.eigh(H)
+        raw.extend(w.tolist())
+        for u in _canonical_columns(V):
+            row = np.zeros(sum(width))
+            row[sum(width[:b]): sum(width[:b + 1])] = _rank_one_coords(u, field)
+            rows.append(row)
+            supports.append((b, u))
+    rows, raw = np.array(rows), np.array(raw)
+    values = np.where(raw < 0.0, 0.0, raw)
+    key = [-round(v, 12) for v in values.tolist()]
+    order = sorted(range(len(key)), key=lambda i: (
+        key[i], tuple(np.round(rows[i], 10).tolist()), i))
+    # the unit effect, the trace: 1 on every diagonal coordinate
+    unit = np.concatenate([[1.0] * n + [0.0] * (k - n)
+                           for n, k in zip(dims, width)])
+    E = rows[order]
+    G = E @ E.T - np.eye(len(E))
+    if not max(np.abs(G).max(), np.abs(E @ unit - 1.0).max(),
+               np.abs(raw[order] @ E - x).max()) <= tol:
+        raise ValueError("eigendecomposition fails its certificate")
+    if not raw.min() >= -tol:
+        raise ValueError("eigenvalue below the cone tolerance")
+    return values[order], E, [supports[i] for i in order]

@@ -375,6 +375,39 @@ def test_cli_refuses_model_file(tmp_path, data, message):
     assert message in res.output
 
 
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(zoo, name)
+    monkeypatch.setattr(zoo, name, lambda *a: calls.append(a) or inner(*a))
+    return calls
+
+
+def test_bad_generator_refused_before_the_search(monkeypatch):
+    """A 60-gon file with a contraction among its generators is refused by
+    the group closure, and the maximal-set search never starts."""
+    searches = _counting(monkeypatch, "_maximal_sets")
+    data = kgon_json(60)
+    data["group_generators"].append(np.diag([0.5, 0.5, 1]).tolist())
+    with pytest.raises(core.GPTError,
+                       match="group generator does not permute the state"):
+        zoo.model_from_json(data)
+    assert searches == []
+
+
+def test_group_closed_once_per_model(monkeypatch):
+    closures = _counting(monkeypatch, "close_group")
+    searches = _counting(monkeypatch, "_maximal_sets")
+    data = kgon_json(9)
+    data["group_generators"].append(np.diag([1, -1, 1]).tolist())
+    m = zoo.model_from_json(data)
+    assert len(closures) == 1 and len(searches) == 1
+    perms, mats = zoo.group_table(m)
+    assert zoo.group_table(m)[0] is perms and len(mats) == 18
+    symmetry.twirl(StateVec(m.pure_states[0], m))
+    assert symmetry.is_transitive(m)
+    assert len(closures) == 1
+
+
 def test_cli_reads_model_file(tmp_path):
     path = tmp_path / "hexagon.json"
     zoo.save_model(_model("6-gon"), str(path))

@@ -12,7 +12,8 @@ from gptt.core import (
     StateVec,
     apply_channel,
 )
-from gptt.embedding import blocks_to_vec, pure_block_vec, vec_to_blocks
+from gptt.embedding import (block_eigh, blocks_to_vec, pure_block_vec,
+                            vec_to_blocks)
 from gptt.spectral import (
     dagger,
     diagonalize,
@@ -21,6 +22,7 @@ from gptt.spectral import (
     schmidt_coefficients,
     transition_matrix,
 )
+import oracles
 from oracles import spectrum as oracle_spectrum
 
 rng = np.random.default_rng(7)
@@ -263,7 +265,8 @@ class TestMemo:
         eigh = _counting(monkeypatch, np.linalg, "eigh")
         d = diagonalize(s)
         assert eigh == [] and s._derived.keys() == {"diagonalization"}
-        raw, _, _ = spectral._block_spectrum(s.coords, model.structure)
+        raw = np.concatenate([w for w, _ in block_eigh(s.coords,
+                                                       model.structure)])
         assert np.array_equal(np.concatenate([w for w, _ in kept]), raw)
         # eigenstates are built without kept pairs: one solve per block
         e = d.eigenstates[0]
@@ -362,12 +365,19 @@ class TestDescendingOrder:
                    StateVec(model.pure_sampler(model, r), model)]
         ties = 0
         for s in states:
-            raw, rows, _ = spectral._block_spectrum(s.coords, model.structure)
+            pairs = block_eigh(s.coords, model.structure)
+            raw = np.concatenate([w for w, _ in pairs])
+            rows, _ = spectral._eigenstate_rows(model.structure, pairs)
             values = np.where(raw < 0.0, 0.0, raw)
             want = _full_lexsort(values, rows)
-            got = spectral._descending_order(values, rows)
+            asked = []
+            got = spectral._descending_order(
+                values, lambda i: asked.extend(i) or rows[i])
             assert got.tolist() == want.tolist()
-            ties += len(set(np.round(values, 12).tolist())) < len(values)
+            # coordinates are asked for only within tied groups
+            keys = np.round(values, 12).tolist()
+            assert all(keys.count(keys[i]) > 1 for i in asked)
+            ties += len(set(keys)) < len(values)
         assert ties >= 10
 
     @given(st.integers(0, 2**32 - 1))
@@ -379,7 +389,7 @@ class TestDescendingOrder:
         k = int(r.integers(1, 9))
         values = r.choice([0.0, 0.25, 0.5 + 1e-14], size=k)
         rows = r.choice([-1.0, 0.0, 1.0 + 1e-12], size=(k, 5))
-        got = spectral._descending_order(values, rows)
+        got = spectral._descending_order(values, rows.__getitem__)
         assert got.tolist() == _full_lexsort(values, rows).tolist()
 
 
@@ -433,20 +443,26 @@ class TestCertificate:
         monkeypatch.undo()
         assert diagonalize(s).residual <= core.DEFAULT_TOL
 
+    # E: the eigenvectors, as columns; raw: their eigenvalues; x: the
+    # coordinates of a rebit state, whose one block is [[x0, x2/sqrt2],
+    # [x2/sqrt2, x1]]
     @pytest.mark.parametrize("check, E, raw, x", [
-        ("Gram", [[1, 0], [1, 0]], [1, 0], [1, 0]),
-        ("pairing", [[0.6, 0.8], [0.8, -0.6]], [0.5, 0.5], [0.7, 0.1]),
-        ("reconstruction", [[1, 0], [0, 1]], [0.5, 0.5], [0.6, 0.4]),
-        ("eigenvalue", [[1, 0], [0, 1]], [1 + 1e-6, -1e-6], [1 + 1e-6, -1e-6]),
+        ("Gram", [[1, 1], [0, 0]], [1, 0], [1, 0, 0]),
+        ("pairing", [[1, 0], [0, 2]], [1, 0], [1, 0, 0]),
+        ("reconstruction", [[1, 0], [0, 1]], [0.5, 0.5], [0.6, 0.4, 0]),
+        ("eigenvalue", [[1, 0], [0, 1]], [1 + 1e-6, -1e-6],
+         [1 + 1e-6, -1e-6, 0]),
     ])
     def test_each_check_refuses_alone(self, check, E, raw, x):
-        """Each of the four figures refuses a decomposition that the other
-        three accept."""
-        cl2 = zoo.build_model("classical", d=2)
+        """Each of the four figures of the block-form check refuses a
+        decomposition that the other three accept."""
+        rebit = zoo.build_model("rebit")
+        raw = np.array(raw, float)
+        figures = core._block_figures(np.array(x, float), raw,
+                                      [(raw, np.array(E, float))],
+                                      rebit.structure)
         with pytest.raises(DiagonalizationError, match=check) as exc:
-            core._certified_eigenstates(cl2, np.array(x, float),
-                                        np.array(raw, float),
-                                        np.array(E, float))
+            core._certify(rebit, figures, raw, core.BLOCK_TOL)
         assert exc.value.residue > core.DEFAULT_TOL
 
     def test_negative_eigenvalue_refused(self, monkeypatch):
@@ -470,6 +486,20 @@ class TestCertificate:
             diagonalize(bad)
         assert exc.value.residue > 1e-7
         assert bad._derived == {}
+
+    def test_coordinate_check_runs_when_eigenstates_are_built(self,
+                                                              monkeypatch):
+        """The block check passed, the eigenstates' coordinates are checked
+        again when first read; a failure there raises and caches nothing."""
+        d = diagonalize(rand_state(q3, np.random.default_rng(75)))
+        figures = core._coordinate_figures
+        monkeypatch.setattr(core, "_coordinate_figures", lambda *a: (
+            ("Gram matrix", 1.0),) + figures(*a)[1:])
+        with pytest.raises(DiagonalizationError, match="Gram"):
+            d.eigenstates
+        assert "eigenstates" not in d.__dict__
+        monkeypatch.undo()
+        assert len(d.eigenstates) == 3
 
     def test_polytope_records_its_residual(self):
         s = StateVec(np.array([0.0, 0.0, 1.0]), sq)
@@ -514,6 +544,69 @@ def test_fast_route_certificate(model, seed, kind, t):
     keys = [(-round(v, 12), tuple(np.round(e.coords, 10)))
             for v, e in zip(d.eigenvalues.tolist(), d.eigenstates)]
     assert keys == sorted(keys)
+
+
+def _matrix_input(model, r, kind, t):
+    """Coordinates of a mixed or pure state, a pure state moved a fraction
+    1 - t toward chi, whose lower eigenvalues tie, or chi itself."""
+    if kind == "chi":
+        return model.chi
+    if kind == "mixed":
+        return model.state_sampler(model, r)
+    x = model.pure_sampler(model, r)
+    return x if kind == "pure" else t * x + (1 - t) * model.chi
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_CERTIFIED_MODELS), st.integers(0, 2**32 - 1),
+       st.sampled_from(["mixed", "pure", "toward_chi", "chi"]),
+       st.floats(0.0, 1.0))
+def test_lazy_eigenstates_match_eager(model, seed, kind, t):
+    """The eigenstates built on first read, their order, their supports and
+    the eigenvalues reported before them are bit for bit those of the
+    construction that built every eigenstate up front."""
+    s = StateVec(_matrix_input(model, np.random.default_rng(seed), kind, t),
+                 model)
+    d = diagonalize(s)
+    assert "eigenstates" not in d.__dict__
+    values, E, supports = oracles.eager_diagonalization(
+        s.coords, model.structure.dims, model.structure.field)
+    assert d.eigenvalues.tobytes() == values.tobytes()
+    assert np.array([e.coords for e in d.eigenstates]).tobytes() == E.tobytes()
+    assert d.eigenstates is d.eigenstates
+    for e, (b, u) in zip(d.eigenstates, supports):
+        eb, eu = zoo.pure_support(e)
+        assert eb == b and eu.tobytes() == u.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_CERTIFIED_MODELS), st.integers(0, 2**32 - 1),
+       st.sampled_from(["mixed", "pure", "toward_chi"]),
+       st.floats(1e-12, 1e-6))
+def test_block_figures_bound_coordinate_figures(model, seed, kind, eps):
+    """On a decomposition with eigenvalues and eigenvectors perturbed by
+    about eps, the figures the eigenstates' coordinates would be checked
+    on are bounded by the block figures as `core._block_figures` states:
+    Gram by (g / (1 - p))^2, unit pairing by rounding, reconstruction by the
+    block reconstruction; so all of them pass DEFAULT_TOL when the block
+    figures pass BLOCK_TOL."""
+    r = np.random.default_rng(seed)
+    st_ = model.structure
+    x = _matrix_input(model, r, kind, 0.5)
+    pairs = [(w + eps * r.normal(size=w.shape),
+              V + eps * r.normal(size=V.shape)) for w, V in block_eigh(x, st_)]
+    raw = np.concatenate([w for w, _ in pairs])
+    block = dict(core._block_figures(x, raw, pairs, st_))
+    E, _ = spectral._eigenstate_rows(st_, pairs)
+    coord = dict(core._coordinate_figures(model, x, raw, E))
+    g, p = block["Gram matrix"], block["unit pairing"]
+    assert block["reconstruction"] > 0 and p > 0   # g is 0 on 1 x 1 blocks
+    rounding = 1e-14
+    assert coord["Gram matrix"] <= (g / (1 - p)) ** 2 + rounding
+    assert coord["unit pairing"] <= rounding
+    assert coord["reconstruction"] <= block["reconstruction"] + rounding
+    if max(block.values()) <= core.BLOCK_TOL:
+        assert max(coord.values()) <= core.DEFAULT_TOL
 
 
 class TestFunctionalCalculus:

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from gptt import thermo, zoo
+from gptt import core, spectral, thermo, zoo
 from gptt.core import (ChannelMap, GPTError, StateVec, UnsupportedModelError,
                        apply_channel, lift_channel)
 from gptt.embedding import blocks_to_vec, conjugation_matrix, vec_to_blocks
@@ -58,6 +58,27 @@ class TestEntropy:
     def test_negative_order_refused(self):
         with pytest.raises(ValueError):
             thermo.entropy(q2.invariant_state, alpha=-0.5)
+
+
+    @pytest.mark.parametrize("model", [
+        q2, q3, cl3, dq2, zoo.build_model("extended_classical", N=2, n=2),
+        zoo.compose_systems(q2, q2), zoo.compose_systems(dq2, dq2)],
+        ids=lambda m: m.model_id)
+    def test_untied_spectrum_builds_no_eigenstates(self, monkeypatch, model):
+        calls = []
+        for module in (spectral, core):
+            for name in ("rank_one_coords", "canonical_rows", "_checked_state"):
+                if hasattr(module, name):
+                    inner = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *a, f=inner: (
+                        calls.append(a), f(*a))[1])
+        s = rand_state(model, np.random.default_rng(16))
+        values = np.round(np.sort(diagonalize(s).eigenvalues), 12)
+        assert np.diff(values).min() > 0   # no two eigenvalues tie
+        for alpha in (0, 1, 2, math.inf):
+            thermo.entropy(s, alpha)
+        assert calls == []
+        assert "eigenstates" not in diagonalize(s).__dict__
 
 
 class TestRelativeEntropy:
@@ -390,6 +411,38 @@ class TestLandauer:
         assert sorted(led.details) == [
             "S_env_in", "S_env_out", "S_system_in", "S_system_out",
             "joint_entropy_in", "joint_entropy_out"]
+
+    @pytest.mark.parametrize("model", [q2, dq2], ids=lambda m: m.model_id)
+    def test_eigenstates_built_for_the_relative_entropy_only(self, monkeypatch,
+                                                             model):
+        """Of the six diagonalizations only the environment's output and its
+        Gibbs state, which `_relative_entropy` pairs, build eigenstates."""
+        comp = zoo.compose_systems(model, model)
+        r = np.random.default_rng(17)
+        rho, U = rand_state(model, r), comp.group.sampler(comp, r)
+        h = blocks_to_vec([np.diag(np.arange(n, dtype=float) + b)
+                           for b, n in enumerate(model.structure.dims)],
+                          model.structure)
+        seen = []
+
+        def counting(state):
+            seen.append((state, diagonalize(state)))
+            return seen[-1][1]
+
+        builds = []
+        build = spectral._certified_eigenstates
+        monkeypatch.setattr(thermo, "diagonalize", counting)
+        monkeypatch.setattr(spectral, "_certified_eigenstates",
+                            lambda *a: builds.append(a) or build(*a))
+        thermo.landauer_ledger(U, rho, h, 1.0, comp)
+        gamma = thermo.gibbs_state(model, h, 1.0)
+        assert len(seen) == 6 and len(builds) == 2
+        built = [s for s, d in seen if "eigenstates" in d.__dict__]
+        out_E = core.marginal(apply_channel(
+            U, core.tensor_states(comp, rho, gamma)), 1)
+        assert [s.model for s in built] == [model, model]
+        assert np.array_equal(built[0].coords, out_E.coords)
+        assert np.array_equal(built[1].coords, gamma.coords)
 
 
 class TestErasure:
