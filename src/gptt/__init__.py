@@ -26,6 +26,7 @@ from .core import (
 )
 from .zoo import (
     basis_aligning_reversible,
+    basis_aligning_reversibles,
     build_model,
     compose_systems,
     distinguishing_effects,

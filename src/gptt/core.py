@@ -283,7 +283,9 @@ class ModelFlags:
 class GroupSpec:
     """Reversible transformations of a model: `sampler` draws one at random.
     A finite group also has `generators`, matrices permuting the pure
-    states, and `table`, its elements as `zoo.close_group` gives them."""
+    states and keeping effects effects (e M^-1 in the effect cone, within
+    1e-9, for every effect generator e), and `table`, its elements as
+    `zoo.close_group` gives them."""
 
     generators: tuple = ()
     sampler: Optional[Callable] = None  # (model, rng) -> ChannelMap

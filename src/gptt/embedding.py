@@ -36,7 +36,9 @@ a gather of Kraus entries (the natural representation of the map,
 restricted to the block coordinates; Watrous, The Theory of Quantum
 Information, ch. 2).  M is filled CONJ_SLICE columns at a time, so besides
 the D x D result the temporaries stay at a few D x CONJ_SLICE complex
-arrays (about 1 MB each at D = 2048) plus two D x d row gathers of K.
+arrays (about 1 MB each at D = 2048) plus two D x d row gathers of K.  A
+stack of t operators (`conjugation_matrices`) goes through the same pass
+as t x D rows, one matrix per operator.
 """
 
 from __future__ import annotations
@@ -273,26 +275,46 @@ def _conjugation_terms(structure: BlockStructure):
     return _frozen(p, q, r, s, t, c)
 
 
-def conjugation_matrix(kraus: list[np.ndarray], structure: BlockStructure) -> np.ndarray:
-    """Real coordinate matrix of X -> sum_k K X K† for block-structured X.
+def conjugation_matrices(ops: np.ndarray, structure: BlockStructure,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Real coordinate matrices of X -> K X K†, one per operator K of a
+    stack (t, H, H), as a stack (t, D, D); added into `out` when given.
 
-    The Kraus operators act on the total Hilbert space; the image is projected
+    The operators act on the total Hilbert space; each image is projected
     back onto the block structure (operators used here must preserve it).
-    Computed in closed form, CONJ_SLICE columns at a time (module docstring).
+    Computed in closed form, CONJ_SLICE columns at a time (module
+    docstring), with the same elementwise operations for every height of
+    stack, so each matrix has the bits a stack of one gives it.  The
+    temporaries are a few t x D x CONJ_SLICE complex arrays.
     """
     p, q, r, s, t, c = _conjugation_terms(structure)
     D = structure.coord_dim
-    M = np.zeros((D, D))
+    ops = np.asarray(ops)
+    rows = len(ops) * D
+    if out is None:
+        out = np.zeros((len(ops), D, D))
+    # the stack's rows one after another: a stack of one is plain 2-d work
+    Kp = (r[:, None] * ops[:, p]).reshape(rows, -1)
+    Kq = ops[:, q].conj().reshape(rows, -1)
+    flat = out.reshape(rows, D)
+    for j0 in range(0, D, CONJ_SLICE):
+        js = slice(j0, j0 + CONJ_SLICE)
+        acc = Kp[:, s[0, js]] * c[0, js] * Kq[:, t[0, js]]
+        acc += Kp[:, s[1, js]] * c[1, js] * Kq[:, t[1, js]]
+        flat[:, js] += acc.real
+    return out
+
+
+def conjugation_matrix(kraus: list[np.ndarray], structure: BlockStructure) -> np.ndarray:
+    """Real coordinate matrix of X -> sum_k K X K† for block-structured X:
+    `conjugation_matrices` of each operator in turn, summed into one
+    D x D matrix, so memory stays at one result plus the sliced
+    temporaries."""
+    D = structure.coord_dim
+    M = np.zeros((1, D, D))
     for K in kraus:
-        K = np.asarray(K)
-        Kp = r[:, None] * K[p]
-        Kq = K[q].conj()
-        for j0 in range(0, D, CONJ_SLICE):
-            js = slice(j0, j0 + CONJ_SLICE)
-            acc = Kp[:, s[0, js]] * c[0, js] * Kq[:, t[0, js]]
-            acc += Kp[:, s[1, js]] * c[1, js] * Kq[:, t[1, js]]
-            M[:, js] += acc.real
-    return M
+        conjugation_matrices(np.asarray(K)[None], structure, out=M)
+    return M[0]
 
 
 def block_eigh(x: np.ndarray, structure: BlockStructure):

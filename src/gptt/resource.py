@@ -28,8 +28,8 @@ from .core import (
 )
 from . import zoo
 from .spectral import Diagonalization, diagonalize
-from .zoo import (basis_aligning_reversible, block_reversible, pure_support,
-                  reversible_sending)
+from .zoo import (basis_aligning_reversible, basis_aligning_reversibles,
+                  block_reversible, pure_support, reversible_sending)
 
 
 def majorizes(p, q, tol: float = 1e-10) -> bool:
@@ -231,6 +231,11 @@ def _target_residual(chan: ChannelMap, rho: StateVec, sigma: StateVec,
     return resid
 
 
+# rows of the measure-and-prepare matrix formed per pass; bounds the
+# d x rows x D temporary of its sequential sum
+_MP_ELEMENTS = 1 << 16
+
+
 def measure_and_prepare_channel(diag_from: Diagonalization,
                                 diag_to: Diagonalization,
                                 D: np.ndarray) -> ChannelMap:
@@ -239,34 +244,34 @@ def measure_and_prepare_channel(diag_from: Diagonalization,
 
     The measurement effects are the source eigenstates' own coordinates
     (`dagger`); ChannelMap's unit-preservation check confirms they sum to
-    the unit."""
+    the unit.  Built from stacked arrays: preparation j is
+    sum_i D[i, j] e_i over the target eigenstates, the matrix is
+    sum_j prep_j f_j^T over the source eigenstates, both summed in index
+    order from zero, and the Kraus operators sqrt(D[i, j]) |tb_i><ta_j|
+    (for D[i, j] > 1e-14, in row-major order, when d^2 <= KRAUS_CAP) are
+    one stack over the total-space support vectors (`zoo.total_supports`).
+    """
     model = diag_from.model
     if model.structure is None:
         raise UnsupportedModelError(
             f"{model.model_id} has no identifying effects")
-    d = len(diag_from.eigenstates)
-    prep = [sum(D[i, j] * diag_to.eigenstates[i].coords for i in range(d))
-            for j in range(d)]
-    M = sum(np.outer(prep[j], diag_from.eigenstates[j].coords)
-            for j in range(d))
+    F = np.array([s.coords for s in diag_from.eigenstates])
+    E = np.array([s.coords for s in diag_to.eigenstates])
+    d, dim = F.shape
+    prep = np.add.reduce(D[:, :, None] * E[:, None, :], axis=0, initial=0.0)
+    M = np.empty((dim, dim))
+    step = max(1, _MP_ELEMENTS // (d * dim))
+    for r0 in range(0, dim, step):
+        rows = slice(r0, r0 + step)
+        np.add.reduce(prep[:, rows, None] * F[:, None, :], axis=0,
+                      initial=0.0, out=M[rows])
     kraus = None
     if d * d <= KRAUS_CAP:
-        st = model.structure
-        offs = st.hilbert_offsets()
-        dH = st.hilbert_dim
-        dtype = complex if st.field == "C" else float
-
-        def total_vec(state):
-            b, v = pure_support(state)
-            t = np.zeros(dH, dtype=dtype)
-            t[offs[b]: offs[b] + len(v)] = v
-            return t
-
-        ta = [total_vec(s) for s in diag_from.eigenstates]
-        tb = [total_vec(s) for s in diag_to.eigenstates]
-        kraus = tuple(
-            math.sqrt(D[i, j]) * np.outer(tb[i], ta[j].conj())
-            for i in range(d) for j in range(d) if D[i, j] > 1e-14)
+        _, ta = zoo.total_supports(model, diag_from.eigenstates)
+        _, tb = zoo.total_supports(model, diag_to.eigenstates)
+        i, j = np.nonzero(D > 1e-14)
+        kraus = tuple(np.sqrt(D[i, j])[:, None, None]
+                      * (tb[i][:, :, None] * ta[j].conj()[:, None, :]))
     return ChannelMap(
         matrix=M, model_in=model, model_out=model,
         tags=frozenset({"unital", "measure_and_prepare"}),
@@ -371,9 +376,10 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
     With unrestricted reversibility: the mixing matrix D (eigenvalues of
     sigma = D times those of rho) is split into Birkhoff terms, and term
     (w, perm) contributes weight w of the one reversible that sends source
-    eigenstate perm[i] onto target eigenstate i, for every i
-    (`basis_aligning_reversible`, built from the eigenstates' cached
-    supports).  Elsewhere: a pure source mixes reversibles onto each target
+    eigenstate perm[i] onto target eigenstate i, for every i.  All terms
+    are built as one stack (`basis_aligning_reversibles`, from the
+    eigenstates' cached supports), and each is still checked on its own.
+    Elsewhere: a pure source mixes reversibles onto each target
     eigenstate, the invariant target averages a uniformizing family, and
     sectorized models compare sector spectra, aligning each sector's
     eigenstates with those of its matched sector.  Every witness channel
@@ -388,13 +394,11 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
     # of a Birkhoff decomposition of the mixing matrix
     if model.flags.unrestricted_reversibility:
         D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
-        weights, reversibles = [], []
-        for w, perm in birkhoff_decompose(D):
-            # source member perm[i] goes straight onto target member i
-            src = [dr.eigenstates[j] for j in perm.tolist()]
-            reversibles.append(
-                basis_aligning_reversible(model, src, ds.eigenstates))
-            weights.append(w)
+        terms = birkhoff_decompose(D)
+        weights = [w for w, _ in terms]
+        # source member perm[i] goes straight onto target member i
+        reversibles = basis_aligning_reversibles(
+            model, dr.eigenstates, ds.eigenstates, [p for _, p in terms])
         chan = _rare_mixture_channel(model, weights, reversibles)
         resid = _target_residual(chan, rho, sigma, "synthesized mixture")
         return ConversionOutcome("yes", chan, {"weights": np.asarray(weights),

@@ -40,6 +40,7 @@ from .embedding import (
     block_eigh,
     blocks_to_vec,
     canonical_rows,
+    conjugation_matrices,
     conjugation_matrix,
     pure_block_coords,
     pure_block_vec,
@@ -505,6 +506,12 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
         raise ValueError("state vertices must be distinct rays")
     # closed and checked now, so a bad group fails the load before the search
     table = close_group(verts, group_matrices)
+    # effects must stay effects: e M^-1 in the effect cone for every generator
+    for M in group_matrices:
+        margin = min(effect_cone.margin(e) for e in G @ np.linalg.inv(M))
+        if margin < -1e-9:
+            raise GPTError(f"group generator does not preserve the effect "
+                           f"cone (margin {margin:.3e})")
     # the distinguishability decision is sound only on these two facts
     probs = G @ verts.T
     if (probs / np.linalg.norm(G, axis=1)[:, None]).min() < -DEFAULT_TOL:
@@ -750,39 +757,76 @@ def reversible_sending(model: ModelSpec, s_from: StateVec,
                             [(j + jb - ja) % N for j in range(N)])
 
 
-def basis_aligning_reversible(model: ModelSpec, from_states,
-                              to_states) -> ChannelMap:
-    """A reversible mapping each pure state of one maximal basis onto the
-    corresponding member of another.
+def total_supports(model: ModelSpec, states):
+    """The `pure_support` of each pure state, as an integer array of sectors
+    and the unit vectors zero-padded to the total Hilbert space, one row
+    per state."""
+    st = model.structure
+    sups = [pure_support(s) for s in states]
+    offs = st.hilbert_offsets()
+    T = np.zeros((len(sups), st.hilbert_dim),
+                 dtype=complex if st.field == "C" else float)
+    for row, (b, v) in zip(T, sups):
+        row[offs[b]: offs[b] + len(v)] = v
+    return np.array([b for b, _ in sups], dtype=int), T
 
-    Exists only when the induced sector transport is a permutation; the
-    sectorized families make that a real obstruction.
+
+def basis_aligning_reversibles(model: ModelSpec, from_states, to_states,
+                               perms) -> list:
+    """For each perm of `perms`, the reversible mapping pure state
+    from_states[perm[i]] onto to_states[i] for every i, all built as one
+    stack.
+
+    The supports are read once.  Every term is checked: its sector
+    transport must be consistent and a permutation of the sectors, which
+    the sectorized families make a real obstruction, and its Kraus
+    operator K = sum_i tb_i ta_perm(i)†, summed in the order of i over the
+    total-space support vectors, must satisfy |K K† - I| <= 1e-8 (one
+    batched product).  The coordinate matrices come from one
+    `conjugation_matrices` call, and each term is a `ChannelMap` with its
+    matrix and its one Kraus operator.  A failed check raises GPTError
+    naming the check.
     """
     st = model.structure
     if st is None:
         raise UnsupportedModelError("basis alignment needs a matrix model")
     if len(from_states) != len(to_states):
         raise ValueError("bases must have equal size")
-    sup_a = [pure_support(s) for s in from_states]
-    sup_b = [pure_support(s) for s in to_states]
-    sector_map = {}
-    for (ja, _), (jb, _) in zip(sup_a, sup_b):
-        if sector_map.setdefault(ja, jb) != jb:
-            raise GPTError("no reversible aligns these bases: "
-                           "inconsistent sector transport")
-    if len(set(sector_map.values())) != len(sector_map):
+    d = len(to_states)
+    P = np.asarray(perms, dtype=int).reshape(len(perms), d)
+    if not len(P):
+        return []
+    sa, TA = total_supports(model, from_states)
+    sb, TB = total_supports(model, to_states)
+    # image[t, j]: the sector term t sends sector j to, -1 where unused
+    src = sa[P]
+    terms = np.arange(len(P))[:, None]
+    image = np.full((len(P), st.block_count), -1)
+    image[terms, src] = sb
+    if (image[terms, src] != sb).any():
+        raise GPTError("no reversible aligns these bases: "
+                       "inconsistent sector transport")
+    image.sort(axis=1)
+    if ((image[:, 1:] == image[:, :-1]) & (image[:, 1:] >= 0)).any():
         raise GPTError("no reversible aligns these bases: "
                        "sector transport is not a permutation")
-    dtype = complex if st.field == "C" else float
-    blocks = [np.zeros((n, n), dtype=dtype) for n in st.dims]
-    for (ja, va), (jb, vb) in zip(sup_a, sup_b):
-        blocks[ja] += np.outer(vb, va.conj())
-    if len(sector_map) < st.block_count or any(
-            np.abs(B @ B.conj().T - np.eye(len(B))).max() > 1e-8
-            for B in blocks):
+    K = np.zeros((len(P), st.hilbert_dim, st.hilbert_dim), dtype=TA.dtype)
+    for i in range(d):
+        K += TB[i][:, None] * TA[P[:, i]].conj()[:, None, :]
+    gram = K @ K.conj().transpose(0, 2, 1)
+    if np.abs(gram - np.eye(st.hilbert_dim)).max() > 1e-8:
         raise GPTError("basis alignment produced a non-reversible map")
-    return block_reversible(model, blocks,
-                            [sector_map[j] for j in range(st.block_count)])
+    return [model.make_reversible(M, kraus=[Kt])
+            for M, Kt in zip(conjugation_matrices(K, st), K)]
+
+
+def basis_aligning_reversible(model: ModelSpec, from_states,
+                              to_states) -> ChannelMap:
+    """A reversible mapping each pure state of one maximal basis onto the
+    corresponding member of another: `basis_aligning_reversibles` with the
+    identity as its one perm, and the same checks."""
+    return basis_aligning_reversibles(model, from_states, to_states,
+                                      [range(len(from_states))])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -443,3 +443,69 @@ def eager_diagonalization(x, dims, field, tol=1e-9):
     if not raw.min() >= -tol:
         raise ValueError("eigenvalue below the cone tolerance")
     return values[order], E, [supports[i] for i in order]
+
+
+def _total_vector(support, dims, field):
+    """A (block, unit vector) support zero-padded to the total space."""
+    b, v = support
+    t = np.zeros(sum(dims), dtype=complex if field == "C" else float)
+    off = sum(dims[:b])
+    t[off: off + len(v)] = v
+    return t
+
+
+def aligning_kraus_loop(sup_a, sup_b, dims, field):
+    """Kraus operator of the reversible sending the pure state with support
+    sup_a[i] onto the one with support sup_b[i], for every i, supports
+    given as (block, unit vector): built term by term, one block at a time,
+    as the package built each Birkhoff term before it stacked them, and
+    kept to check the stacked construction bit for bit.
+
+    The sector transport must be consistent and a permutation, and each
+    block sum_i |vb_i><va_i| unitary within 1e-8; else ValueError with the
+    message the package raises.
+    """
+    sector_map = {}
+    for (ja, _), (jb, _) in zip(sup_a, sup_b):
+        if sector_map.setdefault(ja, jb) != jb:
+            raise ValueError("no reversible aligns these bases: "
+                             "inconsistent sector transport")
+    if len(set(sector_map.values())) != len(sector_map):
+        raise ValueError("no reversible aligns these bases: "
+                         "sector transport is not a permutation")
+    dtype = complex if field == "C" else float
+    blocks = [np.zeros((n, n), dtype=dtype) for n in dims]
+    for (ja, va), (jb, vb) in zip(sup_a, sup_b):
+        blocks[ja] += np.outer(vb, va.conj())
+    if len(sector_map) < len(dims) or any(
+            np.abs(B @ B.conj().T - np.eye(len(B))).max() > 1e-8
+            for B in blocks):
+        raise ValueError("basis alignment produced a non-reversible map")
+    offs = [sum(dims[:j]) for j in range(len(dims))]
+    K = np.zeros((sum(dims), sum(dims)), dtype=np.result_type(*blocks))
+    for j, (B, n) in enumerate(zip(blocks, dims)):
+        t = sector_map[j]
+        if dims[t] != n:
+            raise ValueError("sector permutation must preserve dimensions")
+        K[offs[t]: offs[t] + n, offs[j]: offs[j] + n] = B
+    return K
+
+
+def measure_and_prepare_loop(F, E, D, sup_a, sup_b, dims, field, kraus_cap):
+    """Matrix and Kraus operators of the measure-and-prepare channel that
+    measures in the basis with coordinate rows F and supports sup_a and
+    prepares the columns of the doubly stochastic D over the basis with
+    rows E and supports sup_b, with the per-entry loops the package used
+    before it stacked them: preparation j is sum_i D[i, j] E[i], the matrix
+    sum_j prep_j F[j]^T, both Python sums, and the Kraus operators
+    sqrt(D[i, j]) |tb_i><ta_j| for D[i, j] > 1e-14 in row-major order,
+    None when d^2 exceeds kraus_cap."""
+    d = len(F)
+    prep = [sum(D[i, j] * E[i] for i in range(d)) for j in range(d)]
+    M = sum(np.outer(prep[j], F[j]) for j in range(d))
+    if d * d > kraus_cap:
+        return M, None
+    ta = [_total_vector(s, dims, field) for s in sup_a]
+    tb = [_total_vector(s, dims, field) for s in sup_b]
+    return M, [math.sqrt(D[i, j]) * np.outer(tb[i], ta[j].conj())
+               for i in range(d) for j in range(d) if D[i, j] > 1e-14]

@@ -18,6 +18,7 @@ from gptt.embedding import (
     BlockStructure,
     blocks_to_vec,
     canonical_rows,
+    conjugation_matrices,
     conjugation_matrix,
     herm_to_vec,
     pure_block_coords,
@@ -207,6 +208,26 @@ def test_conjugation_matrix_matches_kraus_conjugation(structure, seed, n_kraus):
         E = ref_total(e, dims, field)
         Y = sum(K @ E @ K.conj().T for K in kraus)
         assert np.abs(M[:, j] - ref_coords(Y, dims, field)).max() <= 1e-12
+
+
+@settings(deadline=None, max_examples=100)
+@given(structures(), seeds, st.sampled_from([1, 3]))
+def test_stacked_conjugation_matches_one_operator(structure, seed, height):
+    """Each matrix of a stack is conjugation_matrix of its one operator,
+    byte for byte, and conjugation_matrix of several operators is their
+    matrices summed in order."""
+    rng = np.random.default_rng(seed)
+    DH, D = structure.hilbert_dim, structure.coord_dim
+    ops = np.array([random_matrix(rng, DH, structure.field)
+                    for _ in range(height)])
+    ops[rng.random(ops.shape) < 0.3] = 0.0
+    Ms = conjugation_matrices(ops, structure)
+    assert Ms.shape == (height, D, D)
+    total = np.zeros((D, D))
+    for K, M in zip(ops, Ms):
+        assert M.tobytes() == conjugation_matrix([K], structure).tobytes()
+        total += M
+    assert conjugation_matrix(list(ops), structure).tobytes() == total.tobytes()
 
 
 def test_conjugation_matrix_memory_stays_sliced():

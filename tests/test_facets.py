@@ -348,6 +348,14 @@ _REPEATED_VERTEX = {**_SQUARE,
                     "state_vertices": [*_SQUARE["state_vertices"], [2, 2, 2]]}
 # preserves the square's cone and unit, but shrinks it: no reversible
 _CONTRACTION = {**_SQUARE, "group_generators": [np.diag([0.5, 0.5, 1]).tolist()]}
+# the 3-simplex with two extra effects: its swap and 3-cycle permute the
+# vertices, but the swap sends the effect (1, 0, 0) outside the effect cone
+_EFFECT_SWAP = {"kind": "polytope", "vector_dim": 3, "unit_effect": [1, 1, 1],
+                "state_vertices": np.eye(3).tolist(),
+                "effect_generators": [[1, .5, .5], [.5, 1, .5], [.5, .5, 1],
+                                      [1, 0, 0], [0, 1, 1]],
+                "group_generators": [np.eye(3)[[1, 0, 2]].tolist(),
+                                     np.eye(3)[[2, 0, 1]].tolist()]}
 # the classical 8-simplex under a transposition and an 8-cycle: S8, whose
 # 40,320 elements are past the closure's cap of 10,000
 _SIMPLEX_S8 = {"kind": "polytope", "vector_dim": 8, "unit_effect": [1] * 8,
@@ -365,8 +373,9 @@ _SIMPLEX_S8 = {"kind": "polytope", "vector_dim": 8, "unit_effect": [1] * 8,
     (_REPEATED_VERTEX, "state vertices must be distinct rays"),
     (_CONTRACTION, "group generator does not permute the state vertices"),
     (_SIMPLEX_S8, "group closure exceeded 10000 elements"),
+    (_EFFECT_SWAP, "group generator does not preserve the effect cone"),
 ], ids=["generator_cap", "line", "negative_effect", "unit_outside",
-        "repeated_vertex", "contraction", "group_cap"])
+        "repeated_vertex", "contraction", "group_cap", "effect_swap"])
 def test_cli_refuses_model_file(tmp_path, data, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(data))

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+import oracles
 from gptt import resource, zoo
-from gptt.core import (DiagonalizationError, GPTError, ModelCompatibilityError,
-                       StateVec, UnsupportedModelError, apply_channel, compose)
-from gptt.embedding import blocks_to_vec
+from gptt.core import (KRAUS_CAP, DiagonalizationError, GPTError,
+                       ModelCompatibilityError, StateVec,
+                       UnsupportedModelError, apply_channel, compose)
+from gptt.embedding import blocks_to_vec, conjugation_matrix, pure_block_vec
 from gptt.spectral import diagonalize
 from oracles import doubly_stochastic_exists, majorizes as oracle_majorizes
 
@@ -280,6 +282,149 @@ class TestRareSynthesis:
         rho, sig = rand_state(dq2), rand_state(dq2)
         with pytest.raises(UnsupportedModelError, match="not sufficient"):
             resource.build_rare_channel(rho, sig)
+
+
+# ---------------------------------------------------------------------------
+# stacked witnesses against the per-term loops they replaced
+
+
+_STACK_MODELS = [zoo.parse_model_string(t) for t in (
+    "classical:3", "classical:4", "rebit", "quantum:2", "quantum:3",
+    "quantum:4", "real_quantum:3")]
+_INPUTS = ["mixed", "pure", "toward_chi", "chi"]
+
+
+def _input_state(model, r, kind, t):
+    """A mixed or pure state, a pure state moved a fraction 1 - t toward
+    chi, or chi itself."""
+    if kind == "chi":
+        return StateVec(model.chi, model)
+    if kind == "mixed":
+        return rand_state(model, r)
+    x = model.pure_sampler(model, r)
+    return StateVec(x if kind == "pure" else t * x + (1 - t) * model.chi,
+                    model)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_STACK_MODELS), st.integers(0, 2**32 - 1),
+       st.sampled_from(_INPUTS), st.sampled_from(_INPUTS),
+       st.floats(0.05, 0.95))
+def test_stacked_witnesses_match_term_loops(m, seed, kind_a, kind_b, t):
+    """Every Birkhoff term's reversible (matrix, Kraus operator, weight) and
+    the measure-and-prepare channel (matrix and Kraus operators) are bit for
+    bit what the per-term loops in `oracles` build."""
+    r = np.random.default_rng(seed)
+    rho, sigma = _input_state(m, r, kind_a, t), _input_state(m, r, kind_b, t)
+    if not resource.majorizes(diagonalize(rho).eigenvalues,
+                              diagonalize(sigma).eigenvalues):
+        rho, sigma = sigma, rho
+    if not resource.majorizes(diagonalize(rho).eigenvalues,
+                              diagonalize(sigma).eigenvalues):
+        sigma = StateVec(0.5 * rho.coords + 0.5 * m.chi, m)
+    dr, ds = diagonalize(rho), diagonalize(sigma)
+    dims, field = m.structure.dims, m.structure.field
+    sup_a = [zoo.pure_support(e) for e in dr.eigenstates]
+    sup_b = [zoo.pure_support(e) for e in ds.eigenstates]
+    D = resource.t_transform_chain(dr.eigenvalues, ds.eigenvalues)
+
+    chan = resource.convertible(rho, sigma, "unital").channel
+    M, kraus = oracles.measure_and_prepare_loop(
+        np.array([e.coords for e in dr.eigenstates]),
+        np.array([e.coords for e in ds.eigenstates]),
+        D, sup_a, sup_b, dims, field, KRAUS_CAP)
+    assert chan.matrix.tobytes() == M.tobytes()
+    assert len(chan.kraus) == len(kraus)
+    for got, want in zip(chan.kraus, kraus):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    out = resource.convertible(rho, sigma, "rare")
+    assert out.answer == "yes"
+    terms = resource.birkhoff_decompose(D)
+    wit = out.channel.witness
+    assert np.array_equal(wit["weights"], [w for w, _ in terms])
+    assert len(wit["reversibles"]) == len(terms)
+    for (_, perm), U in zip(terms, wit["reversibles"]):
+        K = oracles.aligning_kraus_loop([sup_a[j] for j in perm], sup_b,
+                                        dims, field)
+        assert len(U.kraus) == 1 and U.kraus[0].dtype == K.dtype
+        assert np.array_equal(U.kraus[0], K)
+        assert U.matrix.tobytes() == conjugation_matrix(
+            [K], m.structure).tobytes()
+
+
+def test_measure_and_prepare_in_row_passes():
+    """On quantum:16 the matrix is summed a few rows per pass, to bound its
+    temporary; it still has the bits of the per-entry loop."""
+    m = zoo.build_model("quantum", n=16)
+    r = np.random.default_rng(8)
+    rho = StateVec(m.pure_sampler(m, r), m)
+    sigma = rand_state(m, r)
+    dim = m.vector_dim
+    assert resource._MP_ELEMENTS // (16 * dim) < dim  # more than one pass
+    dr, ds = diagonalize(rho), diagonalize(sigma)
+    D = resource.t_transform_chain(dr.eigenvalues, ds.eigenvalues)
+    chan = resource.measure_and_prepare_channel(dr, ds, D)
+    M, kraus = oracles.measure_and_prepare_loop(
+        np.array([e.coords for e in dr.eigenstates]),
+        np.array([e.coords for e in ds.eigenstates]), D, [], [],
+        m.structure.dims, "C", KRAUS_CAP)
+    assert chan.matrix.tobytes() == M.tobytes()
+    assert chan.kraus is None and kraus is None
+
+
+class TestStackedRefusals:
+    def test_second_term_with_inconsistent_transport(self):
+        """Only the second perm crosses sectors inconsistently; the stack
+        is refused with the message the per-term loop gives that term."""
+        basis = zoo.pure_maximal_set(dq2)  # sectors 0, 0, 1, 1
+        sup = [zoo.pure_support(s) for s in basis]
+        ident, cross = [0, 1, 2, 3], [2, 1, 0, 3]
+        dims = dq2.structure.dims
+        oracles.aligning_kraus_loop(sup, sup, dims, "C")
+        with pytest.raises(ValueError) as ref:
+            oracles.aligning_kraus_loop([sup[j] for j in cross], sup, dims,
+                                        "C")
+        with pytest.raises(GPTError) as got:
+            zoo.basis_aligning_reversibles(dq2, basis, basis, [ident, cross])
+        assert "inconsistent sector transport" in str(ref.value)
+        assert str(got.value) == str(ref.value)
+        assert len(zoo.basis_aligning_reversibles(dq2, basis, basis,
+                                                  [ident, ident])) == 2
+
+    def test_transport_that_is_not_a_permutation(self):
+        basis = zoo.pure_maximal_set(dq2)
+        onto_one = [basis[0], basis[1], basis[0], basis[1]]
+        with pytest.raises(GPTError, match="not a permutation"):
+            zoo.basis_aligning_reversibles(dq2, basis, onto_one,
+                                           [[0, 1, 2, 3], [1, 0, 3, 2]])
+
+    def test_non_orthonormal_basis_fails_unitarity(self):
+        basis = zoo.pure_maximal_set(q3)
+        tilted = StateVec(pure_block_vec(q3.structure, 0,
+                                         np.array([1.0, 1.0, 0.0])), q3)
+        skewed = [basis[0], tilted, basis[2]]
+        sup_a = [zoo.pure_support(s) for s in basis]
+        sup_b = [zoo.pure_support(s) for s in skewed]
+        for perm in ([0, 1, 2], [1, 0, 2]):
+            with pytest.raises(ValueError) as ref:
+                oracles.aligning_kraus_loop([sup_a[j] for j in perm], sup_b,
+                                            (3,), "C")
+            assert "non-reversible map" in str(ref.value)
+        with pytest.raises(GPTError) as got:
+            zoo.basis_aligning_reversibles(q3, basis, skewed,
+                                           [[0, 1, 2], [1, 0, 2]])
+        assert str(got.value) == str(ref.value)
+
+    def test_one_perm_case_is_the_stack_of_one(self):
+        r = np.random.default_rng(5)
+        a = diagonalize(rand_state(q3, r)).eigenstates
+        b = diagonalize(rand_state(q3, r)).eigenstates
+        one = zoo.basis_aligning_reversible(q3, a, b)
+        [stacked] = zoo.basis_aligning_reversibles(q3, a, b, [[0, 1, 2]])
+        assert one.matrix.tobytes() == stacked.matrix.tobytes()
+        assert np.array_equal(one.kraus[0], stacked.kraus[0])
+        assert zoo.basis_aligning_reversibles(q3, a, b, []) == []
 
 
 class TestSectorVerdicts:
