@@ -1,10 +1,11 @@
 """Convertibility of states under mixtures of reversibles and unital maps.
 
 The exact unital criterion is spectrum majorisation; the constructive side
-synthesizes an explicit channel.  For models where every two eigenbases are
-reversibly connected, the same data yields a mixture of reversibles; for
-the sectorized families that fails in general, and the verdict logic falls
-back on sector invariants, special-case witnesses, or an honest "unknown".
+synthesizes an explicit channel.  Every mixture-of-reversibles witness is
+weights over one stack of reversibles aligning the two eigenbases: the
+Birkhoff terms where every two eigenbases are reversibly connected, sector
+and position shifts on the sectorized families, where sector invariants
+refuse and the verdict is otherwise an honest "unknown".
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from .core import (
     StateVec,
     UnsupportedModelError,
     _same_model,
-    per_model_id,
 )
 from . import zoo
 from .spectral import Diagonalization, diagonalize
-from .zoo import (basis_aligning_reversible, basis_aligning_reversibles,
-                  block_reversible, pure_support, reversible_sending)
+from .zoo import basis_aligning_reversibles, pure_support
 
 
 def majorizes(p, q, tol: float = 1e-10) -> bool:
@@ -304,18 +303,18 @@ def build_rare_channel(rho: StateVec, sigma: StateVec) -> ConversionOutcome:
 # sector invariants for the sectorized families
 
 
-def _eigenstates_by_sector(state: StateVec) -> list:
-    """(eigenvalues, eigenstates) of each sector, in block order: the
-    state's cached diagonalization grouped by each eigenstate's
-    `pure_support` sector, descending within a sector."""
-    d = diagonalize(state)
-    sectors = np.array([pure_support(s)[0] for s in d.eigenstates])
-    return [(d.eigenvalues[idx], [d.eigenstates[i] for i in idx.tolist()])
-            for idx in (np.flatnonzero(sectors == b)
-                        for b in range(state.model.structure.block_count))]
+def _eigenstates_by_sector(d: Diagonalization) -> tuple:
+    """The eigenvalues of each sector, one row per block in block order, and
+    the eigenstates in the same order: d's decomposition grouped by each
+    eigenstate's `pure_support` sector, descending within a sector."""
+    sectors = [pure_support(s)[0] for s in d.eigenstates]
+    order = np.argsort(sectors, kind="stable")
+    st = d.model.structure
+    return (d.eigenvalues[order].reshape(st.block_count, st.dims[0]),
+            [d.eigenstates[i] for i in order.tolist()])
 
 
-def _matching_sector_perm(sr: list, ss: list, tol: float = 1e-8):
+def _matching_sector_perm(sr, ss, tol: float = 1e-8):
     """A sector relabeling carrying the spectra `sr` onto `ss`, or None."""
     for perm in itertools.permutations(range(len(sr))):
         if all(np.abs(sr[j] - ss[perm[j]]).max() <= tol
@@ -324,35 +323,14 @@ def _matching_sector_perm(sr: list, ss: list, tol: float = 1e-8):
     return None
 
 
-@per_model_id
-def _uniformizing_mixture(model: ModelSpec) -> Optional[tuple]:
-    """Reversibles whose uniform mixture sends every state to the invariant
-    state; None when the required mixture would be too large.  Built once
-    per model id and kept for the life of the process."""
-    st = model.structure
-    if st is None:
-        return None
-    N = st.block_count
-    n = st.dims[0]
-    if any(m != n for m in st.dims):
-        return None
-    if (n * n) ** N * max(N, 1) > 512:
-        return None
-    if st.field == "C":
-        omega = np.exp(2j * np.pi / n)
-        X = np.roll(np.eye(n), 1, axis=0)
-        Z = np.diag(omega ** np.arange(n))
-        sector_ops = [np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
-                      for a in range(n) for b in range(n)]
-    else:
-        if n != 1:
-            return None
-        sector_ops = [np.eye(1)]
-    shifts = [[(j + k) % N for j in range(N)] for k in range(N)]
-    return tuple(block_reversible(model, [sector_ops[c] for c in combo], sh)
-                 for combo in itertools.product(range(len(sector_ops)),
-                                                repeat=N)
-                 for sh in shifts)
+def _move_perms(images, shifts, n: int) -> np.ndarray:
+    """The `basis_aligning_reversibles` perm of each move (image, a) between
+    sector-grouped bases of sectors of dimension n: source member (j, r)
+    goes onto target member (image[j], (r + a) mod n)."""
+    j, r = np.divmod(np.arange(np.shape(images)[1] * n), n)
+    onto = (np.asarray(images)[:, j] * n
+            + (r + np.asarray(shifts)[:, None]) % n)
+    return np.argsort(onto, axis=1)
 
 
 def _rare_mixture_channel(model: ModelSpec, weights,
@@ -373,88 +351,89 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
                   ds: Diagonalization) -> ConversionOutcome:
     """Mixture-of-reversibles verdict for a pair whose spectra majorise.
 
-    With unrestricted reversibility: the mixing matrix D (eigenvalues of
-    sigma = D times those of rho) is split into Birkhoff terms, and term
-    (w, perm) contributes weight w of the one reversible that sends source
-    eigenstate perm[i] onto target eigenstate i, for every i.  All terms
-    are built as one stack (`basis_aligning_reversibles`, from the
-    eigenstates' cached supports), and each is still checked on its own.
-    Elsewhere: a pure source mixes reversibles onto each target
-    eigenstate, the invariant target averages a uniformizing family, and
-    sectorized models compare sector spectra, aligning each sector's
-    eigenstates with those of its matched sector.  Every witness channel
-    must reach sigma within 1e-8.
+    Every witness is weights w_t over one `basis_aligning_reversibles`
+    stack, term t sending source eigenstate perm_t[i] onto target
+    eigenstate i.  With unrestricted reversibility the terms are the
+    Birkhoff terms of the mixing matrix D (eigenvalues of sigma = D times
+    those of rho).  On a sectorized model, N sectors of dimension n, both
+    eigenbases are grouped by sector and a term is a move (image, a),
+    sending (j, r) onto (image[j], (r + a) mod n): for a pure source at
+    (j0, 0), the cyclic shift by j - j0 with a = r, weighted by the target
+    eigenvalue at (j, r); for the invariant target, all N n cyclic and
+    position shifts, weighted 1/(N n); for equal spectra, the move (pi, 0)
+    of a sector relabeling pi matching the sector spectra, else "no".
+    The witness must reach sigma within 1e-8: past it the constructive
+    cases raise GPTError and the sector-matched one answers "unknown".
     """
     model = rho.model
     if model.structure is None:
         return ConversionOutcome("unknown", None, {
             "reason": "no decision procedure for this model family"})
 
-    # every ordered eigenbasis is reversibly connected: mix the permutations
-    # of a Birkhoff decomposition of the mixing matrix
     if model.flags.unrestricted_reversibility:
-        D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
-        terms = birkhoff_decompose(D)
-        weights = [w for w, _ in terms]
-        # source member perm[i] goes straight onto target member i
-        reversibles = basis_aligning_reversibles(
-            model, dr.eigenstates, ds.eigenstates, [p for _, p in terms])
-        chan = _rare_mixture_channel(model, weights, reversibles)
-        resid = _target_residual(chan, rho, sigma, "synthesized mixture")
-        return ConversionOutcome("yes", chan, {"weights": np.asarray(weights),
-                                               "residual": resid})
-
-    # pure input: mix the reversibles carrying it onto each target eigenstate
-    if dr.eigenvalues[0] >= 1.0 - 1e-10:
-        weights, reversibles = [], []
-        for w, target in zip(ds.eigenvalues, ds.eigenstates):
-            if w <= 1e-14:
-                continue
-            weights.append(float(w))
-            reversibles.append(reversible_sending(model, rho, target))
-        chan = _rare_mixture_channel(model, weights, reversibles)
-        resid = _target_residual(chan, rho, sigma, "pure-source mixture")
-        return ConversionOutcome("yes", chan, {"residual": resid})
-
-    # target is the invariant state: average over a uniformizing family
-    if np.abs(sigma.coords - model.chi).max() <= 1e-10:
-        fam = _uniformizing_mixture(model)
-        if fam is not None:
-            weights = [1.0 / len(fam)] * len(fam)
-            chan = _rare_mixture_channel(model, weights, fam)
-            resid = _target_residual(chan, rho, sigma, "uniformizing mixture")
-            return ConversionOutcome("yes", chan, {"residual": resid})
-
-    if model.flags.sectorized:
+        # every ordered eigenbasis is reversibly connected: mix the
+        # permutations of a Birkhoff decomposition of the mixing matrix
+        terms = birkhoff_decompose(
+            t_transform_chain(dr.eigenvalues, ds.eigenvalues))
+        weights, perms = [w for w, _ in terms], [p for _, p in terms]
+        src, tgt = dr.eigenstates, ds.eigenstates
+        what, cert = "synthesized mixture", {"weights": np.asarray(weights)}
+    else:
+        pure = dr.eigenvalues[0] >= 1.0 - 1e-10
+        to_chi = np.abs(sigma.coords - model.chi).max() <= 1e-10
         equal_spectra = (
-            len(dr.eigenvalues) == len(ds.eigenvalues)
+            model.flags.sectorized
+            and len(dr.eigenvalues) == len(ds.eigenvalues)
             and np.abs(dr.eigenvalues - ds.eigenvalues).max() <= 1e-9)
-        if equal_spectra:
-            by_r = _eigenstates_by_sector(rho)
-            by_s = _eigenstates_by_sector(sigma)
-            sr, ss = [w for w, _ in by_r], [w for w, _ in by_s]
-            perm = _matching_sector_perm(sr, ss)
-            if perm is not None:
-                # sector j's eigenstates go, in order, onto sector perm[j]'s
-                chan = basis_aligning_reversible(
-                    model, [e for _, es in by_r for e in es],
-                    [e for t in perm for e in by_s[t][1]])
-                resid = _target_residual(chan, rho, sigma)
-                if resid > 1e-8:
-                    return ConversionOutcome("unknown", None, {
-                        "reason": "sector-matched reversible drifted",
-                        "residual": resid})
-                return ConversionOutcome("yes", chan, {"sector_perm": perm})
-            # equal spectra force any entropy-preserving mixture to collapse
-            # to a single reversible, which cannot move sector invariants
-            return ConversionOutcome("no", None, {
-                "reason": "equal spectra but mismatched sector invariants",
-                "source_sectors": [s.tolist() for s in sr],
-                "target_sectors": [s.tolist() for s in ss],
-            })
-    return ConversionOutcome("unknown", None, {
-        "reason": "majorisation holds but no mixture witness is known "
-                  "for this model family"})
+        if not (pure or to_chi or equal_spectra):
+            return ConversionOutcome("unknown", None, {
+                "reason": "majorisation holds but no mixture witness is "
+                          "known for this model family"})
+        N, n = model.structure.block_count, model.structure.dims[0]
+        sr, src = _eigenstates_by_sector(dr)
+        ss, tgt = _eigenstates_by_sector(ds)
+        sectors = np.arange(N)
+        cert = {}
+        if pure:
+            # carry the source eigenstate (j0, 0) onto each target eigenstate
+            j0 = pure_support(dr.eigenstates[0])[0]
+            j, r = np.nonzero(ss > 1e-14)
+            weights = ss[j, r].tolist()
+            images = (sectors + (j - j0)[:, None]) % N
+            what, shifts = "pure-source mixture", r
+        elif to_chi:
+            # average over every cyclic sector shift and position shift
+            k, shifts = np.divmod(np.arange(N * n), n)
+            weights = [1.0 / (N * n)] * (N * n)
+            images = (sectors + k[:, None]) % N
+            what = "invariant-target mixture"
+        else:
+            sector_perm = _matching_sector_perm(sr, ss)
+            if sector_perm is None:
+                # equal spectra force any entropy-preserving mixture to
+                # collapse to a single reversible, which cannot move sector
+                # invariants
+                return ConversionOutcome("no", None, {
+                    "reason": "equal spectra but mismatched sector "
+                              "invariants",
+                    "source_sectors": sr.tolist(),
+                    "target_sectors": ss.tolist(),
+                })
+            # sector j's eigenstates go, in order, onto sector perm[j]'s
+            weights, images, shifts = [1.0], [sector_perm], [0]
+            what, cert = None, {"sector_perm": sector_perm}
+        perms = _move_perms(images, shifts, n)
+
+    chan = _rare_mixture_channel(model, weights, basis_aligning_reversibles(
+        model, src, tgt, perms))
+    resid = _target_residual(chan, rho, sigma, what)
+    if what is not None:
+        return ConversionOutcome("yes", chan, {**cert, "residual": resid})
+    if resid > 1e-8:
+        return ConversionOutcome("unknown", None, {
+            "reason": "sector-matched reversible drifted",
+            "residual": resid})
+    return ConversionOutcome("yes", chan, cert)
 
 
 def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
@@ -469,8 +448,10 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
     forbid), so there a failed majorisation answers "unknown".  Where
     majorisation holds: 'unital' answers "yes" with a measure-and-prepare
     channel (exact); 'rare' is exact on models with unrestricted
-    reversibility, and on sectorized models uses sector invariants and
-    explicit witnesses where available, "unknown" otherwise; 'noisy' lies
+    reversibility, and on sectorized models answers "yes" from a pure
+    source, onto the invariant state and between sector-matched equal
+    spectra, "no" between equal spectra on mismatched sectors and "unknown"
+    otherwise (`_rare_verdict`); 'noisy' lies
     between the two, so it answers "yes" with the rare witness when there
     is one and "unknown" otherwise.
     """

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -76,32 +77,29 @@ class Diagonalization:
     """Spectrum and eigenbasis of a state, padded to a maximal basis.
 
     `eigenstates` (on a matrix model with their `pure_support`) are built
-    when first read, then kept.  `residual` is the route's certificate
-    figure: on a matrix model the largest `core._block_figures` figure,
-    at most `core.BLOCK_TOL` (5e-10); on a polytope the reconstruction
-    residual max|p^T E - x| of the reported eigenvalues p, at most
+    by `build()` when first read, then kept; a build that raises is tried
+    again on the next read.  `residual` is the route's certificate figure:
+    on a matrix model the largest `core._block_figures` figure, at most
+    `core.BLOCK_TOL` (5e-10); on a polytope the reconstruction residual
+    max|p^T E - x| of the reported eigenvalues p, at most
     `core.DEFAULT_TOL`.
     """
 
     model: ModelSpec
     eigenvalues: np.ndarray
-    eigenstates: tuple
+    eigenstates: tuple  # a field, built by the cached property below
     residual: float
 
     def __init__(self, model: ModelSpec, eigenvalues, residual: float,
                  build: Callable):
-        """build() returns the eigenstates when they are first read."""
         ev = np.asarray(eigenvalues, dtype=float)
         ev.setflags(write=False)
         self.__dict__.update(model=model, eigenvalues=ev, residual=residual,
                              _build=build)
 
-    def __getattr__(self, name):
-        # reached only while `eigenstates` is not yet set
-        if name != "eigenstates" or "_build" not in self.__dict__:
-            raise AttributeError(name)
-        self.__dict__[name] = self._build()
-        return self.eigenstates
+    @cached_property
+    def eigenstates(self) -> tuple:
+        return self._build()
 
     def reconstruct(self) -> np.ndarray:
         return sum(p * s.coords for p, s in zip(self.eigenvalues, self.eigenstates))
@@ -120,10 +118,18 @@ def _eigenstate_rows(st, pairs) -> tuple:
 
 @per_model_id
 def _stored_sets(model: ModelSpec) -> tuple:
-    """The stored distinguishable sets' vertex matrices V, one per set, and
-    the pseudo-inverses of their transposes, both read-only."""
+    """The stored distinguishable sets' vertex matrices V, one per set, the
+    pseudo-inverses of their transposes, and each vertex's exact weights
+    over every set (1 and 0 where a set holds it, the solve's elsewhere),
+    keyed by its bytes with -0.0 read as 0.0; all read-only."""
     V = model.pure_states[np.asarray(model.distinguishable_sets)]
-    return _frozen(V, np.linalg.pinv(V.transpose(0, 2, 1)))
+    V, pinv = _frozen(V, np.linalg.pinv(V.transpose(0, 2, 1)))
+    vertex_weights = {}
+    for x in model.pure_states:
+        hit = (V == x).all(axis=2)
+        vertex_weights[(x + 0.0).tobytes()] = _frozen(np.where(
+            hit.any(axis=1, keepdims=True), hit, pinv @ x))[0]
+    return V, pinv, vertex_weights
 
 
 def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
@@ -131,7 +137,8 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     distinguishable set of a polytope model whose hull holds it.
 
     One batched least-squares solve fits x by every stored set at once,
-    with pseudo-inverses kept from the model's first one (`_stored_sets`).  A
+    with pseudo-inverses kept from the model's first one (`_stored_sets`);
+    a vertex of the model takes its exact weights from there instead.  A
     set holds x when its weights w are at least -DEFAULT_TOL and, clipped at
     0, rebuild x within DEFAULT_TOL.  Held sets must agree on the spectrum
     within DEFAULT_TOL; the first decomposition in `_descending_order` terms
@@ -139,8 +146,10 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     the smallest miss over the sets) or when two held sets give different
     spectra (residue: their largest difference).
     """
-    V, pinv = _stored_sets(model)
-    w = pinv @ x
+    V, pinv, vertex_weights = _stored_sets(model)
+    w = vertex_weights.get((x + 0.0).tobytes())
+    if w is None:
+        w = pinv @ x
     p = np.clip(w, 0.0, None)
     fit = np.abs(np.einsum("sc,scd->sd", p, V) - x).max(axis=1)
     miss = np.maximum(fit, -w.min(axis=1))

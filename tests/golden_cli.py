@@ -16,7 +16,8 @@ way and writes the same bytes, so comparing them is one `diff`:
 The calls cover `diag`, `entropy`, `convert` in the unital, rare and noisy
 regimes, `landauer`, `gibbs`, `erase` and `verify` on the matrix models and
 the builtin polytopes.  Fixed vectors on the two sectorized models reach
-the sector-matched rare witness and its "no" certificate, and `gibbs` runs
+the sector-matched rare witness and its "no" certificate, larger ones the
+pure-source and invariant-target witnesses, and `gibbs` runs
 at beta = +-inf and at fixed mean energies (one near the band's edge) on
 Hamiltonians off the diagonal.
 """
@@ -73,6 +74,12 @@ OFF_DIAGONAL_E = {
 RANDOM_PAIR_MODELS = ("quantum:3", "real_quantum:3")
 RANDOM_PAIR_SEEDS = ("2", "3")
 
+# larger sectorized models for the rare and noisy conversions from a pure
+# source and onto the invariant state, and the invariant target on a model
+# of many sectors
+SECTOR_MODELS = ("doubled_quantum:3", "extended_classical:3x2")
+SECTOR_STATE_PAIRS = (("pure:0", "random"), ("random", "chi"))
+
 
 def calls():
     """The golden argv lists, in a fixed order."""
@@ -110,6 +117,12 @@ def calls():
             RANDOM_PAIR_MODELS, RANDOM_PAIR_SEEDS, ("rare", "noisy")):
         out.append(("convert", model, "--from", "random", "--to", "random",
                     "--regime", regime, "--seed", seed, "--json"))
+    for model, seed, (src, dst), regime in itertools.product(
+            SECTOR_MODELS, SEEDS, SECTOR_STATE_PAIRS, ("rare", "noisy")):
+        out.append(("convert", model, "--from", src, "--to", dst,
+                    "--regime", regime, "--seed", seed, "--json"))
+    out.append(("convert", "doubled_quantum:5", "--from", "random", "--to",
+                "chi", "--regime", "rare", "--seed", "0", "--json"))
     return [list(argv) for argv in out]
 
 

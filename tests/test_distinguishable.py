@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from gptt import core, resource, spectral, symmetry, zoo
+from gptt import core, resource, spectral, symmetry, thermo, zoo
 from gptt.cli import main
 from gptt.core import (ConeError, DiagonalizationError, GPTError,
                        ModelCompatibilityError, StateVec,
@@ -154,6 +154,18 @@ def test_lookup_matches_lp_on_every_vertex_subset(name, monkeypatch):
             assert zoo.distinguishing_effects(m, P[[c[0], *c]]) is None
     chi = m.invariant_state
     assert zoo.distinguishing_effects(m, [chi] * (m.capacity + 1)) is None
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_vertex_decomposes_exactly(name):
+    # a vertex's weights are exactly 1 and 0, not a solve's rounding of
+    # them, so its entropies come out exactly 0
+    m = _model(name)
+    for x in m.pure_states:
+        d = spectral.diagonalize(StateVec(x, m))
+        assert d.eigenvalues.tolist() == [1.0] + [0.0] * (m.capacity - 1)
+        assert d.eigenstates[0].coords.tobytes() == x.tobytes()
+        assert thermo.entropy(StateVec(x, m)) == 0.0
 
 
 def test_house_vertex_alone_is_a_maximal_set():

@@ -14,6 +14,7 @@ from gptt.core import (KRAUS_CAP, DiagonalizationError, GPTError,
 from gptt.embedding import blocks_to_vec, conjugation_matrix, pure_block_vec
 from gptt.spectral import diagonalize
 from oracles import doubly_stochastic_exists, majorizes as oracle_majorizes
+from test_kraus import assert_kraus_matches
 
 rng = np.random.default_rng(17)
 
@@ -465,16 +466,25 @@ class TestSectorVerdicts:
 
     def test_invariant_state_always_reachable(self):
         r = np.random.default_rng(43)
-        for model in (dq2, ec22):
+        for model in (dq2, ec22, *(zoo.parse_model_string(t) for t in
+                                   ("doubled_quantum:5",
+                                    "extended_classical:4x2"))):
             rho = rand_state(model, r)
             out = resource.convertible(rho, model.invariant_state, "rare")
             assert out.answer == "yes"
             moved = apply_channel(out.channel, rho)
             assert np.abs(moved.coords - model.chi).max() < 1e-8
-            # the family is fixed data of the model, built once
-            fam = resource._uniformizing_mixture(model)
-            assert out.channel.witness["reversibles"] == fam
-            assert resource._uniformizing_mixture(model) is fam
+            # every cyclic sector shift times every position shift, mixed
+            # uniformly
+            st_ = model.structure
+            wit = out.channel.witness
+            assert len(wit["reversibles"]) == st_.block_count * st_.dims[0]
+            assert abs(wit["weights"].sum() - 1.0) <= 1e-12
+            eye = np.eye(st_.coord_dim)
+            for U in wit["reversibles"]:
+                assert np.abs(U.matrix @ U.matrix.T - eye).max() <= 1e-12
+                assert_kraus_matches(U)
+            assert_kraus_matches(out.channel)
 
     def test_honest_unknown(self):
         st_ = dq2.structure
@@ -501,6 +511,43 @@ class TestSectorVerdicts:
         peaked = StateVec(blocks_to_vec(
             [np.diag([0.7, 0.3]), np.zeros((2, 2))], st_), dq2)
         assert resource.convertible(flat, peaked, "noisy").answer == "no"
+
+
+_SECTOR_MODELS = [zoo.parse_model_string(t) for t in (
+    "doubled_quantum:2", "doubled_quantum:3", "doubled_quantum:5",
+    "extended_classical:2x2", "extended_classical:3x2",
+    "extended_classical:2x3", "extended_classical:4x1",
+    "extended_classical:4x2")] + [zoo.compose_systems(dq2, dq2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SECTOR_MODELS), st.integers(0, 2**32 - 1),
+       st.sampled_from(["pure_source", "chi_target", "sector_swap"]))
+def test_sectorized_witnesses_reach_the_target(m, seed, case):
+    """A pure source, the invariant target and a state moved by a
+    reversible that shifts every sector are each reached by a mixture of
+    reversibles whose Kraus form matches its matrix."""
+    r = np.random.default_rng(seed)
+    rho = rand_state(m, r)
+    if case == "pure_source":
+        rho, sigma = StateVec(m.pure_sampler(m, r), m), rho
+    elif case == "chi_target":
+        sigma = m.invariant_state
+    else:
+        st_ = m.structure
+        N = st_.block_count
+        U = zoo.block_reversible(
+            m, [zoo._haar_unitary(r, n, st_.field) for n in st_.dims],
+            (np.arange(N) + 1 + r.integers(max(N - 1, 1))) % N)
+        sigma = apply_channel(U, rho)
+    out = resource.convertible(rho, sigma, "rare")
+    assert out.answer == "yes"
+    assert np.abs(apply_channel(out.channel, rho).coords
+                  - sigma.coords).max() <= 1e-8
+    assert abs(out.channel.witness["weights"].sum() - 1.0) <= 1e-12
+    assert_kraus_matches(out.channel)
+    for U in out.channel.witness["reversibles"]:
+        assert_kraus_matches(U)
 
 
 def _small_model(kind):
@@ -532,6 +579,10 @@ class TestConvertibleContract:
         pairs = [(rand_state(model, r), rand_state(model, r)),
                  (model.invariant_state, zoo.pure_maximal_set(model)[0]),
                  (zoo.pure_maximal_set(model)[0], model.invariant_state)]
+        # equal spectra: on the sectorized models the verdict groups both
+        # eigenbases by sector
+        rho = rand_state(model, r)
+        pairs.append((rho, apply_channel(model.group.sampler(model, r), rho)))
         for rho, sigma in pairs:
             seen = []
 
