@@ -205,12 +205,10 @@ def convert(model, source, target, regime, seed, as_json):
         resid = float(np.abs(moved - sig.coords).max())
         checks.append({"name": "channel_hits_target",
                        "pass": resid <= 1e-8, "residual": resid})
-    cert = out.certificate or {}
-    cert = {k: v for k, v in cert.items() if k != "reversibles"}
     _emit({
         "command": "convert", "model": m.model_id, "seed": seed,
         "results": {"answer": out.answer, "regime": regime,
-                    "certificate": _round(cert)},
+                    "certificate": _round(out.certificate or {})},
         "checks": checks,
     }, as_json)
     sys.exit({"yes": 0, "no": 1, "unknown": EXIT_UNKNOWN}[out.answer])

@@ -19,6 +19,7 @@ from .embedding import (
     BlockStructure,
     block_eigh,
     block_eigvalsh,
+    _frozen,
     conjugation_matrix,
     vec_to_total,
     total_to_vec,
@@ -123,7 +124,7 @@ class ConeSpec:
     dim: int
     generators: Optional[np.ndarray] = None
     structure: Optional[BlockStructure] = None
-    interior_direction: Optional[np.ndarray] = field(default=None)
+    interior_direction: Optional[np.ndarray] = field(default=None, init=False)
     facets: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -175,8 +176,8 @@ class ConeSpec:
             _finite_coords(x)
         return m
 
-    def contains(self, x, tol: float = DEFAULT_TOL) -> bool:
-        return self.margin(x) >= -tol
+    def contains(self, x) -> bool:
+        return self.margin(x) >= -DEFAULT_TOL
 
 
 def cone_membership(model: "ModelSpec", x, which: str = "state",
@@ -315,7 +316,9 @@ class ModelSpec:
     `capacity` is their size.  A maximal set can be smaller than
     `capacity`: a vertex that is in no distinguishable pair is one alone.
     A polytope's `group` is finite, closed once when the model is built
-    (`zoo.group_table`) and refused past 10,000 elements."""
+    (`zoo.close_group`, kept as `group.table`) and refused past 10,000
+    elements.  A polytope's `_base_norm_facets` and `_stored_sets` are
+    computed on their first read and kept on the model."""
 
     model_id: str
     kind: str
@@ -363,27 +366,38 @@ class ModelSpec:
             kraus=None if kraus is None else tuple(kraus),
         )
 
+    @functools.cached_property
+    def _base_norm_facets(self) -> np.ndarray:
+        """Rows (a_i, b_i), b_i > 0, of the ball conv(Omega u -Omega) = {x :
+        a_i.x + b_i >= 0 for every i}: the facets (`cone_facets`) of the
+        cone over the lifted points (+-omega, 1)."""
+        P = self.pure_states
+        L = np.hstack([np.vstack([P, -P]), np.ones((2 * len(P), 1))])
+        return cone_facets(L / np.linalg.norm(L, axis=1)[:, None],
+                           np.eye(P.shape[1] + 1)[-1])[1]
+
+    @functools.cached_property
+    def _stored_sets(self) -> tuple:
+        """The stored distinguishable sets' vertex matrices V, one per set,
+        the pseudo-inverses of their transposes, and each vertex's exact
+        weights over every set (1 and 0 where a set holds it, the solve's
+        elsewhere), keyed by its bytes with -0.0 read as 0.0; all read-only.
+        """
+        V = self.pure_states[np.asarray(self.distinguishable_sets)]
+        V, pinv = _frozen(V, np.linalg.pinv(V.transpose(0, 2, 1)))
+        vertex_weights = {}
+        for x in self.pure_states:
+            hit = (V == x).all(axis=2)
+            vertex_weights[(x + 0.0).tobytes()] = _frozen(np.where(
+                hit.any(axis=1, keepdims=True), hit, pinv @ x))[0]
+        return V, pinv, vertex_weights
+
 
 def _same_model(a: ModelSpec, b: ModelSpec):
     if a is not b and a.model_id != b.model_id:
         raise ModelCompatibilityError(
             f"objects belong to different models: {a.model_id} vs {b.model_id}"
         )
-
-
-def per_model_id(build):
-    """Decorator for fixed data of a model: build(model) runs on the first
-    call for each model id, and its result, None included, is kept and
-    returned to every later call.  Two different models never share an id,
-    so a kept result never serves the wrong model.  Errors are not kept."""
-    kept = {}
-
-    @functools.wraps(build)
-    def cached(model):
-        if model.model_id not in kept:
-            kept[model.model_id] = build(model)
-        return kept[model.model_id]
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -570,25 +584,13 @@ def pairing(effect, state) -> float:
     return float(as_coords(effect) @ as_coords(state))
 
 
-@per_model_id
-def _base_norm_facets(model: ModelSpec):
-    """Rows (a_i, b_i), b_i > 0, of the ball conv(Omega u -Omega) = {x :
-    a_i.x + b_i >= 0 for every i}: the facets (`cone_facets`) of the cone
-    over the lifted points (+-omega, 1), found once per model id.
-    """
-    P = model.pure_states
-    L = np.hstack([np.vstack([P, -P]), np.ones((2 * len(P), 1))])
-    return cone_facets(L / np.linalg.norm(L, axis=1)[:, None],
-                       np.eye(P.shape[1] + 1)[-1])[1]
-
-
 def state_norm(model: ModelSpec, x) -> float:
     """Base norm of a state-space vector.
 
     For matrix models this is the total absolute spectrum (sum of |eigenvalue|
     over all blocks).  For ray-cone models it is the gauge of the ball
     conv(Omega u -Omega), Omega the normalized states: the largest
-    -a_i.x / b_i over the ball's facets (`_base_norm_facets`; past
+    -a_i.x / b_i over the ball's facets (`ModelSpec._base_norm_facets`; past
     MAX_CONE_GENERATORS, twice the vertices, UnsupportedModelError).  A NaN
     or infinite coordinate raises ValueError.
     """
@@ -596,7 +598,7 @@ def state_norm(model: ModelSpec, x) -> float:
     if model.structure is not None:
         return sum(float(np.abs(w).sum())
                    for w in block_eigvalsh(x, model.structure))
-    F = _base_norm_facets(model)
+    F = model._base_norm_facets
     return float(np.max(-(F[:, :-1] @ x) / F[:, -1]))
 
 
@@ -707,12 +709,11 @@ def _block_to_kron(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     return M_kron
 
 
-def _kron_to_coords(model: ModelSpec, M_kron: np.ndarray,
-                    tol: float = 1e-8) -> np.ndarray:
+def _kron_to_coords(model: ModelSpec, M_kron: np.ndarray) -> np.ndarray:
     info = _require_composite(model)
     M_block = M_kron[np.ix_(info.perm, info.perm)]
-    x, resid = total_to_vec(M_block, model.structure, check_tol=tol)
-    if resid > tol:
+    x, resid = total_to_vec(M_block, model.structure, check_tol=1e-8)
+    if resid > 1e-8:
         raise ConeError(f"matrix violates the composite sector structure "
                         f"(off-block residual {resid:.3e})")
     return x

@@ -31,19 +31,19 @@ from .spectral import Diagonalization, diagonalize
 from .zoo import basis_aligning_reversibles, pure_support
 
 
-def majorizes(p, q, tol: float = 1e-10) -> bool:
-    """Whether p majorizes q.  Vectors are sorted and zero-padded; totals
-    must agree."""
+def majorizes(p, q) -> bool:
+    """Whether p majorizes q, within 1e-10 on every prefix sum.  Vectors are
+    sorted and zero-padded; totals must agree."""
     tp, tq = float(np.sum(p)), float(np.sum(q))
     if abs(tp - tq) > 1e-8:
         raise ValueError("majorisation needs equal totals "
                          f"({tp:.6f} vs {tq:.6f})")
-    return _majorization_certificate(p, q, tol) is None
+    return _majorization_certificate(p, q) is None
 
 
-def _majorization_certificate(p, q, tol: float = 1e-10):
-    """The first prefix sum at which p falls below q, or None if p
-    majorizes q."""
+def _majorization_certificate(p, q):
+    """The first prefix sum at which p falls below q by more than 1e-10,
+    or None if p majorizes q."""
     p = np.sort(np.asarray(p, dtype=float))[::-1]
     q = np.sort(np.asarray(q, dtype=float))[::-1]
     if len(p) != len(q):
@@ -51,7 +51,7 @@ def _majorization_certificate(p, q, tol: float = 1e-10):
         p = np.pad(p, (0, n - len(p)))
         q = np.pad(q, (0, n - len(q)))
     cp, cq = np.cumsum(p), np.cumsum(q)
-    bad = np.where(cp < cq - tol)[0]
+    bad = np.where(cp < cq - 1e-10)[0]
     if len(bad) == 0:
         return None
     k = int(bad[0])
@@ -158,7 +158,7 @@ def _perfect_matching(support: np.ndarray) -> Optional[np.ndarray]:
     return np.array(col_of)
 
 
-def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
+def birkhoff_decompose(D: np.ndarray):
     """Write a doubly stochastic matrix as a convex sum of permutations.
 
     Returns [(weight, perm)] with perm[i] the column matched to row i;
@@ -166,7 +166,8 @@ def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
     columns over the entries of the remainder above a threshold
     (`_perfect_matching`, the matching scipy's maximum_bipartite_matching
     returns) and takes the smallest matched entry as its weight.  The
-    weights must sum to 1 within 1e-8, else GPTError.
+    weights must sum to 1 within 1e-8, else GPTError.  D must have row
+    and column sums 1 within 1e-8 and no entry below -1e-9 (ValueError).
     """
     D = np.asarray(D, dtype=float)
     d = D.shape[0]
@@ -174,7 +175,7 @@ def birkhoff_decompose(D: np.ndarray, tol: float = 1e-9):
         raise ValueError("square matrix required")
     if (np.abs(D.sum(axis=0) - 1).max() > 1e-8
             or np.abs(D.sum(axis=1) - 1).max() > 1e-8
-            or D.min() < -tol):
+            or D.min() < -1e-9):
         raise ValueError("matrix is not doubly stochastic")
     R = np.clip(D, 0.0, None)
     terms = []
@@ -314,13 +315,14 @@ def _eigenstates_by_sector(d: Diagonalization) -> tuple:
             [d.eigenstates[i] for i in order.tolist()])
 
 
-def _matching_sector_perm(sr, ss, tol: float = 1e-8):
-    """A sector relabeling carrying the spectra `sr` onto `ss`, or None."""
-    for perm in itertools.permutations(range(len(sr))):
-        if all(np.abs(sr[j] - ss[perm[j]]).max() <= tol
-               for j in range(len(sr))):
-            return perm
-    return None
+def _matching_sector_perm(sr, ss):
+    """A sector relabeling perm carrying the spectra `sr` onto `ss`, sector
+    j onto sector perm[j] within 1e-8 in every eigenvalue, or None: a
+    perfect matching (`_perfect_matching`) of the pairs that agree.  Where
+    several sectors agree within 1e-8, any of the valid relabelings may be
+    the one returned."""
+    match = _perfect_matching(np.abs(sr[:, None] - ss[None]).max(-1) <= 1e-8)
+    return None if match is None else tuple(match.tolist())
 
 
 def _move_perms(images, shifts, n: int) -> np.ndarray:
@@ -496,7 +498,7 @@ def check_unrestricted_reversibility(model: ModelSpec) -> dict:
     ordered maximal set maps reversibly onto every other.  Matrix families
     are decided analytically, with explicit counterexamples where an axiom
     fails.  Polytopes are decided exactly on the permutations of
-    `zoo.group_table`: a relabeling must be some element's action on the
+    `model.group.table`: a relabeling must be some element's action on the
     set, and every ordered set must lie in the orbit of the first, whose
     first miss is the counterexample.  The verdict is relative to the
     model's declared group.
@@ -532,7 +534,7 @@ def check_unrestricted_reversibility(model: ModelSpec) -> dict:
     if model.capacity < 2:
         return {"permutability": True, "strong_symmetry": True,
                 "note": "no nontrivial distinguishable sets exist"}
-    perms, _ = zoo.group_table(model)
+    perms, _ = model.group.table
     pts = model.pure_states
     out = {"permutability": True, "strong_symmetry": True}
     for c in model.distinguishable_sets:

@@ -42,10 +42,8 @@ from .core import (
     _kron_to_coords,
     _same_model,
     as_coords,
-    per_model_id,
 )
-from .embedding import (_frozen, block_eigh, blocks_to_vec, canonical_rows,
-                        rank_one_coords)
+from .embedding import block_eigh, blocks_to_vec, canonical_rows, rank_one_coords
 from . import zoo
 
 
@@ -116,37 +114,21 @@ def _eigenstate_rows(st, pairs) -> tuple:
             [(b, u) for b, U in enumerate(parts) for u in U])
 
 
-@per_model_id
-def _stored_sets(model: ModelSpec) -> tuple:
-    """The stored distinguishable sets' vertex matrices V, one per set, the
-    pseudo-inverses of their transposes, and each vertex's exact weights
-    over every set (1 and 0 where a set holds it, the solve's elsewhere),
-    keyed by its bytes with -0.0 read as 0.0; all read-only."""
-    V = model.pure_states[np.asarray(model.distinguishable_sets)]
-    V, pinv = _frozen(V, np.linalg.pinv(V.transpose(0, 2, 1)))
-    vertex_weights = {}
-    for x in model.pure_states:
-        hit = (V == x).all(axis=2)
-        vertex_weights[(x + 0.0).tobytes()] = _frozen(np.where(
-            hit.any(axis=1, keepdims=True), hit, pinv @ x))[0]
-    return V, pinv, vertex_weights
-
-
 def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     """Weights and vertices, in decomposition order, of x over the stored
     distinguishable set of a polytope model whose hull holds it.
 
     One batched least-squares solve fits x by every stored set at once,
-    with pseudo-inverses kept from the model's first one (`_stored_sets`);
-    a vertex of the model takes its exact weights from there instead.  A
-    set holds x when its weights w are at least -DEFAULT_TOL and, clipped at
-    0, rebuild x within DEFAULT_TOL.  Held sets must agree on the spectrum
+    with pseudo-inverses kept from the model's first one
+    (`ModelSpec._stored_sets`); a vertex of the model takes its exact
+    weights from there instead.  A set holds x when its weights w are at
+    least -DEFAULT_TOL and, clipped at 0, rebuild x within DEFAULT_TOL.  Held sets must agree on the spectrum
     within DEFAULT_TOL; the first decomposition in `_descending_order` terms
     is returned.  Raises DiagonalizationError when no set holds x (residue:
     the smallest miss over the sets) or when two held sets give different
     spectra (residue: their largest difference).
     """
-    V, pinv, vertex_weights = _stored_sets(model)
+    V, pinv, vertex_weights = model._stored_sets
     w = vertex_weights.get((x + 0.0).tobytes())
     if w is None:
         w = pinv @ x
@@ -306,17 +288,18 @@ def transition_matrix(diag_from: Diagonalization,
 # bipartite pure states
 
 
-def schmidt_coefficients(state: StateVec, tol: float = 1e-8) -> np.ndarray:
+def schmidt_coefficients(state: StateVec) -> np.ndarray:
     """Squared Schmidt weights of a pure bipartite state, descending.
 
-    These are the shared nonvanishing marginal spectra.
+    These are the shared nonvanishing marginal spectra.  A state whose
+    largest eigenvalue is below 1 - 1e-8 is refused as not pure (GPTError).
     """
     model = state.model
     if model.composite is None:
         raise UnsupportedModelError("needs a composite-model state")
     M = _block_to_kron(model, state.coords)
     w, V = np.linalg.eigh(M)
-    if w[-1] < 1.0 - tol:
+    if w[-1] < 1.0 - 1e-8:
         raise GPTError("Schmidt weights need a pure state "
                        f"(largest weight {w[-1]:.6f})")
     psi = V[:, -1]

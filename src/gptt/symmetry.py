@@ -1,8 +1,9 @@
 """Group-action utilities: invariant states, transitivity, twirling.
 
 Finite reversible groups are handled exhaustively through their closure;
-the continuous families use randomized probes of the sampler, which cut
-the fixed-point space to its true dimension with probability one.
+the continuous families use 40 randomized probes of the sampler, drawn from
+a generator seeded 0, which cut the fixed-point space to its true dimension
+with probability one.
 """
 
 from __future__ import annotations
@@ -19,21 +20,21 @@ from .core import (
 )
 from . import zoo
 
-def _group_probe_matrices(model: ModelSpec, n_probes: int = 40, seed: int = 0):
+def _group_probe_matrices(model: ModelSpec):
     if model.group.generators:
-        return zoo.group_table(model)[1]
-    rng = np.random.default_rng(seed)
-    return [model.group.sampler(model, rng).matrix for _ in range(n_probes)]
+        return model.group.table[1]
+    rng = np.random.default_rng(0)
+    return [model.group.sampler(model, rng).matrix for _ in range(40)]
 
 
-def invariant_state(model: ModelSpec, n_probes: int = 40) -> dict:
+def invariant_state(model: ModelSpec) -> dict:
     """Fixed points of the reversible group, normalized to states.
 
     Returns the unique invariant state when the fixed-point space meets the
     normalization plane in a single point, otherwise the basis of the
     invariant family and a non-uniqueness flag.
     """
-    mats = _group_probe_matrices(model, n_probes)
+    mats = _group_probe_matrices(model)
     D = model.vector_dim
     stack = np.vstack([M - np.eye(D) for M in mats])
     _, s, Vt = np.linalg.svd(stack, full_matrices=False)
@@ -62,11 +63,11 @@ def is_transitive(model: ModelSpec) -> bool:
         # block rotations act transitively inside a sector and the sector
         # permutations connect the equal-dimension sectors
         return True
-    perms, _ = zoo.group_table(model)
+    perms, _ = model.group.table
     return len(set(perms[:, 0].tolist())) == len(model.pure_states)
 
 
-def twirl(state: StateVec, n_probes: int = 40) -> StateVec:
+def twirl(state: StateVec) -> StateVec:
     """Group-average of a state.
 
     Exact over finite closures; for the continuous families the average
@@ -75,10 +76,10 @@ def twirl(state: StateVec, n_probes: int = 40) -> StateVec:
     """
     model = state.model
     if model.group.generators:
-        _, mats = zoo.group_table(model)
+        _, mats = model.group.table
         avg = sum(M @ state.coords for M in mats) / len(mats)
         return StateVec(avg, model)
-    report = invariant_state(model, n_probes)
+    report = invariant_state(model)
     if report["unique"]:
         return report["state"]
     warnings.warn("invariant family is not unique; projecting onto it")
@@ -88,15 +89,15 @@ def twirl(state: StateVec, n_probes: int = 40) -> StateVec:
     return StateVec(proj / scale, model)
 
 
-def informational_equilibrium_check(model_a: ModelSpec, model_b: ModelSpec,
-                                    tol: float = 1e-8) -> dict:
+def informational_equilibrium_check(model_a: ModelSpec,
+                                    model_b: ModelSpec) -> dict:
     """Whether the product of invariant states is the composite's invariant
-    state."""
+    state, within 1e-8 in every coordinate."""
     comp = zoo.compose_systems(model_a, model_b)
     prod = tensor_states(comp, model_a.invariant_state,
                          model_b.invariant_state)
     resid = float(np.abs(prod.coords - comp.chi).max())
-    return {"holds": resid <= tol, "residual": resid, "composite": comp}
+    return {"holds": resid <= 1e-8, "residual": resid, "composite": comp}
 
 
 def perfectly_distinguishable_search(model: ModelSpec, states) -> dict:

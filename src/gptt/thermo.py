@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -65,17 +65,16 @@ def entropy(state: StateVec, alpha: float = 1.0) -> float:
     return _entropy_of_distribution(diagonalize(state).eigenvalues, alpha)
 
 
-def relative_entropy(rho: StateVec, sigma: StateVec,
-                     tol: float = 1e-10) -> float:
+def relative_entropy(rho: StateVec, sigma: StateVec) -> float:
     """Divergence of rho from sigma via the cross-basis overlap matrix.
 
-    Infinite when rho assigns weight outside sigma's support.
+    Infinite when rho assigns weight outside sigma's support: overlap above
+    1e-10 with an eigenstate of sigma of eigenvalue at most 1e-12.
     """
-    return _relative_entropy(diagonalize(rho), diagonalize(sigma), tol)
+    return _relative_entropy(diagonalize(rho), diagonalize(sigma))
 
 
-def _relative_entropy(dr: Diagonalization, ds: Diagonalization,
-                      tol: float = 1e-10) -> float:
+def _relative_entropy(dr: Diagonalization, ds: Diagonalization) -> float:
     # T[i, j] = weight of rho-eigenstate j on sigma-eigenstate i
     T = transition_matrix(dr, ds)
     p = np.clip(dr.eigenvalues, 0.0, None)
@@ -87,7 +86,7 @@ def _relative_entropy(dr: Diagonalization, ds: Diagonalization,
         total += pj * math.log(pj)
         for i, qi in enumerate(q):
             w = T[i, j]
-            if w <= tol:
+            if w <= 1e-10:
                 continue
             if qi <= 1e-12:
                 return math.inf
@@ -339,15 +338,14 @@ def _brentq(f: Callable[[float], float], xa: float, xb: float,
     raise GPTError(f"root search did not converge in {maxiter} steps")
 
 
-def beta_from_energy(model: ModelSpec, hamiltonian, energy: float,
-                     tol: float = 1e-10) -> float:
+def beta_from_energy(model: ModelSpec, hamiltonian, energy: float) -> float:
     """Inverse temperature whose equilibrium state has the given mean
     energy; +-inf at the spectrum edges.
 
     Inside the band the root of the energy gap is found by `_brentq`,
     which returns what scipy.optimize.brentq returns with the same
     tolerances (xtol 1e-14, rtol 8.9e-16, 200 steps), and must leave a gap
-    of at most tol."""
+    of at most 1e-10."""
     levels = _spectrum_of_levels(model, hamiltonian)
     lo, hi = float(levels.min()), float(levels.max())
     if energy < lo - 1e-9 or energy > hi + 1e-9:
@@ -371,7 +369,7 @@ def beta_from_energy(model: ModelSpec, hamiltonian, energy: float,
         if b > 1e300:
             raise GPTError("no bracketing inverse temperature found")
     beta = _brentq(gap, -b, b, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    if abs(gap(beta)) > tol:
+    if abs(gap(beta)) > 1e-10:
         raise GPTError(f"energy residual {gap(beta):.2e} above tolerance")
     return float(beta)
 
@@ -513,9 +511,7 @@ def landauer_ledger(joint_channel, rho_S: StateVec, env_hamiltonian,
     )
 
 
-def erasure_demo(rho_S: StateVec, beta: float,
-                 env_model: Optional[ModelSpec] = None,
-                 env_hamiltonian=None) -> dict:
+def erasure_demo(rho_S: StateVec, beta: float) -> dict:
     """Erase a mixed state at zero energy cost using a memory that holds
     its purification.
 
@@ -525,7 +521,9 @@ def erasure_demo(rho_S: StateVec, beta: float,
     conditional entropy of the system given the memory starts negative at
     minus the system entropy, and that credit funds the erasure.  The
     assisted bound is beta * dE >= -S: dE >= -kT S (`assisted_bound_rhs`)
-    at positive temperature, dE <= -kT S at negative temperature.
+    at positive temperature, dE <= -kT S at negative temperature.  The
+    environment is a copy of the memory's model with levels 0, 1, 2, ... on
+    its pure maximal set.
 
     A model without purification is refused first, whatever the state
     (`UnsupportedModelError`), then a pure input (GPTError).
@@ -543,14 +541,9 @@ def erasure_demo(rho_S: StateVec, beta: float,
     target = tensor_states(comp_SM, basis_S[0], basis_M[0])
     U_SM = zoo.reversible_sending(comp_SM, psi, target)
 
-    if env_model is None:
-        env_model = model_M
-    if env_hamiltonian is None:
-        env_hamiltonian = basis_hamiltonian(
-            zoo.pure_maximal_set(env_model),
-            np.arange(env_model.capacity, dtype=float))
-
-    triple = zoo.compose_systems(comp_SM, env_model)
+    env_hamiltonian = basis_hamiltonian(
+        basis_M, np.arange(model_M.capacity, dtype=float))
+    triple = zoo.compose_systems(comp_SM, model_M)
     lifted = lift_channel(triple, U_SM, 0)
     ledger = landauer_ledger(lifted, psi, env_hamiltonian, beta, triple)
 

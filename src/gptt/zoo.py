@@ -103,18 +103,21 @@ def _polytope_pure_sampler(model: ModelSpec, rng: np.random.Generator) -> np.nda
 # ---------------------------------------------------------------------------
 # group machinery
 
+# `close_group` refuses a group with more elements than this.
+MAX_GROUP_ELEMENTS = 10_000
 
-def close_group(vertices, generators, cap: int = 10_000, tol: float = 1e-9):
+
+def close_group(vertices, generators):
     """The group the matrices `generators` generate, as (perms, matrices):
     element k sends vertex i to vertex perms[k, i] and has the matrix
     matrices[k].  Both arrays are read-only.
 
     Each generator must map the vertices one to one onto themselves, each
-    image within tol of its vertex, or it raises GPTError.  The closure runs
-    breadth first from the identity, each element multiplied on the left by
-    every generator in turn, and keys elements by their permutation, which
-    is exact; an element keeps the product it was first found as.  More
-    than cap elements raise GPTError.
+    image within 1e-9 of its vertex, or it raises GPTError.  The closure
+    runs breadth first from the identity, each element multiplied on the
+    left by every generator in turn, and keys elements by their
+    permutation, which is exact; an element keeps the product it was first
+    found as.  More than MAX_GROUP_ELEMENTS elements raise GPTError.
     """
     V = np.asarray(vertices, dtype=float)
     n = len(V)
@@ -122,7 +125,7 @@ def close_group(vertices, generators, cap: int = 10_000, tol: float = 1e-9):
     for G in generators:
         miss = np.abs((V @ G.T)[:, None, :] - V).max(axis=2)
         p = miss.argmin(axis=1)
-        if miss[np.arange(n), p].max() > tol or len(set(p.tolist())) != n:
+        if miss[np.arange(n), p].max() > 1e-9 or len(set(p.tolist())) != n:
             raise GPTError("group generator does not permute the state vertices")
         gens.append((p, G))
     ident = (np.arange(n), np.eye(V.shape[1]))
@@ -136,8 +139,9 @@ def close_group(vertices, generators, cap: int = 10_000, tol: float = 1e-9):
                 if key not in elements:
                     elements[key] = (g[p], G @ M)
                     nxt.append(elements[key])
-                    if len(elements) > cap:
-                        raise GPTError(f"group closure exceeded {cap} elements")
+                    if len(elements) > MAX_GROUP_ELEMENTS:
+                        raise GPTError(f"group closure exceeded "
+                                       f"{MAX_GROUP_ELEMENTS} elements")
         frontier = nxt
     perms, mats = (np.array(a) for a in zip(*elements.values()))
     perms.setflags(write=False)
@@ -145,14 +149,8 @@ def close_group(vertices, generators, cap: int = 10_000, tol: float = 1e-9):
     return perms, mats
 
 
-def group_table(model: ModelSpec):
-    """`close_group` of a polytope's reversible group on its pure states,
-    built when the model is, before its maximal sets are searched."""
-    return model.group.table
-
-
 def _finite_group_sampler(model: ModelSpec, rng: np.random.Generator) -> ChannelMap:
-    _, mats = group_table(model)
+    _, mats = model.group.table
     return model.make_reversible(mats[int(rng.integers(len(mats)))])
 
 
@@ -192,11 +190,12 @@ _MATRIX_GROUP = GroupSpec(sampler=_matrix_group_sampler)
 # distinguishability search
 
 
-def _support_projector(x: np.ndarray, structure: BlockStructure, tol=1e-9):
-    """Projector onto the support of x, one block per sector."""
+def _support_projector(x: np.ndarray, structure: BlockStructure):
+    """Projector onto the support of x (eigenvalues above 1e-9), one block
+    per sector."""
     projs = []
     for w, V in block_eigh(x, structure):
-        keep = V[:, w > tol]
+        keep = V[:, w > 1e-9]
         projs.append(keep @ keep.conj().T)
     return projs
 
@@ -279,13 +278,13 @@ def _ray_distinguishability(G: np.ndarray, u: np.ndarray, X) -> tuple:
     return effects, farkas
 
 
-def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
+def distinguishing_effects(model: ModelSpec, states):
     """Effects perfectly distinguishing the given states, in input order,
     or None.
 
     Matrix models: exists iff the supports are pairwise orthogonal, and the
     effects are support projectors (remainder folded into the first).
-    Ray-cone models take states: a StateVec, a vertex within tol in every
+    Ray-cone models take states: a StateVec, a vertex within 1e-9 in every
     coordinate, or a vector that passes as a StateVec (one that does not
     raises its ConeError or NormalizationError).  More states than
     `capacity` get None, since a vertex from each support would be as many
@@ -308,7 +307,7 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
         raise ValueError("need at least one state")
     if model.structure is not None:
         st = model.structure
-        projs = [_support_projector(x, st, tol) for x in xs]
+        projs = [_support_projector(x, st) for x in xs]
         for i in range(m):
             for j in range(i + 1, m):
                 if any(np.abs(A @ B).max() > 1e-7
@@ -319,7 +318,7 @@ def distinguishing_effects(model: ModelSpec, states, tol: float = 1e-9):
         return [EffectVec(blocks_to_vec(Ps, st), model) for Ps in projs]
     miss = np.abs(np.asarray(xs)[:, None, :] - model.pure_states).max(axis=2)
     idx = miss.argmin(axis=1).tolist()
-    vertex = miss[np.arange(m), idx] <= tol
+    vertex = miss[np.arange(m), idx] <= 1e-9
     for x, v, s in zip(xs, vertex, states):
         if not (v or isinstance(s, StateVec)):
             StateVec(x, model)
@@ -852,7 +851,7 @@ def model_to_json(model: ModelSpec) -> dict:
 def _polytope_id(*arrays) -> str:
     """Model id derived from a polytope's defining data.
 
-    Group closures are cached, and models compared, by id, so two different
+    Models are compared by id (`core._same_model`), so two different
     polytopes must never share one.
     """
     h = hashlib.sha256()

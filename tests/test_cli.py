@@ -107,6 +107,19 @@ class TestConvert:
         assert out["answer"] == "unknown"
         assert "matrix families" in out["certificate"]["reason"]
 
+    def test_diagonalization_failure_exits_three(self):
+        """A state that no stored set of the polytope holds is reported,
+        with the refusal as the report's error, and exits 3."""
+        res = invoke("convert", "square_bit", "--from", "chi", "--to",
+                     "random", "--regime", "unital", "--seed", "0", "--json")
+        assert res.exit_code == 3
+        rep = json.loads(res.output)
+        assert {k: rep[k] for k in ("command", "model", "seed")} == {
+            "command": "convert", "model": "square_bit", "seed": 0}
+        assert "results" not in rep and "checks" not in rep
+        assert rep["error"].startswith("state of square_bit lies in the hull "
+                                       "of no perfectly distinguishable set")
+
     def test_bad_state_exit_two(self):
         res = invoke("convert", "classical:3", "--from", "[1,1]",
                      "--to", "chi")

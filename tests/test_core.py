@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gptt import zoo
+from gptt import core, resource, spectral, symmetry, thermo, zoo
 from gptt.core import (
     ChannelMap,
     ConeError,
@@ -24,6 +24,7 @@ from gptt.core import (
     tensor_states,
 )
 from gptt.embedding import blocks_to_vec, vec_to_blocks
+from test_facets import kgon_json
 
 rng = np.random.default_rng(42)
 
@@ -228,6 +229,22 @@ class TestPairingAndNorms:
         f = blocks_to_vec([np.diag([0.25, -0.5])], q2.structure)
         assert abs(effect_norm(q2, f) - 0.5) < 1e-12
 
+    @pytest.mark.parametrize("name", ["square_bit", "diamond_bit",
+                                      "restricted_trit", "7-gon"])
+    def test_polytope_effect_norm(self, name):
+        """On a polytope the observable norm is the largest |f.v| over the
+        vertices at unit pairing, and no point of their hull exceeds it."""
+        m = (zoo.model_from_json(kgon_json(7)) if name == "7-gon"
+             else zoo.build_model(name))
+        V = m.state_cone.generators
+        V = V / (V @ m.unit_effect)[:, None]
+        r = np.random.default_rng(613)
+        for f in r.normal(size=(20, m.vector_dim)):
+            norm = effect_norm(m, f)
+            assert abs(norm - np.abs(V @ f).max()) <= 1e-12
+            hull = r.dirichlet(np.ones(len(V)), size=50) @ V
+            assert np.abs(hull @ f).max() <= norm + 1e-12
+
 
 class TestChannels:
     def test_unit_preservation_enforced(self):
@@ -335,3 +352,43 @@ class TestComposites:
     def test_incompatible_kinds_refuse(self):
         with pytest.raises(GPTError):
             zoo.compose_systems(q2, sq)
+
+
+# Fixed tolerances, probe counts, caps and overrides are constants of their
+# functions, not parameters: passing one is refused like any unknown keyword.
+_FIXED_SETTINGS = [
+    (resource.majorizes, "tol"), (resource._majorization_certificate, "tol"),
+    (resource.birkhoff_decompose, "tol"),
+    (resource._matching_sector_perm, "tol"),
+    (thermo.relative_entropy, "tol"), (thermo._relative_entropy, "tol"),
+    (thermo.beta_from_energy, "tol"), (thermo.erasure_demo, "env_model"),
+    (thermo.erasure_demo, "env_hamiltonian"),
+    (spectral.schmidt_coefficients, "tol"),
+    (symmetry.twirl, "n_probes"), (symmetry.invariant_state, "n_probes"),
+    (symmetry._group_probe_matrices, "n_probes"),
+    (symmetry._group_probe_matrices, "seed"),
+    (symmetry.informational_equilibrium_check, "tol"),
+    (zoo.close_group, "cap"), (zoo.close_group, "tol"),
+    (zoo.distinguishing_effects, "tol"), (zoo._support_projector, "tol"),
+    (core._kron_to_coords, "tol"), (sq.state_cone.contains, "tol"),
+]
+
+
+@pytest.mark.parametrize("fn, name", _FIXED_SETTINGS,
+                         ids=[f"{fn.__qualname__}-{name}"
+                              for fn, name in _FIXED_SETTINGS])
+def test_fixed_setting_refused(fn, name):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        fn(**{name: None})
+
+
+def test_interior_direction_is_derived():
+    """A ray cone's interior direction is the normalized sum of its unit
+    generators and cannot be passed in; a psd cone has none."""
+    G = sq.state_cone.generators
+    with pytest.raises(TypeError, match="interior_direction"):
+        ConeSpec("rays", 3, generators=G, interior_direction=np.ones(3))
+    e = (G / np.linalg.norm(G, axis=1)[:, None]).sum(axis=0)
+    assert np.array_equal(ConeSpec("rays", 3, generators=G).interior_direction,
+                          e / np.linalg.norm(e))
+    assert q2.state_cone.interior_direction is None

@@ -162,7 +162,7 @@ def test_base_norm_lp_past_the_subset_cap(monkeypatch):
     description, and state_norm matches the reference LP without one."""
     monkeypatch.setattr(core, "linprog", _no_lp)
     m = _model("26-gon")
-    F = core._base_norm_facets(m)
+    F = m._base_norm_facets
     assert F.shape == (28, 4) and (F[:, -1] > 0).all()
     P, G, u = m.pure_states, m.state_cone.generators, m.unit_effect
     rng = np.random.default_rng(26)
@@ -410,8 +410,8 @@ def test_group_closed_once_per_model(monkeypatch):
     data["group_generators"].append(np.diag([1, -1, 1]).tolist())
     m = zoo.model_from_json(data)
     assert len(closures) == 1 and len(searches) == 1
-    perms, mats = zoo.group_table(m)
-    assert zoo.group_table(m)[0] is perms and len(mats) == 18
+    perms, mats = m.group.table
+    assert m.group.table[0] is perms and len(mats) == 18
     symmetry.twirl(StateVec(m.pure_states[0], m))
     assert symmetry.is_transitive(m)
     assert len(closures) == 1

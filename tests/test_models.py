@@ -197,7 +197,7 @@ class TestSerialization:
         (a, _), (b, _) = loaded
         assert a.model_id != b.model_id
         for m, order in loaded:
-            perms, mats = zoo.group_table(m)
+            perms, mats = m.group.table
             assert len(perms) == len(mats) == order
             s = StateVec(m.pure_sampler(m, np.random.default_rng(3)), m)
             assert np.abs(symmetry.twirl(s).coords - m.chi).max() < 1e-12

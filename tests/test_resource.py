@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -513,6 +514,61 @@ class TestSectorVerdicts:
         assert resource.convertible(flat, peaked, "noisy").answer == "no"
 
 
+class TestSectorMatching:
+    def test_twelve_sectors_at_once(self):
+        """A planted relabeling of 12 distinct sector spectra, the last
+        permutation in lexicographic order, is one matching away."""
+        sr = np.random.default_rng(12).dirichlet(np.ones(3), size=12)
+        perm = np.arange(12)[::-1]
+        ss = np.empty_like(sr)
+        ss[perm] = sr
+        start = time.perf_counter()
+        got = resource._matching_sector_perm(sr, ss)
+        assert time.perf_counter() - start < 1.0
+        assert got == tuple(perm.tolist())
+        assert all(type(j) is int for j in got)
+
+    def test_twelve_sector_shift_converts(self):
+        """On extended_classical:12x1 a state and its backward cyclic sector
+        shift convert with the shift as the sector relabeling."""
+        m = zoo.parse_model_string("extended_classical:12x1")
+        p = np.random.default_rng(1212).dirichlet(np.ones(12))
+        rho, sigma = (StateVec(blocks_to_vec([np.full((1, 1), w) for w in q],
+                                             m.structure), m)
+                      for q in (p, np.roll(p, -1)))
+        start = time.perf_counter()
+        out = resource.convertible(rho, sigma, "rare")
+        assert time.perf_counter() - start < 1.0
+        assert out.answer == "yes"
+        assert out.certificate == {"sector_perm": tuple((j - 1) % 12
+                                                        for j in range(12))}
+        assert np.abs(apply_channel(out.channel, rho).coords
+                      - sigma.coords).max() <= 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(1, 6), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_sector_matching_agrees_with_brute_force(N, n, distinct, permuted, seed):
+    """A relabeling is returned exactly when one of the N! sector
+    permutations carries every spectrum within 1e-8 of its image, and the
+    one returned does.  Rows are drawn from a few spectra, so several
+    sectors often agree, each moved by up to 6e-9."""
+    r = np.random.default_rng(seed)
+    pool = r.uniform(size=(min(distinct, N), n))
+
+    def draw(rows):
+        return rows + r.uniform(-6e-9, 6e-9, size=(N, n))
+    sr = draw(pool[r.integers(len(pool), size=N)])
+    ss = draw(sr[r.permutation(N)] if permuted
+              else pool[r.integers(len(pool), size=N)])
+    brute = [p for p in itertools.permutations(range(N))
+             if all(np.abs(sr[j] - ss[p[j]]).max() <= 1e-8 for j in range(N))]
+    got = resource._matching_sector_perm(sr, ss)
+    assert (got is None) == (not brute)
+    assert got is None or got in brute
+
+
 _SECTOR_MODELS = [zoo.parse_model_string(t) for t in (
     "doubled_quantum:2", "doubled_quantum:3", "doubled_quantum:5",
     "extended_classical:2x2", "extended_classical:3x2",
@@ -674,4 +730,4 @@ class TestAxioms:
                            "target": [[1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]]}
         src, dst = np.array(witness["source"]), np.array(witness["target"])
         assert all(np.abs(src @ M.T - dst).max() > 1 for M in
-                   zoo.group_table(sq)[1])
+                   sq.group.table[1])

@@ -55,7 +55,7 @@ def _kgon(k, reflect):
 def test_group_table_matches_references(name):
     m = (zoo.build_model(name) if name in zoo.FAMILIES
          else _kgon(int(name.split("-")[0]), name.endswith("+reflection")))
-    perms, mats = zoo.group_table(m)
+    perms, mats = m.group.table
     ref = oracles.group_closure_rounded(m.group.generators)
     assert mats.tobytes() == np.array(ref).tobytes()
     pts = m.pure_states

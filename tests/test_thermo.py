@@ -357,6 +357,18 @@ class TestMaxEnt:
         assert rep["shell_samples"] > 0
         assert rep["max_shell_entropy"] <= rep["entropy"] + 1e-8
 
+    @pytest.mark.parametrize("levels, energy, beta", [
+        ((0.0, 0.0, 1.0), 0.0, math.inf), ((0.0, 1.0, 1.0), 1.0, -math.inf)])
+    def test_band_edge(self, levels, energy, beta):
+        """At an edge of the band the equilibrium state is uniform on the
+        edge level: beta is infinite, the identity S = beta E + log Z is not
+        formed, and the entropy is the log of the level's degeneracy."""
+        h = thermo.basis_hamiltonian(zoo.pure_maximal_set(q3), levels)
+        rep = thermo.max_entropy_audit(q3, h, energy)
+        assert rep["beta"] == beta
+        assert math.isnan(rep["identity_residual"])
+        assert abs(rep["entropy"] - math.log(2)) <= 1e-12
+
 
 class TestLandauer:
     def test_ledger_identity_random_reversibles(self):
@@ -372,6 +384,20 @@ class TestLandauer:
                 assert led.second_law_residual >= -1e-9
                 assert led.mutual_term >= -1e-10
                 assert led.relent_term >= -1e-10
+
+    def test_infinite_temperature(self):
+        """At beta = 0 the environment starts uniform and kT is infinite:
+        the bound holds, the identity dE = kT (drop + I + D) is not formed,
+        and beta dE = 0 leaves drop + I + D = 0."""
+        comp = zoo.compose_systems(q2, q2)
+        r = np.random.default_rng(15)
+        for _ in range(4):
+            led = thermo.landauer_ledger(comp.group.sampler(comp, r),
+                                         rand_state(q2, r), H01, 0.0, comp)
+            assert led.kT == math.inf and led.bound_satisfied
+            assert math.isnan(led.equality_residual)
+            assert abs(led.entropy_drop_system + led.mutual_term
+                       + led.relent_term) <= 1e-9
 
     def test_identity_channel_all_zero(self):
         comp = zoo.compose_systems(q2, q2)
