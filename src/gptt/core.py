@@ -19,6 +19,7 @@ from .embedding import (
     BlockStructure,
     block_eigh,
     block_eigvalsh,
+    blocks_to_vec,
     _frozen,
     conjugation_matrix,
     vec_to_total,
@@ -155,7 +156,7 @@ class ConeSpec:
 
         Nonnegative exactly on cone members; for psd cones this is the
         minimum block eigenvalue.  Given a list `eig`, a psd cone finds it
-        with `block_eigh` and fills the list with the blocks' (w, V) pairs:
+        with `block_eigh` and fills the list with its stacked (w, V):
         this is where a matrix-model state's one eigensolve happens
         (`StateVec`).  Without it, eigenvalues alone are computed.  A NaN or
         infinite coordinate raises ValueError, found from a non-finite margin
@@ -168,8 +169,8 @@ class ConeSpec:
             _finite_coords(x)
             if eig is not None:
                 eig[:] = block_eigh(x, self.structure)
-                return min(float(w[0]) for w, _ in eig)
-            return min(float(w[0]) for w in block_eigvalsh(x, self.structure))
+                return min(eig[0][:, 0].tolist())
+            return min(block_eigvalsh(x, self.structure)[:, 0].tolist())
         F = self.facets
         m = float(np.min((F @ x) / (F @ self.interior_direction)))
         if not -np.inf < m < np.inf:
@@ -411,11 +412,11 @@ class StateVec:
     The constructor refuses a NaN or infinite coordinate, then checks the
     unit pairing (within 1e-7) and cone membership (margin at least
     -DEFAULT_TOL).  On a matrix model the membership check is the state's
-    one block eigendecomposition: its (w, V) pairs are kept in
-    `_derived["block_eigh"]` until `spectral.diagonalize` takes them out, so
+    one block eigendecomposition: its stacked (w, V) is kept in
+    `_derived["block_eigh"]` until `spectral.diagonalize` takes it out, so
     no second eigensolve runs.  The eigenstates of a diagonalization are the
     one exception to these checks (`_checked_state`): on a matrix model
-    `_certified_eigenstates` builds them, without kept pairs, when they are
+    `_certified_eigenstates` builds them, without a kept (w, V), when they are
     first read, after checks of the whole decomposition, which they pass
     with tighter tolerances than these; on a polytope they are rows of
     `pure_states`, generators of the state cone normalized to unit pairing.
@@ -448,7 +449,7 @@ class StateVec:
         if not ok:
             raise ConeError(f"state outside cone (margin {margin:.3e})")
         if eig:
-            self._derived["block_eigh"] = eig
+            self._derived["block_eigh"] = tuple(eig)
 
     @classmethod
     def normalized(cls, model: ModelSpec, raw) -> "StateVec":
@@ -462,35 +463,33 @@ class StateVec:
         return f"StateVec({self.model.model_id}, {np.array2string(self.coords, precision=4)})"
 
 
-def _block_figures(x: np.ndarray, raw: np.ndarray, pairs,
+def _block_figures(x: np.ndarray, raw: np.ndarray, eig,
                    st: BlockStructure) -> tuple:
     """The figures of a matrix-model decomposition from its `block_eigh`
-    pairs (w, V), all blocks as one block-diagonal V, with the w in `raw`.
+    (w, V), taken on the block stack, with the w in `raw`.
 
-    Gram matrix: max |v_i^dagger v_j| over distinct eigenvectors.  Unit
+    Gram matrix: max |v_i^dagger v_j| over distinct eigenvectors of a
+    block; those of different blocks are orthogonal by construction.  Unit
     pairing: max ||v_i|^2 - 1|, since the unit effect is the trace.
     Reconstruction: the largest |coordinate| of the embedded sum_i w_i v_i
-    v_i^dagger / |v_i|^2, minus x.  A NaN makes its figure NaN.  Within BLOCK_TOL = DEFAULT_TOL
-    / 2 they put the eigenstates' `_coordinate_figures` within DEFAULT_TOL:
-    the rows embed v_i v_i^dagger / |v_i|^2, so their Gram entries off the
-    diagonal are below (BLOCK_TOL / (1 - BLOCK_TOL))^2, those on it and the
-    unit pairings are exact up to rounding, and the reconstruction is this
-    one up to rounding.  It is taken on coordinates because on matrix
-    entries it could be up to sqrt(2) times smaller.
+    v_i^dagger / |v_i|^2, minus x.  A NaN makes its figure NaN.  Within
+    BLOCK_TOL = DEFAULT_TOL / 2 they put the eigenstates'
+    `_coordinate_figures` within DEFAULT_TOL: the rows embed v_i v_i^dagger
+    / |v_i|^2, so their Gram entries off the diagonal are below (BLOCK_TOL /
+    (1 - BLOCK_TOL))^2, those on it and the unit pairings are exact up to
+    rounding, and the reconstruction is this one up to rounding.  It is
+    taken on coordinates because on matrix entries it could be up to
+    sqrt(2) times smaller.
     """
-    if len(pairs) == 1:
-        V = pairs[0][1]
-    else:
-        V = np.zeros((st.hilbert_dim,) * 2,
-                     dtype=np.result_type(*(V for _, V in pairs)))
-        for o, (_, Vb) in zip(st.hilbert_offsets(), pairs):
-            V[o: o + len(Vb), o: o + len(Vb)] = Vb
-    Vh = V.conj().T
-    G = Vh @ V
-    d = G.real.diagonal().copy()
-    recon = np.abs(total_to_vec((V * (raw / d)) @ Vh, st) - x).max()
+    V = eig[1]
+    N, n = V.shape[:2]
+    Vh = V.conj().transpose(0, 2, 1)
+    G = (Vh @ V).reshape(N, n * n)
+    d = G.real[:, ::n + 1]   # a view of the diagonals, read before they are zeroed
+    recon = np.abs(blocks_to_vec((V * (raw.reshape(N, n) / d)[:, None]) @ Vh, st)
+                   - x).max()
     pairing = np.abs(d - 1.0).max()
-    G.flat[::len(G) + 1] = 0.0
+    G[:, ::n + 1] = 0.0
     return (("Gram matrix", float(np.abs(G).max())),
             ("unit pairing", float(pairing)),
             ("reconstruction", float(recon)))
@@ -596,8 +595,8 @@ def state_norm(model: ModelSpec, x) -> float:
     """
     x = _finite_coords(x)
     if model.structure is not None:
-        return sum(float(np.abs(w).sum())
-                   for w in block_eigvalsh(x, model.structure))
+        # block sums added in block order
+        return sum(np.abs(block_eigvalsh(x, model.structure)).sum(axis=1).tolist())
     F = model._base_norm_facets
     return float(np.max(-(F[:, :-1] @ x) / F[:, -1]))
 
@@ -610,8 +609,7 @@ def effect_norm(model: ModelSpec, f) -> float:
     """
     f = _finite_coords(f)
     if model.structure is not None:
-        return max(float(np.abs(w).max())
-                   for w in block_eigvalsh(f, model.structure))
+        return float(np.abs(block_eigvalsh(f, model.structure)).max())
     return float(np.abs(model.pure_states @ f).max())
 
 
@@ -712,7 +710,7 @@ def _block_to_kron(model: ModelSpec, x: np.ndarray) -> np.ndarray:
 def _kron_to_coords(model: ModelSpec, M_kron: np.ndarray) -> np.ndarray:
     info = _require_composite(model)
     M_block = M_kron[np.ix_(info.perm, info.perm)]
-    x, resid = total_to_vec(M_block, model.structure, check_tol=1e-8)
+    x, resid = total_to_vec(M_block, model.structure)
     if resid > 1e-8:
         raise ConeError(f"matrix violates the composite sector structure "
                         f"(off-block residual {resid:.3e})")
@@ -745,7 +743,7 @@ def marginal(comp_state: StateVec, which: int) -> StateVec:
     else:
         R = np.einsum("ijil->jl", M)
         target = mB
-    x, resid = total_to_vec(R, target.structure, check_tol=1e-7)
+    x, resid = total_to_vec(R, target.structure)
     if resid > 1e-7:
         raise ConeError(f"marginal violates the factor sector structure "
                         f"(residual {resid:.3e})")

@@ -1,28 +1,34 @@
 """Real-coordinate embedding of block-Hermitian matrix spaces.
 
-Every builtin non-polytope model represents a system as a direct sum of
-Hermitian matrix blocks (complex, or real symmetric for real quantum
-systems).  A block of complex dimension n is embedded isometrically into
-n^2 real coordinates: the n diagonal entries first, then for every upper
-pair (i, j), i < j, in row-major order the two numbers sqrt(2)*Re H_ij and
-sqrt(2)*Im H_ij.  Real blocks drop the imaginary coordinate.  Under this
-embedding the trace inner product <A, B> = tr(AB) becomes the Euclidean
-dot product, which is what makes states and their dagger effects share
-coordinates downstream.
+Every builtin non-polytope model represents a system as a direct sum of N
+Hermitian blocks of one size n (complex, or real symmetric for real quantum
+systems).  The sectors of a sectorized theory are isomorphic, since only
+then can reversibles exchange them, so `BlockStructure` refuses blocks of
+unequal size and a model's blocks are one (N, n, n) stack throughout: block
+b holds the Hilbert indices b*n to (b+1)*n, and the eigensolvers and
+products below act on the whole stack in one call.  A block is embedded
+isometrically into n^2 real coordinates: the n diagonal entries first, then
+for every upper pair (i, j), i < j, in row-major order the two numbers
+sqrt(2)*Re H_ij and sqrt(2)*Im H_ij.  Real blocks drop the imaginary
+coordinate.  Under this embedding the trace inner product <A, B> = tr(AB)
+becomes the Euclidean dot product, which is what makes states and their
+dagger effects share coordinates downstream.
 
-Index maps.  No conversion loops over entries.  For each block size and
-field a cached set of index arrays ties every coordinate to a position in
-the float view of the block (a complex n x n matrix seen as 2n^2 floats,
-real part first).  Embedding is one gather from that view times a
-{1, sqrt(2)} vector; the inverse is one scatter of x[src] / div with
-div in {1, sqrt(2), -sqrt(2)} into a zeroed matrix, which writes both
-triangles.  Division by sqrt(2) (never multiplication by its inverse)
-keeps every entry bit-identical to the entrywise formula.  The maps come
-from one cached table of each coordinate's entry (row, column, real or
-imaginary part); shifted to each block's Hilbert offset, the same table
-converts a whole block structure to and from its full Hilbert-space matrix,
-and a cached mask of the off-block entries gives the residual that
-`total_to_vec` reports.
+Index maps.  No conversion loops over entries or blocks.  For each block
+size and field a cached set of index arrays ties every coordinate to a
+position in the float view of the block (a complex n x n matrix seen as
+2n^2 floats, real part first).  Embedding is one gather from that view of
+every block of the stack times a {1, sqrt(2)} vector; the inverse is one
+scatter of x[src] / div with div in {1, sqrt(2), -sqrt(2)} into a zeroed
+stack, which writes both triangles.  Division by sqrt(2) (never
+multiplication by its inverse) keeps every entry bit-identical to the
+entrywise formula.  The maps come from one cached table of each
+coordinate's entry (row, column, real or imaginary part) in the full
+Hilbert-space matrix, one block's table shifted by b*n to block b.  Read in
+the stack's layout, where entry (r, c) sits in row r of the stack at column
+c mod n, the table converts coordinates to and from the stack; read in the
+full matrix's, to and from that matrix, and a cached mask of the off-block
+entries gives the residual that `total_to_vec` reports.
 
 Conjugation in closed form.  Coordinate j has the basis matrix
 E_j = sum_b c_jb |s_jb><t_jb| with at most two terms (|p><p| on the
@@ -58,7 +64,8 @@ CONJ_SLICE = 32
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Direct sum of Hermitian blocks: complex dims plus the scalar field."""
+    """N Hermitian blocks of one size n, `dims` = (n,) * N, over the scalar
+    field; unequal sizes raise ValueError."""
 
     dims: tuple[int, ...]
     field: str = "C"  # 'C' complex Hermitian, 'R' real symmetric
@@ -68,39 +75,31 @@ class BlockStructure:
             raise ValueError(f"unknown field {self.field!r}")
         if not self.dims or any(n < 1 for n in self.dims):
             raise ValueError("block dims must be positive")
+        if len(set(self.dims)) > 1:
+            raise ValueError(f"blocks must have equal dimensions, got {self.dims}")
+
+    @property
+    def n(self) -> int:
+        """The size of every block."""
+        return self.dims[0]
 
     @property
     def block_count(self) -> int:
         return len(self.dims)
 
-    def block_coord_dim(self, n: int) -> int:
-        if self.field == "C":
-            return n * n
-        return n * (n + 1) // 2
+    @property
+    def block_coord_dim(self) -> int:
+        return self.n * self.n if self.field == "C" else self.n * (self.n + 1) // 2
 
     @cached_property
     def coord_dim(self) -> int:
-        """Summed once per structure; not a field, so hashing and equality
+        """Computed once per structure; not a field, so hashing and equality
         ignore it."""
-        return sum(self.block_coord_dim(n) for n in self.dims)
+        return self.block_count * self.block_coord_dim
 
     @property
     def hilbert_dim(self) -> int:
-        return sum(self.dims)
-
-    def coord_offsets(self) -> list[int]:
-        offs, acc = [], 0
-        for n in self.dims:
-            offs.append(acc)
-            acc += self.block_coord_dim(n)
-        return offs
-
-    def hilbert_offsets(self) -> list[int]:
-        offs, acc = [], 0
-        for n in self.dims:
-            offs.append(acc)
-            acc += n
-        return offs
+        return self.block_count * self.n
 
 
 # ---------------------------------------------------------------------------
@@ -125,60 +124,62 @@ def _frozen(*arrays):
 @lru_cache(maxsize=None)
 def _coords(structure: BlockStructure):
     """Row, column and part (0 real, 1 imaginary) of every coordinate, as an
-    entry of the full Hilbert-space matrix."""
-    rows, cols, part = [], [], []
-    for off, n in zip(structure.hilbert_offsets(), structure.dims):
-        iu, ju = np.triu_indices(n, 1)
-        if structure.field == "C":
-            iu, ju = np.repeat(iu, 2), np.repeat(ju, 2)
-            im = np.tile([0, 1], len(iu) // 2)
-        else:
-            im = np.zeros(len(iu), int)
-        diag = np.arange(n)
-        rows += [diag + off, iu + off]
-        cols += [diag + off, ju + off]
-        part += [np.zeros(n, int), im]
-    return _frozen(*(np.concatenate(a) for a in (rows, cols, part)))
+    entry of the full Hilbert-space matrix: one block's table, shifted by
+    b*n to block b."""
+    n = structure.n
+    iu, ju = np.triu_indices(n, 1)
+    if structure.field == "C":
+        iu, ju = np.repeat(iu, 2), np.repeat(ju, 2)
+        im = np.tile([0, 1], len(iu) // 2)
+    else:
+        im = np.zeros(len(iu), int)
+    diag = np.arange(n)
+    shift = n * np.arange(structure.block_count)[:, None]
+    return _frozen((np.concatenate([diag, iu]) + shift).ravel(),
+                   (np.concatenate([diag, ju]) + shift).ravel(),
+                   np.tile(np.concatenate([np.zeros(n, int), im]),
+                           structure.block_count))
 
 
 @lru_cache(maxsize=None)
-def _maps(structure: BlockStructure) -> _Maps:
-    """Gather and scatter maps over the flat float view of the full
-    Hilbert-space matrix."""
+def _maps(structure: BlockStructure, stacked: bool) -> _Maps:
+    """Gather and scatter maps over the flat float view of the (N, n, n)
+    block stack when `stacked`, else of the full Hilbert-space matrix.
+    Entry (r, c) of the full matrix is (r, c mod n) of the stack's rows."""
     rows, cols, part = _coords(structure)
     DH = structure.hilbert_dim
+    L = structure.n if stacked else DH
     width = 2 if structure.field == "C" else 1
     diag = rows == cols
-    read = (rows * DH + cols) * width + part
+    read = (rows * L + cols % L) * width + part
     mul = np.where(diag, 1.0, _SQRT2)
     off = ~diag
-    lower = (cols[off] * DH + rows[off]) * width + part[off]
+    lower = (cols[off] * L + rows[off] % L) * width + part[off]
     k = np.arange(len(rows))
-    offblock = np.ones((DH, DH), dtype=bool)
-    for o, n in zip(structure.hilbert_offsets(), structure.dims):
-        offblock[o: o + n, o: o + n] = False
+    block = np.arange(DH) // structure.n
     return _Maps(*_frozen(
         read, mul,
         np.concatenate([read, lower]),
         np.concatenate([k, k[off]]),
         np.concatenate([mul, np.where(part[off] == 1, -_SQRT2, _SQRT2)]),
-        offblock))
+        block[:, None] != block))
 
 
 @lru_cache(maxsize=None)
 def _herm_maps(n: int, field: str) -> _Maps:
-    return _maps(BlockStructure((n,), field))
+    return _maps(BlockStructure((n,), field), True)
 
 
 def _float_view(M: np.ndarray, field: str) -> np.ndarray:
-    """Flat float view of a matrix as the index maps address it."""
+    """Flat float view of a matrix or a stack, as the index maps address
+    it."""
     if field == "C":
         return np.ascontiguousarray(M, dtype=complex).reshape(-1).view(float)
     return np.ascontiguousarray(np.real(M), dtype=float).reshape(-1)
 
 
-def _scatter(x: np.ndarray, n: int, field: str, maps: _Maps) -> np.ndarray:
-    H = np.zeros((n, n), dtype=complex if field == "C" else float)
+def _scatter(x: np.ndarray, shape: tuple, field: str, maps: _Maps) -> np.ndarray:
+    H = np.zeros(shape, dtype=complex if field == "C" else float)
     H.reshape(-1).view(float)[maps.dst] = x[maps.src] / maps.div
     return H
 
@@ -187,46 +188,22 @@ def _scatter(x: np.ndarray, n: int, field: str, maps: _Maps) -> np.ndarray:
 # conversions
 
 
-def herm_to_vec(H: np.ndarray, field: str = "C") -> np.ndarray:
-    """Embed one Hermitian (or real symmetric) block into real coordinates.
-
-    Reads the diagonal and the upper triangle only.
-    """
-    H = np.asarray(H)
-    n = H.shape[0]
-    if H.shape != (n, n):
-        raise ValueError("block must be square")
-    maps = _herm_maps(n, field)
-    return _float_view(H, field)[maps.read] * maps.mul
+def blocks_to_vec(blocks, structure: BlockStructure) -> np.ndarray:
+    """Coordinates of a stack of blocks, shape (N, n, n): one gather."""
+    B = np.asarray(blocks)
+    if B.shape != (structure.block_count, structure.n, structure.n):
+        raise ValueError("blocks do not match the block structure")
+    maps = _maps(structure, True)
+    return _float_view(B, structure.field)[maps.read] * maps.mul
 
 
-def vec_to_herm(x: np.ndarray, n: int, field: str = "C") -> np.ndarray:
-    """Inverse of herm_to_vec for a single block of dimension n."""
-    x = np.asarray(x, dtype=float)
-    return _scatter(x, n, field, _herm_maps(n, field))
-
-
-def blocks_to_vec(blocks: list[np.ndarray], structure: BlockStructure) -> np.ndarray:
-    if len(blocks) != structure.block_count:
-        raise ValueError("block count mismatch")
-    parts = []
-    for B, n in zip(blocks, structure.dims):
-        if B.shape != (n, n):
-            raise ValueError("block shape mismatch")
-        parts.append(herm_to_vec(B, structure.field))
-    return np.concatenate(parts)
-
-
-def vec_to_blocks(x: np.ndarray, structure: BlockStructure) -> list[np.ndarray]:
+def vec_to_blocks(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """The blocks of coordinates x as one (N, n, n) stack: one scatter."""
     x = np.asarray(x, dtype=float)
     if x.shape != (structure.coord_dim,):
         raise ValueError("coordinate length mismatch")
-    blocks, pos = [], 0
-    for n in structure.dims:
-        w = structure.block_coord_dim(n)
-        blocks.append(vec_to_herm(x[pos: pos + w], n, structure.field))
-        pos += w
-    return blocks
+    return _scatter(x, (structure.block_count, structure.n, structure.n),
+                    structure.field, _maps(structure, True))
 
 
 def vec_to_total(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
@@ -234,25 +211,26 @@ def vec_to_total(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (structure.coord_dim,):
         raise ValueError("coordinate length mismatch")
-    return _scatter(x, structure.hilbert_dim, structure.field, _maps(structure))
+    return _scatter(x, (structure.hilbert_dim,) * 2, structure.field,
+                    _maps(structure, False))
 
 
-def total_to_vec(M: np.ndarray, structure: BlockStructure, check_tol: float | None = None):
+def total_to_vec(M: np.ndarray, structure: BlockStructure):
     """Project a Hilbert-space matrix back to block coordinates.
 
-    When check_tol is given, also return the off-block residual so callers can
-    detect superselection violations instead of silently discarding them.
+    Returns the coordinates and the largest absolute entry outside the
+    blocks (0.0 for one block), so callers can detect superselection
+    violations instead of silently discarding them.
     """
     M = np.asarray(M)
     DH = structure.hilbert_dim
     if M.shape != (DH, DH):
         raise ValueError("matrix shape mismatch")
-    maps = _maps(structure)
+    maps = _maps(structure, False)
     x = _float_view(M, structure.field)[maps.read] * maps.mul
-    if check_tol is None:
-        return x
-    residual = float(np.abs(M[maps.offblock]).max()) if structure.block_count > 1 else 0.0
-    return x, residual
+    if structure.block_count == 1:
+        return x, 0.0
+    return x, float(np.abs(M[maps.offblock]).max())
 
 
 @lru_cache(maxsize=None)
@@ -318,20 +296,23 @@ def conjugation_matrix(kraus: list[np.ndarray], structure: BlockStructure) -> np
 
 
 def block_eigh(x: np.ndarray, structure: BlockStructure):
-    """Eigendecompose coordinates block by block.
+    """Eigendecompose coordinates: one np.linalg.eigh of the (N, n, n)
+    block stack.
 
-    Returns one (w, V) pair per block, as np.linalg.eigh gives them:
-    ascending eigenvalues w and the unit eigenvectors as the columns of V,
-    each living inside its own block.  It and `block_eigvalsh` are the only
-    per-block eigensolvers.  A matrix-model state runs it once, in its cone
-    check, and keeps the pairs for its diagonalizations and support.
+    Returns its (w, V): ascending eigenvalues w, shape (N, n), and the unit
+    eigenvectors as the columns of each V[b], shape (N, n, n), each living
+    inside its own block; the bits are those of eigh on each block alone.
+    It and `block_eigvalsh` are the only eigensolvers of block coordinates.
+    A matrix-model state runs it once, in its cone check, and keeps (w, V)
+    for its diagonalizations and support.
     """
-    return [np.linalg.eigh(B) for B in vec_to_blocks(x, structure)]
+    return np.linalg.eigh(vec_to_blocks(x, structure))
 
 
-def block_eigvalsh(x: np.ndarray, structure: BlockStructure):
-    """Ascending eigenvalues of each block, as np.linalg.eigvalsh gives them."""
-    return [np.linalg.eigvalsh(B) for B in vec_to_blocks(x, structure)]
+def block_eigvalsh(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """Ascending eigenvalues of each block, shape (N, n): one
+    np.linalg.eigvalsh of the block stack."""
+    return np.linalg.eigvalsh(vec_to_blocks(x, structure))
 
 
 def canonical_rows(V: np.ndarray) -> np.ndarray:
@@ -358,19 +339,19 @@ def canonical_rows(V: np.ndarray) -> np.ndarray:
     return U
 
 
-def rank_one_coords(structure: BlockStructure, block: int,
+def rank_one_coords(structure: BlockStructure, block,
                     U: np.ndarray) -> np.ndarray:
     """Coordinates of the rank-one matrices |u><u|, one row per row u of U,
-    in one broadcast and one gather."""
+    each in its block: `block` is one block index for every row or an
+    array of one per row.  One broadcast, one gather and one scatter."""
     k, n = U.shape
     P = (U[:, :, None] * U[:, None, :].conj()).reshape(k, n * n)
     if structure.field == "C":
         P = P.astype(complex, copy=False).view(float)
     maps = _herm_maps(n, structure.field)
-    x = np.zeros((k, structure.coord_dim))
-    off = structure.coord_offsets()[block]
-    x[:, off: off + maps.read.size] = P.real[:, maps.read] * maps.mul
-    return x
+    x = np.zeros((k, structure.block_count, maps.read.size))
+    x[np.arange(k), block] = P.real[:, maps.read] * maps.mul
+    return x.reshape(k, structure.coord_dim)
 
 
 def pure_block_coords(structure: BlockStructure, block: int,
@@ -379,7 +360,7 @@ def pure_block_coords(structure: BlockStructure, block: int,
     each column first put in canonical phase and unit length
     (`canonical_rows`)."""
     V = np.asarray(V)
-    if V.ndim != 2 or V.shape[0] != structure.dims[block]:
+    if V.ndim != 2 or V.shape[0] != structure.n:
         raise ValueError("vectors do not fit the block")
     return rank_one_coords(structure, block, canonical_rows(V))
 
@@ -387,6 +368,6 @@ def pure_block_coords(structure: BlockStructure, block: int,
 def pure_block_vec(structure: BlockStructure, block: int, psi: np.ndarray) -> np.ndarray:
     """Coordinates of the rank-one state |psi><psi| supported in one block."""
     psi = np.asarray(psi)
-    if psi.shape != (structure.dims[block],):
+    if psi.shape != (structure.n,):
         raise ValueError("vector does not fit the block")
     return pure_block_coords(structure, block, psi[:, None])[0]

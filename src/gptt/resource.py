@@ -311,7 +311,7 @@ def _eigenstates_by_sector(d: Diagonalization) -> tuple:
     sectors = [pure_support(s)[0] for s in d.eigenstates]
     order = np.argsort(sectors, kind="stable")
     st = d.model.structure
-    return (d.eigenvalues[order].reshape(st.block_count, st.dims[0]),
+    return (d.eigenvalues[order].reshape(st.block_count, st.n),
             [d.eigenstates[i] for i in order.tolist()])
 
 
@@ -391,7 +391,7 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
             return ConversionOutcome("unknown", None, {
                 "reason": "majorisation holds but no mixture witness is "
                           "known for this model family"})
-        N, n = model.structure.block_count, model.structure.dims[0]
+        N, n = model.structure.block_count, model.structure.n
         sr, src = _eigenstates_by_sector(dr)
         ss, tgt = _eigenstates_by_sector(ds)
         sectors = np.arange(N)
@@ -508,7 +508,7 @@ def check_unrestricted_reversibility(model: ModelSpec) -> dict:
         return {"permutability": True, "strong_symmetry": True,
                 "note": "every ordered eigenbasis is reversibly connected "
                         "to every other"}
-    if st is not None and (st.block_count == 1 or st.dims[0] == 1):
+    if st is not None and (st.block_count == 1 or st.n == 1):
         return {"permutability": True, "strong_symmetry": True,
                 "note": "one sector, or sectors of dimension one, allow every "
                         "relabeling in isolation; the model flag stays false "
@@ -516,7 +516,7 @@ def check_unrestricted_reversibility(model: ModelSpec) -> dict:
     if st is not None:
         basis = zoo.pure_maximal_set(model)
         swapped = list(basis)
-        n = st.dims[0]
+        n = st.n
         swapped[0], swapped[n] = swapped[n], swapped[0]
         try:
             zoo.basis_aligning_reversible(model, basis, swapped)

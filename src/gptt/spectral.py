@@ -18,7 +18,6 @@ eigenstates directly.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -103,15 +102,16 @@ class Diagonalization:
         return sum(p * s.coords for p, s in zip(self.eigenvalues, self.eigenstates))
 
 
-def _eigenstate_rows(st, pairs) -> tuple:
-    """The coordinates of the `block_eigh` pairs' eigenstates, one row each
-    in the order of the concatenated eigenvalues, and their supports (block,
-    unit vector in canonical phase, a read-only row of one array per
-    block)."""
-    parts = [canonical_rows(V) for _, V in pairs]
-    return (np.concatenate([rank_one_coords(st, b, U)
-                            for b, U in enumerate(parts)]),
-            [(b, u) for b, U in enumerate(parts) for u in U])
+def _eigenstate_rows(st, eig) -> tuple:
+    """The coordinates of the eigenstates of a `block_eigh` (w, V), one row
+    each in the order of the flattened w, and their supports (block, unit
+    vector in canonical phase, a read-only row of one array): one
+    `canonical_rows` and one `rank_one_coords` for all N n eigenvectors."""
+    V = eig[1]
+    N, n = V.shape[:2]
+    U = canonical_rows(V.transpose(1, 0, 2).reshape(n, N * n))
+    blocks = np.repeat(np.arange(N), n)
+    return rank_one_coords(st, blocks, U), list(zip(blocks.tolist(), U))
 
 
 def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
@@ -163,8 +163,8 @@ def diagonalize(state: StateVec) -> Diagonalization:
     """Decompose a state into perfectly distinguishable pure states.
 
     A matrix model's decomposition is the state's block eigendecomposition,
-    from the `block_eigh` pairs its cone check kept (popped, so each block
-    is solved once in the state's life; a state without them, or a retry
+    from the `block_eigh` (w, V) its cone check kept (popped, so the stack
+    is solved once in the state's life; a state without it, or a retry
     after a refusal, solves afresh).  It is certified here, in block form:
     the `core._block_figures` within `core.BLOCK_TOL` and the smallest raw
     eigenvalue at least -`core.DEFAULT_TOL`, the state's cone tolerance.
@@ -184,15 +184,15 @@ def diagonalize(state: StateVec) -> Diagonalization:
     model = state.model
     if model.structure is not None:
         st, x = model.structure, state.coords
-        pairs = state._derived.pop("block_eigh", None) or block_eigh(x, st)
-        raw = np.concatenate([w for w, _ in pairs])
-        residual = _certify(model, _block_figures(x, raw, pairs, st), raw,
+        eig = state._derived.pop("block_eigh", None) or block_eigh(x, st)
+        raw = eig[0].reshape(-1)
+        residual = _certify(model, _block_figures(x, raw, eig, st), raw,
                             BLOCK_TOL)
         kept = []   # the eigenstates' rows, made once: for ties or a read
 
         def rows():
             if not kept:
-                kept.append(_eigenstate_rows(st, pairs))
+                kept.append(_eigenstate_rows(st, eig))
             return kept[0]
 
         values = np.where(raw < 0.0, 0.0, raw)
@@ -248,22 +248,22 @@ def functional_calculus(model: ModelSpec, x, fn) -> np.ndarray:
     if model.structure is None:
         raise UnsupportedModelError(
             f"{model.model_id} has no functional calculus")
-    return _calculus_on_pairs(block_eigh(as_coords(x), model.structure), fn,
-                              model.structure)
+    return _calculus_on_eig(block_eigh(as_coords(x), model.structure), fn,
+                            model.structure)
 
 
-def _calculus_on_pairs(pairs, fn, st) -> np.ndarray:
-    """Coordinates of sum fn(w) v v^dagger over the `block_eigh` pairs."""
-    out_blocks = []
-    for w, V in pairs:
-        try:
-            fw = np.array([fn(v) for v in w], dtype=float)
-        except ValueError as exc:
-            raise GPTError(f"functional calculus failed on the spectrum: {exc}")
-        if not np.all(np.isfinite(fw)):
-            raise GPTError("functional calculus produced a non-finite value")
-        out_blocks.append((V * fw) @ V.conj().T)
-    return blocks_to_vec(out_blocks, st)
+def _calculus_on_eig(eig, fn, st) -> np.ndarray:
+    """Coordinates of sum fn(w) v v^dagger over a `block_eigh` (w, V), one
+    product on the block stack."""
+    w, V = eig
+    try:
+        fw = np.array([fn(v) for v in w.reshape(-1)], dtype=float)
+    except ValueError as exc:
+        raise GPTError(f"functional calculus failed on the spectrum: {exc}")
+    if not np.all(np.isfinite(fw)):
+        raise GPTError("functional calculus produced a non-finite value")
+    return blocks_to_vec((V * fw.reshape(w.shape)[:, None, :])
+                         @ V.conj().transpose(0, 2, 1), st)
 
 
 def transition_matrix(diag_from: Diagonalization,
@@ -321,23 +321,17 @@ def purify(state: StateVec):
             f"{model.model_id} does not admit purification")
     comp = zoo.compose_systems(model, model)
     st = model.structure
-    N = st.block_count
-    offs = st.hilbert_offsets()
+    N, n = st.block_count, st.n
     diag = diagonalize(state)
-    sup = [zoo.pure_support(s) for s in diag.eigenstates]
-    dH = st.hilbert_dim
-    psi = np.zeros(dH * dH, dtype=complex if st.field == "C" else float)
-    counters = [0] * N
-    for p, (b, vec) in zip(diag.eigenvalues, sup):
-        if p <= 1e-14:
-            continue
-        l = (-b) % max(N, 1)
-        r = counters[b]
-        counters[b] += 1
-        b_index = offs[l] + r
-        amp = math.sqrt(p)
-        for i, c in enumerate(vec):
-            psi[(offs[b] + i) * dH + b_index] += amp * c
+    keep = diag.eigenvalues > 1e-14
+    # eigenstate k, in sector b and the r-th kept one there, pairs with
+    # partner basis state r of sector -b (mod N): column (-b % N) * n + r
+    b, T = zoo.total_supports(model, [s for s, k in zip(diag.eigenstates, keep)
+                                      if k])
+    r = (np.cumsum(b[:, None] == np.arange(N), axis=0) - 1)[np.arange(len(b)), b]
+    Psi = np.zeros((N * n, N * n), dtype=T.dtype)
+    Psi[:, ((-b) % N) * n + r] += (np.sqrt(diag.eigenvalues[keep])[:, None] * T).T
+    psi = Psi.reshape(-1)
     rho = np.outer(psi, psi.conj())
     coords = _kron_to_coords(comp, rho)
     return comp, StateVec(coords, comp)

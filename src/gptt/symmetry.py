@@ -1,14 +1,11 @@
 """Group-action utilities: invariant states, transitivity, twirling.
 
-Finite reversible groups are handled exhaustively through their closure;
-the continuous families use 40 randomized probes of the sampler, drawn from
-a generator seeded 0, which cut the fixed-point space to its true dimension
-with probability one.
+Finite reversible groups are handled exhaustively through their closure.
+On the matrix families three exact reversibles fix the same states as the
+whole group (`_group_probe_matrices`), so no random probe is drawn.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -20,11 +17,27 @@ from .core import (
 )
 from . import zoo
 
+
 def _group_probe_matrices(model: ModelSpec):
-    if model.group.generators:
+    """Reversibles whose common fixed points are the group's.  A polytope
+    gives its whole group table.  A matrix model gives three
+    `zoo.block_reversible`s: diag(-1, 1, ..., 1) on every block, the cyclic
+    shift on every block, and the cyclic shift of the sectors, valid since
+    blocks are equal.  A block commuting with the first two is block-
+    diagonal on {0} and the rest, and circulant, so a multiple of the
+    identity; the third makes the multiples equal, so the fixed points are
+    the multiples of the unit effect's coordinates, as under the whole
+    group."""
+    st = model.structure
+    if st is None:
         return model.group.table[1]
-    rng = np.random.default_rng(0)
-    return [model.group.sampler(model, rng).matrix for _ in range(40)]
+    N, n = st.block_count, st.n
+    flip, cycle, eye = (np.broadcast_to(B, (N, n, n)) for B in (
+        np.diag([-1.0] + [1.0] * (n - 1)), np.roll(np.eye(n), 1, axis=0),
+        np.eye(n)))
+    return [zoo.block_reversible(model, flip).matrix,
+            zoo.block_reversible(model, cycle).matrix,
+            zoo.block_reversible(model, eye, (np.arange(N) + 1) % N).matrix]
 
 
 def invariant_state(model: ModelSpec) -> dict:
@@ -60,8 +73,9 @@ def is_transitive(model: ModelSpec) -> bool:
     """Whether the reversible group carries every pure state to every other:
     on a polytope, whether the orbit of vertex 0 is every vertex."""
     if model.structure is not None:
-        # block rotations act transitively inside a sector and the sector
-        # permutations connect the equal-dimension sectors
+        # block rotations act transitively inside a sector, and sector
+        # permutations connect any two sectors, all of one size
+        # (`embedding.BlockStructure` refuses unequal blocks)
         return True
     perms, _ = model.group.table
     return len(set(perms[:, 0].tolist())) == len(model.pure_states)
@@ -70,23 +84,15 @@ def is_transitive(model: ModelSpec) -> bool:
 def twirl(state: StateVec) -> StateVec:
     """Group-average of a state.
 
-    Exact over finite closures; for the continuous families the average
-    lands on the unique invariant state.  A multi-dimensional fixed-point
-    space triggers a warning and an orthogonal projection instead.
+    Exact over a polytope's group table; on the matrix families the
+    average lands on the invariant state, unique there (`invariant_state`).
     """
     model = state.model
-    if model.group.generators:
+    if model.structure is None:
         _, mats = model.group.table
         avg = sum(M @ state.coords for M in mats) / len(mats)
         return StateVec(avg, model)
-    report = invariant_state(model)
-    if report["unique"]:
-        return report["state"]
-    warnings.warn("invariant family is not unique; projecting onto it")
-    B = report["basis"]
-    proj = B.T @ np.linalg.solve(B @ B.T, B @ state.coords)
-    scale = float(model.unit_effect @ proj)
-    return StateVec(proj / scale, model)
+    return invariant_state(model)["state"]
 
 
 def informational_equilibrium_check(model_a: ModelSpec,

@@ -29,7 +29,7 @@ from .core import (
 from .embedding import block_eigh, block_eigvalsh
 from .spectral import (
     Diagonalization,
-    _calculus_on_pairs,
+    _calculus_on_eig,
     dagger,
     diagonalize,
     purify,
@@ -195,21 +195,21 @@ def gibbs_state(model: ModelSpec, hamiltonian, beta: float) -> StateVec:
     """Equilibrium state exp(-beta H)/Z in the energy eigenbasis.
 
     H is solved once (`block_eigh`); its levels and weights share the
-    pairs.  The weights are stabilized against overflow: energies are
+    one (w, V).  The weights are stabilized against overflow: energies are
     measured from the reference level, so no exponent is positive.  beta
     of +-inf selects the uniform mixture on the extremal energy eigenspace.
     """
     st = _structure(model)
-    pairs = block_eigh(as_coords(hamiltonian), st)
-    levels = np.concatenate([w for w, _ in pairs])
+    eig = block_eigh(as_coords(hamiltonian), st)
+    levels = eig[0].reshape(-1)
     if math.isinf(beta):
         target = levels.min() if beta > 0 else levels.max()
-        x = _calculus_on_pairs(
-            pairs, lambda e: 1.0 if abs(e - target) <= 1e-12 else 0.0, st)
+        x = _calculus_on_eig(
+            eig, lambda e: 1.0 if abs(e - target) <= 1e-12 else 0.0, st)
     else:
         e0 = _reference_level(levels, beta)
-        x = _calculus_on_pairs(
-            pairs, lambda e: math.exp(-beta * float(e - e0)), st)
+        x = _calculus_on_eig(
+            eig, lambda e: math.exp(-beta * float(e - e0)), st)
     return StateVec(x / float(model.unit_effect @ x), model)
 
 
@@ -224,7 +224,7 @@ def _spectrum_of_levels(model: ModelSpec, hamiltonian) -> np.ndarray:
     """The energy levels of a Hamiltonian; a NaN or infinite coordinate
     raises ValueError."""
     h = _finite_coords(hamiltonian)
-    return np.concatenate(block_eigvalsh(h, _structure(model)))
+    return block_eigvalsh(h, _structure(model)).reshape(-1)
 
 
 def mean_energy(state: StateVec, hamiltonian) -> float:

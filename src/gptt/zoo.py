@@ -42,8 +42,8 @@ from .embedding import (
     canonical_rows,
     conjugation_matrices,
     conjugation_matrix,
-    pure_block_coords,
     pure_block_vec,
+    rank_one_coords,
     vec_to_blocks,
 )
 
@@ -73,19 +73,18 @@ def _haar_unitary(rng: np.random.Generator, n: int, field: str) -> np.ndarray:
 def _matrix_state_sampler(model: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     st = model.structure
     w = rng.dirichlet(np.ones(st.block_count))
-    blocks = [w[b] * _ginibre_block(rng, n, st.field)
-              for b, n in enumerate(st.dims)]
-    return blocks_to_vec(blocks, st)
+    # one draw per block, in block order, so a seed draws the same numbers
+    blocks = [_ginibre_block(rng, st.n, st.field) for _ in range(st.block_count)]
+    return blocks_to_vec(w[:, None, None] * np.array(blocks), st)
 
 
 def _matrix_pure_sampler(model: ModelSpec, rng: np.random.Generator) -> np.ndarray:
     st = model.structure
-    probs = np.asarray(st.dims, dtype=float) / st.hilbert_dim
-    b = int(rng.choice(st.block_count, p=probs))
-    n = st.dims[b]
-    psi = rng.normal(size=n)
+    b = int(rng.choice(st.block_count,
+                       p=np.full(st.block_count, 1 / st.block_count)))
+    psi = rng.normal(size=st.n)
     if st.field == "C":
-        psi = psi + 1j * rng.normal(size=n)
+        psi = psi + 1j * rng.normal(size=st.n)
     return pure_block_vec(st, b, psi)
 
 
@@ -158,31 +157,27 @@ def block_reversible(model: ModelSpec, blocks, perm=None) -> ChannelMap:
     """The reversible whose Kraus operator carries sector j onto sector
     perm[j] through the unitary blocks[j]; without perm every sector stays.
 
-    The blocks are written straight into the Hilbert-space matrix, whose
-    dtype is the blocks' common one.
+    The blocks, an (N, n, n) stack, are written straight into the
+    Hilbert-space matrix, whose dtype is theirs.
     """
     st = model.structure
-    blocks = [np.asarray(B) for B in blocks]
-    offs = st.hilbert_offsets()
-    K = np.zeros((st.hilbert_dim, st.hilbert_dim),
-                 dtype=np.result_type(*blocks))
-    for j, (B, n) in enumerate(zip(blocks, st.dims)):
-        t = j if perm is None else perm[j]
-        if st.dims[t] != n:
-            raise ValueError("sector permutation must preserve dimensions")
-        K[offs[t]: offs[t] + n, offs[j]: offs[j] + n] = B
+    N, n = st.block_count, st.n
+    blocks = np.asarray(blocks)
+    K = np.zeros((N, n, N, n), dtype=blocks.dtype)
+    K[np.arange(N) if perm is None else np.asarray(perm), :, np.arange(N)] = blocks
+    K = K.reshape(N * n, N * n)
     return model.make_reversible(conjugation_matrix([K], st), kraus=[K])
 
 
 def _matrix_group_sampler(model: ModelSpec, rng: np.random.Generator) -> ChannelMap:
     st = model.structure
-    Us = [_haar_unitary(rng, n, st.field) for n in st.dims]
+    Us = [_haar_unitary(rng, st.n, st.field) for _ in range(st.block_count)]
     perm = rng.permutation(st.block_count) if st.block_count > 1 else None
     return block_reversible(model, Us, perm)
 
 
 # every matrix family: block unitaries (orthogonals over R), then a random
-# permutation of the equal-dimension sectors
+# permutation of the sectors
 _MATRIX_GROUP = GroupSpec(sampler=_matrix_group_sampler)
 
 
@@ -190,14 +185,12 @@ _MATRIX_GROUP = GroupSpec(sampler=_matrix_group_sampler)
 # distinguishability search
 
 
-def _support_projector(x: np.ndarray, structure: BlockStructure):
-    """Projector onto the support of x (eigenvalues above 1e-9), one block
-    per sector."""
-    projs = []
-    for w, V in block_eigh(x, structure):
-        keep = V[:, w > 1e-9]
-        projs.append(keep @ keep.conj().T)
-    return projs
+def _support_projector(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """Projector onto the support of x (eigenvalues above 1e-9), as a
+    stack of one block per sector."""
+    w, V = block_eigh(x, structure)
+    keep = V * (w > 1e-9)[:, None, :]
+    return keep @ keep.conj().transpose(0, 2, 1)
 
 
 def _effects_check(E: np.ndarray, X: np.ndarray, u: np.ndarray) -> bool:
@@ -307,15 +300,12 @@ def distinguishing_effects(model: ModelSpec, states):
         raise ValueError("need at least one state")
     if model.structure is not None:
         st = model.structure
-        projs = [_support_projector(x, st) for x in xs]
-        for i in range(m):
-            for j in range(i + 1, m):
-                if any(np.abs(A @ B).max() > 1e-7
-                       for A, B in zip(projs[i], projs[j])):
-                    return None
-        rest = [np.eye(n) - sum(Ps) for n, Ps in zip(st.dims, zip(*projs))]
-        projs[0] = [P + R for P, R in zip(projs[0], rest)]
-        return [EffectVec(blocks_to_vec(Ps, st), model) for Ps in projs]
+        P = np.array([_support_projector(x, st) for x in xs])
+        overlap = np.abs(P[:, None] @ P[None]).max(axis=(2, 3, 4))
+        if (overlap[np.triu_indices(m, 1)] > 1e-7).any():
+            return None
+        P[0] += np.eye(st.n) - P.sum(axis=0)
+        return [EffectVec(blocks_to_vec(Ps, st), model) for Ps in P]
     miss = np.abs(np.asarray(xs)[:, None, :] - model.pure_states).max(axis=2)
     idx = miss.argmin(axis=1).tolist()
     vertex = miss[np.arange(m), idx] <= 1e-9
@@ -465,7 +455,8 @@ def _matrix_model(kind: str, sectors: int, block_dim: int) -> ModelSpec:
     params = {s[0]: v for s, v in ((fam.sectors, sectors), (fam.block_dim, block_dim))
               if isinstance(s, tuple)}
     st = BlockStructure((block_dim,) * sectors, fam.field)
-    u = blocks_to_vec([np.eye(n) for n in st.dims], st)
+    u = blocks_to_vec(np.broadcast_to(np.eye(block_dim),
+                                      (sectors, block_dim, block_dim)), st)
     cone = ConeSpec("psd", st.coord_dim, structure=st)
     return ModelSpec(
         model_id=f"{kind}:{'x'.join(map(str, params.values()))}" if params else kind,
@@ -600,29 +591,17 @@ def _residue_perm(stA: BlockStructure, stB: BlockStructure):
 
     Composite sector k collects the factor sector pairs (j, l) with
     j + l = k modulo the larger sector count, the sum running over the
-    system with fewer sectors.  Returns (composite dims, perm) with
-    perm[block_position] = kron index.
+    system with fewer sectors.  Returns (composite sector count, block
+    size, perm) with perm[block_position] = kron index.
     """
     NA, NB = stA.block_count, stB.block_count
-    nA, nB = stA.dims[0], stB.dims[0]
-    M = max(NA, NB)
-    Nmin = min(NA, NB)
-    offsA = stA.hilbert_offsets()
-    offsB = stB.hilbert_offsets()
-    dHB = stB.hilbert_dim
-    a_small = NA <= NB
-    perm = []
-    for k in range(M):
-        for js in range(Nmin):
-            lo = (k - js) % M
-            j, l = (js, lo) if a_small else (lo, js)
-            for i in range(nA):
-                for m_ in range(nB):
-                    a = offsA[j] + i
-                    b = offsB[l] + m_
-                    perm.append(a * dHB + b)
-    dims = [nA * nB * Nmin] * M
-    return dims, np.asarray(perm, dtype=int)
+    nA, nB = stA.n, stB.n
+    M, Nmin = max(NA, NB), min(NA, NB)
+    k, js, i, m = np.ix_(range(M), range(Nmin), range(nA), range(nB))
+    lo = (k - js) % M
+    j, l = (js, lo) if NA <= NB else (lo, js)
+    perm = (j * nA + i) * stB.hilbert_dim + l * nB + m
+    return M, nA * nB * Nmin, perm.reshape(-1)
 
 
 def compose_systems(mA: ModelSpec, mB: ModelSpec) -> ModelSpec:
@@ -637,11 +616,11 @@ def compose_systems(mA: ModelSpec, mB: ModelSpec) -> ModelSpec:
             f"no composite rule for {mA.kind} with {mB.kind}")
     stA, stB = mA.structure, mB.structure
     if FAMILIES[kind].flags.sectorized:
-        dims, perm = _residue_perm(stA, stB)
-        base = _matrix_model(kind, len(dims), dims[0])
+        sectors, block_dim, perm = _residue_perm(stA, stB)
+        base = _matrix_model(kind, sectors, block_dim)
     else:
         base = _matrix_model(kind, stA.block_count * stB.block_count,
-                             stA.dims[0] * stB.dims[0])
+                             stA.n * stB.n)
         perm = np.arange(base.structure.hilbert_dim)
     info = CompositeInfo(factors=(mA, mB), perm=perm)
     return dataclasses.replace(base, model_id=f"({mA.model_id})x({mB.model_id})",
@@ -675,8 +654,7 @@ def sector_weights(state: StateVec) -> np.ndarray:
     model = state.model
     if model.structure is None:
         raise UnsupportedModelError(f"{model.model_id} has no sector structure")
-    return np.array([float(np.trace(B).real)
-                     for B in vec_to_blocks(state.coords, model.structure)])
+    return vec_to_blocks(state.coords, model.structure).trace(axis1=1, axis2=2).real
 
 
 def pure_maximal_set(model: ModelSpec) -> list:
@@ -685,8 +663,9 @@ def pure_maximal_set(model: ModelSpec) -> list:
         raise UnsupportedModelError("no perfectly distinguishable states")
     if model.structure is not None:
         st = model.structure
-        return [StateVec(c, model) for b, n in enumerate(st.dims)
-                for c in pure_block_coords(st, b, np.eye(n))]
+        blocks = np.repeat(np.arange(st.block_count), st.n)
+        rows = np.tile(np.eye(st.n), (st.block_count, 1))
+        return [StateVec(c, model) for c in rank_one_coords(st, blocks, rows)]
     return [StateVec(model.pure_states[i], model)
             for i in model.distinguishable_sets[0]]
 
@@ -702,9 +681,10 @@ def pure_support(state: StateVec):
     its first entry above 1e-10 in absolute value real and positive), and
     cached on the state.  An eigenstate made by `spectral.diagonalize`
     arrives with the vector its coordinates were built from; any other
-    state reads it off the `block_eigh` pairs its cone check kept (left for
-    `spectral.diagonalize`), else solves them.  Errors are not cached and
-    are raised again on every call.
+    state reads it off the `block_eigh` (w, V) its cone check kept (left
+    for `spectral.diagonalize`), else solves it: the first block whose top
+    eigenvalue exceeds 1 - 1e-7.  Errors are not cached and are raised
+    again on every call.
     """
     cached = state._derived.get("pure_support")
     if cached is not None:
@@ -712,13 +692,14 @@ def pure_support(state: StateVec):
     st = state.model.structure
     if st is None:
         raise UnsupportedModelError("no sector support for polytope models")
-    pairs = state._derived.get("block_eigh") or block_eigh(state.coords, st)
-    for b, (w, V) in enumerate(pairs):
-        if w[-1] > 1.0 - 1e-7:
-            v = canonical_rows(V[:, -1:])[0]
-            state._derived["pure_support"] = (b, v)
-            return b, v
-    raise GPTError("state is not pure")
+    w, V = state._derived.get("block_eigh") or block_eigh(state.coords, st)
+    top = w[:, -1] > 1.0 - 1e-7
+    if not top.any():
+        raise GPTError("state is not pure")
+    b = int(top.argmax())
+    v = canonical_rows(V[b, :, -1:])[0]
+    state._derived["pure_support"] = (b, v)
+    return b, v
 
 
 def _unitary_with_first_column(v: np.ndarray, field: str) -> np.ndarray:
@@ -749,11 +730,11 @@ def reversible_sending(model: ModelSpec, s_from: StateVec,
         raise UnsupportedModelError("reversible transport needs a matrix model")
     ja, va = pure_support(s_from)
     jb, vb = pure_support(s_to)
-    blocks = [np.eye(n) for n in st.dims]
-    blocks[ja] = _unitary_sending_vec(va, vb, st.field)
-    N = st.block_count
+    U = _unitary_sending_vec(va, vb, st.field)
+    blocks = np.tile(np.eye(st.n, dtype=U.dtype), (st.block_count, 1, 1))
+    blocks[ja] = U
     return block_reversible(model, blocks,
-                            [(j + jb - ja) % N for j in range(N)])
+                            (np.arange(st.block_count) + jb - ja) % st.block_count)
 
 
 def total_supports(model: ModelSpec, states):
@@ -762,12 +743,12 @@ def total_supports(model: ModelSpec, states):
     per state."""
     st = model.structure
     sups = [pure_support(s) for s in states]
-    offs = st.hilbert_offsets()
-    T = np.zeros((len(sups), st.hilbert_dim),
+    k = len(sups)
+    b = np.array([b for b, _ in sups], dtype=int)
+    T = np.zeros((k, st.block_count, st.n),
                  dtype=complex if st.field == "C" else float)
-    for row, (b, v) in zip(T, sups):
-        row[offs[b]: offs[b] + len(v)] = v
-    return np.array([b for b, _ in sups], dtype=int), T
+    T[np.arange(k), b] = np.reshape([v for _, v in sups], (k, st.n))
+    return b, T.reshape(k, st.hilbert_dim)
 
 
 def basis_aligning_reversibles(model: ModelSpec, from_states, to_states,

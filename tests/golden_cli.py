@@ -32,9 +32,11 @@ from click.testing import CliRunner
 from gptt import zoo
 from gptt.cli import main
 
+# extended_classical:3x2 is the one stack of more than two blocks of size
+# above 1
 MATRIX_MODELS = ("classical:3", "quantum:2", "quantum:3", "rebit",
                  "real_quantum:3", "doubled_quantum:2",
-                 "extended_classical:2x2")
+                 "extended_classical:2x2", "extended_classical:3x2")
 POLYTOPES = ("square_bit", "diamond_bit", "restricted_trit")
 STATES = ("chi", "pure:0", "random")
 SEEDS = ("0", "1")
@@ -74,10 +76,11 @@ OFF_DIAGONAL_E = {
 RANDOM_PAIR_MODELS = ("quantum:3", "real_quantum:3")
 RANDOM_PAIR_SEEDS = ("2", "3")
 
-# larger sectorized models for the rare and noisy conversions from a pure
-# source and onto the invariant state, and the invariant target on a model
-# of many sectors
-SECTOR_MODELS = ("doubled_quantum:3", "extended_classical:3x2")
+# a larger sectorized model for the rare and noisy conversions from a pure
+# source and onto the invariant state (MATRIX_MODELS runs them on
+# extended_classical:3x2), and the invariant target on a model of many
+# sectors
+SECTOR_MODELS = ("doubled_quantum:3",)
 SECTOR_STATE_PAIRS = (("pure:0", "random"), ("random", "chi"))
 
 

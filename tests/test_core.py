@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gptt import core, resource, spectral, symmetry, thermo, zoo
+from gptt import core, embedding, resource, spectral, symmetry, thermo, zoo
 from gptt.core import (
     ChannelMap,
     ConeError,
@@ -110,8 +110,8 @@ _KEPT_MODELS = [q2, q3, dq2, zoo.parse_model_string("rebit"),
 
 class TestKeptEigenpairs:
     """A matrix-model state's cone check is its block eigendecomposition;
-    the constructor keeps the pairs and accepts what ConeSpec.margin
-    accepts."""
+    the constructor keeps its stacked (w, V) and accepts what
+    ConeSpec.margin accepts."""
 
     @pytest.mark.parametrize("model", _KEPT_MODELS, ids=lambda m: m.model_id)
     def test_planted_eigenvalue_at_the_tolerance(self, model):
@@ -120,8 +120,8 @@ class TestKeptEigenpairs:
             with pytest.raises(ConeError):
                 StateVec(_planted_state(model, -2e-9, r), model)
             s = StateVec(_planted_state(model, -5e-10, r), model)
-            w = s._derived["block_eigh"][0][0]
-            assert abs(w[0] + 5e-10) <= 1e-14
+            w, _ = s._derived["block_eigh"]
+            assert abs(w[0, 0] + 5e-10) <= 1e-14
 
     def test_kept_margin_equals_cone_margin(self):
         r = np.random.default_rng(9)
@@ -129,12 +129,12 @@ class TestKeptEigenpairs:
             for i in range(40):
                 sampler = model.pure_sampler if i % 2 else model.state_sampler
                 s = StateVec(sampler(model, r), model)
-                pairs = s._derived["block_eigh"]
+                w, V = s._derived["block_eigh"]
                 blocks = vec_to_blocks(s.coords, model.structure)
-                assert len(pairs) == len(blocks)
-                for (w, V), B in zip(pairs, blocks):
-                    assert np.abs((V * w) @ V.conj().T - B).max() <= 1e-12
-                kept = min(float(w[0]) for w, _ in pairs)
+                assert w.shape == blocks.shape[:2] and V.shape == blocks.shape
+                for wb, Vb, B in zip(w, V, blocks):
+                    assert np.abs((Vb * wb) @ Vb.conj().T - B).max() <= 1e-12
+                kept = float(w[:, 0].min())
                 assert abs(kept - model.state_cone.margin(s.coords)) <= 1e-12
 
     def test_polytope_state_keeps_nothing(self):
@@ -371,6 +371,7 @@ _FIXED_SETTINGS = [
     (zoo.close_group, "cap"), (zoo.close_group, "tol"),
     (zoo.distinguishing_effects, "tol"), (zoo._support_projector, "tol"),
     (core._kron_to_coords, "tol"), (sq.state_cone.contains, "tol"),
+    (embedding.total_to_vec, "check_tol"),
 ]
 
 

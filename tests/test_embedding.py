@@ -2,8 +2,9 @@
 
 The references below are written entry by entry from the coordinate formula
 in the embedding module's docstring and share no code with the package.
-The conversions must match them bit for bit; the closed-form conjugation
-matrix must match explicit Kraus conjugation to 1e-12.
+The conversions must match them bit for bit, and so must the stacked
+eigensolvers match np.linalg on each block alone; the closed-form
+conjugation matrix must match explicit Kraus conjugation to 1e-12.
 """
 
 import tracemalloc
@@ -16,16 +17,16 @@ from hypothesis import strategies as st
 from gptt import embedding
 from gptt.embedding import (
     BlockStructure,
+    block_eigh,
+    block_eigvalsh,
     blocks_to_vec,
     canonical_rows,
     conjugation_matrices,
     conjugation_matrix,
-    herm_to_vec,
     pure_block_coords,
     pure_block_vec,
     total_to_vec,
     vec_to_blocks,
-    vec_to_herm,
     vec_to_total,
 )
 
@@ -96,8 +97,9 @@ def ref_coords(M, dims, field):
 
 
 @st.composite
-def structures(draw):
-    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+def structures(draw, blocks=3, size=5):
+    """N equal blocks of size n, 1 <= N <= blocks and 1 <= n <= size."""
+    dims = (draw(st.integers(1, size)),) * draw(st.integers(1, blocks))
     return BlockStructure(dims, draw(st.sampled_from(["C", "R"])))
 
 
@@ -130,18 +132,21 @@ def random_coords(rng, structure):
 @given(structures(), seeds)
 def test_block_round_trip_matches_reference(structure, seed):
     rng = np.random.default_rng(seed)
-    field = structure.field
-    for n in structure.dims:
-        H = random_herm(rng, n, field)
-        x = herm_to_vec(H, field)
-        assert np.array_equal(x, ref_herm_to_vec(H, field))
-        back = vec_to_herm(x, n, field)
-        assert np.array_equal(back, ref_vec_to_herm(x, n, field))
-        # multiplying by sqrt(2) and dividing again may move the last bit
-        assert np.abs(back - H).max() <= 4 * np.finfo(float).eps * np.abs(H).max()
-        y = random_coords(rng, BlockStructure((n,), field))
-        assert np.array_equal(herm_to_vec(vec_to_herm(y, n, field), field),
-                              ref_herm_to_vec(ref_vec_to_herm(y, n, field), field))
+    n, field = structure.n, structure.field
+    H = np.array([random_herm(rng, n, field) for _ in structure.dims])
+    x = blocks_to_vec(H, structure)
+    assert np.array_equal(x, np.concatenate([ref_herm_to_vec(B, field) for B in H]))
+    back = vec_to_blocks(x, structure)
+    w = structure.block_coord_dim
+    for b, B in enumerate(back):
+        assert np.array_equal(B, ref_vec_to_herm(x[b * w: (b + 1) * w], n, field))
+    # multiplying by sqrt(2) and dividing again may move the last bit
+    assert np.abs(back - H).max() <= 4 * np.finfo(float).eps * np.abs(H).max()
+    y = random_coords(rng, structure)
+    assert np.array_equal(blocks_to_vec(vec_to_blocks(y, structure), structure),
+                          np.concatenate([ref_herm_to_vec(ref_vec_to_herm(
+                              y[b * w: (b + 1) * w], n, field), field)
+                              for b in range(structure.block_count)]))
 
 
 @settings(deadline=None, max_examples=150)
@@ -168,24 +173,48 @@ def test_total_round_trip_and_off_block_residual(structure, seed):
     M = vec_to_total(x, structure)
     assert np.array_equal(M, ref_total(x, dims, field))
     assert M.dtype == (complex if field == "C" else float)
-    pos = 0
-    for B, n, w in zip(vec_to_blocks(x, structure), dims, ref_block_widths(dims, field)):
-        assert np.array_equal(B, ref_vec_to_herm(x[pos: pos + w], n, field))
-        pos += w
-    back, resid = total_to_vec(M, structure, check_tol=1e-9)
+    back, resid = total_to_vec(M, structure)
     assert np.array_equal(back, ref_coords(M, dims, field))
     assert resid == 0.0
-    assert np.array_equal(total_to_vec(M, structure), back)
     # noise across blocks is dropped from the coordinates and reported
     noise = random_matrix(rng, structure.hilbert_dim, field, scale=1e-3)
     off = 0
     for n in dims:
         noise[off: off + n, off: off + n] = 0.0
         off += n
-    x2, resid2 = total_to_vec(M + noise, structure, check_tol=1e-9)
+    x2, resid2 = total_to_vec(M + noise, structure)
     assert np.array_equal(x2, back)
     assert resid2 == np.abs(noise).max()
     assert (resid2 > 0) == (len(dims) > 1)
+
+
+@settings(deadline=None, max_examples=150)
+@given(structures(blocks=4, size=6), seeds)
+def test_stacked_conversions_and_eigensolvers_match_each_block(structure, seed):
+    """vec_to_blocks and blocks_to_vec on the (N, n, n) stack, and the one
+    eigh or eigvalsh of block_eigh and block_eigvalsh, give the bits of
+    the entrywise reference and of np.linalg on each reference block."""
+    rng = np.random.default_rng(seed)
+    N, n, field = structure.block_count, structure.n, structure.field
+    x = random_coords(rng, structure)
+    w = ref_block_widths((n,), field)[0]
+    ref = [ref_vec_to_herm(x[b * w: (b + 1) * w], n, field) for b in range(N)]
+    blocks = vec_to_blocks(x, structure)
+    assert blocks.shape == (N, n, n)
+    assert blocks.dtype == (complex if field == "C" else float)
+    # equal values; the reference may differ in the sign of a zero
+    assert np.array_equal(blocks, np.array(ref))
+    H = np.array([random_herm(rng, n, field) for _ in range(N)])
+    assert blocks_to_vec(H, structure).tobytes() == np.concatenate(
+        [ref_herm_to_vec(B, field) for B in H]).tobytes()
+    vals, vecs = block_eigh(x, structure)
+    assert vals.shape == (N, n) and vecs.shape == (N, n, n)
+    for b, B in enumerate(ref):
+        wb, Vb = np.linalg.eigh(B)
+        assert vals[b].tobytes() == wb.tobytes()
+        assert vecs[b].tobytes() == Vb.tobytes()
+    assert block_eigvalsh(x, structure).tobytes() == np.array(
+        [np.linalg.eigvalsh(B) for B in ref]).tobytes()
 
 
 @settings(deadline=None, max_examples=150)
@@ -251,8 +280,8 @@ def test_conjugation_matrix_memory_stays_sliced():
 def test_pure_block_coords_rows(field):
     """Each row embeds |v><v| for the unit vector along column v, whatever
     the column's length and phase; a zero column is refused."""
-    bs = BlockStructure((2, 3), field)
-    off = bs.coord_offsets()[1]
+    bs = BlockStructure((3, 3), field)
+    off = bs.block_coord_dim   # block 1 starts after one block
     r = np.random.default_rng(3)
     V = r.normal(size=(3, 3))
     if field == "C":
@@ -268,7 +297,7 @@ def test_pure_block_coords_rows(field):
         assert np.abs(row - want).max() < 1e-15
         assert np.abs(again - want).max() < 1e-15
         assert row.tobytes() == pure_block_vec(bs, 1, w).tobytes()
-    assert pure_block_coords(bs, 0, np.zeros((2, 0))).shape == (0, bs.coord_dim)
+    assert pure_block_coords(bs, 0, np.zeros((3, 0))).shape == (0, bs.coord_dim)
     with pytest.raises(ValueError):
         pure_block_coords(bs, 1, np.zeros((3, 1)))
 
@@ -294,13 +323,13 @@ def test_coord_dim_computed_once():
     """coord_dim is summed once and kept on the structure; it is not a
     field, so hashing, equality, the frozen fields and the cached index
     maps behave as before it was read."""
-    fresh, read = BlockStructure((2, 3), "C"), BlockStructure((2, 3), "C")
-    assert read.coord_dim == 13 and read.__dict__["coord_dim"] == 13
+    fresh, read = BlockStructure((3, 3), "C"), BlockStructure((3, 3), "C")
+    assert read.coord_dim == 18 and read.__dict__["coord_dim"] == 18
     assert "coord_dim" not in fresh.__dict__
     assert read == fresh and hash(read) == hash(fresh)
-    assert repr(read) == "BlockStructure(dims=(2, 3), field='C')"
-    assert embedding._maps(read) is embedding._maps(fresh)
-    assert BlockStructure((2, 3), "R").coord_dim == 9
-    assert BlockStructure((2, 3), "R") != read
+    assert repr(read) == "BlockStructure(dims=(3, 3), field='C')"
+    assert embedding._maps(read, True) is embedding._maps(fresh, True)
+    assert BlockStructure((3, 3), "R").coord_dim == 12
+    assert BlockStructure((3, 3), "R") != read
     with pytest.raises(AttributeError):
         read.dims = (1,)

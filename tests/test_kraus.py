@@ -2,7 +2,7 @@
 conjugation by the Kraus operators, read back in block coordinates, gives
 `matrix` within 1e-12."""
 
-import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -29,8 +29,7 @@ def rand_state(m, r):
 
 
 def _sector_moved(K, st):
-    n = st.dims[0]
-    return not np.any(K[:n, :n])
+    return not np.any(K[:st.n, :st.n])
 
 
 @pytest.mark.parametrize("text", [
@@ -73,11 +72,12 @@ def test_basis_alignment_with_sector_permutation():
     assert_kraus_matches(U)
 
 
-def test_block_reversible_keeps_sector_dimensions():
-    st = BlockStructure((1, 2), "C")
-    m = dataclasses.replace(q2, structure=st)
-    with pytest.raises(ValueError, match="preserve dimensions"):
-        zoo.block_reversible(m, [np.eye(1), np.eye(2)], [1, 0])
+def test_unequal_sectors_refused_at_construction():
+    """Sectors of unequal size are refused where the structure is built,
+    so no sector permutation can meet two sizes."""
+    for dims, field in itertools.product([(1, 2), (2, 3), (2, 2, 1)], "CR"):
+        with pytest.raises(ValueError, match="equal dimensions"):
+            BlockStructure(dims, field)
 
 
 def test_sector_matching_witness():

@@ -237,11 +237,11 @@ class TestMemo:
 
         decompositions = _counting(monkeypatch, spectral, "block_eigh")
         request()
-        # one eigensolve per block per state, in its cone check: the matrix
-        # route takes the kept pairs, and the witnesses read every
+        # one eigensolve of each state's block stack, in its cone check: the
+        # matrix route takes the kept (w, V), and the witnesses read every
         # eigenstate's support from the matrix route
-        blocks = (vec_to_blocks(rho.coords, model.structure)
-                  + vec_to_blocks(sigma.coords, model.structure))
+        blocks = [vec_to_blocks(rho.coords, model.structure),
+                  vec_to_blocks(sigma.coords, model.structure)]
         assert len(eigh) == len(blocks) and eigvalsh == []
         for (B,), want in zip(eigh, blocks):
             assert np.array_equal(B, want)
@@ -265,25 +265,26 @@ class TestMemo:
         eigh = _counting(monkeypatch, np.linalg, "eigh")
         d = diagonalize(s)
         assert eigh == [] and s._derived.keys() == {"diagonalization"}
-        raw = np.concatenate([w for w, _ in block_eigh(s.coords,
-                                                       model.structure)])
-        assert np.array_equal(np.concatenate([w for w, _ in kept]), raw)
-        # eigenstates are built without kept pairs: one solve per block
+        raw = block_eigh(s.coords, model.structure)[0]
+        assert np.array_equal(kept[0], raw)
+        # eigenstates are built without a kept (w, V): one solve of the stack
         e = d.eigenstates[0]
         assert e._derived.keys() == {"pure_support"}
         eigh.clear()
         diagonalize(e)
-        assert len(eigh) == model.structure.block_count
-        # refused: the pairs are gone too, and the retry solves afresh
+        stack = vec_to_blocks(e.coords, model.structure)
+        assert len(eigh) == 1 and np.array_equal(eigh[0][0], stack)
+        # refused: the (w, V) is gone too, and the retry solves afresh
         u = rand_state(model, r)
-        V = u._derived["block_eigh"][0][1]
+        V = u._derived["block_eigh"][1][0]
         V[:, 1] += 1e-3 * V[:, 0]
         with pytest.raises(DiagonalizationError, match="Gram"):
             diagonalize(u)
         assert u._derived == {}
         eigh.clear()
         assert diagonalize(u).residual <= core.DEFAULT_TOL
-        assert len(eigh) == model.structure.block_count
+        stack = vec_to_blocks(u.coords, model.structure)
+        assert len(eigh) == 1 and np.array_equal(eigh[0][0], stack)
 
     @pytest.mark.parametrize("beta", [0.7, -0.7, math.inf, -math.inf])
     @pytest.mark.parametrize("model", [q3, dq2], ids=lambda m: m.model_id)
@@ -293,8 +294,9 @@ class TestMemo:
         eigh = _counting(monkeypatch, np.linalg, "eigh")
         eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
         g = thermo.gibbs_state(model, h, beta)
-        # one eigh per block of h, then the equilibrium state's cone check
-        blocks = vec_to_blocks(h, st_) + vec_to_blocks(g.coords, st_)
+        # one eigh of the block stack of h, then the equilibrium state's
+        # cone check
+        blocks = [vec_to_blocks(h, st_), vec_to_blocks(g.coords, st_)]
         assert len(eigh) == len(blocks) and eigvalsh == []
         for (B,), want in zip(eigh, blocks):
             assert np.array_equal(B, want)
@@ -342,13 +344,12 @@ def _planted_tie_state(model, r):
     """A state whose blocks share one spectrum with repeated values (and
     zeros), each block in a Haar-random basis."""
     st_ = model.structure
-    n = st_.dims[0]
-    p = r.choice([0.0, 1.0, 2.0], size=n)
+    p = r.choice([0.0, 1.0, 2.0], size=st_.n)
     p[0] = 1.0
     blocks = []
-    for m in st_.dims:
-        U = zoo._haar_unitary(r, m, st_.field)
-        blocks.append((U * p[:m]) @ U.conj().T)
+    for _ in range(st_.block_count):
+        U = zoo._haar_unitary(r, st_.n, st_.field)
+        blocks.append((U * p) @ U.conj().T)
     x = blocks_to_vec(blocks, st_)
     return StateVec(x / float(model.unit_effect @ x), model)
 
@@ -365,9 +366,9 @@ class TestDescendingOrder:
                    StateVec(model.pure_sampler(model, r), model)]
         ties = 0
         for s in states:
-            pairs = block_eigh(s.coords, model.structure)
-            raw = np.concatenate([w for w, _ in pairs])
-            rows, _ = spectral._eigenstate_rows(model.structure, pairs)
+            eig = block_eigh(s.coords, model.structure)
+            raw = eig[0].reshape(-1)
+            rows, _ = spectral._eigenstate_rows(model.structure, eig)
             values = np.where(raw < 0.0, 0.0, raw)
             want = _full_lexsort(values, rows)
             asked = []
@@ -459,7 +460,7 @@ class TestCertificate:
         rebit = zoo.build_model("rebit")
         raw = np.array(raw, float)
         figures = core._block_figures(np.array(x, float), raw,
-                                      [(raw, np.array(E, float))],
+                                      (raw[None], np.array(E, float)[None]),
                                       rebit.structure)
         with pytest.raises(DiagonalizationError, match=check) as exc:
             core._certify(rebit, figures, raw, core.BLOCK_TOL)
@@ -480,8 +481,8 @@ class TestCertificate:
                             lambda m, x, which, tol=core.DEFAULT_TOL, eig=None:
                             check(m, x, which, 1e-5, eig))
         bad = StateVec(x / float(q3.unit_effect @ x), q3)
-        w = bad._derived["block_eigh"][0][0]
-        assert -1.1e-6 < w[0] < -0.9e-6
+        w, _ = bad._derived["block_eigh"]
+        assert -1.1e-6 < w[0, 0] < -0.9e-6
         with pytest.raises(DiagonalizationError) as exc:
             diagonalize(bad)
         assert exc.value.residue > 1e-7
@@ -518,11 +519,11 @@ _CERTIFIED_MODELS += [zoo.compose_systems(q2, q2), zoo.compose_systems(dq2, dq2)
 @given(st.sampled_from(_CERTIFIED_MODELS), st.integers(0, 2**32 - 1),
        st.sampled_from(["mixed", "pure", "toward_chi"]), st.floats(0.0, 1.0))
 def test_fast_route_certificate(model, seed, kind, t):
-    """On every matrix family and two composites: one block eigensolve per
-    fresh state and no per-eigenstate check, yet every eigenstate passes a
-    full rebuild, the residual is within its bound and the order is the
-    documented one (eigenvalues descending at 12 digits, then coordinates
-    at 10 digits)."""
+    """On every matrix family and two composites: one eigensolve of the
+    block stack per fresh state and no per-eigenstate check, yet every
+    eigenstate passes a full rebuild, the residual is within its bound and
+    the order is the documented one (eigenvalues descending at 12 digits,
+    then coordinates at 10 digits)."""
     r = np.random.default_rng(seed)
     x = (model.pure_sampler(model, r) if kind == "pure"
          else model.state_sampler(model, r))
@@ -533,8 +534,9 @@ def test_fast_route_certificate(model, seed, kind, t):
         checks = _counting(mp, np.linalg, "eigvalsh")
         s = StateVec(x, model)
         d = diagonalize(s)
-    # construction and diagonalization together: one eigensolve per block
-    assert len(solves) == model.structure.block_count and checks == []
+    # construction and diagonalization together: one eigensolve of the stack
+    assert len(solves) == 1 and checks == []
+    assert np.array_equal(solves[0][0], vec_to_blocks(x, model.structure))
     assert s._derived.keys() == {"diagonalization"}
     assert d.residual <= core.DEFAULT_TOL
     assert len(d.eigenstates) == model.capacity
@@ -593,11 +595,11 @@ def test_block_figures_bound_coordinate_figures(model, seed, kind, eps):
     r = np.random.default_rng(seed)
     st_ = model.structure
     x = _matrix_input(model, r, kind, 0.5)
-    pairs = [(w + eps * r.normal(size=w.shape),
-              V + eps * r.normal(size=V.shape)) for w, V in block_eigh(x, st_)]
-    raw = np.concatenate([w for w, _ in pairs])
-    block = dict(core._block_figures(x, raw, pairs, st_))
-    E, _ = spectral._eigenstate_rows(st_, pairs)
+    w, V = block_eigh(x, st_)
+    eig = (w + eps * r.normal(size=w.shape), V + eps * r.normal(size=V.shape))
+    raw = eig[0].reshape(-1)
+    block = dict(core._block_figures(x, raw, eig, st_))
+    E, _ = spectral._eigenstate_rows(st_, eig)
     coord = dict(core._coordinate_figures(model, x, raw, E))
     g, p = block["Gram matrix"], block["unit pairing"]
     assert block["reconstruction"] > 0 and p > 0   # g is 0 on 1 x 1 blocks

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 from itertools import combinations
 
@@ -7,7 +6,7 @@ import pytest
 
 import oracles
 from gptt import resource, symmetry, zoo
-from gptt.core import GroupSpec, StateVec
+from gptt.core import StateVec
 from test_facets import kgon_json
 
 rng = np.random.default_rng(19)
@@ -90,19 +89,27 @@ class TestTwirl:
         tw = symmetry.twirl(StateVec(np.array([1.0, 1.0, 1.0]), sq))
         assert np.abs(tw.coords - np.array([0.0, 0.0, 1.0])).max() < 1e-12
 
-    def test_degenerate_family_warns_and_projects(self):
-        sq = zoo.build_model("square_bit")
-        frozen = dataclasses.replace(
-            sq, model_id="square_no_motion",
-            group=GroupSpec(
-                sampler=lambda m, r: m.make_reversible(np.eye(3))))
+    def test_identity_group_leaves_a_three_dimensional_family(self):
+        """A model file without group generators has the identity as its
+        only group element: every vector is fixed, so the invariant family
+        is the whole 3-dimensional space, and the twirl is the exact
+        average over that one element, the state itself, with no warning."""
+        data = kgon_json(4)
+        data["group_generators"] = []
+        frozen = zoo.model_from_json(data)
+        perms, mats = frozen.group.table
+        assert perms.tolist() == [[0, 1, 2, 3]]
+        assert mats.tobytes() == np.eye(3).tobytes()
         rep = symmetry.invariant_state(frozen)
         assert not rep["unique"] and rep["dimension"] == 3
-        with warnings.catch_warnings(record=True) as w:
-            warnings.simplefilter("always")
-            out = symmetry.twirl(StateVec(np.array([1.0, 1.0, 1.0]), frozen))
-            assert any("not unique" in str(x.message) for x in w)
-        assert abs(float(frozen.unit_effect @ out.coords) - 1) < 1e-12
+        B = rep["basis"]
+        assert np.abs(B @ B.T - np.eye(3)).max() < 1e-12
+        assert rep["state"].coords.tobytes() == frozen.chi.tobytes()
+        x = StateVec(np.array([1.0, 0.0, 1.0]), frozen)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = symmetry.twirl(x)
+        assert out.coords.tobytes() == x.coords.tobytes()
 
 
 class TestInformationalEquilibrium:
