@@ -39,6 +39,9 @@ KRAUS_CAP = 64
 # Tags a composite or product channel keeps when every part carries them.
 _SHARED_TAGS = frozenset({"reversible", "unital", "rare"})
 
+# Tags of a reversible: its mixtures are rare and it fixes chi.
+_REVERSIBLE_TAGS = frozenset({"reversible", "unital", "rare"})
+
 # `cone_facets` refuses a cone with more generators than this, before any
 # work on it; the base-norm ball of a polygon with 200 vertices has 400.
 MAX_CONE_GENERATORS = 400
@@ -363,7 +366,7 @@ class ModelSpec:
             matrix=np.asarray(matrix, dtype=float),
             model_in=self,
             model_out=self,
-            tags=frozenset({"reversible", "unital", "rare"}),
+            tags=_REVERSIBLE_TAGS,
             kraus=None if kraus is None else tuple(kraus),
         )
 
@@ -642,16 +645,11 @@ class ChannelMap:
         M = M.copy()
         M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
-        resid = float(np.abs(M.T @ self.model_out.unit_effect
-                             - self.model_in.unit_effect).max())
-        if not resid <= DEFAULT_TOL:
-            raise ConeError(f"channel does not preserve the unit effect "
-                            f"(residual {resid:.3e})")
-        if "unital" in self.tags:
-            r = float(np.abs(M @ self.model_in.chi - self.model_out.chi).max())
-            if not r <= 1e-8:
-                raise ConeError(f"channel tagged unital moves the invariant "
-                                f"state (residual {r:.3e})")
+        _channel_check(
+            float(np.abs(M.T @ self.model_out.unit_effect
+                         - self.model_in.unit_effect).max()),
+            float(np.abs(M @ self.model_in.chi - self.model_out.chi).max())
+            if "unital" in self.tags else None)
 
     def __call__(self, state: StateVec) -> StateVec:
         return apply_channel(self, state)
@@ -660,6 +658,29 @@ class ChannelMap:
         t = ",".join(sorted(self.tags)) or "-"
         return (f"ChannelMap({self.model_in.model_id}->{self.model_out.model_id},"
                 f" tags={t})")
+
+
+def _channel_check(unit: float, moved: Optional[float] = None):
+    """The constructor's refusals on a channel's figures: the unit effect
+    residual max|M^T u - u| above DEFAULT_TOL, then, for a channel tagged
+    unital, the invariant state residual max|M chi - chi| above 1e-8."""
+    if not unit <= DEFAULT_TOL:
+        raise ConeError(f"channel does not preserve the unit effect "
+                        f"(residual {unit:.3e})")
+    if moved is not None and not moved <= 1e-8:
+        raise ConeError(f"channel tagged unital moves the invariant "
+                        f"state (residual {moved:.3e})")
+
+
+def _checked_channel(matrix: np.ndarray, model: ModelSpec,
+                     kraus: tuple) -> ChannelMap:
+    """A reversible of the model, as `make_reversible` gives it, on the
+    read-only matrix, built without the constructor's copy and checks: the
+    caller has already checked its figures (`_channel_check`)."""
+    c = object.__new__(ChannelMap)
+    c.__dict__.update(matrix=matrix, model_in=model, model_out=model,
+                      tags=_REVERSIBLE_TAGS, kraus=kraus, witness=None)
+    return c
 
 
 def apply_channel(channel: ChannelMap, state: StateVec) -> StateVec:

@@ -49,7 +49,6 @@ as t x D rows, one matrix per operator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -327,14 +326,13 @@ def canonical_rows(V: np.ndarray) -> np.ndarray:
     lead = V[first, cols]
     lead[~big[first, cols]] = 1  # no entry above 1e-10: the phase stays 1
     U = (V * (np.abs(lead) / lead)).T.copy()
-    # the sums np.linalg.norm forms, without its per-call overhead
-    if np.iscomplexobj(U):
-        nrm = [math.sqrt(u.real.dot(u.real) + u.imag.dot(u.imag)) for u in U]
-    else:
-        nrm = [math.sqrt(u.dot(u)) for u in U]
-    if min(nrm, default=1.0) < 1e-15:
+    # the sums np.linalg.norm forms, one batched product for all rows (per
+    # part when complex): the bits of a dot product per row
+    parts = (U.real, U.imag) if np.iscomplexobj(U) else (U,)
+    nrm = np.sqrt(sum(P[:, None, :] @ P[:, :, None] for P in parts)).reshape(-1)
+    if (nrm < 1e-15).any():
         raise ValueError("zero vector")
-    U /= np.array(nrm)[:, None]
+    U /= nrm[:, None]
     U.setflags(write=False)
     return U
 

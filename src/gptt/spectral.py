@@ -8,11 +8,13 @@ distinguishable sets: one batched least-squares solve finds every set whose
 hull holds it, and the state is refused when no set does or when two give
 it different spectra.  Both routes certify their reconstruction of the
 state within `core.DEFAULT_TOL` and report eigenvalues in descending
-order.  Eigenstates are built only when a caller reads them: entropies and
-majorisation need the spectrum alone.  On matrix models the identifying
-effect of an eigenstate is `dagger(s)`, which the self-dual embedding gives
-the state's own coordinates; `transition_matrix` reads them off the
-eigenstates directly.
+order.  Eigenstates are built only when a caller reads them: entropies,
+majorisation and relative entropy need none.  On matrix models the
+identifying effect of an eigenstate is `dagger(s)`, which the self-dual
+embedding gives the state's own coordinates, those of a rank-one
+projector; `transition_matrix` pairs the projectors from the block
+eigenvectors that each diagonalization keeps, without building an
+eigenstate.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -75,7 +77,11 @@ class Diagonalization:
 
     `eigenstates` (on a matrix model with their `pure_support`) are built
     by `build()` when first read, then kept; a build that raises is tried
-    again on the next read.  `residual` is the route's certificate figure:
+    again on the next read.  A matrix model's diagonalization also keeps
+    the certified block eigenvectors V, shape (N, n, n), and the descending
+    `order` of their flattened indices as `_eigensystem`, outside the
+    fields (None on a polytope); `transition_matrix` reads them.
+    `residual` is the route's certificate figure:
     on a matrix model the largest `core._block_figures` figure, at most
     `core.BLOCK_TOL` (5e-10); on a polytope the reconstruction residual
     max|p^T E - x| of the reported eigenvalues p, at most
@@ -88,11 +94,11 @@ class Diagonalization:
     residual: float
 
     def __init__(self, model: ModelSpec, eigenvalues, residual: float,
-                 build: Callable):
+                 build: Callable, eigensystem: Optional[tuple] = None):
         ev = np.asarray(eigenvalues, dtype=float)
         ev.setflags(write=False)
         self.__dict__.update(model=model, eigenvalues=ev, residual=residual,
-                             _build=build)
+                             _build=build, _eigensystem=eigensystem)
 
     @cached_property
     def eigenstates(self) -> tuple:
@@ -205,6 +211,7 @@ def diagonalize(state: StateVec) -> Diagonalization:
             for s, i in zip(states, order.tolist()):
                 s._derived["pure_support"] = supports[i]
             return states
+        eigensystem = (eig[1], order)
     else:
         values, rows = _stored_set_decomposition(model, state.coords)
         residual = float(np.abs(sum(p * r for p, r in zip(values, rows))
@@ -218,8 +225,9 @@ def diagonalize(state: StateVec) -> Diagonalization:
 
         def build():
             return tuple(_checked_state(r, model) for r in rows)
+        eigensystem = None
     d = state._derived["diagonalization"] = Diagonalization(
-        model, values, residual, build)
+        model, values, residual, build, eigensystem)
     return d
 
 
@@ -271,17 +279,29 @@ def transition_matrix(diag_from: Diagonalization,
     """T[i, j] = identifying effect of target state i on source state j.
 
     The identifying effect `dagger(s)` of a matrix-model eigenstate has the
-    state's coordinates, so T pairs the two bases' coordinates directly.
-    For two maximal bases of the same model this matrix is doubly
-    stochastic.
+    coordinates of the rank-one projector onto its eigenvector, so T[i, j]
+    is the trace of two projectors: |v_i^dagger u_j|^2 / (|v_i|^2 |u_j|^2)
+    for target and source eigenvectors v_i and u_j of one block, and 0
+    across blocks.  It is read from the block eigenvectors each
+    diagonalization certified (`_eigensystem`): one stacked product
+    V_to^dagger V_from of the (N, n, n) stacks, divided by the columns'
+    squared norms, with rows and columns in each diagonalization's
+    descending order.  No eigenstate is built, and reading `eigenstates`
+    first changes no bit.  For two maximal bases of the same model this
+    matrix is doubly stochastic.
     """
     if diag_to.model.structure is None:
         raise UnsupportedModelError(
             f"{diag_to.model.model_id} has no identifying effects")
     _same_model(diag_to.model, diag_from.model)
-    T = np.array([[float(t.coords @ s.coords) for s in diag_from.eigenstates]
-                  for t in diag_to.eigenstates])
-    return np.clip(T, 0.0, None)
+    (Vf, order_f), (Vt, order_t) = diag_from._eigensystem, diag_to._eigensystem
+    N, n = Vf.shape[:2]
+    nt, nf = (np.abs(Vt) ** 2).sum(axis=1), (np.abs(Vf) ** 2).sum(axis=1)
+    T = np.zeros((N, n, N, n))
+    blocks = np.arange(N)
+    T[blocks, :, blocks, :] = (np.abs(Vt.conj().transpose(0, 2, 1) @ Vf) ** 2
+                               / (nt[:, :, None] * nf[:, None, :]))
+    return T.reshape(N * n, N * n)[order_t[:, None], order_f]
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ from .core import (
     ModelSpec,
     StateVec,
     UnsupportedModelError,
+    _channel_check,
+    _checked_channel,
     _same_model,
     cone_facets,
 )
@@ -763,9 +765,12 @@ def basis_aligning_reversibles(model: ModelSpec, from_states, to_states,
     operator K = sum_i tb_i ta_perm(i)†, summed in the order of i over the
     total-space support vectors, must satisfy |K K† - I| <= 1e-8 (one
     batched product).  The coordinate matrices come from one
-    `conjugation_matrices` call, and each term is a `ChannelMap` with its
-    matrix and its one Kraus operator.  A failed check raises GPTError
-    naming the check.
+    `conjugation_matrices` call; their unit effect and invariant state
+    residuals come from two batched products, each term refused on its own
+    figures in turn with the `ChannelMap` constructor's ConeError
+    (`core._channel_check`).  Each term is then a read-only `ChannelMap`
+    with its matrix and its one Kraus operator (`core._checked_channel`).
+    A failed alignment check raises GPTError naming the check.
     """
     st = model.structure
     if st is None:
@@ -796,8 +801,14 @@ def basis_aligning_reversibles(model: ModelSpec, from_states, to_states,
     gram = K @ K.conj().transpose(0, 2, 1)
     if np.abs(gram - np.eye(st.hilbert_dim)).max() > 1e-8:
         raise GPTError("basis alignment produced a non-reversible map")
-    return [model.make_reversible(M, kraus=[Kt])
-            for M, Kt in zip(conjugation_matrices(K, st), K)]
+    M = conjugation_matrices(K, st)
+    u, chi = model.unit_effect, model.chi
+    unit = np.abs(M.transpose(0, 2, 1) @ u - u).max(axis=1)
+    moved = np.abs(M @ chi - chi).max(axis=1)
+    for figures in zip(unit.tolist(), moved.tolist()):
+        _channel_check(*figures)
+    M.setflags(write=False)
+    return [_checked_channel(Mt, model, (Kt,)) for Mt, Kt in zip(M, K)]
 
 
 def basis_aligning_reversible(model: ModelSpec, from_states,

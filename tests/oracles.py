@@ -8,6 +8,7 @@ import math
 from itertools import combinations, permutations
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linprog
 
 
@@ -374,6 +375,21 @@ def _hermitian_blocks(x, dims, field):
     return blocks
 
 
+def density_matrix(x, dims, field):
+    """The full Hilbert-space matrix of block coordinates x: its blocks on
+    the diagonal, zeros across blocks."""
+    return block_diag(*_hermitian_blocks(x, dims, field))
+
+
+def transition_pairings(E_to, E_from):
+    """The transition matrix as it was read off eigenstates: T[i, j] the
+    dot product of target eigenstate coordinates E_to[i] with source
+    eigenstate coordinates E_from[j], one Python float each, clipped at
+    0."""
+    T = np.array([[float(t @ s) for s in E_from] for t in E_to])
+    return np.clip(T, 0.0, None)
+
+
 def _rank_one_coords(u, field):
     """Block coordinates of |u><u|, in the order of `_hermitian_blocks`."""
     P = u[:, None] * u[None, :].conj()
@@ -387,9 +403,12 @@ def _rank_one_coords(u, field):
     return out
 
 
-def _canonical_columns(V):
+def canonical_rows_loop(V):
     """The columns of V as rows, each with its first entry above 1e-10 in
-    absolute value made real and positive, then scaled to unit length."""
+    absolute value made real and positive, then scaled to unit length by
+    the square root of one dot product per row (of the real and imaginary
+    parts on complex rows): the loop the package ran before it batched
+    the row norms, kept to check the batched form bit for bit."""
     cols = np.arange(V.shape[1])
     big = np.abs(V) > 1e-10
     first = big.argmax(axis=0)
@@ -422,7 +441,7 @@ def eager_diagonalization(x, dims, field, tol=1e-9):
     for b, H in enumerate(_hermitian_blocks(x, dims, field)):
         w, V = np.linalg.eigh(H)
         raw.extend(w.tolist())
-        for u in _canonical_columns(V):
+        for u in canonical_rows_loop(V):
             row = np.zeros(sum(width))
             row[sum(width[:b]): sum(width[:b + 1])] = _rank_one_coords(u, field)
             rows.append(row)

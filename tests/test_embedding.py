@@ -29,6 +29,7 @@ from gptt.embedding import (
     vec_to_blocks,
     vec_to_total,
 )
+import oracles
 
 SQRT2 = np.sqrt(2.0)
 
@@ -317,6 +318,21 @@ def test_canonical_rows_normalize_as_linalg_norm(n, k, field, seed):
     assert U.shape == W.shape
     for w, u in zip(W, U):
         assert (w / np.linalg.norm(w)).tobytes() == u.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 8), st.integers(0, 8), st.sampled_from(["C", "R"]),
+       seeds)
+def test_canonical_rows_batched_norm_matches_loop(n, k, field, seed):
+    """The batched row norms give the bits of one dot product per row
+    (`oracles.canonical_rows_loop`), on scaled columns and on the unit
+    eigenvectors of a Hermitian matrix."""
+    rng = np.random.default_rng(seed)
+    V = random_matrix(rng, max(n, k), field)[:n, :k] * rng.uniform(0.1, 10.0, k)
+    E = np.linalg.eigh(random_herm(rng, n, field))[1]
+    for W in (V, E):
+        assert (canonical_rows(W).tobytes()
+                == oracles.canonical_rows_loop(W).tobytes())
 
 
 def test_coord_dim_computed_once():

@@ -9,8 +9,8 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import oracles
 from gptt import resource, zoo
-from gptt.core import (KRAUS_CAP, DiagonalizationError, GPTError,
-                       ModelCompatibilityError, StateVec,
+from gptt.core import (KRAUS_CAP, ChannelMap, ConeError, DiagonalizationError,
+                       GPTError, ModelCompatibilityError, StateVec,
                        UnsupportedModelError, apply_channel, compose)
 from gptt.embedding import blocks_to_vec, conjugation_matrix, pure_block_vec
 from gptt.spectral import diagonalize
@@ -416,6 +416,43 @@ class TestStackedRefusals:
         with pytest.raises(GPTError) as got:
             zoo.basis_aligning_reversibles(q3, basis, skewed,
                                            [[0, 1, 2], [1, 0, 2]])
+        assert str(got.value) == str(ref.value)
+
+    @pytest.mark.parametrize("row, figure", [
+        (0, "does not preserve the unit effect"),
+        (3, "moves the invariant state")])
+    def test_each_term_refused_on_its_own_channel_figures(self, monkeypatch,
+                                                          row, figure):
+        """The stack's batched unit-effect and chi residuals refuse a term
+        with the ConeError its own `ChannelMap` constructor gives; unbent,
+        every term is the constructor's read-only ChannelMap, bit for bit.
+        Row 0 is a diagonal coordinate, read by the unit effect; row 3 is
+        an off-diagonal one, which only chi's image reads."""
+        basis = zoo.pure_maximal_set(q3)
+        perms = [[0, 1, 2], [1, 0, 2], [2, 1, 0]]
+        terms = zoo.basis_aligning_reversibles(q3, basis, basis, perms)
+        for U in terms:
+            ref = q3.make_reversible(U.matrix, kraus=U.kraus)
+            assert type(U) is ChannelMap and not U.matrix.flags.writeable
+            assert U.matrix.tobytes() == ref.matrix.tobytes()
+            assert len(U.kraus) == 1 and np.array_equal(U.kraus[0], ref.kraus[0])
+            assert (U.model_in, U.model_out, U.tags, U.witness) == (
+                q3, q3, ref.tags, None)
+        bent = terms[1].matrix.copy()
+        bent[row, 0] += 1e-6
+        with pytest.raises(ConeError) as ref:
+            q3.make_reversible(bent)
+        stack = zoo.conjugation_matrices
+
+        def bending(K, structure):
+            M = stack(K, structure)
+            M[1, row, 0] += 1e-6
+            return M
+
+        monkeypatch.setattr(zoo, "conjugation_matrices", bending)
+        with pytest.raises(ConeError) as got:
+            zoo.basis_aligning_reversibles(q3, basis, basis, perms)
+        assert figure in str(ref.value)
         assert str(got.value) == str(ref.value)
 
     def test_one_perm_case_is_the_stack_of_one(self):

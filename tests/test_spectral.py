@@ -581,6 +581,56 @@ def test_lazy_eigenstates_match_eager(model, seed, kind, t):
         assert eb == b and eu.tobytes() == u.tobytes()
 
 
+_TRANSITION_MODELS = [zoo.parse_model_string(t) for t in (
+    "classical:3", "rebit", "quantum:3", "real_quantum:3", "doubled_quantum:2",
+    "extended_classical:3x2")] + [zoo.compose_systems(q2, q2)]
+_KINDS = st.sampled_from(["mixed", "pure", "toward_chi", "chi"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_TRANSITION_MODELS), st.integers(0, 2**32 - 1),
+       _KINDS, _KINDS, st.floats(0.0, 0.9), st.floats(0.0, 0.9))
+def test_block_transition_matrix_matches_eigenstate_pairings(
+        model, seed, kind_r, kind_s, t_r, t_s):
+    """The transition matrix from the kept block eigensystems is the
+    pairing of the certified eigenstates' coordinates within 1e-14 and
+    doubly stochastic within 1e-12; the relative entropy built on it
+    matches the density-matrix formula within 1e-7 and has the same bits
+    whether or not the eigenstates were read first.  States are random,
+    pure, pure moved toward chi (lower eigenvalues tie, and stay at least
+    0.1 / d, away from the rank drop where the formula is ill-conditioned
+    for any eigensolver) or chi (all tie)."""
+    r = np.random.default_rng(seed)
+    x_r = _matrix_input(model, r, kind_r, t_r)
+    x_s = _matrix_input(model, r, kind_s, t_s)
+    dr, ds = diagonalize(StateVec(x_r, model)), diagonalize(StateVec(x_s, model))
+    T = transition_matrix(dr, ds)
+    relent = thermo._relative_entropy(dr, ds)
+    assert "eigenstates" not in dr.__dict__ and "eigenstates" not in ds.__dict__
+
+    ref = oracles.transition_pairings([e.coords for e in ds.eigenstates],
+                                      [e.coords for e in dr.eigenstates])
+    assert np.abs(T - ref).max() <= 1e-14
+    assert np.abs(T.sum(axis=0) - 1).max() <= 1e-12
+    assert np.abs(T.sum(axis=1) - 1).max() <= 1e-12
+    assert transition_matrix(dr, ds).tobytes() == T.tobytes()
+
+    read = [diagonalize(StateVec(x, model)) for x in (x_r, x_s)]
+    for d in read:
+        d.eigenstates
+    assert (np.float64(thermo._relative_entropy(*read)).tobytes()
+            == np.float64(relent).tobytes())
+
+    dims, field = model.structure.dims, model.structure.field
+    want = oracles.quantum_relative_entropy(
+        oracles.density_matrix(x_r, dims, field),
+        oracles.density_matrix(x_s, dims, field))
+    if math.isinf(want):
+        assert math.isinf(relent)
+    else:
+        assert abs(relent - want) < 1e-7
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_CERTIFIED_MODELS), st.integers(0, 2**32 - 1),
        st.sampled_from(["mixed", "pure", "toward_chi"]),

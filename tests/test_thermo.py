@@ -439,36 +439,38 @@ class TestLandauer:
             "joint_entropy_in", "joint_entropy_out"]
 
     @pytest.mark.parametrize("model", [q2, dq2], ids=lambda m: m.model_id)
-    def test_eigenstates_built_for_the_relative_entropy_only(self, monkeypatch,
-                                                             model):
-        """Of the six diagonalizations only the environment's output and its
-        Gibbs state, which `_relative_entropy` pairs, build eigenstates."""
+    def test_no_eigenstates_built_on_the_ledger_path(self, monkeypatch, model):
+        """A ledger and a bare relative entropy build no eigenstate, since
+        the transition matrix pairs the kept block eigenvectors, and each of
+        the ledger's six states is diagonalized exactly once."""
         comp = zoo.compose_systems(model, model)
         r = np.random.default_rng(17)
         rho, U = rand_state(model, r), comp.group.sampler(comp, r)
         h = blocks_to_vec([np.diag(np.arange(n, dtype=float) + b)
                            for b, n in enumerate(model.structure.dims)],
                           model.structure)
-        seen = []
+        seen, made, builds = [], [], []
 
         def counting(state):
             seen.append((state, diagonalize(state)))
             return seen[-1][1]
 
-        builds = []
-        build = spectral._certified_eigenstates
+        make, build = spectral.Diagonalization, spectral._certified_eigenstates
         monkeypatch.setattr(thermo, "diagonalize", counting)
+        monkeypatch.setattr(spectral, "Diagonalization",
+                            lambda *a: made.append(a) or make(*a))
         monkeypatch.setattr(spectral, "_certified_eigenstates",
                             lambda *a: builds.append(a) or build(*a))
-        thermo.landauer_ledger(U, rho, h, 1.0, comp)
+        led = thermo.landauer_ledger(U, rho, h, 1.0, comp)
+        assert len(seen) == len(made) == 6
+        assert len({id(s) for s, _ in seen}) == 6
+        assert all("eigenstates" not in d.__dict__ for _, d in seen)
+        # the environment's output and its Gibbs state, afresh
         gamma = thermo.gibbs_state(model, h, 1.0)
-        assert len(seen) == 6 and len(builds) == 2
-        built = [s for s, d in seen if "eigenstates" in d.__dict__]
         out_E = core.marginal(apply_channel(
             U, core.tensor_states(comp, rho, gamma)), 1)
-        assert [s.model for s in built] == [model, model]
-        assert np.array_equal(built[0].coords, out_E.coords)
-        assert np.array_equal(built[1].coords, gamma.coords)
+        assert thermo.relative_entropy(out_E, gamma) == led.relent_term
+        assert len(made) == 8 and builds == []
 
 
 class TestErasure:
