@@ -620,7 +620,7 @@ def effect_norm(model: ModelSpec, f) -> float:
 # Channels
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ChannelMap:
     """Linear map between model state spaces that preserves the unit effect.
 
@@ -629,27 +629,88 @@ class ChannelMap:
     carries the certifying data.  `kraus` holds total-Hilbert-space Kraus
     operators when the map has a matrix-model presentation; they make
     tensoring exact.
+
+    Either form may be given.  A channel given its `matrix` keeps a
+    read-only copy and is applied as matrix @ coords; a Kraus form given
+    with it rides along unchecked.  A channel of a matrix model to a model
+    of the same block structure may be given `kraus` alone (matrix=None):
+    its operators are kept as one read-only (t, H, H) stack, it is applied
+    as sum_K K X K† on the total Hilbert matrix (`apply_channel`), and its
+    `matrix`, `conjugation_matrix(kraus)`, is built read-only when first
+    read and then kept.  Such a channel is refused (ConeError) when an
+    operator sends one block into more than one (`_check_block_transport`),
+    since that part is no map of block-diagonal matrices; its unit effect
+    and invariant-state figures are taken on the Kraus form,
+    total_to_vec(sum K† U K) - u and total_to_vec(sum K X_chi K†) - chi, the
+    matrix's M^T u - u and M chi - chi.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray  # a field, built by the cached property below
     model_in: ModelSpec
     model_out: ModelSpec
     tags: frozenset = frozenset()
     kraus: Optional[tuple] = None
     witness: Optional[dict] = None
 
+    # the Kraus stack of a channel given by its Kraus form alone
+    _stack = None
+
+    def __init__(self, matrix: Optional[np.ndarray], model_in: ModelSpec,
+                 model_out: ModelSpec, tags: frozenset = frozenset(),
+                 kraus: Optional[tuple] = None, witness: Optional[dict] = None):
+        self.__dict__.update(model_in=model_in, model_out=model_out,
+                             tags=tags, kraus=kraus, witness=witness)
+        if matrix is not None:
+            self.__dict__["matrix"] = matrix
+        self.__post_init__()
+
+    # the checks stay in __post_init__, where the benchmark's tracer
+    # counts the channels built
     def __post_init__(self):
+        if "matrix" not in self.__dict__:
+            self._check_kraus_form()
+            return
         M = np.asarray(self.matrix, dtype=float)
         if M.shape != (self.model_out.vector_dim, self.model_in.vector_dim):
             raise ValueError("channel matrix has wrong shape")
         M = M.copy()
         M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
+        self.__dict__["matrix"] = M
         _channel_check(
             float(np.abs(M.T @ self.model_out.unit_effect
                          - self.model_in.unit_effect).max()),
             float(np.abs(M @ self.model_in.chi - self.model_out.chi).max())
             if "unital" in self.tags else None)
+
+    def _check_kraus_form(self):
+        st = self.model_in.structure
+        if self.kraus is None:
+            raise ValueError("a channel needs its matrix or its Kraus operators")
+        if st is None or st != self.model_out.structure:
+            raise ValueError("Kraus operators alone define a channel only "
+                             "between models of one block structure")
+        K = np.array(self.kraus)
+        if K.ndim != 3 or K.shape[1:] != (st.hilbert_dim,) * 2:
+            raise ValueError("Kraus operators have wrong shape")
+        _check_block_transport(K, st)
+        Kh = K.conj().transpose(0, 2, 1)
+        U = vec_to_total(self.model_out.unit_effect, st)
+        unit = total_to_vec((Kh @ U @ K).sum(axis=0), st)[0]
+        moved = None
+        if "unital" in self.tags:
+            X = vec_to_total(self.model_in.chi, st)
+            moved = float(np.abs(total_to_vec((K @ X @ Kh).sum(axis=0), st)[0]
+                                 - self.model_out.chi).max())
+        _channel_check(float(np.abs(unit - self.model_in.unit_effect).max()),
+                       moved)
+        K.setflags(write=False)
+        self.__dict__.update(kraus=tuple(K), _stack=K)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        M = conjugation_matrix(self.kraus, self.model_in.structure)
+        M.setflags(write=False)
+        return M
 
     def __call__(self, state: StateVec) -> StateVec:
         return apply_channel(self, state)
@@ -658,6 +719,20 @@ class ChannelMap:
         t = ",".join(sorted(self.tags)) or "-"
         return (f"ChannelMap({self.model_in.model_id}->{self.model_out.model_id},"
                 f" tags={t})")
+
+
+def _check_block_transport(K: np.ndarray, st: BlockStructure):
+    """Refuse a stack of Kraus operators (t, H, H) on the block structure
+    with ConeError when one of them sends a block into more than one block:
+    block j reaches block i when an entry of K[i-block, j-block] exceeds
+    DEFAULT_TOL in absolute value.  Such an operator takes a block-diagonal
+    matrix to one with entries across blocks, which `conjugation_matrices`
+    would drop without a word."""
+    N, n = st.block_count, st.n
+    reached = (np.abs(K.reshape(len(K), N, n, N, n)) > DEFAULT_TOL).any(axis=(2, 4))
+    if (reached.sum(axis=1) > 1).any():
+        raise ConeError("a Kraus operator sends one block into more than one "
+                        "block, so it is not a map of block-diagonal matrices")
 
 
 def _channel_check(unit: float, moved: Optional[float] = None):
@@ -684,9 +759,25 @@ def _checked_channel(matrix: np.ndarray, model: ModelSpec,
 
 
 def apply_channel(channel: ChannelMap, state: StateVec) -> StateVec:
-    """The channel's output state; StateVec rejects an output outside the cone."""
+    """The channel's output state; StateVec rejects an output outside the cone.
+
+    A channel given its matrix is applied as matrix @ coords.  One given by
+    its Kraus form alone is applied as one stacked sum_K K X K† on the total
+    Hilbert matrix X of the state, read back with `total_to_vec`; an
+    off-block residual above 1e-8 raises ConeError.  The route depends only
+    on how the channel was built, not on whether its matrix has been read.
+    """
     _same_model(channel.model_in, state.model)
-    return StateVec(channel.matrix @ state.coords, channel.model_out)
+    K = channel._stack
+    if K is None:
+        return StateVec(channel.matrix @ state.coords, channel.model_out)
+    X = vec_to_total(state.coords, channel.model_in.structure)
+    x, resid = total_to_vec((K @ X @ K.conj().transpose(0, 2, 1)).sum(axis=0),
+                            channel.model_out.structure)
+    if resid > 1e-8:
+        raise ConeError(f"channel output violates the sector structure "
+                        f"(off-block residual {resid:.3e})")
+    return StateVec(x, channel.model_out)
 
 
 def compose(outer: ChannelMap, inner: ChannelMap) -> ChannelMap:
@@ -786,7 +877,12 @@ def tensor_channels(comp_in: ModelSpec, comp_out: ModelSpec,
     """Product channel acting factor-wise on composite models.
 
     Both composites must be built from the channels' endpoint models; the
-    factors must carry Kraus presentations.
+    factors must carry Kraus presentations.  Up to KRAUS_CAP lifted
+    operators, the product is given by them alone (so it is applied
+    through them and its matrix is built only if read); past it, by its
+    dense matrix with no Kraus form.  Either way a lifted operator that
+    sends one block of the composite into more than one is refused
+    (ConeError, `_check_block_transport`).
     """
     info_in = _require_composite(comp_in)
     info_out = _require_composite(comp_out)
@@ -801,20 +897,20 @@ def tensor_channels(comp_in: ModelSpec, comp_out: ModelSpec,
         raise UnsupportedModelError("factor-wise maps must preserve the "
                                     "composite model in this version")
     kraus = _lifted_kraus(comp_in, chan_A.kraus, chan_B.kraus)
-    M = conjugation_matrix(kraus, comp_in.structure)
-    return ChannelMap(matrix=M, model_in=comp_in, model_out=comp_out,
-                      tags=_SHARED_TAGS & chan_A.tags & chan_B.tags,
-                      kraus=tuple(kraus) if len(kraus) <= KRAUS_CAP else None)
+    tags = _SHARED_TAGS & chan_A.tags & chan_B.tags
+    if len(kraus) <= KRAUS_CAP:
+        return ChannelMap(None, comp_in, comp_out, tags, kraus=kraus)
+    _check_block_transport(np.array(kraus), comp_in.structure)
+    return ChannelMap(conjugation_matrix(kraus, comp_in.structure), comp_in,
+                      comp_out, tags)
 
 
 def lift_channel(comp: ModelSpec, chan: ChannelMap, which: int) -> ChannelMap:
     """Act with a single-factor channel on one leg of a composite."""
     info = _require_composite(comp)
     other = info.factors[1 - which]
-    ident = other.make_reversible(
-        np.eye(other.vector_dim),
-        kraus=[np.eye(other.structure.hilbert_dim)],
-    )
+    ident = ChannelMap(None, other, other, _REVERSIBLE_TAGS,
+                       kraus=[np.eye(other.structure.hilbert_dim)])
     if which == 0:
         return tensor_channels(comp, comp, chan, ident)
     return tensor_channels(comp, comp, ident, chan)

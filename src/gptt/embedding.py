@@ -258,7 +258,12 @@ def conjugation_matrices(ops: np.ndarray, structure: BlockStructure,
     stack (t, H, H), as a stack (t, D, D); added into `out` when given.
 
     The operators act on the total Hilbert space; each image is projected
-    back onto the block structure (operators used here must preserve it).
+    back onto the block structure, and any part of it across blocks is
+    dropped without a word.  So an operator that sends one block into more
+    than one has no faithful matrix here.  `core._check_block_transport`
+    refuses such operators: the `ChannelMap` constructor runs it on a
+    channel given by its Kraus form alone, and `core.tensor_channels` on
+    every lifted operator.
     Computed in closed form, CONJ_SLICE columns at a time (module
     docstring), with the same elementwise operations for every height of
     stack, so each matrix has the bits a stack of one gives it.  The

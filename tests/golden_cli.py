@@ -17,9 +17,10 @@ The calls cover `diag`, `entropy`, `convert` in the unital, rare and noisy
 regimes, `landauer`, `gibbs`, `erase` and `verify` on the matrix models and
 the builtin polytopes.  Fixed vectors on the two sectorized models reach
 the sector-matched rare witness and its "no" certificate, larger ones the
-pure-source and invariant-target witnesses, and `gibbs` runs
+pure-source and invariant-target witnesses, `gibbs` runs
 at beta = +-inf and at fixed mean energies (one near the band's edge) on
-Hamiltonians off the diagonal.
+Hamiltonians off the diagonal, and `erase` runs on `doubled_quantum:3`,
+whose lifted channel acts on a triple system of dimension 23,328.
 """
 
 from __future__ import annotations
@@ -83,6 +84,10 @@ RANDOM_PAIR_SEEDS = ("2", "3")
 SECTOR_MODELS = ("doubled_quantum:3",)
 SECTOR_STATE_PAIRS = (("pure:0", "random"), ("random", "chi"))
 
+# erasures on a model whose triple system, with D = 23,328, would need
+# 4.1 GiB for one dense copy of the lifted channel's coordinate matrix
+ERASE_MODELS = ("doubled_quantum:3",)
+
 
 def calls():
     """The golden argv lists, in a fixed order."""
@@ -126,6 +131,9 @@ def calls():
                     "--regime", regime, "--seed", seed, "--json"))
     out.append(("convert", "doubled_quantum:5", "--from", "random", "--to",
                 "chi", "--regime", "rare", "--seed", "0", "--json"))
+    for model, seed in itertools.product(ERASE_MODELS, SEEDS):
+        out.append(("erase", model, "--state", "random", "--seed", seed,
+                    "--json"))
     return [list(argv) for argv in out]
 
 

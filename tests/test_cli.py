@@ -203,6 +203,14 @@ class TestLandauerErase:
         checks = {c["name"]: c["pass"] for c in json.loads(res.output)["checks"]}
         assert checks[check] and all(checks.values())
 
+    def test_erase_on_a_triple_of_dimension_15552(self):
+        """The lifted channel on the 15,552-dimensional triple is applied
+        through its Kraus operator; its dense matrix would be 1.8 GiB."""
+        res = invoke("erase", "extended_classical:3x2", "--state", "random",
+                     "--seed", "0", "--json")
+        assert res.exit_code == 0
+        assert all(c["pass"] for c in json.loads(res.output)["checks"])
+
     def test_erase_pure_exits_two(self):
         res = invoke("erase", "quantum:2", "--state", "pure:0", "--json")
         assert res.exit_code == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from gptt import core, spectral, thermo, zoo
+from gptt import core, embedding, spectral, thermo, zoo
 from gptt.core import (ChannelMap, GPTError, StateVec, UnsupportedModelError,
                        apply_channel, lift_channel)
 from gptt.embedding import blocks_to_vec, conjugation_matrix, vec_to_blocks
@@ -502,6 +503,37 @@ class TestErasure:
         psi = StateVec(q2.pure_sampler(q2, rng), q2)
         with pytest.raises(GPTError, match="pure"):
             thermo.erasure_demo(psi, 1.0)
+
+    def test_doubled_erasure_memory(self):
+        """The lifted U_SM on the D = 2048 triple is applied through its one
+        Kraus operator: no coordinate matrix of 32 MiB, or its copy, is made
+        (the dense route peaked at 64.7 MB)."""
+        rho = rand_state(dq2, np.random.default_rng(18))
+        tracemalloc.start()
+        try:
+            thermo.erasure_demo(rho, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("model", [q2, dq2], ids=lambda m: m.model_id)
+    def test_no_conjugation_matrix_on_the_triple(self, monkeypatch, model):
+        """Every coordinate matrix an erasure builds is on the system or on
+        the system-memory composite, never on the triple system."""
+        rho = rand_state(model, np.random.default_rng(19))
+        comp, _ = spectral.purify(rho)
+        triple = zoo.compose_systems(comp, comp.composite.factors[1])
+        seen, build = [], embedding.conjugation_matrices
+
+        def counting(ops, structure, out=None):
+            seen.append(structure)
+            return build(ops, structure, out)
+
+        monkeypatch.setattr(embedding, "conjugation_matrices", counting)
+        monkeypatch.setattr(zoo, "conjugation_matrices", counting)
+        thermo.erasure_demo(rho, 1.0)
+        assert seen and triple.structure not in seen
 
 
 class TestSecondLawLemma:
