@@ -418,11 +418,11 @@ class StateVec:
     one block eigendecomposition: its stacked (w, V) is kept in
     `_derived["block_eigh"]` until `spectral.diagonalize` takes it out, so
     no second eigensolve runs.  The eigenstates of a diagonalization are the
-    one exception to these checks (`_checked_state`): on a matrix model
-    `_certified_eigenstates` builds them, without a kept (w, V), when they are
-    first read, after checks of the whole decomposition, which they pass
-    with tighter tolerances than these; on a polytope they are rows of
-    `pure_states`, generators of the state cone normalized to unit pairing.
+    one exception to these checks (`_checked_state`): on a matrix model they
+    are built, without a kept (w, V), when first read, on rows that passed
+    one check of the whole decomposition (`_certified_rows`) with tighter
+    tolerances than these; on a polytope they are rows of `pure_states`,
+    generators of the state cone normalized to unit pairing.
     The state is frozen and its coordinates are read-only, so results
     derived from it alone (its diagonalization, the support of a pure state)
     are cached in `_derived` and never go stale.
@@ -529,17 +529,16 @@ def _certify(model: ModelSpec, figures: tuple, raw: np.ndarray,
     return max(r for _, r in figures)
 
 
-def _certified_eigenstates(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
-                           E: np.ndarray) -> tuple:
-    """Eigenstates of the state x, one per row of E (made read-only), built
-    with `_checked_state` after one check of the whole decomposition instead
-    of a cone check each: `_certify` of the `_coordinate_figures` at
+def _certified_rows(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
+                    E: np.ndarray) -> np.ndarray:
+    """E, made read-only, after one check of the decomposition of the state
+    x into its rows: `_certify` of the `_coordinate_figures` at
     DEFAULT_TOL, with raw the eigenvalues before clipping.  Each row is then
-    a unit-pairing projector orthogonal to the others, and together they
-    rebuild x."""
+    a unit-pairing projector orthogonal to the others, together they
+    rebuild x, and each can be made a state with `_checked_state`."""
     _certify(model, _coordinate_figures(model, x, raw, E), raw, DEFAULT_TOL)
     E.setflags(write=False)
-    return tuple(_checked_state(row, model) for row in E)
+    return E
 
 
 def _checked_state(row: np.ndarray, model: ModelSpec) -> StateVec:
@@ -882,7 +881,11 @@ def tensor_channels(comp_in: ModelSpec, comp_out: ModelSpec,
     through them and its matrix is built only if read); past it, by its
     dense matrix with no Kraus form.  Either way a lifted operator that
     sends one block of the composite into more than one is refused
-    (ConeError, `_check_block_transport`).
+    (ConeError, `_check_block_transport`).  Only the Kraus forms are lifted,
+    so a factor given its matrix as well is refused (ConeError) when
+    `conjugation_matrix` of its Kraus form differs from that matrix by more
+    than DEFAULT_TOL in some entry; a factor given its Kraus form alone has
+    no second form to disagree with.
     """
     info_in = _require_composite(comp_in)
     info_out = _require_composite(comp_out)
@@ -896,6 +899,14 @@ def tensor_channels(comp_in: ModelSpec, comp_out: ModelSpec,
     if comp_in is not comp_out and comp_in.model_id != comp_out.model_id:
         raise UnsupportedModelError("factor-wise maps must preserve the "
                                     "composite model in this version")
+    for chan in (chan_A, chan_B):
+        if chan._stack is None:
+            gap = float(np.abs(conjugation_matrix(
+                chan.kraus, chan.model_in.structure) - chan.matrix).max())
+            if not gap <= DEFAULT_TOL:
+                raise ConeError(f"a factor's Kraus operators and matrix "
+                                f"disagree (by {gap:.3e}), so its lift "
+                                f"would not be the channel")
     kraus = _lifted_kraus(comp_in, chan_A.kraus, chan_B.kraus)
     tags = _SHARED_TAGS & chan_A.tags & chan_B.tags
     if len(kraus) <= KRAUS_CAP:

@@ -357,6 +357,18 @@ def rank_one_coords(structure: BlockStructure, block,
     return x.reshape(k, structure.coord_dim)
 
 
+def total_vectors(structure: BlockStructure, block: np.ndarray,
+                  U: np.ndarray) -> np.ndarray:
+    """The rows u of U, each placed in its block of the array `block` and
+    zero elsewhere: one row of the total Hilbert space per row of U, real
+    or complex with the structure's field."""
+    k = len(U)
+    T = np.zeros((k, structure.block_count, structure.n),
+                 dtype=complex if structure.field == "C" else float)
+    T[np.arange(k), block] = U
+    return T.reshape(k, structure.hilbert_dim)
+
+
 def pure_block_coords(structure: BlockStructure, block: int,
                       V: np.ndarray) -> np.ndarray:
     """Coordinates of the rank-one states |v><v|, one row per column v of V,

@@ -28,7 +28,6 @@ from .core import (
 )
 from . import zoo
 from .spectral import Diagonalization, diagonalize
-from .zoo import basis_aligning_reversibles, pure_support
 
 
 def majorizes(p, q) -> bool:
@@ -242,21 +241,23 @@ def measure_and_prepare_channel(diag_from: Diagonalization,
     """Measure in the source eigenbasis, prepare column-mixtures of the
     target eigenbasis.  Doubly stochastic D keeps the channel unital.
 
-    The measurement effects are the source eigenstates' own coordinates
-    (`dagger`); ChannelMap's unit-preservation check confirms they sum to
-    the unit.  Built from stacked arrays: preparation j is
-    sum_i D[i, j] e_i over the target eigenstates, the matrix is
-    sum_j prep_j f_j^T over the source eigenstates, both summed in index
-    order from zero, and the Kraus operators sqrt(D[i, j]) |tb_i><ta_j|
-    (for D[i, j] > 1e-14, in row-major order, when d^2 <= KRAUS_CAP) are
-    one stack over the total-space support vectors (`zoo.total_supports`).
+    Both eigenbases are read from the diagonalizations' frames
+    (`spectral.Frame`), and no eigenstate is built.  The measurement
+    effects are the source eigenstates' own coordinates (`dagger`);
+    ChannelMap's unit-preservation check confirms they sum to the unit.
+    Built from stacked arrays: preparation j is sum_i D[i, j] e_i over the
+    target eigenstates, the matrix is sum_j prep_j f_j^T over the source
+    eigenstates, both summed in index order from zero, and the Kraus
+    operators sqrt(D[i, j]) |tb_i><ta_j| (for D[i, j] > 1e-14, in row-major
+    order, when d^2 <= KRAUS_CAP) are one stack over the frames'
+    total-space unit vectors.
     """
     model = diag_from.model
     if model.structure is None:
         raise UnsupportedModelError(
             f"{model.model_id} has no identifying effects")
-    F = np.array([s.coords for s in diag_from.eigenstates])
-    E = np.array([s.coords for s in diag_to.eigenstates])
+    src, tgt = diag_from.frame, diag_to.frame
+    F, E = src.rows, tgt.rows
     d, dim = F.shape
     prep = np.add.reduce(D[:, :, None] * E[:, None, :], axis=0, initial=0.0)
     M = np.empty((dim, dim))
@@ -267,8 +268,7 @@ def measure_and_prepare_channel(diag_from: Diagonalization,
                       initial=0.0, out=M[rows])
     kraus = None
     if d * d <= KRAUS_CAP:
-        _, ta = zoo.total_supports(model, diag_from.eigenstates)
-        _, tb = zoo.total_supports(model, diag_to.eigenstates)
+        ta, tb = src.vectors, tgt.vectors
         i, j = np.nonzero(D > 1e-14)
         kraus = tuple(np.sqrt(D[i, j])[:, None, None]
                       * (tb[i][:, :, None] * ta[j].conj()[:, None, :]))
@@ -304,15 +304,15 @@ def build_rare_channel(rho: StateVec, sigma: StateVec) -> ConversionOutcome:
 # sector invariants for the sectorized families
 
 
-def _eigenstates_by_sector(d: Diagonalization) -> tuple:
-    """The eigenvalues of each sector, one row per block in block order, and
-    the eigenstates in the same order: d's decomposition grouped by each
-    eigenstate's `pure_support` sector, descending within a sector."""
-    sectors = [pure_support(s)[0] for s in d.eigenstates]
-    order = np.argsort(sectors, kind="stable")
+def _by_sector(d: Diagonalization) -> tuple:
+    """d's decomposition grouped by block, in block order and descending
+    within a block: the eigenvalues, one row per block, then the blocks and
+    total-space unit vectors of its frame in that order."""
+    _, blocks, vectors = d.frame
+    order = np.argsort(blocks, kind="stable")
     st = d.model.structure
     return (d.eigenvalues[order].reshape(st.block_count, st.n),
-            [d.eigenstates[i] for i in order.tolist()])
+            blocks[order], vectors[order])
 
 
 def _matching_sector_perm(sr, ss):
@@ -353,12 +353,14 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
                   ds: Diagonalization) -> ConversionOutcome:
     """Mixture-of-reversibles verdict for a pair whose spectra majorise.
 
-    Every witness is weights w_t over one `basis_aligning_reversibles`
+    Every witness is weights w_t over one `zoo._aligning_reversibles`
     stack, term t sending source eigenstate perm_t[i] onto target
-    eigenstate i.  With unrestricted reversibility the terms are the
-    Birkhoff terms of the mixing matrix D (eigenvalues of sigma = D times
-    those of rho).  On a sectorized model, N sectors of dimension n, both
-    eigenbases are grouped by sector and a term is a move (image, a),
+    eigenstate i, both read from the diagonalizations' frames.  With
+    unrestricted reversibility the terms are the Birkhoff terms of the
+    mixing matrix D (eigenvalues of sigma = D times those of rho), the one
+    `convertible` keeps for the pair.  On a sectorized model, N sectors of
+    dimension n, both eigenbases are grouped by sector (the frames' block
+    arrays) and a term is a move (image, a),
     sending (j, r) onto (image[j], (r + a) mod n): for a pure source at
     (j0, 0), the cyclic shift by j - j0 with a = r, weighted by the target
     eigenvalue at (j, r); for the invariant target, all N n cyclic and
@@ -375,10 +377,9 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
     if model.flags.unrestricted_reversibility:
         # every ordered eigenbasis is reversibly connected: mix the
         # permutations of a Birkhoff decomposition of the mixing matrix
-        terms = birkhoff_decompose(
-            t_transform_chain(dr.eigenvalues, ds.eigenvalues))
+        terms = birkhoff_decompose(_majorization(dr, ds, mixing=True)[1])
         weights, perms = [w for w, _ in terms], [p for _, p in terms]
-        src, tgt = dr.eigenstates, ds.eigenstates
+        src, tgt = dr.frame[1:], ds.frame[1:]
         what, cert = "synthesized mixture", {"weights": np.asarray(weights)}
     else:
         pure = dr.eigenvalues[0] >= 1.0 - 1e-10
@@ -392,13 +393,13 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
                 "reason": "majorisation holds but no mixture witness is "
                           "known for this model family"})
         N, n = model.structure.block_count, model.structure.n
-        sr, src = _eigenstates_by_sector(dr)
-        ss, tgt = _eigenstates_by_sector(ds)
+        sr, *src = _by_sector(dr)
+        ss, *tgt = _by_sector(ds)
         sectors = np.arange(N)
         cert = {}
         if pure:
             # carry the source eigenstate (j0, 0) onto each target eigenstate
-            j0 = pure_support(dr.eigenstates[0])[0]
+            j0 = int(dr.frame.blocks[0])
             j, r = np.nonzero(ss > 1e-14)
             weights = ss[j, r].tolist()
             images = (sectors + (j - j0)[:, None]) % N
@@ -426,8 +427,8 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
             what, cert = None, {"sector_perm": sector_perm}
         perms = _move_perms(images, shifts, n)
 
-    chan = _rare_mixture_channel(model, weights, basis_aligning_reversibles(
-        model, src, tgt, perms))
+    chan = _rare_mixture_channel(model, weights, zoo._aligning_reversibles(
+        model, *src, *tgt, perms))
     resid = _target_residual(chan, rho, sigma, what)
     if what is not None:
         return ConversionOutcome("yes", chan, {**cert, "residual": resid})
@@ -436,6 +437,26 @@ def _rare_verdict(rho: StateVec, sigma: StateVec, dr: Diagonalization,
             "reason": "sector-matched reversible drifted",
             "residual": resid})
     return ConversionOutcome("yes", chan, cert)
+
+
+def _majorization(dr: Diagonalization, ds: Diagonalization,
+                  mixing: bool) -> tuple:
+    """The pair's `_majorization_certificate` (None when the spectrum of dr
+    majorises that of ds) and, if asked for and it is None, the read-only
+    mixing matrix D = `t_transform_chain` of the two spectra (else None).
+    Each is computed once per pair: dr keeps one entry, holding the ds it
+    was made for by strong reference and matched by identity, so the
+    unital and rare verdicts on one pair share it."""
+    kept = dr.__dict__.get("_majorization")
+    if kept is None or kept[0] is not ds:
+        kept = [ds, _majorization_certificate(dr.eigenvalues, ds.eigenvalues),
+                None]
+        dr.__dict__["_majorization"] = kept
+    if mixing and kept[1] is None and kept[2] is None:
+        D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
+        D.setflags(write=False)
+        kept[2] = D
+    return kept[1], kept[2]
 
 
 def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
@@ -455,7 +476,9 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
     spectra, "no" between equal spectra on mismatched sectors and "unknown"
     otherwise (`_rare_verdict`); 'noisy' lies
     between the two, so it answers "yes" with the rare witness when there
-    is one and "unknown" otherwise.
+    is one and "unknown" otherwise.  The prefix check and the mixing chain
+    run once per pair of diagonalizations (`_majorization`), and the
+    witnesses read their frames, so no eigenstate is built.
     """
     if regime not in ("unital", "rare", "noisy"):
         raise ValueError(f"unknown regime {regime!r}")
@@ -466,15 +489,14 @@ def convertible(rho: StateVec, sigma: StateVec, regime: str = "unital",
 
     dr = diagonalize(rho)
     ds = diagonalize(sigma)
-    cert = _majorization_certificate(dr.eigenvalues, ds.eigenvalues)
+    cert, D = _majorization(dr, ds, mixing=regime == "unital")
     if cert is not None:
         if rho.model.structure is None:
             return ConversionOutcome("unknown", None, {
                 "reason": "majorisation decides convertibility only on the "
                           "matrix families"})
-        return ConversionOutcome("no", None, cert)
+        return ConversionOutcome("no", None, dict(cert))
     if regime == "unital":
-        D = t_transform_chain(dr.eigenvalues, ds.eigenvalues)
         chan = measure_and_prepare_channel(dr, ds, D)
         resid = _target_residual(chan, rho, sigma, "synthesized channel")
         return ConversionOutcome("yes", chan, {"stochastic_matrix": D,

@@ -8,13 +8,16 @@ distinguishable sets: one batched least-squares solve finds every set whose
 hull holds it, and the state is refused when no set does or when two give
 it different spectra.  Both routes certify their reconstruction of the
 state within `core.DEFAULT_TOL` and report eigenvalues in descending
-order.  Eigenstates are built only when a caller reads them: entropies,
-majorisation and relative entropy need none.  On matrix models the
-identifying effect of an eigenstate is `dagger(s)`, which the self-dual
-embedding gives the state's own coordinates, those of a rank-one
-projector; `transition_matrix` pairs the projectors from the block
+order.  A decomposition's eigenbasis is kept as arrays, its `Frame`,
+built when first read: the conversion witnesses of `resource` and `purify`
+read it.  Eigenstate `StateVec`s are built on the frame's rows only when a
+caller reads `eigenstates`, as `diag --json` and the helpers that take
+states do.  Entropies, majorisation and relative entropy need neither.  On
+matrix models the identifying effect of an eigenstate is `dagger(s)`, which
+the self-dual embedding gives the state's own coordinates, those of a
+rank-one projector; `transition_matrix` pairs the projectors from the block
 eigenvectors that each diagonalization keeps, without building an
-eigenstate.
+eigenstate or a frame.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,14 +40,15 @@ from .core import (
     UnsupportedModelError,
     _block_figures,
     _block_to_kron,
-    _certified_eigenstates,
+    _certified_rows,
     _certify,
     _checked_state,
     _kron_to_coords,
     _same_model,
     as_coords,
 )
-from .embedding import block_eigh, blocks_to_vec, canonical_rows, rank_one_coords
+from .embedding import (block_eigh, blocks_to_vec, canonical_rows,
+                        rank_one_coords, total_vectors)
 from . import zoo
 
 
@@ -71,16 +75,38 @@ def _descending_order(values: np.ndarray, rows_of: Callable) -> np.ndarray:
     return np.array(order, dtype=np.intp)
 
 
+class Frame(NamedTuple):
+    """A diagonalization's eigenbasis as arrays, one entry per eigenstate in
+    the decomposition's order.
+
+    `rows` are the eigenstates' coordinates, read-only: on a matrix model
+    after one check of the whole decomposition (`core._certified_rows`), on
+    a polytope the vertices of the stored set that holds the state.  On a
+    matrix model `blocks` is each eigenstate's block, an int array, and
+    `vectors` its unit vector in canonical phase
+    (`embedding.canonical_rows`), zero-padded to the total Hilbert space,
+    one read-only row each; a polytope has neither (None)."""
+
+    rows: np.ndarray
+    blocks: Optional[np.ndarray]
+    vectors: Optional[np.ndarray]
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Diagonalization:
     """Spectrum and eigenbasis of a state, padded to a maximal basis.
 
-    `eigenstates` (on a matrix model with their `pure_support`) are built
-    by `build()` when first read, then kept; a build that raises is tried
-    again on the next read.  A matrix model's diagonalization also keeps
-    the certified block eigenvectors V, shape (N, n, n), and the descending
-    `order` of their flattened indices as `_eigensystem`, outside the
-    fields (None on a polytope); `transition_matrix` reads them.
+    `frame` is built by `build()` when first read, then kept; a build that
+    raises is tried again on the next read.  `eigenstates` are `StateVec`s
+    on the frame's rows, built when first read (on a matrix model each with
+    its `pure_support`, a view of its frame vector); `diag --json` and the
+    callers of the public state-based helpers read them.  The conversion
+    witnesses and `purify` read the frame and build no eigenstate.  A
+    matrix model's diagonalization also keeps the certified block
+    eigenvectors V, shape (N, n, n), and the descending `order` of their
+    flattened indices as `_eigensystem`, outside the fields (None on a
+    polytope); `transition_matrix` reads them, and neither them nor the
+    spectrum needs a frame.
     `residual` is the route's certificate figure:
     on a matrix model the largest `core._block_figures` figure, at most
     `core.BLOCK_TOL` (5e-10); on a polytope the reconstruction residual
@@ -101,8 +127,18 @@ class Diagonalization:
                              _build=build, _eigensystem=eigensystem)
 
     @cached_property
-    def eigenstates(self) -> tuple:
+    def frame(self) -> Frame:
         return self._build()
+
+    @cached_property
+    def eigenstates(self) -> tuple:
+        rows, blocks, vectors = self.frame
+        states = tuple(_checked_state(r, self.model) for r in rows)
+        if blocks is not None:
+            n = self.model.structure.n
+            for s, b, v in zip(states, blocks.tolist(), vectors):
+                s._derived["pure_support"] = (b, v[b * n:(b + 1) * n])
+        return states
 
     def reconstruct(self) -> np.ndarray:
         return sum(p * s.coords for p, s in zip(self.eigenvalues, self.eigenstates))
@@ -110,14 +146,13 @@ class Diagonalization:
 
 def _eigenstate_rows(st, eig) -> tuple:
     """The coordinates of the eigenstates of a `block_eigh` (w, V), one row
-    each in the order of the flattened w, and their supports (block, unit
-    vector in canonical phase, a read-only row of one array): one
-    `canonical_rows` and one `rank_one_coords` for all N n eigenvectors."""
+    each in the order of the flattened w, and their unit vectors in
+    canonical phase, one read-only row each: one `canonical_rows` and one
+    `rank_one_coords` for all N n eigenvectors."""
     V = eig[1]
     N, n = V.shape[:2]
     U = canonical_rows(V.transpose(1, 0, 2).reshape(n, N * n))
-    blocks = np.repeat(np.arange(N), n)
-    return rank_one_coords(st, blocks, U), list(zip(blocks.tolist(), U))
+    return rank_one_coords(st, np.repeat(np.arange(N), n), U), U
 
 
 def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
@@ -175,14 +210,15 @@ def diagonalize(state: StateVec) -> Diagonalization:
     the `core._block_figures` within `core.BLOCK_TOL` and the smallest raw
     eigenvalue at least -`core.DEFAULT_TOL`, the state's cone tolerance.
     Negative eigenvalues are reported as 0.  Only ties in the order need
-    eigenstate coordinates; the eigenstates themselves are built when first
-    read, after their coordinates pass the same figures within
-    `core.DEFAULT_TOL` (`core._certified_eigenstates`).  A polytope state is
-    looked up among the stored distinguishable sets
+    eigenstate coordinates; the frame is built from the rows and vectors
+    made then (or made when it is first read), after the rows pass the same
+    figures within `core.DEFAULT_TOL` (`core._certified_rows`).  A polytope
+    state is looked up among the stored distinguishable sets
     (`_stored_set_decomposition`) and refused when the reported eigenvalues
-    rebuild it only beyond `core.DEFAULT_TOL`.  Failures raise
-    DiagonalizationError carrying the failed figure as its residue.  The
-    result is cached on the state; errors are not.
+    rebuild it only beyond `core.DEFAULT_TOL`; its frame is the set's
+    vertices.  Failures raise DiagonalizationError carrying the failed
+    figure as its residue.  The result is cached on the state; errors are
+    not.
     """
     cached = state._derived.get("diagonalization")
     if cached is not None:
@@ -206,11 +242,13 @@ def diagonalize(state: StateVec) -> Diagonalization:
         values = values[order]
 
         def build():
-            E, supports = rows()
-            states = _certified_eigenstates(model, x, raw[order], E[order])
-            for s, i in zip(states, order.tolist()):
-                s._derived["pure_support"] = supports[i]
-            return states
+            E, U = rows()
+            E = _certified_rows(model, x, raw[order], E[order])
+            blocks = order // st.n   # flattened index b n + r is in block b
+            vectors = total_vectors(st, blocks, U[order])
+            blocks.setflags(write=False)
+            vectors.setflags(write=False)
+            return Frame(E, blocks, vectors)
         eigensystem = (eig[1], order)
     else:
         values, rows = _stored_set_decomposition(model, state.coords)
@@ -224,7 +262,7 @@ def diagonalize(state: StateVec) -> Diagonalization:
         rows.setflags(write=False)
 
         def build():
-            return tuple(_checked_state(r, model) for r in rows)
+            return Frame(rows, None, None)
         eigensystem = None
     d = state._derived["diagonalization"] = Diagonalization(
         model, values, residual, build, eigensystem)
@@ -346,8 +384,8 @@ def purify(state: StateVec):
     keep = diag.eigenvalues > 1e-14
     # eigenstate k, in sector b and the r-th kept one there, pairs with
     # partner basis state r of sector -b (mod N): column (-b % N) * n + r
-    b, T = zoo.total_supports(model, [s for s, k in zip(diag.eigenstates, keep)
-                                      if k])
+    _, blocks, vectors = diag.frame
+    b, T = blocks[keep], vectors[keep]
     r = (np.cumsum(b[:, None] == np.arange(N), axis=0) - 1)[np.arange(len(b)), b]
     Psi = np.zeros((N * n, N * n), dtype=T.dtype)
     Psi[:, ((-b) % N) * n + r] += (np.sqrt(diag.eigenvalues[keep])[:, None] * T).T

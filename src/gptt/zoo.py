@@ -46,6 +46,7 @@ from .embedding import (
     conjugation_matrix,
     pure_block_vec,
     rank_one_coords,
+    total_vectors,
     vec_to_blocks,
 )
 
@@ -739,32 +740,43 @@ def reversible_sending(model: ModelSpec, s_from: StateVec,
                             (np.arange(st.block_count) + jb - ja) % st.block_count)
 
 
-def total_supports(model: ModelSpec, states):
-    """The `pure_support` of each pure state, as an integer array of sectors
-    and the unit vectors zero-padded to the total Hilbert space, one row
-    per state."""
-    st = model.structure
-    sups = [pure_support(s) for s in states]
-    k = len(sups)
-    b = np.array([b for b, _ in sups], dtype=int)
-    T = np.zeros((k, st.block_count, st.n),
-                 dtype=complex if st.field == "C" else float)
-    T[np.arange(k), b] = np.reshape([v for _, v in sups], (k, st.n))
-    return b, T.reshape(k, st.hilbert_dim)
-
-
 def basis_aligning_reversibles(model: ModelSpec, from_states, to_states,
                                perms) -> list:
     """For each perm of `perms`, the reversible mapping pure state
     from_states[perm[i]] onto to_states[i] for every i, all built as one
-    stack.
+    stack by `_aligning_reversibles` from the states' `pure_support`s, read
+    once, with its checks."""
+    st = model.structure
+    if st is None:
+        raise UnsupportedModelError("basis alignment needs a matrix model")
+    if len(from_states) != len(to_states):
+        raise ValueError("bases must have equal size")
+    if not len(perms):
+        return []
 
-    The supports are read once.  Every term is checked: its sector
-    transport must be consistent and a permutation of the sectors, which
-    the sectorized families make a real obstruction, and its Kraus
-    operator K = sum_i tb_i ta_perm(i)†, summed in the order of i over the
-    total-space support vectors, must satisfy |K K† - I| <= 1e-8 (one
-    batched product).  The coordinate matrices come from one
+    def supports(states):
+        sups = [pure_support(s) for s in states]
+        b = np.array([b for b, _ in sups], dtype=int)
+        return b, total_vectors(st, b, np.reshape([u for _, u in sups],
+                                                  (len(sups), st.n)))
+    return _aligning_reversibles(model, *supports(from_states),
+                                 *supports(to_states), perms)
+
+
+def _aligning_reversibles(model: ModelSpec, sa: np.ndarray, TA: np.ndarray,
+                          sb: np.ndarray, TB: np.ndarray, perms) -> list:
+    """For each perm of `perms`, the reversible sending the pure state of
+    sector sa[perm[i]] and total-space unit vector TA[perm[i]] onto the one
+    of sector sb[i] and vector TB[i], for every i, all built as one stack;
+    `basis_aligning_reversibles` on states, and the conversion witnesses on
+    a diagonalization's `spectral.Frame`, call it.
+
+    Every term is checked: its sector transport must be consistent and a
+    permutation of the sectors, which the sectorized families make a real
+    obstruction, and its Kraus operator K = sum_i tb_i ta_perm(i)†, summed
+    in the order of i over the total-space support vectors, must satisfy
+    |K K† - I| <= 1e-8 (one batched product).  The coordinate matrices
+    come from one
     `conjugation_matrices` call; their unit effect and invariant state
     residuals come from two batched products, each term refused on its own
     figures in turn with the `ChannelMap` constructor's ConeError
@@ -773,16 +785,7 @@ def basis_aligning_reversibles(model: ModelSpec, from_states, to_states,
     A failed alignment check raises GPTError naming the check.
     """
     st = model.structure
-    if st is None:
-        raise UnsupportedModelError("basis alignment needs a matrix model")
-    if len(from_states) != len(to_states):
-        raise ValueError("bases must have equal size")
-    d = len(to_states)
-    P = np.asarray(perms, dtype=int).reshape(len(perms), d)
-    if not len(P):
-        return []
-    sa, TA = total_supports(model, from_states)
-    sb, TB = total_supports(model, to_states)
+    P = np.asarray(perms, dtype=int).reshape(len(perms), len(sb))
     # image[t, j]: the sector term t sends sector j to, -1 where unused
     src = sa[P]
     terms = np.arange(len(P))[:, None]
@@ -796,7 +799,7 @@ def basis_aligning_reversibles(model: ModelSpec, from_states, to_states,
         raise GPTError("no reversible aligns these bases: "
                        "sector transport is not a permutation")
     K = np.zeros((len(P), st.hilbert_dim, st.hilbert_dim), dtype=TA.dtype)
-    for i in range(d):
+    for i in range(len(sb)):
         K += TB[i][:, None] * TA[P[:, i]].conj()[:, None, :]
     gram = K @ K.conj().transpose(0, 2, 1)
     if np.abs(gram - np.eye(st.hilbert_dim)).max() > 1e-8:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here works on raw density matrices / probability vectors with
-numpy and scipy only, sharing no code with the package under test.
+numpy and scipy only, sharing no code with the package under test, except
+the copies of the package's eigenstate-reading witness builders at the end.
 """
 
 import math
@@ -528,3 +529,151 @@ def measure_and_prepare_loop(F, E, D, sup_a, sup_b, dims, field, kraus_cap):
     tb = [_total_vector(s, dims, field) for s in sup_b]
     return M, [math.sqrt(D[i, j]) * np.outer(tb[i], ta[j].conj())
                for i in range(d) for j in range(d) if D[i, j] > 1e-14]
+
+
+# ---------------------------------------------------------------------------
+# conversion witnesses and purification read off eigenstates
+#
+# Copies of the package's builders as they were before they read a
+# diagonalization's frame: every basis comes from
+# `Diagonalization.eigenstates` and each eigenstate's `pure_support`.  They
+# call the package for everything else, so they pin the frame route bit for
+# bit against the eigenstate route, not the arithmetic (the loops above do
+# that).
+
+
+def total_supports(model, states):
+    """The `pure_support` of each pure state, as an integer array of sectors
+    and the unit vectors zero-padded to the total Hilbert space, one row
+    per state."""
+    from gptt import zoo
+
+    st = model.structure
+    sups = [zoo.pure_support(s) for s in states]
+    k = len(sups)
+    b = np.array([b for b, _ in sups], dtype=int)
+    T = np.zeros((k, st.block_count, st.n),
+                 dtype=complex if st.field == "C" else float)
+    T[np.arange(k), b] = np.reshape([v for _, v in sups], (k, st.n))
+    return b, T.reshape(k, st.hilbert_dim)
+
+
+def measure_and_prepare_eigenstates(diag_from, diag_to, D):
+    """Matrix and Kraus operators (None past KRAUS_CAP) of the unital
+    witness, read off the two diagonalizations' eigenstates."""
+    from gptt import core, resource
+
+    model = diag_from.model
+    F = np.array([s.coords for s in diag_from.eigenstates])
+    E = np.array([s.coords for s in diag_to.eigenstates])
+    d, dim = F.shape
+    prep = np.add.reduce(D[:, :, None] * E[:, None, :], axis=0, initial=0.0)
+    M = np.empty((dim, dim))
+    step = max(1, resource._MP_ELEMENTS // (d * dim))
+    for r0 in range(0, dim, step):
+        rows = slice(r0, r0 + step)
+        np.add.reduce(prep[:, rows, None] * F[:, None, :], axis=0,
+                      initial=0.0, out=M[rows])
+    kraus = None
+    if d * d <= core.KRAUS_CAP:
+        _, ta = total_supports(model, diag_from.eigenstates)
+        _, tb = total_supports(model, diag_to.eigenstates)
+        i, j = np.nonzero(D > 1e-14)
+        kraus = tuple(np.sqrt(D[i, j])[:, None, None]
+                      * (tb[i][:, :, None] * ta[j].conj()[:, None, :]))
+    return M, kraus
+
+
+def _eigenstates_by_sector(d):
+    from gptt import zoo
+
+    sectors = [zoo.pure_support(s)[0] for s in d.eigenstates]
+    order = np.argsort(sectors, kind="stable")
+    st = d.model.structure
+    return (d.eigenvalues[order].reshape(st.block_count, st.n),
+            [d.eigenstates[i] for i in order.tolist()])
+
+
+def rare_verdict_eigenstates(rho, sigma, dr, ds):
+    """The package's mixture-of-reversibles verdict on a pair whose spectra
+    majorise, its witness aligning the eigenstates themselves."""
+    from gptt import resource, zoo
+    from gptt.resource import ConversionOutcome
+
+    model = rho.model
+    if model.flags.unrestricted_reversibility:
+        terms = resource.birkhoff_decompose(
+            resource.t_transform_chain(dr.eigenvalues, ds.eigenvalues))
+        weights, perms = [w for w, _ in terms], [p for _, p in terms]
+        src, tgt = dr.eigenstates, ds.eigenstates
+        what, cert = "synthesized mixture", {"weights": np.asarray(weights)}
+    else:
+        pure = dr.eigenvalues[0] >= 1.0 - 1e-10
+        to_chi = np.abs(sigma.coords - model.chi).max() <= 1e-10
+        equal_spectra = (
+            model.flags.sectorized
+            and len(dr.eigenvalues) == len(ds.eigenvalues)
+            and np.abs(dr.eigenvalues - ds.eigenvalues).max() <= 1e-9)
+        if not (pure or to_chi or equal_spectra):
+            return ConversionOutcome("unknown", None, {
+                "reason": "majorisation holds but no mixture witness is "
+                          "known for this model family"})
+        N, n = model.structure.block_count, model.structure.n
+        sr, src = _eigenstates_by_sector(dr)
+        ss, tgt = _eigenstates_by_sector(ds)
+        sectors = np.arange(N)
+        cert = {}
+        if pure:
+            j0 = zoo.pure_support(dr.eigenstates[0])[0]
+            j, r = np.nonzero(ss > 1e-14)
+            weights = ss[j, r].tolist()
+            images = (sectors + (j - j0)[:, None]) % N
+            what, shifts = "pure-source mixture", r
+        elif to_chi:
+            k, shifts = np.divmod(np.arange(N * n), n)
+            weights = [1.0 / (N * n)] * (N * n)
+            images = (sectors + k[:, None]) % N
+            what = "invariant-target mixture"
+        else:
+            sector_perm = resource._matching_sector_perm(sr, ss)
+            if sector_perm is None:
+                return ConversionOutcome("no", None, {
+                    "reason": "equal spectra but mismatched sector "
+                              "invariants",
+                    "source_sectors": sr.tolist(),
+                    "target_sectors": ss.tolist(),
+                })
+            weights, images, shifts = [1.0], [sector_perm], [0]
+            what, cert = None, {"sector_perm": sector_perm}
+        perms = resource._move_perms(images, shifts, n)
+
+    chan = resource._rare_mixture_channel(
+        model, weights, zoo.basis_aligning_reversibles(model, src, tgt, perms))
+    resid = resource._target_residual(chan, rho, sigma, what)
+    if what is not None:
+        return ConversionOutcome("yes", chan, {**cert, "residual": resid})
+    if resid > 1e-8:
+        return ConversionOutcome("unknown", None, {
+            "reason": "sector-matched reversible drifted",
+            "residual": resid})
+    return ConversionOutcome("yes", chan, cert)
+
+
+def purify_eigenstates(state):
+    """The coordinates of the package's purification of a state, its
+    partner vectors read off the eigenstates."""
+    from gptt import core, spectral, zoo
+
+    model = state.model
+    comp = zoo.compose_systems(model, model)
+    st = model.structure
+    N, n = st.block_count, st.n
+    diag = spectral.diagonalize(state)
+    keep = diag.eigenvalues > 1e-14
+    b, T = total_supports(model, [s for s, k in zip(diag.eigenstates, keep)
+                                  if k])
+    r = (np.cumsum(b[:, None] == np.arange(N), axis=0) - 1)[np.arange(len(b)), b]
+    Psi = np.zeros((N * n, N * n), dtype=T.dtype)
+    Psi[:, ((-b) % N) * n + r] += (np.sqrt(diag.eigenvalues[keep])[:, None] * T).T
+    psi = Psi.reshape(-1)
+    return core._kron_to_coords(comp, np.outer(psi, psi.conj()))

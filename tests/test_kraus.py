@@ -326,3 +326,49 @@ def test_tensor_past_the_kraus_cap_keeps_the_dense_matrix():
     T = tensor_channels(comp, comp, chan, twice)
     assert T.kraus is None and T._stack is None
     assert np.array_equal(T.matrix, conjugation_matrix(K, comp.structure))
+
+
+def test_tensor_refuses_a_kraus_form_that_disagrees_with_its_matrix(
+        monkeypatch):
+    """Tensoring lifts a factor's Kraus form, so a factor given a matrix and
+    the Kraus form of another map is refused: the identity's matrix with the
+    bit flip as its Kraus operator moves no state of quantum:2, yet its lift
+    would flip the first factor of every state of the composite.  The
+    refusal holds in either position and past KRAUS_CAP; a gap of at most
+    DEFAULT_TOL, and a factor given its Kraus form alone, still lift."""
+    X = np.array([[0.0, 1.0], [1.0, 0.0]])
+    bad = q2.make_reversible(np.eye(4), kraus=[X])
+    r = np.random.default_rng(27)
+    s = rand_state(q2, r)
+    assert np.array_equal(bad(s).coords, s.coords)
+    comp = zoo.compose_systems(q2, q2)
+    x = rand_state(comp, r)
+    flipped = conjugation_matrix(core._lifted_kraus(comp, [X], [np.eye(2)]),
+                                 comp.structure) @ x.coords
+    assert np.abs(flipped - x.coords).max() > 0.01
+    ident = ChannelMap(None, q2, q2, core._REVERSIBLE_TAGS, kraus=[np.eye(2)])
+    for cap in (core.KRAUS_CAP, 0):
+        monkeypatch.setattr(core, "KRAUS_CAP", cap)
+        for which in (0, 1):
+            with pytest.raises(ConeError, match="disagree"):
+                lift_channel(comp, bad, which)
+        with pytest.raises(ConeError, match="disagree"):
+            tensor_channels(comp, comp, ident, bad)
+    monkeypatch.undo()
+
+    flip = conjugation_matrix([X], q2.structure)
+    for gap, refused in ((0.5 * core.DEFAULT_TOL, False),
+                         (2.0 * core.DEFAULT_TOL, True)):
+        M = flip.copy()
+        M[2, 3] += gap   # seen by neither the unit nor the invariant check
+        chan = q2.make_reversible(M, kraus=[X])
+        if refused:
+            with pytest.raises(ConeError, match="disagree"):
+                lift_channel(comp, chan, 0)
+        else:
+            L = lift_channel(comp, chan, 0)
+            assert np.abs(L(x).coords - flipped).max() <= 1e-12
+    # the Kraus-only flip lifts to the flip
+    only = ChannelMap(None, q2, q2, core._REVERSIBLE_TAGS, kraus=[X])
+    assert np.abs(lift_channel(comp, only, 0)(x).coords
+                  - flipped).max() <= 1e-12

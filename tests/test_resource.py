@@ -8,7 +8,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
 import oracles
-from gptt import resource, zoo
+from gptt import core, resource, spectral, zoo
 from gptt.core import (KRAUS_CAP, ChannelMap, ConeError, DiagonalizationError,
                        GPTError, ModelCompatibilityError, StateVec,
                        UnsupportedModelError, apply_channel, compose)
@@ -16,6 +16,7 @@ from gptt.embedding import blocks_to_vec, conjugation_matrix, pure_block_vec
 from gptt.spectral import diagonalize
 from oracles import doubly_stochastic_exists, majorizes as oracle_majorizes
 from test_kraus import assert_kraus_matches
+from test_spectral import _counting
 
 rng = np.random.default_rng(17)
 
@@ -641,6 +642,179 @@ def test_sectorized_witnesses_reach_the_target(m, seed, case):
     assert_kraus_matches(out.channel)
     for U in out.channel.witness["reversibles"]:
         assert_kraus_matches(U)
+
+
+# ---------------------------------------------------------------------------
+# witnesses and purification from the diagonalization's frame
+
+
+_CONVERT_MODELS = [zoo.parse_model_string(t) for t in (
+    "classical:4", "rebit", "quantum:3", "quantum:4", "doubled_quantum:2",
+    "extended_classical:2x2", "extended_classical:3x2")]
+
+
+def _conversion_pairs(model, r):
+    """A pure source, the invariant target, a random pair, a target moved
+    toward chi, a target moved by a reversible (equal spectra) and a pair
+    that fails majorisation."""
+    rho, pure = rand_state(model, r), StateVec(model.pure_sampler(model, r),
+                                               model)
+    return [(pure, rand_state(model, r)),
+            (rho, model.invariant_state),
+            (rho, rand_state(model, r)),
+            (rho, StateVec(0.4 * rho.coords + 0.6 * model.chi, model)),
+            (rho, apply_channel(model.group.sampler(model, r), rho)),
+            (rand_state(model, r), pure)]
+
+
+@pytest.mark.parametrize("model", _CONVERT_MODELS, ids=lambda m: m.model_id)
+def test_no_eigenstates_built_on_the_conversion_path(monkeypatch, model):
+    """Every regime's verdict and witness read the diagonalizations' frames:
+    no eigenstate is built and none is kept, while a "yes" from a witness
+    leaves both frames read."""
+    built = []
+    for module in (core, spectral):
+        monkeypatch.setattr(module, "_checked_state",
+                            lambda *a, inner=core._checked_state:
+                            built.append(a) or inner(*a))
+    answers = []
+    for rho, sigma in _conversion_pairs(model, np.random.default_rng(48)):
+        for regime in ("unital", "rare", "noisy"):
+            out = resource.convertible(rho, sigma, regime)
+            answers.append((regime, out.answer))
+            dr, ds = diagonalize(rho), diagonalize(sigma)
+            assert "eigenstates" not in dr.__dict__
+            assert "eigenstates" not in ds.__dict__
+            if out.channel is not None:
+                assert "frame" in dr.__dict__ and "frame" in ds.__dict__
+    assert built == []
+    assert {("unital", "yes"), ("unital", "no"), ("rare", "yes"),
+            ("rare", "no"), ("noisy", "yes")} <= set(answers)
+
+
+def test_majorisation_analysed_once_per_pair(monkeypatch):
+    """The unital and rare verdicts on one pair share one prefix check and
+    one mixing chain, kept on the source's diagonalization for the last
+    target only; another target, even one with the same coordinates, is
+    analysed afresh."""
+    chains = _counting(monkeypatch, resource, "t_transform_chain")
+    prefixes = _counting(monkeypatch, resource,
+                               "_majorization_certificate")
+    r = np.random.default_rng(49)
+    rho = rand_state(q3, r)
+    sigma = StateVec(0.5 * rho.coords + 0.5 * q3.chi, q3)
+    unital = resource.convertible(rho, sigma, "unital")
+    rare = resource.convertible(rho, sigma, "rare")
+    assert rare.answer == "yes" and len(chains) == len(prefixes) == 1
+    D = unital.certificate["stochastic_matrix"]
+    assert not D.flags.writeable
+    with pytest.raises(ValueError):
+        D[0, 0] = 0.0
+    assert diagonalize(rho).__dict__["_majorization"][0] is diagonalize(sigma)
+    twin = StateVec(sigma.coords, q3)
+    again = resource.convertible(rho, twin, "unital")
+    assert len(chains) == len(prefixes) == 2
+    assert again.certificate["stochastic_matrix"] is not D
+    assert _same_array(again.certificate["stochastic_matrix"], D)
+    # a refusal's certificate is a copy, so no caller can edit the kept one
+    no = resource.convertible(sigma, rho, "unital")
+    no.certificate["prefix_index"] = -1
+    assert resource.convertible(sigma, rho, "rare").certificate[
+        "prefix_index"] == 0
+    assert len(prefixes) == 3
+
+
+def _same_array(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_kraus(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert len(got) == len(want)
+        assert all(_same_array(np.asarray(g), np.asarray(w))
+                   for g, w in zip(got, want))
+
+
+def _same_channel(got, want):
+    assert got.tags == want.tags
+    assert _same_array(got.matrix, want.matrix)
+    _same_kraus(got.kraus, want.kraus)
+    if "weights" in (want.witness or {}):
+        assert _same_array(got.witness["weights"], want.witness["weights"])
+        assert len(got.witness["reversibles"]) == len(want.witness["reversibles"])
+        for g, w in zip(got.witness["reversibles"], want.witness["reversibles"]):
+            _same_channel(g, w)
+
+
+def _same_certificate(got, want):
+    assert got.keys() == want.keys()
+    for k, w in want.items():
+        if isinstance(w, np.ndarray):
+            assert _same_array(got[k], w)
+        else:
+            assert got[k] == w
+
+
+_FRAME_MODELS = _CONVERT_MODELS + [
+    zoo.compose_systems(*[zoo.build_model("quantum", n=2)] * 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_FRAME_MODELS), st.integers(0, 2**32 - 1),
+       st.sampled_from(_INPUTS), st.sampled_from(_INPUTS + ["moved"]),
+       st.floats(0.05, 0.95))
+def test_frame_witnesses_match_the_eigenstate_route(m, seed, kind_a, kind_b,
+                                                     t):
+    """The unital witness (matrix, Kraus stack, mixing matrix), the rare
+    verdict with every reversible, its weights and certificate, the noisy
+    verdict and `purify` are bit for bit what the builders that read
+    eigenstates give (`oracles`), on fresh copies of the states.  Sources
+    and targets are random, pure, pure moved toward chi (tied lower
+    eigenvalues), chi, or the source moved by a reversible (equal
+    spectra)."""
+    r = np.random.default_rng(seed)
+    rho = _input_state(m, r, kind_a, t)
+    sigma = (apply_channel(m.group.sampler(m, r), rho) if kind_b == "moved"
+             else _input_state(m, r, kind_b, t))
+    if not resource.majorizes(diagonalize(rho).eigenvalues,
+                              diagonalize(sigma).eigenvalues):
+        rho, sigma = sigma, rho
+    if not resource.majorizes(diagonalize(rho).eigenvalues,
+                              diagonalize(sigma).eigenvalues):
+        sigma = StateVec(0.5 * rho.coords + 0.5 * m.chi, m)
+    outs = {regime: resource.convertible(rho, sigma, regime)
+            for regime in ("unital", "rare", "noisy")}
+    comps = ([spectral.purify(s)[1] for s in (rho, sigma)]
+             if m.flags.is_sharp_with_purification else [])
+    dr, ds = diagonalize(rho), diagonalize(sigma)
+    assert "eigenstates" not in dr.__dict__ and "eigenstates" not in ds.__dict__
+
+    rho2, sigma2 = StateVec(rho.coords, m), StateVec(sigma.coords, m)
+    er, es = diagonalize(rho2), diagonalize(sigma2)
+    D = resource.t_transform_chain(er.eigenvalues, es.eigenvalues)
+    M, kraus = oracles.measure_and_prepare_eigenstates(er, es, D)
+    unital = outs["unital"]
+    assert unital.answer == "yes"
+    assert _same_array(unital.channel.matrix, M)
+    _same_kraus(unital.channel.kraus, kraus)
+    assert _same_array(unital.certificate["stochastic_matrix"], D)
+    assert not unital.certificate["stochastic_matrix"].flags.writeable
+
+    ref = oracles.rare_verdict_eigenstates(rho2, sigma2, er, es)
+    for regime in ("rare", "noisy"):
+        out = outs[regime]
+        if regime == "noisy" and ref.answer != "yes":
+            assert out.answer == "unknown" and out.channel is None
+            continue
+        assert out.answer == ref.answer
+        _same_certificate(out.certificate, ref.certificate)
+        assert (out.channel is None) == (ref.channel is None)
+        if ref.channel is not None:
+            _same_channel(out.channel, ref.channel)
+
+    for psi, s in zip(comps, (rho2, sigma2)):
+        assert _same_array(psi.coords, oracles.purify_eigenstates(s))
 
 
 def _small_model(kind):

@@ -498,9 +498,40 @@ class TestCertificate:
             ("Gram matrix", 1.0),) + figures(*a)[1:])
         with pytest.raises(DiagonalizationError, match="Gram"):
             d.eigenstates
-        assert "eigenstates" not in d.__dict__
+        assert "eigenstates" not in d.__dict__ and "frame" not in d.__dict__
         monkeypatch.undo()
         assert len(d.eigenstates) == 3
+
+    @pytest.mark.parametrize("model", [q3, dq2], ids=lambda m: m.model_id)
+    def test_coordinate_check_runs_when_a_witness_reads_the_frame(
+            self, monkeypatch, model):
+        """The unital and rare witnesses read both frames, so a failed
+        coordinate check there raises out of `convertible` and leaves no
+        frame and no eigenstates on either diagonalization; once the check
+        passes, the witness has the bits of one built on fresh copies of
+        the states."""
+        r = np.random.default_rng(76)
+        rho = rand_state(model, r)
+        sigma = StateVec(0.5 * rho.coords + 0.5 * model.chi, model)
+        figures = core._coordinate_figures
+        monkeypatch.setattr(core, "_coordinate_figures", lambda *a: (
+            ("Gram matrix", 1.0),) + figures(*a)[1:])
+        # the rare witness onto chi reads both frames on every family
+        for target, regime in ((sigma, "unital"),
+                               (model.invariant_state, "rare")):
+            with pytest.raises(DiagonalizationError, match="Gram"):
+                resource.convertible(rho, target, regime)
+            for s in (rho, target):
+                assert "frame" not in diagonalize(s).__dict__
+                assert "eigenstates" not in diagonalize(s).__dict__
+        monkeypatch.undo()
+        got = resource.convertible(rho, sigma, "unital").channel
+        want = resource.convertible(StateVec(rho.coords, model),
+                                    StateVec(sigma.coords, model),
+                                    "unital").channel
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(got.kraus, want.kraus))
 
     def test_polytope_records_its_residual(self):
         s = StateVec(np.array([0.0, 0.0, 1.0]), sq)

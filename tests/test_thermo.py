@@ -441,9 +441,10 @@ class TestLandauer:
 
     @pytest.mark.parametrize("model", [q2, dq2], ids=lambda m: m.model_id)
     def test_no_eigenstates_built_on_the_ledger_path(self, monkeypatch, model):
-        """A ledger and a bare relative entropy build no eigenstate, since
-        the transition matrix pairs the kept block eigenvectors, and each of
-        the ledger's six states is diagonalized exactly once."""
+        """A ledger and a bare relative entropy build no eigenstate and no
+        frame, since the transition matrix pairs the kept block
+        eigenvectors, and each of the ledger's six states is diagonalized
+        exactly once."""
         comp = zoo.compose_systems(model, model)
         r = np.random.default_rng(17)
         rho, U = rand_state(model, r), comp.group.sampler(comp, r)
@@ -456,16 +457,17 @@ class TestLandauer:
             seen.append((state, diagonalize(state)))
             return seen[-1][1]
 
-        make, build = spectral.Diagonalization, spectral._certified_eigenstates
+        make, build = spectral.Diagonalization, spectral._certified_rows
         monkeypatch.setattr(thermo, "diagonalize", counting)
         monkeypatch.setattr(spectral, "Diagonalization",
                             lambda *a: made.append(a) or make(*a))
-        monkeypatch.setattr(spectral, "_certified_eigenstates",
+        monkeypatch.setattr(spectral, "_certified_rows",
                             lambda *a: builds.append(a) or build(*a))
         led = thermo.landauer_ledger(U, rho, h, 1.0, comp)
         assert len(seen) == len(made) == 6
         assert len({id(s) for s, _ in seen}) == 6
-        assert all("eigenstates" not in d.__dict__ for _, d in seen)
+        assert all("eigenstates" not in d.__dict__
+                   and "frame" not in d.__dict__ for _, d in seen)
         # the environment's output and its Gibbs state, afresh
         gamma = thermo.gibbs_state(model, h, 1.0)
         out_E = core.marginal(apply_channel(
