@@ -117,9 +117,10 @@ class ConeSpec:
 
     kind 'rays': generators are rows of `generators`, spanning a pointed,
     full-dimensional cone.  Its facets, unit inward normals in the rows of
-    `facets`, are found once, when the cone is built (`cone_facets`).  The
-    cone is the set where every facet is nonnegative, and the margin
-    against the interior direction e is min_i F_i.x / F_i.e.
+    `facets`, are found once, when the cone is built (`cone_facets`), and
+    so is `facet_scale`, their products F.e with the interior direction e,
+    kept read-only.  The cone is the set where every facet is nonnegative,
+    and the margin against e is min_i F_i.x / F_i.e.
     kind 'psd': membership means every Hermitian block has nonnegative
     spectrum; the margin is the smallest block eigenvalue.
     """
@@ -130,6 +131,8 @@ class ConeSpec:
     structure: Optional[BlockStructure] = None
     interior_direction: Optional[np.ndarray] = field(default=None, init=False)
     facets: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    facet_scale: Optional[np.ndarray] = field(default=None, init=False,
+                                              repr=False)
 
     def __post_init__(self):
         if self.kind == "rays":
@@ -144,8 +147,13 @@ class ConeSpec:
                 raise ValueError("cone is not full-dimensional")
             U = G / norms[:, None]
             e = U.sum(axis=0)       # about 0 only in a cone with a line
-            object.__setattr__(self, "facets", cone_facets(U, e)[1])
-            object.__setattr__(self, "interior_direction", e / np.linalg.norm(e))
+            F = cone_facets(U, e)[1]
+            e = e / np.linalg.norm(e)
+            scale = F @ e
+            scale.setflags(write=False)
+            object.__setattr__(self, "facets", F)
+            object.__setattr__(self, "interior_direction", e)
+            object.__setattr__(self, "facet_scale", scale)
         elif self.kind == "psd":
             if self.structure is None:
                 raise ValueError("psd cone needs a block structure")
@@ -163,9 +171,12 @@ class ConeSpec:
         this is where a matrix-model state's one eigensolve happens
         (`StateVec`).  Without it, eigenvalues alone are computed.  A NaN or
         infinite coordinate raises ValueError, found from a non-finite margin
-        on a ray cone and beforehand on a psd one (LAPACK may pass it).
+        on a ray cone and beforehand on a psd one (LAPACK may pass it).  A
+        float ndarray is read as it is; anything else goes through
+        `as_coords`.
         """
-        x = as_coords(x)
+        if type(x) is not np.ndarray or x.dtype != np.float64:
+            x = as_coords(x)
         if x.shape != (self.dim,):
             raise ValueError("vector has wrong dimension")
         if self.kind == "psd":
@@ -174,8 +185,7 @@ class ConeSpec:
                 eig[:] = block_eigh(x, self.structure)
                 return min(eig[0][:, 0].tolist())
             return min(block_eigvalsh(x, self.structure)[:, 0].tolist())
-        F = self.facets
-        m = float(np.min((F @ x) / (F @ self.interior_direction)))
+        m = float(((self.facets @ x) / self.facet_scale).min())
         if not -np.inf < m < np.inf:
             _finite_coords(x)
         return m
@@ -192,7 +202,7 @@ def cone_membership(model: "ModelSpec", x, which: str = "state",
     passed on to `ConeSpec.margin`.
     """
     cone = model.state_cone if which == "state" else model.effect_cone
-    m = cone.margin(as_coords(x), eig)
+    m = cone.margin(x, eig)
     return (m >= -tol, m)
 
 
@@ -321,8 +331,9 @@ class ModelSpec:
     `capacity`: a vertex that is in no distinguishable pair is one alone.
     A polytope's `group` is finite, closed once when the model is built
     (`zoo.close_group`, kept as `group.table`) and refused past 10,000
-    elements.  A polytope's `_base_norm_facets` and `_stored_sets` are
-    computed on their first read and kept on the model."""
+    elements.  A polytope's `_base_norm_facets`, `_set_members` and
+    `_stored_sets` are computed on their first read and kept on the
+    model."""
 
     model_id: str
     kind: str
@@ -381,6 +392,16 @@ class ModelSpec:
                            np.eye(P.shape[1] + 1)[-1])[1]
 
     @functools.cached_property
+    def _set_members(self) -> np.ndarray:
+        """The membership matrix of `maximal_sets`, read-only: entry [k, i]
+        is whether set k holds vertex i."""
+        M = np.zeros((len(self.maximal_sets), len(self.pure_states)), dtype=bool)
+        for k, (c, _) in enumerate(self.maximal_sets):
+            M[k, list(c)] = True
+        M.setflags(write=False)
+        return M
+
+    @functools.cached_property
     def _stored_sets(self) -> tuple:
         """The stored distinguishable sets' vertex matrices V, one per set,
         the pseudo-inverses of their transposes, and each vertex's exact
@@ -412,18 +433,20 @@ def _same_model(a: ModelSpec, b: ModelSpec):
 class StateVec:
     """Normalized state: cone member with unit pairing against the unit effect.
 
-    The constructor refuses a NaN or infinite coordinate, then checks the
-    unit pairing (within 1e-7) and cone membership (margin at least
-    -DEFAULT_TOL).  On a matrix model the membership check is the state's
-    one block eigendecomposition: its stacked (w, V) is kept in
-    `_derived["block_eigh"]` until `spectral.diagonalize` takes it out, so
-    no second eigensolve runs.  The eigenstates of a diagonalization are the
-    one exception to these checks (`_checked_state`): on a matrix model they
-    are built, without a kept (w, V), when first read, on rows that passed
-    one check of the whole decomposition (`_certified_rows`) with tighter
-    tolerances than these; on a polytope they are rows of `pure_states`,
-    generators of the state cone normalized to unit pairing.
-    The state is frozen and its coordinates are read-only, so results
+    The constructor refuses complex coordinates (ValueError) before it
+    makes its one float copy, then a wrong shape (ValueError), a NaN or
+    infinite coordinate (ConeError), a unit pairing off by more than 1e-7
+    (NormalizationError) and a margin below -DEFAULT_TOL, from one
+    `cone_membership` check (ConeError).  On a matrix model the membership
+    check is the state's one block eigendecomposition: its stacked (w, V)
+    is kept in `_derived["block_eigh"]` until `spectral.diagonalize` takes
+    it out, so no second eigensolve runs.  The eigenstates of a
+    diagonalization are the one exception to these checks
+    (`_checked_state`): on a matrix model they are built, without a kept
+    (w, V), when first read, on rows that passed one check of the whole
+    decomposition (`_certified_rows`) with tighter tolerances than these;
+    on a polytope they are rows of `pure_states`, generators of the state
+    cone normalized to unit pairing.  The state is frozen and its coordinates are read-only, so results
     derived from it alone (its diagonalization, the support of a pure state)
     are cached in `_derived` and never go stale.
     """
@@ -434,10 +457,11 @@ class StateVec:
                            compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.coords, dtype=float)
+        if np.iscomplexobj(self.coords):
+            raise ValueError("state has complex coordinates")
+        x = np.array(self.coords, dtype=float)
         if x.shape != (self.model.vector_dim,):
             raise ValueError("state has wrong dimension")
-        x = x.copy()
         x.setflags(write=False)
         object.__setattr__(self, "coords", x)
         # before the pairing, which would warn and come out NaN, and the
@@ -553,16 +577,23 @@ def _checked_state(row: np.ndarray, model: ModelSpec) -> StateVec:
 
 @dataclass(frozen=True, eq=False)
 class EffectVec:
-    """Proper effect: in the effect cone, with its complement also in it."""
+    """Proper effect: in the effect cone, with its complement also in it.
+
+    The constructor refuses, in this order, complex coordinates and a wrong
+    shape (ValueError) and a NaN or infinite coordinate (ConeError) on its
+    one float copy, then an effect outside the effect cone and one above
+    the unit (ConeError), each from one `cone_membership` check.
+    """
 
     coords: np.ndarray
     model: ModelSpec
 
     def __post_init__(self):
-        f = np.asarray(self.coords, dtype=float)
+        if np.iscomplexobj(self.coords):
+            raise ValueError("effect has complex coordinates")
+        f = np.array(self.coords, dtype=float)
         if f.shape != (self.model.vector_dim,):
             raise ValueError("effect has wrong dimension")
-        f = f.copy()
         f.setflags(write=False)
         object.__setattr__(self, "coords", f)
         if not np.isfinite(f).all():
@@ -600,7 +631,7 @@ def state_norm(model: ModelSpec, x) -> float:
         # block sums added in block order
         return sum(np.abs(block_eigvalsh(x, model.structure)).sum(axis=1).tolist())
     F = model._base_norm_facets
-    return float(np.max(-(F[:, :-1] @ x) / F[:, -1]))
+    return float((-(F[:, :-1] @ x) / F[:, -1]).max())
 
 
 def effect_norm(model: ModelSpec, f) -> float:

@@ -163,17 +163,20 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     with pseudo-inverses kept from the model's first one
     (`ModelSpec._stored_sets`); a vertex of the model takes its exact
     weights from there instead.  A set holds x when its weights w are at
-    least -DEFAULT_TOL and, clipped at 0, rebuild x within DEFAULT_TOL.  Held sets must agree on the spectrum
-    within DEFAULT_TOL; the first decomposition in `_descending_order` terms
-    is returned.  Raises DiagonalizationError when no set holds x (residue:
-    the smallest miss over the sets) or when two held sets give different
-    spectra (residue: their largest difference).
+    least -DEFAULT_TOL and, clipped at 0, rebuild x within DEFAULT_TOL.
+    Held sets must agree on the spectrum within DEFAULT_TOL.  One held set's
+    decomposition, in `_descending_order`, is returned as it is; of two or
+    more, the first by eigenvalue at 12 digits and then vertex coordinates
+    at 10 (`_lex_key`), compared in that order.  Raises
+    DiagonalizationError when no set holds x (residue: the smallest miss
+    over the sets) or when two held sets give different spectra (residue:
+    their largest difference).
     """
     V, pinv, vertex_weights = model._stored_sets
     w = vertex_weights.get((x + 0.0).tobytes())
     if w is None:
         w = pinv @ x
-    p = np.clip(w, 0.0, None)
+    p = np.maximum(w, 0.0)
     fit = np.abs(np.einsum("sc,scd->sd", p, V) - x).max(axis=1)
     miss = np.maximum(fit, -w.min(axis=1))
     held = np.flatnonzero(miss <= DEFAULT_TOL)
@@ -187,8 +190,9 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     for i in held:
         order = _descending_order(p[i], V[i].__getitem__)
         decompositions.append((p[i][order], V[i][order]))
-    values, rows = min(decompositions, key=lambda d: [
-        (-round(v, 12), _lex_key(r)) for v, r in zip(d[0].tolist(), d[1])])
+    values, rows = decompositions[0] if len(held) == 1 else min(
+        decompositions, key=lambda d: [(-round(v, 12), _lex_key(r))
+                                       for v, r in zip(d[0].tolist(), d[1])])
     spectra = -np.sort(-p[held], axis=1)
     gaps = np.abs(spectra - values).max(axis=1)
     if gaps.max() > DEFAULT_TOL:

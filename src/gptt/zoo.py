@@ -285,11 +285,13 @@ def distinguishing_effects(model: ModelSpec, states):
     raises its ConeError or NormalizationError).  More states than
     `capacity` get None, since a vertex from each support would be as many
     distinguishable vertices.  Vertices are answered from the build's
-    `maximal_sets`: distinct vertices get the measurement of a maximal set
-    that holds them, its other members' effects folded into the first
-    input's, or None when no set does; a repeated vertex gets None.  Other
-    inputs are decided by `_ray_distinguishability`, whose effects or Farkas
-    vector is checked before it answers.  A StateVec of another model raises
+    `maximal_sets`: distinct vertices get the measurement of the first
+    maximal set that holds them, found from the model's read-only
+    membership matrix (`ModelSpec._set_members`, sets by vertices), its
+    other members' effects folded into the first input's, or None when no
+    set does; a repeated vertex gets None.  Other inputs are decided by
+    `_ray_distinguishability`, whose effects or Farkas vector is checked
+    before it answers.  A StateVec of another model raises
     ModelCompatibilityError.
     """
     states = list(states)
@@ -311,7 +313,7 @@ def distinguishing_effects(model: ModelSpec, states):
         return [EffectVec(blocks_to_vec(Ps, st), model) for Ps in P]
     miss = np.abs(np.asarray(xs)[:, None, :] - model.pure_states).max(axis=2)
     idx = miss.argmin(axis=1).tolist()
-    vertex = miss[np.arange(m), idx] <= 1e-9
+    vertex = miss.min(axis=1) <= 1e-9
     for x, v, s in zip(xs, vertex, states):
         if not (v or isinstance(s, StateVec)):
             StateVec(x, model)
@@ -320,13 +322,18 @@ def distinguishing_effects(model: ModelSpec, states):
     if vertex.all():
         if len(set(idx)) < m:
             return None
-        for c, E in model.maximal_sets:
-            if set(idx).issubset(c):
-                pos = [c.index(i) for i in idx]
-                F = E[pos]
-                F[0] += E[[p for p in range(len(c)) if p not in pos]].sum(axis=0)
-                return [EffectVec(f, model) for f in F]
-        return None
+        member = model._set_members
+        held = member[:, idx[0]].copy()
+        for i in idx[1:]:
+            held &= member[:, i]
+        k = int(held.argmax())     # the first set that holds them, if any
+        if not held[k]:
+            return None
+        c, E = model.maximal_sets[k]
+        pos = [c.index(i) for i in idx]
+        F = E[pos]
+        F[0] += E[[p for p in range(len(c)) if p not in pos]].sum(axis=0)
+        return [EffectVec(f, model) for f in F]
     raw, _ = _ray_distinguishability(model.effect_cone.generators,
                                      model.unit_effect, xs)
     if raw is None:

@@ -2,7 +2,8 @@
 
 Everything here works on raw density matrices / probability vectors with
 numpy and scipy only, sharing no code with the package under test, except
-the copies of the package's eigenstate-reading witness builders at the end.
+the copies of the package's eigenstate-reading witness builders, of its
+polytope request path and of its dense invariant-state solve at the end.
 """
 
 import math
@@ -677,3 +678,116 @@ def purify_eigenstates(state):
     Psi[:, ((-b) % N) * n + r] += (np.sqrt(diag.eigenvalues[keep])[:, None] * T).T
     psi = Psi.reshape(-1)
     return core._kron_to_coords(comp, np.outer(psi, psi.conj()))
+
+
+# ---------------------------------------------------------------------------
+# the polytope request path and the invariant state, as first written
+#
+# Copies of the package's twirl, stored-set lookup and vertex route of
+# `distinguishing_effects` as they were written with Python loops and scans,
+# and of `invariant_state` on a matrix model as one dense SVD of its three
+# D x D probe matrices.  They call the package for everything else, so they
+# pin the array forms bit for bit (the invariant state within 1e-12).
+
+
+def twirl_sum(state):
+    """The group average of a polytope state, summed one element at a
+    time."""
+    from gptt import core
+
+    _, mats = state.model.group.table
+    return core.StateVec(sum(M @ state.coords for M in mats) / len(mats),
+                         state.model)
+
+
+def stored_set_decomposition_scan(model, x):
+    """The package's stored-set decomposition, with every held set's
+    decomposition compared by its rounded key."""
+    from gptt import core, spectral
+
+    V, pinv, vertex_weights = model._stored_sets
+    w = vertex_weights.get((x + 0.0).tobytes())
+    if w is None:
+        w = pinv @ x
+    p = np.clip(w, 0.0, None)
+    fit = np.abs(np.einsum("sc,scd->sd", p, V) - x).max(axis=1)
+    miss = np.maximum(fit, -w.min(axis=1))
+    held = np.flatnonzero(miss <= core.DEFAULT_TOL)
+    if not held.size:
+        raise core.DiagonalizationError(
+            f"state of {model.model_id} lies in the hull of no perfectly "
+            f"distinguishable set of {model.capacity} pure states",
+            residue=float(miss.min()))
+    decompositions = []
+    for i in held:
+        order = spectral._descending_order(p[i], V[i].__getitem__)
+        decompositions.append((p[i][order], V[i][order]))
+    values, rows = min(decompositions, key=lambda d: [
+        (-round(v, 12), spectral._lex_key(r))
+        for v, r in zip(d[0].tolist(), d[1])])
+    spectra = -np.sort(-p[held], axis=1)
+    gaps = np.abs(spectra - values).max(axis=1)
+    if gaps.max() > core.DEFAULT_TOL:
+        other = spectra[gaps.argmax()]
+        raise core.DiagonalizationError(
+            f"state of {model.model_id} has two spectra over perfectly "
+            f"distinguishable sets: {np.round(values, 12).tolist()} and "
+            f"{np.round(other, 12).tolist()}", residue=float(gaps.max()))
+    return values, rows
+
+
+def distinguishing_effects_scan(model, states):
+    """The package's `distinguishing_effects` on a polytope, its vertices
+    looked up by scanning `maximal_sets` with `set.issubset`."""
+    from gptt import core, zoo
+
+    states = list(states)
+    for s in states:
+        if isinstance(s, core.StateVec):
+            core._same_model(model, s.model)
+    xs = [np.asarray(s.coords if isinstance(s, core.StateVec) else s,
+                     dtype=float) for s in states]
+    m = len(xs)
+    miss = np.abs(np.asarray(xs)[:, None, :] - model.pure_states).max(axis=2)
+    idx = miss.argmin(axis=1).tolist()
+    vertex = miss[np.arange(m), idx] <= 1e-9
+    for x, v, s in zip(xs, vertex, states):
+        if not (v or isinstance(s, core.StateVec)):
+            core.StateVec(x, model)
+    if m > model.capacity:
+        return None
+    if vertex.all():
+        if len(set(idx)) < m:
+            return None
+        for c, E in model.maximal_sets:
+            if set(idx).issubset(c):
+                pos = [c.index(i) for i in idx]
+                F = E[pos]
+                F[0] += E[[p for p in range(len(c)) if p not in pos]].sum(axis=0)
+                return [core.EffectVec(f, model) for f in F]
+        return None
+    raw, _ = zoo._ray_distinguishability(model.effect_cone.generators,
+                                         model.unit_effect, xs)
+    if raw is None:
+        return None
+    return [core.EffectVec(f, model) for f in raw]
+
+
+def invariant_state_dense(model):
+    """(dimension, fixed rows) of a matrix model's group, from one SVD of
+    its three probes' D x D matrices stacked."""
+    from gptt import zoo
+
+    st = model.structure
+    N, n = st.block_count, st.n
+    flip, cycle, eye = (np.broadcast_to(B, (N, n, n)) for B in (
+        np.diag([-1.0] + [1.0] * (n - 1)), np.roll(np.eye(n), 1, axis=0),
+        np.eye(n)))
+    mats = [zoo.block_reversible(model, flip).matrix,
+            zoo.block_reversible(model, cycle).matrix,
+            zoo.block_reversible(model, eye, (np.arange(N) + 1) % N).matrix]
+    D = model.vector_dim
+    _, s, Vt = np.linalg.svd(np.vstack([M - np.eye(D) for M in mats]),
+                             full_matrices=False)
+    basis = Vt[s <= 1e-9]
+    return len(basis), basis, mats

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,115 @@ class TestStateValidation:
         EffectVec(np.zeros(q2.vector_dim), q2)
         with pytest.raises(ConeError):
             EffectVec(2 * q2.unit_effect, q2)
+
+
+_TABLE_MODELS = [sq, zoo.build_model("restricted_trit"), q2, dq2]
+
+
+def _pure(model):
+    if model.pure_states is not None:
+        return model.pure_states[0]
+    return model.pure_sampler(model, np.random.default_rng(5))
+
+
+def _refusals(model):
+    """(kind, coordinates, exception, message pattern) rows: each refusal
+    of the two constructors, with the message as it is written."""
+    D, u, chi = model.vector_dim, model.unit_effect, model.chi
+    out = 3 * _pure(model) - 2 * chi        # unit pairing, beyond a pure state
+    rows = [("state", np.zeros(D + 1), ValueError, "state has wrong dimension"),
+            ("state", np.zeros((D, 1)), ValueError, "state has wrong dimension"),
+            ("effect", np.zeros(D - 1), ValueError, "effect has wrong dimension"),
+            ("state", 2 * chi, NormalizationError,
+             re.escape("state has unit pairing 2.0, expected 1")),
+            ("state", out, ConeError, re.escape(
+                f"state outside cone (margin "
+                f"{model.state_cone.margin(out):.3e})")),
+            ("effect", -0.25 * u, ConeError, re.escape(
+                f"effect outside cone (margin "
+                f"{model.effect_cone.margin(-0.25 * u):.3e})")),
+            ("effect", 1.5 * u, ConeError, re.escape(
+                f"effect exceeds the unit (margin "
+                f"{model.effect_cone.margin(u - 1.5 * u):.3e})"))]
+    for i in range(D):
+        for bad in (np.nan, np.inf, -np.inf):
+            x, f = chi.copy(), 0.5 * u
+            x[i] = f[i] = bad
+            rows += [("state", x, ConeError,
+                      "state has a NaN or infinite coordinate"),
+                     ("effect", f, ConeError,
+                      "effect has a NaN or infinite coordinate")]
+    return rows
+
+
+class TestConstructorRefusals:
+    """Every refusal of `StateVec` and `EffectVec`, on both cone kinds,
+    with its exception type and message, and the cone checks each makes."""
+
+    @pytest.mark.parametrize("model", _TABLE_MODELS, ids=lambda m: m.model_id)
+    @pytest.mark.filterwarnings("error")
+    def test_refusal_table(self, model):
+        for kind, x, exc, pattern in _refusals(model):
+            cls = StateVec if kind == "state" else EffectVec
+            with pytest.raises(exc, match=f"^{pattern}$"):
+                cls(x, model)
+
+    @pytest.mark.parametrize("model", _TABLE_MODELS, ids=lambda m: m.model_id)
+    @pytest.mark.filterwarnings("error")
+    def test_complex_coordinates_refused(self, model):
+        """A complex input is refused before it is cast, even with a zero
+        imaginary part; its real part alone is a valid object."""
+        u, chi = model.unit_effect, model.chi
+        for cls, x, name in ((StateVec, chi, "state"),
+                             (EffectVec, 0.5 * u, "effect")):
+            cls(x, model)
+            tilted = x.astype(complex)
+            tilted[0] += 1j
+            for bad in (tilted, x.astype(complex), tilted.tolist()):
+                with pytest.raises(ValueError,
+                                   match=f"^{name} has complex coordinates$"):
+                    cls(bad, model)
+
+    @pytest.mark.parametrize("model", _TABLE_MODELS, ids=lambda m: m.model_id)
+    def test_one_margin_per_state_two_per_effect(self, model, monkeypatch):
+        margin = ConeSpec.margin
+        calls = []
+        monkeypatch.setattr(ConeSpec, "margin",
+                            lambda cone, x, *eig: calls.append(cone)
+                            or margin(cone, x, *eig))
+        x = list(model.chi)
+        s = StateVec(x, model)
+        assert calls == [model.state_cone]
+        assert s.coords.flags.writeable is False
+        assert s.coords.tolist() == x
+        calls.clear()
+        f = 0.5 * model.unit_effect
+        e = EffectVec(f, model)
+        assert calls == [model.effect_cone] * 2
+        assert e.coords is not f and not np.shares_memory(e.coords, f)
+        calls.clear()
+        with pytest.raises(ConeError, match="effect outside cone"):
+            EffectVec(-f, model)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", _TABLE_MODELS, ids=lambda m: m.model_id)
+    def test_margin_reads_arrays_and_lists_alike(self, model):
+        """`ConeSpec.margin` gives the same bits on a float array, a list
+        and an integer array; a ray cone's is min F.x / F.e."""
+        r = np.random.default_rng(6)
+        cone = model.state_cone
+        for _ in range(20):
+            x = model.state_sampler(model, r)
+            m = cone.margin(x)
+            assert cone.margin(list(x)) == m
+            assert cone.margin(StateVec(x, model)) == m
+            if cone.kind == "rays":
+                F = cone.facets
+                assert m == float(np.min(
+                    (F @ x) / (F @ cone.interior_direction)))
+                assert not cone.facet_scale.flags.writeable
+        ints = np.round(3 * model.unit_effect).astype(int)
+        assert cone.margin(ints) == cone.margin(ints.astype(float))
 
 
 def _planted_state(model, low, r):

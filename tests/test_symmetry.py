@@ -32,6 +32,54 @@ def test_invariant_state_unique_and_matches(kind, kwargs):
     assert rep["matches_reference"]
 
 
+_MATRIX_MODELS = ["quantum:2", "quantum:3", "classical:4", "rebit",
+                  "real_quantum:3", "doubled_quantum:2", "doubled_quantum:3",
+                  "extended_classical:3x2", "extended_classical:2x1"]
+_COMPOSITES = [("classical:2", "classical:3"), ("quantum:2", "quantum:3"),
+               ("doubled_quantum:2", "doubled_quantum:2"),
+               ("extended_classical:2x1", "extended_classical:2x2"),
+               ("rebit", "rebit"),
+               ("extended_classical:3x2", "extended_classical:3x2"),
+               ("doubled_quantum:3", "doubled_quantum:3")]
+
+
+def _matrix_model(name):
+    if isinstance(name, tuple):
+        return zoo.compose_systems(*map(zoo.parse_model_string, name))
+    return zoo.parse_model_string(name)
+
+
+@pytest.mark.parametrize("name", _MATRIX_MODELS + _COMPOSITES,
+                         ids=lambda n: n if isinstance(n, str) else "*".join(n))
+def test_block_reduced_invariant_state_matches_the_dense_solve(name):
+    """One block's fixed space, then the sector shift on its span, gives
+    the fixed space of one SVD of the three D x D probes: the same
+    dimension and, normalized, the same state within 1e-12, fixed by each
+    dense probe."""
+    m = _matrix_model(name)
+    rep = symmetry.invariant_state(m)
+    dim, basis, mats = oracles.invariant_state_dense(m)
+    assert rep["unique"] == (dim == 1) and rep["dimension"] == dim == 1
+    want = basis[0] / float(m.unit_effect @ basis[0])
+    assert np.abs(rep["state"].coords - want).max() <= 1e-12
+    assert rep["matches_reference"] and np.abs(want - m.chi).max() <= 1e-9
+    for M in mats:
+        assert np.abs(M @ rep["state"].coords - rep["state"].coords).max() <= 1e-12
+
+
+def test_block_probes_act_as_the_dense_probes_on_every_block():
+    """The two block matrices, applied to every block of a random vector,
+    and the roll of the sectors are the dense probes' products."""
+    m = _matrix_model(("extended_classical:3x2", "extended_classical:2x1"))
+    st = m.structure
+    x = np.random.default_rng(4).normal(size=m.vector_dim)
+    _, _, dense = oracles.invariant_state_dense(m)
+    blocks = x.reshape(st.block_count, st.block_coord_dim)
+    for M, B in zip(dense, symmetry._group_probe_matrices(m)):
+        assert np.abs(M @ x - (blocks @ B.T).reshape(-1)).max() <= 1e-12
+    assert np.abs(dense[2] @ x - np.roll(blocks, 1, axis=0).reshape(-1)).max() == 0
+
+
 def test_transitivity_table():
     assert symmetry.is_transitive(zoo.build_model("quantum", n=3))
     assert symmetry.is_transitive(zoo.build_model("classical", d=3))
