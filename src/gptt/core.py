@@ -313,10 +313,29 @@ class CompositeInfo:
 
     `perm` lists, for each total-Hilbert basis index in the composite's
     block order, the corresponding index of the factor-kron ordered basis.
+    The perm is applied to an H x H matrix as one gather from its flat
+    view: `to_block` takes kron order to block order (entry (i, j) of the
+    result is entry (perm[i], perm[j])) and `to_kron` takes it back.  Both
+    are read-only index arrays of H^2 entries, computed on first read and
+    kept.
     """
 
     factors: tuple
     perm: np.ndarray
+
+    @staticmethod
+    def _pair_index(p: np.ndarray) -> np.ndarray:
+        idx = (p[:, None] * len(p) + p).reshape(-1)
+        idx.setflags(write=False)
+        return idx
+
+    @functools.cached_property
+    def to_block(self) -> np.ndarray:
+        return self._pair_index(np.asarray(self.perm))
+
+    @functools.cached_property
+    def to_kron(self) -> np.ndarray:
+        return self._pair_index(np.argsort(self.perm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -844,14 +863,12 @@ def _block_to_kron(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     """Total-Hilbert matrix of composite coords, in factor-kron basis order."""
     info = _require_composite(model)
     M_block = vec_to_total(x, model.structure)
-    M_kron = np.zeros_like(M_block)
-    M_kron[np.ix_(info.perm, info.perm)] = M_block
-    return M_kron
+    return M_block.reshape(-1)[info.to_kron].reshape(M_block.shape)
 
 
 def _kron_to_coords(model: ModelSpec, M_kron: np.ndarray) -> np.ndarray:
     info = _require_composite(model)
-    M_block = M_kron[np.ix_(info.perm, info.perm)]
+    M_block = M_kron.reshape(-1)[info.to_block].reshape(M_kron.shape)
     x, resid = total_to_vec(M_block, model.structure)
     if resid > 1e-8:
         raise ConeError(f"matrix violates the composite sector structure "
@@ -859,18 +876,30 @@ def _kron_to_coords(model: ModelSpec, M_kron: np.ndarray) -> np.ndarray:
     return x
 
 
+def _kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A ⊗ B by broadcasting: the elementwise products of the Kronecker
+    product, without its dispatch."""
+    H = A.shape[0] * B.shape[0]
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(H, H)
+
+
 def tensor_states(comp: ModelSpec, a: StateVec, b: StateVec) -> StateVec:
+    """The product state a ⊗ b of a composite's two factors: the factors'
+    total matrices multiplied by broadcasting (`_kron`), gathered into
+    block order and checked as a state of the composite."""
     info = _require_composite(comp)
     mA, mB = info.factors
     _same_model(mA, a.model)
     _same_model(mB, b.model)
     MA = vec_to_total(a.coords, mA.structure)
     MB = vec_to_total(b.coords, mB.structure)
-    return StateVec(_kron_to_coords(comp, np.kron(MA, MB)), comp)
+    return StateVec(_kron_to_coords(comp, _kron(MA, MB)), comp)
 
 
 def marginal(comp_state: StateVec, which: int) -> StateVec:
-    """Reduced state of factor 0 or 1 of a composite model's state."""
+    """Reduced state of factor 0 or 1 of a composite model's state: the
+    state's total matrix gathered into kron order (`_block_to_kron`) and
+    traced over the other factor."""
     model = comp_state.model
     info = _require_composite(model)
     if which not in (0, 1):
@@ -893,12 +922,14 @@ def marginal(comp_state: StateVec, which: int) -> StateVec:
 
 
 def _lifted_kraus(comp: ModelSpec, kraus_A, kraus_B) -> list:
-    info = _require_composite(comp)
+    """KA ⊗ KB for every pair, KA outer, each formed by broadcasting
+    (`_kron`) and gathered into the composite's block order."""
+    to_block = _require_composite(comp).to_block
     out = []
     for KA in kraus_A:
         for KB in kraus_B:
-            K_kron = np.kron(KA, KB)
-            out.append(K_kron[np.ix_(info.perm, info.perm)])
+            K = _kron(np.asarray(KA), np.asarray(KB))
+            out.append(K.reshape(-1)[to_block].reshape(K.shape))
     return out
 
 

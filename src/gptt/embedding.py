@@ -64,7 +64,9 @@ CONJ_SLICE = 32
 @dataclass(frozen=True)
 class BlockStructure:
     """N Hermitian blocks of one size n, `dims` = (n,) * N, over the scalar
-    field; unequal sizes raise ValueError."""
+    field; unequal sizes raise ValueError.  The sizes below are computed
+    once per structure and kept; they are not fields, so hashing and
+    equality read `dims` and `field` only."""
 
     dims: tuple[int, ...]
     field: str = "C"  # 'C' complex Hermitian, 'R' real symmetric
@@ -77,26 +79,24 @@ class BlockStructure:
         if len(set(self.dims)) > 1:
             raise ValueError(f"blocks must have equal dimensions, got {self.dims}")
 
-    @property
+    @cached_property
     def n(self) -> int:
         """The size of every block."""
         return self.dims[0]
 
-    @property
+    @cached_property
     def block_count(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def block_coord_dim(self) -> int:
         return self.n * self.n if self.field == "C" else self.n * (self.n + 1) // 2
 
     @cached_property
     def coord_dim(self) -> int:
-        """Computed once per structure; not a field, so hashing and equality
-        ignore it."""
         return self.block_count * self.block_coord_dim
 
-    @property
+    @cached_property
     def hilbert_dim(self) -> int:
         return self.block_count * self.n
 

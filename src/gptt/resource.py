@@ -176,7 +176,7 @@ def birkhoff_decompose(D: np.ndarray):
             or np.abs(D.sum(axis=1) - 1).max() > 1e-8
             or D.min() < -1e-9):
         raise ValueError("matrix is not doubly stochastic")
-    R = np.clip(D, 0.0, None)
+    R = np.maximum(D, 0.0)
     terms = []
     mass = 1.0
     for _ in range((d - 1) ** 2 + 1):

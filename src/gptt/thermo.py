@@ -43,7 +43,7 @@ from . import zoo
 
 
 def _entropy_of_distribution(p: np.ndarray, alpha: float) -> float:
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
+    p = np.maximum(np.asarray(p, dtype=float), 0.0)
     total = p.sum()
     if total <= 0:
         raise ValueError("empty distribution")
@@ -77,8 +77,8 @@ def relative_entropy(rho: StateVec, sigma: StateVec) -> float:
 def _relative_entropy(dr: Diagonalization, ds: Diagonalization) -> float:
     # T[i, j] = weight of rho-eigenstate j on sigma-eigenstate i
     T = transition_matrix(dr, ds)
-    p = np.clip(dr.eigenvalues, 0.0, None)
-    q = np.clip(ds.eigenvalues, 0.0, None)
+    p = np.maximum(dr.eigenvalues, 0.0)
+    q = np.maximum(ds.eigenvalues, 0.0)
     total = 0.0
     for j, pj in enumerate(p):
         if pj <= 1e-12:
@@ -118,7 +118,7 @@ def measurement_distribution(state: StateVec, effects) -> np.ndarray:
     if np.abs(sum(coords) - state.model.unit_effect).max() > 1e-8:
         raise GPTError("effects do not sum to the unit")
     p = np.array([float(c @ state.coords) for c in coords])
-    return np.clip(p, 0.0, None)
+    return np.maximum(p, 0.0)
 
 
 def _merge_proportional(effects, probs):
@@ -153,7 +153,7 @@ def monotone_audit(state: StateVec, f: Callable[[np.ndarray], float],
     model = state.model
     rng = np.random.default_rng(0) if rng is None else rng
     diag = diagonalize(state)
-    p_spec = np.clip(diag.eigenvalues, 0.0, None)
+    p_spec = np.maximum(diag.eigenvalues, 0.0)
     base_val = f(p_spec)
     competitors = []
     canonical = zoo.pure_maximal_set(model)

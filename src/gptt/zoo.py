@@ -284,7 +284,9 @@ def distinguishing_effects(model: ModelSpec, states):
     coordinate, or a vector that passes as a StateVec (one that does not
     raises its ConeError or NormalizationError).  More states than
     `capacity` get None, since a vertex from each support would be as many
-    distinguishable vertices.  Vertices are answered from the build's
+    distinguishable vertices; when all of them are StateVecs that answer
+    comes before any distance to a vertex is measured, and raw vectors are
+    checked first.  Vertices are answered from the build's
     `maximal_sets`: distinct vertices get the measurement of the first
     maximal set that holds them, found from the model's read-only
     membership matrix (`ModelSpec._set_members`, sets by vertices), its
@@ -311,6 +313,8 @@ def distinguishing_effects(model: ModelSpec, states):
             return None
         P[0] += np.eye(st.n) - P.sum(axis=0)
         return [EffectVec(blocks_to_vec(Ps, st), model) for Ps in P]
+    if m > model.capacity and all(isinstance(s, StateVec) for s in states):
+        return None
     miss = np.abs(np.asarray(xs)[:, None, :] - model.pure_states).max(axis=2)
     idx = miss.argmin(axis=1).tolist()
     vertex = miss.min(axis=1) <= 1e-9
@@ -638,7 +642,10 @@ def compose_systems(mA: ModelSpec, mB: ModelSpec) -> ModelSpec:
 
 
 def swap_channel(comp: ModelSpec) -> ChannelMap:
-    """Reversible exchange of the two (identical) factors of a composite."""
+    """Reversible exchange of the two (identical) factors of a composite:
+    the kron-order swap W|a, b> = |b, a>, gathered into the composite's
+    block order with its kept index (`CompositeInfo.to_block`), is the one
+    Kraus operator."""
     info = comp.composite
     if info is None:
         raise ModelCompatibilityError("swap needs a composite model")
@@ -646,11 +653,9 @@ def swap_channel(comp: ModelSpec) -> ChannelMap:
     if mA.model_id != mB.model_id:
         raise UnsupportedModelError("swap is defined for identical factors")
     dH = mA.structure.hilbert_dim
-    W = np.zeros((dH * dH, dH * dH))
-    for a in range(dH):
-        for b in range(dH):
-            W[b * dH + a, a * dH + b] = 1.0
-    K = W[np.ix_(info.perm, info.perm)]
+    # row (b, a) of W is row (a, b) of the identity
+    W = np.eye(dH * dH).reshape(dH, dH, -1).swapaxes(0, 1)
+    K = W.reshape(-1)[info.to_block].reshape(dH * dH, dH * dH)
     M = conjugation_matrix([K], comp.structure)
     return comp.make_reversible(M, kraus=[K])
 

@@ -3,7 +3,8 @@
 Everything here works on raw density matrices / probability vectors with
 numpy and scipy only, sharing no code with the package under test, except
 the copies of the package's eigenstate-reading witness builders, of its
-polytope request path and of its dense invariant-state solve at the end.
+polytope request path, of its dense invariant-state solve and of its
+composite operations at the end.
 """
 
 import math
@@ -791,3 +792,71 @@ def invariant_state_dense(model):
                              full_matrices=False)
     basis = Vt[s <= 1e-9]
     return len(basis), basis, mats
+
+
+# ---------------------------------------------------------------------------
+# composite operations, as first written
+#
+# Copies of the package's composite operations as they were written with
+# np.kron products and np.ix_ gathers on the composite's perm.  They call
+# the package for everything else, so they pin the kept gather indices and
+# the broadcast products bit for bit.
+
+
+def block_to_kron_ix(model, x):
+    """A composite's coordinates as its total matrix in kron order,
+    scattered through np.ix_ into a zeroed matrix."""
+    from gptt.embedding import vec_to_total
+
+    perm = model.composite.perm
+    M_block = vec_to_total(x, model.structure)
+    M_kron = np.zeros_like(M_block)
+    M_kron[np.ix_(perm, perm)] = M_block
+    return M_kron
+
+
+def kron_to_coords_ix(model, M_kron):
+    """A kron-order total matrix as a composite's coordinates, gathered
+    through np.ix_, refused past an off-block residual of 1e-8."""
+    from gptt.core import ConeError
+    from gptt.embedding import total_to_vec
+
+    perm = model.composite.perm
+    x, resid = total_to_vec(M_kron[np.ix_(perm, perm)], model.structure)
+    if resid > 1e-8:
+        raise ConeError(f"matrix violates the composite sector structure "
+                        f"(off-block residual {resid:.3e})")
+    return x
+
+
+def tensor_states_kron(comp, a, b):
+    """The product state of two factor states, formed with np.kron."""
+    from gptt.core import StateVec, _same_model
+    from gptt.embedding import vec_to_total
+
+    mA, mB = comp.composite.factors
+    _same_model(mA, a.model)
+    _same_model(mB, b.model)
+    MA = vec_to_total(a.coords, mA.structure)
+    MB = vec_to_total(b.coords, mB.structure)
+    return StateVec(kron_to_coords_ix(comp, np.kron(MA, MB)), comp)
+
+
+def lifted_kraus_kron(comp, kraus_A, kraus_B):
+    """KA ⊗ KB for every pair, formed with np.kron and gathered through
+    np.ix_."""
+    perm = comp.composite.perm
+    return [np.kron(KA, KB)[np.ix_(perm, perm)]
+            for KA in kraus_A for KB in kraus_B]
+
+
+def swap_kraus_loop(comp):
+    """The factor swap's Kraus operator, the kron-order swap written entry
+    by entry and gathered through np.ix_."""
+    perm = comp.composite.perm
+    dH = comp.composite.factors[0].structure.hilbert_dim
+    W = np.zeros((dH * dH, dH * dH))
+    for a in range(dH):
+        for b in range(dH):
+            W[b * dH + a, a * dH + b] = 1.0
+    return W[np.ix_(perm, perm)]

@@ -349,3 +349,26 @@ def test_coord_dim_computed_once():
     assert BlockStructure((3, 3), "R") != read
     with pytest.raises(AttributeError):
         read.dims = (1,)
+
+
+@pytest.mark.parametrize("field", ["C", "R"])
+def test_sizes_computed_once(field):
+    """n, block_count, block_coord_dim, hilbert_dim and coord_dim are
+    computed once and kept on the structure; two equal structures compare
+    and hash equal, and share the cached index maps, whichever of them has
+    had its sizes read."""
+    sizes = ("n", "block_count", "block_coord_dim", "hilbert_dim",
+             "coord_dim")
+    fresh, read = BlockStructure((3, 3), field), BlockStructure((3, 3), field)
+    got = [getattr(read, name) for name in sizes]
+    assert got == [3, 2, 9 if field == "C" else 6, 6, 18 if field == "C" else 12]
+    assert [read.__dict__[name] for name in sizes] == got
+    assert not set(sizes) & set(fresh.__dict__)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert {read: 1}[fresh] == 1
+    assert repr(read) == f"BlockStructure(dims=(3, 3), field={field!r})"
+    for stacked in (True, False):
+        assert embedding._maps(fresh, stacked) is embedding._maps(read, stacked)
+    info = embedding._maps.cache_info()
+    embedding._maps(fresh, True)
+    assert embedding._maps.cache_info().hits == info.hits + 1

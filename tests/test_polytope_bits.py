@@ -15,7 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from gptt import spectral, symmetry, zoo
-from gptt.core import DiagonalizationError, StateVec
+from gptt.core import (ConeError, DiagonalizationError, NormalizationError,
+                       StateVec)
 from test_facets import kgon_json
 
 MODELS = ("square_bit", "diamond_bit", "restricted_trit", "5-gon", "8-gon",
@@ -150,3 +151,21 @@ def test_two_held_sets_reach_the_key():
     want = oracles.stored_set_decomposition_scan(m, x)
     assert values.tobytes() == want[0].tobytes()
     assert rows.tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_too_many_inputs(name):
+    """More inputs than `capacity` get None; when every input is a
+    StateVec, vertices and interior points alike, that answer comes first,
+    and a raw vector that is no state still raises among too many."""
+    m = _model(name)
+    V = m.pure_states
+    chi = m.invariant_state
+    vertices = [StateVec(V[i % len(V)], m) for i in range(m.capacity + 1)]
+    assert zoo.distinguishing_effects(m, vertices) is None
+    assert zoo.distinguishing_effects(m, [chi] * (m.capacity + 1)) is None
+    assert zoo.distinguishing_effects(m, [*vertices[1:], V[0]]) is None
+    with pytest.raises(ConeError):
+        zoo.distinguishing_effects(m, [*vertices, 2 * V[0] - chi.coords])
+    with pytest.raises(NormalizationError):
+        zoo.distinguishing_effects(m, [*vertices, 2 * V[0]])

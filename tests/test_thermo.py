@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import logsumexp
 
-from gptt import core, embedding, spectral, thermo, zoo
-from gptt.core import (ChannelMap, GPTError, StateVec, UnsupportedModelError,
-                       apply_channel, lift_channel)
+from gptt import core, embedding, resource, spectral, thermo, zoo
+from gptt.core import (ChannelMap, EffectVec, GPTError, StateVec,
+                       UnsupportedModelError, apply_channel, lift_channel)
 from gptt.embedding import blocks_to_vec, conjugation_matrix, vec_to_blocks
 from gptt.spectral import dagger, diagonalize
 import oracles
@@ -599,3 +599,121 @@ class TestNegativeTemperatureBounds:
         assert abs(led.entropy_drop_system) < 1e-9
         assert abs(led.delta_E_env) > 0.1
         assert not led.bound_satisfied
+
+
+class TestClippedInputs:
+    """Distributions and doubly stochastic matrices holding -0.0, tiny
+    negatives and exact zeros are clipped at zero with np.maximum, and the
+    entropies, relative entropies, measurement distributions and Birkhoff
+    terms keep the bytes they had under np.clip(x, 0.0, None) (the tables,
+    as float.hex)."""
+
+    DISTS = [[0.5, -0.0, 0.5], [0.7, 0.3, -1e-17], [0.0, 1.0, 0.0],
+             [-0.0, -0.0, 1.0], [0.25, 0.25, 0.5, -1e-300],
+             [1e-13, -1e-13, 1.0]]
+    ENTROPY = [  # orders 0, 1, 2 and inf
+        ['0x1.62e42fefa39efp-1',
+         '0x1.62e42fefa39efp-1',
+         '0x1.62e42fefa39efp-1',
+         '0x1.62e42fefa39efp-1'],
+        ['0x1.62e42fefa39efp-1',
+         '0x1.38c334af3d409p-1',
+         '0x1.16e67af787643p-1',
+         '0x1.6d3c324e13f50p-2'],
+        ['0x0.0p+0', '-0x0.0p+0', '-0x0.0p+0', '-0x0.0p+0'],
+        ['0x0.0p+0', '-0x0.0p+0', '-0x0.0p+0', '-0x0.0p+0'],
+        ['0x1.193ea7aad030bp+0',
+         '0x1.0a2b23f3bab73p+0',
+         '0x1.f62f40794a7b8p-1',
+         '0x1.62e42fefa39efp-1'],
+        ['0x0.0p+0',
+         '0x1.c1ffffffffe75p-44',
+         '0x1.c200000000317p-43',
+         '0x1.c20000000018cp-44'],
+    ]
+    STATES = [[0.5, 0.5, -0.0], [0.6, 0.4, 0.0], [0.5, 0.5 + 1e-17, -1e-17],
+              [1.0, -0.0, -0.0], [0.2, 0.3, 0.5]]
+    RELENT = [  # row: rho, column: sigma
+        ['0x0.0p+0',
+         '0x1.4e69ed6d80eb0p-6',
+         '0x0.0p+0',
+         'inf',
+         '0x1.6d577f5b0fa65p-1'],
+        ['0x1.49e6770c0e4f0p-6',
+         '0x0.0p+0',
+         '0x1.49e6770c0e4f0p-6',
+         'inf',
+         '0x1.8c6936373c929p-1'],
+        ['0x0.0p+0',
+         '0x1.4e69ed6d80eb0p-6',
+         '0x0.0p+0',
+         'inf',
+         '0x1.6d577f5b0fa65p-1'],
+        ['0x1.62e42fefa39efp-1',
+         '0x1.058aefa811452p-1',
+         '0x1.62e42fefa39efp-1',
+         '0x0.0p+0',
+         '0x1.9c041f7ed8d33p+0'],
+        ['inf', 'inf', 'inf', 'inf', '0x0.0p+0'],
+    ]
+    EFFECTS = [[[-0.0, -0.0, 1.0], [1.0, 1.0, -0.0]],
+               [[1.0, -0.0, 0.0], [-0.0, 1.0, 1.0]],
+               [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]]
+    MEASURED = [  # row: state, column: measurement
+        [('0x0.0p+0', '0x1.0000000000000p+0'),
+         ('0x1.0000000000000p-1', '0x1.0000000000000p-1'),
+         ('0x1.0000000000000p-1', '0x1.0000000000000p-1')],
+        [('0x0.0p+0', '0x1.0000000000000p+0'),
+         ('0x1.3333333333333p-1', '0x1.999999999999ap-2'),
+         ('0x1.0000000000000p-1', '0x1.0000000000000p-1')],
+        [('0x0.0p+0', '0x1.0000000000000p+0'),
+         ('0x1.0000000000000p-1', '0x1.0000000000000p-1'),
+         ('0x1.0000000000000p-1', '0x1.0000000000000p-1')],
+        [('0x0.0p+0', '0x1.0000000000000p+0'),
+         ('0x1.0000000000000p+0', '0x0.0p+0'),
+         ('0x1.0000000000000p-1', '0x1.0000000000000p-1')],
+        [('0x1.0000000000000p-1', '0x1.0000000000000p-1'),
+         ('0x1.999999999999ap-3', '0x1.999999999999ap-1'),
+         ('0x1.0000000000000p-1', '0x1.0000000000000p-1')],
+    ]
+    MATRICES = [[[0.5, 0.5, -0.0], [0.5, -0.0, 0.5], [-0.0, 0.5, 0.5]],
+                [[1.0 + 1e-12, -1e-12, 0.0], [-1e-12, 0.5 + 1e-12, 0.5],
+                 [0.0, 0.5, 0.5]],
+                [[1.0, 0.0, -0.0], [0.0, 1.0, 0.0], [-0.0, 0.0, 1.0]]]
+    BIRKHOFF = [
+        [('0x1.0000000000000p-1', (0, 2, 1)),
+         ('0x1.0000000000000p-1', (1, 0, 2))],
+        [('0x1.0000000000000p-1', (0, 1, 2)),
+         ('0x1.0000000000000p-1', (0, 2, 1))],
+        [('0x1.0000000000000p+0', (0, 1, 2))],
+    ]
+
+    def test_np_maximum_is_np_clip(self):
+        x = np.array([-0.0, 0.0, -1e-300, 1e-300, -np.inf, np.inf, np.nan,
+                      -1.5, 2.0])
+        assert (np.maximum(x, 0.0).tobytes()
+                == np.clip(x, 0.0, None).tobytes())
+
+    def test_entropy_of_distribution(self):
+        got = [[thermo._entropy_of_distribution(np.array(p), a).hex()
+                for a in (0, 1, 2, math.inf)] for p in self.DISTS]
+        assert got == self.ENTROPY
+
+    def test_relative_entropy(self):
+        c3 = zoo.parse_model_string("classical:3")
+        ds = [diagonalize(StateVec(x, c3)) for x in self.STATES]
+        assert [[thermo._relative_entropy(a, b).hex() for b in ds]
+                for a in ds] == self.RELENT
+
+    def test_measurement_distribution(self):
+        c3 = zoo.parse_model_string("classical:3")
+        got = [[tuple(float(p).hex() for p in thermo.measurement_distribution(
+                    StateVec(x, c3), [EffectVec(e, c3) for e in es]))
+                for es in self.EFFECTS] for x in self.STATES]
+        assert got == self.MEASURED
+
+    def test_birkhoff_decompose(self):
+        got = [[(w.hex(), tuple(int(i) for i in p))
+                for w, p in resource.birkhoff_decompose(np.array(M))]
+               for M in self.MATRICES]
+        assert got == self.BIRKHOFF
