@@ -40,11 +40,20 @@ it), and coordinate i reads Y as Re(r_i Y[p_i, q_i]) with r_i in
 
 a gather of Kraus entries (the natural representation of the map,
 restricted to the block coordinates; Watrous, The Theory of Quantum
-Information, ch. 2).  M is filled CONJ_SLICE columns at a time, so besides
-the D x D result the temporaries stay at a few D x CONJ_SLICE complex
-arrays (about 1 MB each at D = 2048) plus two D x d row gathers of K.  A
-stack of t operators (`conjugation_matrices`) goes through the same pass
-as t x D rows, one matrix per operator.
+Information, ch. 2).  Row i and column j read K only at rows of i's block
+and columns of j's, so the (target, source) block pair of M is the same
+formula over the operator's (target, source) sub-block with one block's
+terms.  A reversible of a sectorized theory moves whole blocks, so its M is
+zero outside N of the N^2 block pairs; `conjugation_matrices` builds such
+structures (several blocks, at least PAIR_COORDS coordinates) by block
+pairs, skips the sub-blocks whose entries are all exactly zero and fills
+the rest with the same operations, so every entry keeps its bits.  Smaller
+structures keep one full-space pass, whose fewer numpy calls measured
+faster there.  Either way M is filled CONJ_ELEMENTS entries at a time
+(a slice of columns over all rows), so besides the result the temporaries
+stay at a few 128 KiB complex arrays plus two row gathers of K.  A stack
+of t operators goes through the same pass as t x D rows, one matrix per
+operator.
 """
 
 from __future__ import annotations
@@ -57,16 +66,26 @@ import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 
-# Columns of the conjugation matrix computed per pass; bounds its memory.
-CONJ_SLICE = 32
+# Entries of the conjugation matrices computed per pass, over all rows of a
+# stack: complex temporaries of at most 128 KiB, the size 32 columns gave
+# at D = 256.  Set by measurement (CHANGES.md): in a fresh process, wider
+# passes ran up to 2.4x slower at D = 121 to 529, narrower ones slower at
+# D = 2048.
+CONJ_ELEMENTS = 1 << 13
+# Coordinates from which a structure of several blocks has its conjugation
+# matrices built by block pairs.  Set by measurement (CHANGES.md): below it
+# the split's few extra numpy calls cost more than the skipped blocks save.
+PAIR_COORDS = 64
 
 
 @dataclass(frozen=True)
 class BlockStructure:
     """N Hermitian blocks of one size n, `dims` = (n,) * N, over the scalar
-    field; unequal sizes raise ValueError.  The sizes below are computed
-    once per structure and kept; they are not fields, so hashing and
-    equality read `dims` and `field` only."""
+    field; unequal sizes raise ValueError.  The sizes below and the hash
+    are computed once per structure and kept; they are not fields, so
+    equality reads `dims` and `field` only, and the hash is theirs.  A
+    pickled structure is built anew, so it carries no kept hash into a
+    process whose string hashes differ."""
 
     dims: tuple[int, ...]
     field: str = "C"  # 'C' complex Hermitian, 'R' real symmetric
@@ -78,6 +97,16 @@ class BlockStructure:
             raise ValueError("block dims must be positive")
         if len(set(self.dims)) > 1:
             raise ValueError(f"blocks must have equal dimensions, got {self.dims}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return BlockStructure, (self.dims, self.field)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.dims, self.field))
 
     @cached_property
     def n(self) -> int:
@@ -252,6 +281,35 @@ def _conjugation_terms(structure: BlockStructure):
     return _frozen(p, q, r, s, t, c)
 
 
+@lru_cache(maxsize=None)
+def _layout(structure: BlockStructure):
+    """The closed-form terms `conjugation_matrices` runs on a structure, and
+    whether it runs them by block pairs: one block's terms with several
+    blocks and at least PAIR_COORDS coordinates, else the structure's."""
+    if structure.block_count > 1 and structure.coord_dim >= PAIR_COORDS:
+        return _conjugation_terms(BlockStructure((structure.n,),
+                                                 structure.field)), True
+    return _conjugation_terms(structure), False
+
+
+def _closed_form(ops: np.ndarray, terms):
+    """The closed form of the module docstring for a stack of operators and
+    one set of terms: yields each column slice and the real parts of that
+    slice of every operator's matrix, the stack's rows one after another,
+    so a stack of one is plain 2-d work.  A slice holds at most
+    CONJ_ELEMENTS entries over all rows, and at least one column."""
+    p, q, r, s, t, c = terms
+    rows = len(ops) * len(p)
+    Kp = (r[:, None] * ops[:, p]).reshape(rows, ops.shape[2])
+    Kq = ops[:, q].conj().reshape(rows, ops.shape[2])
+    width = max(1, CONJ_ELEMENTS // max(rows, 1))
+    for j0 in range(0, len(p), width):
+        js = slice(j0, j0 + width)
+        acc = Kp[:, s[0, js]] * c[0, js] * Kq[:, t[0, js]]
+        acc += Kp[:, s[1, js]] * c[1, js] * Kq[:, t[1, js]]
+        yield js, acc.real
+
+
 def conjugation_matrices(ops: np.ndarray, structure: BlockStructure,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Real coordinate matrices of X -> K X K†, one per operator K of a
@@ -264,26 +322,35 @@ def conjugation_matrices(ops: np.ndarray, structure: BlockStructure,
     refuses such operators: the `ChannelMap` constructor runs it on a
     channel given by its Kraus form alone, and `core.tensor_channels` on
     every lifted operator.
-    Computed in closed form, CONJ_SLICE columns at a time (module
-    docstring), with the same elementwise operations for every height of
-    stack, so each matrix has the bits a stack of one gives it.  The
-    temporaries are a few t x D x CONJ_SLICE complex arrays.
+    Computed in closed form (module docstring), CONJ_ELEMENTS entries of
+    all rows at a time, with the same elementwise operations for every
+    height of stack and either layout, so each matrix has the bits a stack
+    of one gives it.  With several blocks and PAIR_COORDS coordinates or
+    more, the layout is by block pairs: the (target, source) block of a
+    matrix reads only the (target, source) sub-block of its operator, so
+    the nonzero sub-blocks of the stack go through one block's terms as
+    one stack and are added into their places, and a sub-block whose
+    entries are all exactly zero is skipped: its entries would be zeros of
+    either sign, and adding them leaves an `out` summed from zeros (as
+    every caller passes it) unchanged.  Smaller structures and one block
+    keep the single full-space pass, which measured faster there.
     """
-    p, q, r, s, t, c = _conjugation_terms(structure)
     D = structure.coord_dim
     ops = np.asarray(ops)
-    rows = len(ops) * D
     if out is None:
         out = np.zeros((len(ops), D, D))
-    # the stack's rows one after another: a stack of one is plain 2-d work
-    Kp = (r[:, None] * ops[:, p]).reshape(rows, -1)
-    Kq = ops[:, q].conj().reshape(rows, -1)
-    flat = out.reshape(rows, D)
-    for j0 in range(0, D, CONJ_SLICE):
-        js = slice(j0, j0 + CONJ_SLICE)
-        acc = Kp[:, s[0, js]] * c[0, js] * Kq[:, t[0, js]]
-        acc += Kp[:, s[1, js]] * c[1, js] * Kq[:, t[1, js]]
-        flat[:, js] += acc.real
+    terms, pairs = _layout(structure)
+    if not pairs:
+        flat = out.reshape(-1, D)
+        for js, part in _closed_form(ops, terms):
+            flat[:, js] += part
+        return out
+    N, n, d = structure.block_count, structure.n, structure.block_coord_dim
+    sub = ops.reshape(len(ops), N, n, N, n)
+    k, a, b = np.nonzero((sub != 0).any(axis=(2, 4)))
+    grid = out.reshape(len(ops), N, d, N, d)
+    for js, part in _closed_form(sub[k, a, :, b], terms):
+        grid[k, a, :, b, js] += part.reshape(len(k), d, part.shape[1])
     return out
 
 

@@ -76,16 +76,17 @@ def relative_entropy(rho: StateVec, sigma: StateVec) -> float:
 
 def _relative_entropy(dr: Diagonalization, ds: Diagonalization) -> float:
     # T[i, j] = weight of rho-eigenstate j on sigma-eigenstate i
-    T = transition_matrix(dr, ds)
-    p = np.maximum(dr.eigenvalues, 0.0)
-    q = np.maximum(ds.eigenvalues, 0.0)
+    # read as Python floats: the loop's IEEE results, without numpy scalars
+    T = transition_matrix(dr, ds).tolist()
+    p = np.maximum(dr.eigenvalues, 0.0).tolist()
+    q = np.maximum(ds.eigenvalues, 0.0).tolist()
     total = 0.0
     for j, pj in enumerate(p):
         if pj <= 1e-12:
             continue
         total += pj * math.log(pj)
         for i, qi in enumerate(q):
-            w = T[i, j]
+            w = T[i][j]
             if w <= 1e-10:
                 continue
             if qi <= 1e-12:

@@ -860,3 +860,58 @@ def swap_kraus_loop(comp):
         for b in range(dH):
             W[b * dH + a, a * dH + b] = 1.0
     return W[np.ix_(perm, perm)]
+
+
+# ---------------------------------------------------------------------------
+# conjugation matrices and relative entropy, as first written
+#
+# Copies of `embedding.conjugation_matrices` as one full-space pass of 32
+# columns at a time, and of `thermo._relative_entropy`'s loop over numpy
+# scalars.  They call the package for the closed form's terms and the
+# transition matrix, so they pin the block-pair layout and the list loop
+# bit for bit.
+
+
+def conjugation_matrices_full(ops, structure, out=None):
+    """Every operator's coordinate matrix over the full space, 32 columns
+    at a time, added into `out` when given."""
+    from gptt.embedding import _conjugation_terms
+
+    p, q, r, s, t, c = _conjugation_terms(structure)
+    D = structure.coord_dim
+    ops = np.asarray(ops)
+    rows = len(ops) * D
+    if out is None:
+        out = np.zeros((len(ops), D, D))
+    Kp = (r[:, None] * ops[:, p]).reshape(rows, -1)
+    Kq = ops[:, q].conj().reshape(rows, -1)
+    flat = out.reshape(rows, D)
+    for j0 in range(0, D, 32):
+        js = slice(j0, j0 + 32)
+        acc = Kp[:, s[0, js]] * c[0, js] * Kq[:, t[0, js]]
+        acc += Kp[:, s[1, js]] * c[1, js] * Kq[:, t[1, js]]
+        flat[:, js] += acc.real
+    return out
+
+
+def relative_entropy_scalars(dr, ds):
+    """Relative entropy from two diagonalizations, the transition matrix
+    and the clipped spectra read as numpy scalars in the double loop."""
+    from gptt.spectral import transition_matrix
+
+    T = transition_matrix(dr, ds)
+    p = np.maximum(dr.eigenvalues, 0.0)
+    q = np.maximum(ds.eigenvalues, 0.0)
+    total = 0.0
+    for j, pj in enumerate(p):
+        if pj <= 1e-12:
+            continue
+        total += pj * math.log(pj)
+        for i, qi in enumerate(q):
+            w = T[i, j]
+            if w <= 1e-10:
+                continue
+            if qi <= 1e-12:
+                return math.inf
+            total -= pj * w * math.log(qi)
+    return max(total, 0.0)

@@ -4,9 +4,11 @@ The references below are written entry by entry from the coordinate formula
 in the embedding module's docstring and share no code with the package.
 The conversions must match them bit for bit, and so must the stacked
 eigensolvers match np.linalg on each block alone; the closed-form
-conjugation matrix must match explicit Kraus conjugation to 1e-12.
+conjugation matrix must match explicit Kraus conjugation to 1e-12, and its
+block-pair layout the full-space pass kept in `oracles` bit for bit.
 """
 
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -372,3 +374,114 @@ def test_sizes_computed_once(field):
     info = embedding._maps.cache_info()
     embedding._maps(fresh, True)
     assert embedding._maps.cache_info().hits == info.hits + 1
+
+
+# ---------------------------------------------------------------------------
+# conjugation matrices by block pairs
+
+
+def sector_operator(rng, structure, kind):
+    """A (H, H) operator over the structure: 'diagonal' keeps every block,
+    'shifted' sends block b to block b + 1 (mod N), as the doubled
+    qubit's ledger reversible may, 'dense' fills every entry, 'partial'
+    zeroes about half the blocks of a dense one and 'zero' is all zeros."""
+    N, n = structure.block_count, structure.n
+    K = random_matrix(rng, N * n, structure.field)
+    mask = np.zeros((N, N), bool)
+    if kind == "diagonal":
+        mask[range(N), range(N)] = True
+    elif kind == "shifted":
+        mask[(np.arange(N) + 1) % N, range(N)] = True
+    elif kind == "dense":
+        mask[:] = True
+    elif kind == "partial":
+        mask = rng.random((N, N)) < 0.5
+    K[~np.kron(mask, np.ones((n, n), bool))] = 0.0
+    return K
+
+
+kinds = st.sampled_from(["diagonal", "shifted", "dense", "partial", "zero"])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.sampled_from([1, 2, 4, 8]),
+       st.sampled_from(["C", "R"]), st.lists(kinds, min_size=1, max_size=3),
+       seeds, st.sampled_from([0.0, 0.1]), st.sampled_from([0.0, 0.05]))
+def test_block_pair_conjugation_matches_full_pass(N, n, field, ops_kinds,
+                                                  seed, neg_zeros, nans):
+    """conjugation_matrices, by block pairs or in one pass, gives the bytes
+    of the full-space pass of 32 columns (`oracles`), on stacks of
+    block-diagonal, block-shifted, dense, partly zero and all-zero
+    operators holding -0.0 and NaN entries; and so does conjugation_matrix
+    summing several operators into one matrix from zeros."""
+    structure = BlockStructure((n,) * N, field)
+    rng = np.random.default_rng(seed)
+    ops = np.array([sector_operator(rng, structure, kind)
+                    for kind in ops_kinds])
+    ops[(ops == 0) & (rng.random(ops.shape) < neg_zeros)] = -0.0
+    ops[rng.random(ops.shape) < nans] = np.nan
+    assert embedding._layout(structure)[1] == (
+        N > 1 and structure.coord_dim >= embedding.PAIR_COORDS)
+    got = conjugation_matrices(ops, structure)
+    assert got.tobytes() == oracles.conjugation_matrices_full(
+        ops, structure).tobytes()
+    total = np.zeros((1, structure.coord_dim, structure.coord_dim))
+    for K in ops:
+        oracles.conjugation_matrices_full(K[None], structure, out=total)
+    assert conjugation_matrix(list(ops), structure).tobytes() == \
+        total[0].tobytes()
+
+
+@pytest.mark.parametrize("dims, field, pairs", [
+    ((8,), "C", False), ((2, 2), "C", False), ((4, 4), "C", False),
+    ((5, 5), "C", False), ((4, 4, 4, 4), "C", True), ((8, 8), "C", True),
+    ((8, 8), "R", True), ((6, 6), "R", False), ((32, 32), "C", True)])
+def test_conjugation_layout_follows_the_structure(dims, field, pairs):
+    """Several blocks and at least PAIR_COORDS coordinates go by block
+    pairs through one block's kept terms; one block or fewer coordinates
+    keep the full-space pass through the structure's own."""
+    structure = BlockStructure(dims, field)
+    terms, by_pairs = embedding._layout(structure)
+    assert by_pairs == pairs
+    assert terms is embedding._conjugation_terms(
+        BlockStructure((dims[0],), field) if pairs else structure)
+    assert embedding._layout(BlockStructure(dims, field))[0] is terms
+
+
+def test_all_zero_sub_blocks_are_skipped(monkeypatch):
+    """Only the nonzero (target, source) sub-blocks of a block-shifted
+    operator enter the closed form, all as one stack."""
+    structure = BlockStructure((8, 8, 8), "C")
+    rng = np.random.default_rng(4)
+    K = sector_operator(rng, structure, "shifted")
+    K[K == 0] = -0.0
+    seen, closed_form = [], embedding._closed_form
+
+    def spy(ops, terms):
+        seen.append(ops.shape)
+        return closed_form(ops, terms)
+
+    monkeypatch.setattr(embedding, "_closed_form", spy)
+    M = conjugation_matrix([K], structure)
+    assert seen == [(3, 8, 8)]
+    assert M.tobytes() == oracles.conjugation_matrices_full(
+        K[None], structure)[0].tobytes()
+
+
+def test_structure_keeps_its_hash():
+    """The hash of (dims, field) is computed once and kept outside the
+    fields; equal structures built apart compare and hash equal, find the
+    same entries of the index-map, closed-form and per-block term caches,
+    and a pickled structure is built anew without a kept hash."""
+    a, b = BlockStructure((8, 8), "C"), BlockStructure((8, 8), "C")
+    assert hash(a) == hash(((8, 8), "C")) and a.__dict__["_hash"] == hash(a)
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert repr(a) == "BlockStructure(dims=(8, 8), field='C')"
+    for cache in (lambda s: embedding._maps(s, True),
+                  embedding._conjugation_terms, embedding._layout):
+        assert cache(a) is cache(b)
+    info = embedding._layout.cache_info()
+    embedding._layout(BlockStructure((8, 8), "C"))
+    assert embedding._layout.cache_info().hits == info.hits + 1
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and "_hash" not in c.__dict__ and hash(c) == hash(a)

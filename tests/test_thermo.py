@@ -112,6 +112,30 @@ class TestRelativeEntropy:
                 a, b = rand_state(m, r), rand_state(m, r)
                 assert thermo.relative_entropy(a, b) >= -1e-10
 
+    @pytest.mark.parametrize("model", [q2, q3, cl3, dq2],
+                             ids=lambda m: m.model_id)
+    def test_list_loop_keeps_the_bits(self, model):
+        """The loop over Python floats gives the bytes of the loop over
+        numpy scalars (`oracles`) as a Python float: random pairs, pairs
+        with zero eigenvalues on either side, and pairs whose answer is
+        inf."""
+        r = np.random.default_rng(8)
+        mixed = [rand_state(model, r) for _ in range(6)]
+        pure = [StateVec(model.pure_sampler(model, r), model)
+                for _ in range(3)]
+        basis = zoo.pure_maximal_set(model)
+        pairs = [(a, b) for a in mixed + pure[:1] for b in mixed[:3] + pure]
+        pairs += [(basis[0], basis[1]), (basis[0], basis[0])]
+        answers = []
+        for a, b in pairs:
+            da, db = diagonalize(a), diagonalize(b)
+            got = thermo._relative_entropy(da, db)
+            want = oracles.relative_entropy_scalars(da, db)
+            assert type(got) is float
+            assert got.hex() == float(want).hex()
+            answers.append(got)
+        assert math.inf in answers and 0.0 in answers
+
 
 class TestBipartite:
     def test_bell_pair(self):
