@@ -22,7 +22,6 @@ eigenstate or a frame.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
@@ -56,23 +55,16 @@ def _lex_key(x: np.ndarray):
     return tuple(np.round(x, 10))
 
 
-def _descending_order(values: np.ndarray, rows_of: Callable) -> np.ndarray:
+def _descending_order(values: np.ndarray) -> np.ndarray:
     """Order of a decomposition: eigenvalues descending at 12 digits, ties
-    broken by the eigenstates' coordinates at 10 digits, lexicographically,
-    and then by position.  Coordinates are read only within groups of tied
-    eigenvalues: rows_of(indices) gives those eigenstates' rows."""
+    in position order (a stable sort).  This is the whole rule on matrix
+    models: inside a degenerate eigenspace the eigenvectors are an
+    arbitrary basis, so ordering them by their coordinates would make
+    nothing canonical, and position reads no eigenstate.  A polytope
+    decomposition without ties takes it too."""
     first = [-round(v, 12) for v in values.tolist()]
-    order = sorted(range(len(first)), key=first.__getitem__)
-    if len(set(first)) < len(first):
-        grouped = []
-        for _, group in itertools.groupby(order, first.__getitem__):
-            tied = list(group)
-            if len(tied) > 1:
-                tied = [tied[i] for i in np.lexsort(
-                    np.round(rows_of(tied), 10).T[::-1]).tolist()]
-            grouped += tied
-        order = grouped
-    return np.array(order, dtype=np.intp)
+    return np.array(sorted(range(len(first)), key=first.__getitem__),
+                    dtype=np.intp)
 
 
 class Frame(NamedTuple):
@@ -164,13 +156,18 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     (`ModelSpec._stored_sets`); a vertex of the model takes its exact
     weights from there instead.  A set holds x when its weights w are at
     least -DEFAULT_TOL and, clipped at 0, rebuild x within DEFAULT_TOL.
-    Held sets must agree on the spectrum within DEFAULT_TOL.  One held set's
-    decomposition, in `_descending_order`, is returned as it is; of two or
-    more, the first by eigenvalue at 12 digits and then vertex coordinates
-    at 10 (`_lex_key`), compared in that order.  Raises
-    DiagonalizationError when no set holds x (residue: the smallest miss
-    over the sets) or when two held sets give different spectra (residue:
-    their largest difference).
+    A held set's decomposition is ordered by eigenvalue, descending at 12
+    digits, and ties are broken by vertex coordinates at 10 digits,
+    lexicographically, then by position; the lexsort runs only when a tie
+    exists.  One held set's decomposition is returned as it is.  Two or
+    more must agree on the spectrum within DEFAULT_TOL, and the first by
+    eigenvalue at 12 digits and then vertex coordinates at 10 (`_lex_key`),
+    compared in that order, is returned.  One held set needs no such check:
+    it would compare the decomposition with its own sort, and values tied
+    at 12 digits differ by less than 1e-12.  Raises DiagonalizationError
+    when no set holds x (residue: the smallest miss over the sets) or when
+    two held sets give different spectra (residue: their largest
+    difference).
     """
     V, pinv, vertex_weights = model._stored_sets
     w = vertex_weights.get((x + 0.0).tobytes())
@@ -186,13 +183,18 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
             f"distinguishable set of {model.capacity} pure states",
             residue=float(miss.min()))
 
-    decompositions = []
-    for i in held:
-        order = _descending_order(p[i], V[i].__getitem__)
-        decompositions.append((p[i][order], V[i][order]))
-    values, rows = decompositions[0] if len(held) == 1 else min(
-        decompositions, key=lambda d: [(-round(v, 12), _lex_key(r))
-                                       for v, r in zip(d[0].tolist(), d[1])])
+    def ordered(i):
+        first = [-round(v, 12) for v in p[i].tolist()]
+        order = (np.lexsort(np.vstack([np.round(V[i], 10).T[::-1], first]))
+                 if len(set(first)) < len(first) else _descending_order(p[i]))
+        return p[i][order], V[i][order]
+
+    if held.size == 1:
+        return ordered(held[0])
+    values, rows = min(
+        map(ordered, held),
+        key=lambda d: [(-round(v, 12), _lex_key(r))
+                       for v, r in zip(d[0].tolist(), d[1])])
     spectra = -np.sort(-p[held], axis=1)
     gaps = np.abs(spectra - values).max(axis=1)
     if gaps.max() > DEFAULT_TOL:
@@ -213,16 +215,16 @@ def diagonalize(state: StateVec) -> Diagonalization:
     after a refusal, solves afresh).  It is certified here, in block form:
     the `core._block_figures` within `core.BLOCK_TOL` and the smallest raw
     eigenvalue at least -`core.DEFAULT_TOL`, the state's cone tolerance.
-    Negative eigenvalues are reported as 0.  Only ties in the order need
-    eigenstate coordinates; the frame is built from the rows and vectors
-    made then (or made when it is first read), after the rows pass the same
-    figures within `core.DEFAULT_TOL` (`core._certified_rows`).  A polytope
-    state is looked up among the stored distinguishable sets
-    (`_stored_set_decomposition`) and refused when the reported eigenvalues
-    rebuild it only beyond `core.DEFAULT_TOL`; its frame is the set's
-    vertices.  Failures raise DiagonalizationError carrying the failed
-    figure as its residue.  The result is cached on the state; errors are
-    not.
+    Negative eigenvalues are reported as 0.  The order reads eigenvalues
+    alone (`_descending_order`: ties keep their flattened index b n + r),
+    so no eigenstate row is made until the frame is first read; it is built
+    then, after the rows pass the same figures within `core.DEFAULT_TOL`
+    (`core._certified_rows`).  A polytope state is looked up among the
+    stored distinguishable sets (`_stored_set_decomposition`) and refused
+    when the reported eigenvalues rebuild it only beyond
+    `core.DEFAULT_TOL`; its frame is the set's vertices.  Failures raise
+    DiagonalizationError carrying the failed figure as its residue.  The
+    result is cached on the state; errors are not.
     """
     cached = state._derived.get("diagonalization")
     if cached is not None:
@@ -234,19 +236,12 @@ def diagonalize(state: StateVec) -> Diagonalization:
         raw = eig[0].reshape(-1)
         residual = _certify(model, _block_figures(x, raw, eig, st), raw,
                             BLOCK_TOL)
-        kept = []   # the eigenstates' rows, made once: for ties or a read
-
-        def rows():
-            if not kept:
-                kept.append(_eigenstate_rows(st, eig))
-            return kept[0]
-
         values = np.where(raw < 0.0, 0.0, raw)
-        order = _descending_order(values, lambda tied: rows()[0][tied])
+        order = _descending_order(values)
         values = values[order]
 
         def build():
-            E, U = rows()
+            E, U = _eigenstate_rows(st, eig)
             E = _certified_rows(model, x, raw[order], E[order])
             blocks = order // st.n   # flattened index b n + r is in block b
             vectors = total_vectors(st, blocks, U[order])

@@ -433,11 +433,11 @@ def eager_diagonalization(x, dims, field, tol=1e-9):
     One np.linalg.eigh per block; each eigenvector in canonical phase and
     unit length, embedded as the coordinates of its rank-one projector.
     Eigenvalues (negative ones read as 0) descend at 12 digits; a tie is
-    broken by the eigenstates' coordinates rounded to 10 digits,
-    lexicographically, then by position.  The eigenstates' Gram matrix,
-    unit pairings and reconstruction of x with the raw eigenvalues must be
-    exact within tol.  Returns (eigenvalues, eigenstate coordinates, one row
-    each, supports as (block, unit vector)), all in that order.
+    broken by position, block by block and within a block in `eigh`'s
+    order.  The eigenstates' Gram matrix, unit pairings and reconstruction
+    of x with the raw eigenvalues must be exact within tol.  Returns
+    (eigenvalues, eigenstate coordinates, one row each, supports as
+    (block, unit vector)), all in that order.
     """
     rows, raw, supports = [], [], []
     width = [n * n if field == "C" else n * (n + 1) // 2 for n in dims]
@@ -452,8 +452,7 @@ def eager_diagonalization(x, dims, field, tol=1e-9):
     rows, raw = np.array(rows), np.array(raw)
     values = np.where(raw < 0.0, 0.0, raw)
     key = [-round(v, 12) for v in values.tolist()]
-    order = sorted(range(len(key)), key=lambda i: (
-        key[i], tuple(np.round(rows[i], 10).tolist()), i))
+    order = sorted(range(len(key)), key=lambda i: (key[i], i))
     # the unit effect, the trace: 1 on every diagonal coordinate
     unit = np.concatenate([[1.0] * n + [0.0] * (k - n)
                            for n, k in zip(dims, width)])
@@ -702,9 +701,12 @@ def twirl_sum(state):
 
 
 def stored_set_decomposition_scan(model, x):
-    """The package's stored-set decomposition, with every held set's
-    decomposition compared by its rounded key."""
-    from gptt import core, spectral
+    """The package's stored-set decomposition, sorted with Python keys:
+    each held set's vertices by (eigenvalue descending at 12 digits,
+    coordinates at 10 digits, position), and the held sets' decompositions
+    compared by their (eigenvalue, coordinates) rows.  The spectrum check
+    runs on every held set, one included."""
+    from gptt import core
 
     V, pinv, vertex_weights = model._stored_sets
     w = vertex_weights.get((x + 0.0).tobytes())
@@ -721,10 +723,13 @@ def stored_set_decomposition_scan(model, x):
             residue=float(miss.min()))
     decompositions = []
     for i in held:
-        order = spectral._descending_order(p[i], V[i].__getitem__)
+        v = p[i].tolist()
+        coords = [tuple(np.round(r, 10).tolist()) for r in V[i]]
+        order = sorted(range(len(v)),
+                       key=lambda j: (-round(v[j], 12), coords[j], j))
         decompositions.append((p[i][order], V[i][order]))
     values, rows = min(decompositions, key=lambda d: [
-        (-round(v, 12), spectral._lex_key(r))
+        (-round(v, 12), tuple(np.round(r, 10).tolist()))
         for v, r in zip(d[0].tolist(), d[1])])
     spectra = -np.sort(-p[held], axis=1)
     gaps = np.abs(spectra - values).max(axis=1)

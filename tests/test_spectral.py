@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -335,7 +336,17 @@ class TestMemo:
                        in zip(first.eigenstates, second.eigenstates))
 
 
+def _position_order(values):
+    """The matrix models' order: eigenvalues descending at 12 digits, then
+    position."""
+    v = values.tolist()
+    return sorted(range(len(v)), key=lambda i: (-round(v[i], 12), i))
+
+
 def _full_lexsort(values, rows):
+    """The polytopes' order: eigenvalues descending at 12 digits, then the
+    eigenstates' coordinates at 10 digits, lexicographically, then
+    position."""
     first = [-round(v, 12) for v in values.tolist()]
     return np.lexsort(np.vstack([np.round(rows, 10).T[::-1], first]))
 
@@ -354,7 +365,17 @@ def _planted_tie_state(model, r):
     return StateVec(x / float(model.unit_effect @ x), model)
 
 
+_TRIANGLE = zoo.model_from_json({
+    "kind": "polytope", "vector_dim": 3, "unit_effect": [1, 1, 1],
+    "state_vertices": np.eye(3).tolist(),
+    "effect_generators": np.eye(3).tolist(),
+    "group_generators": [np.roll(np.eye(3), 1, axis=0).tolist()]})
+
+
 class TestDescendingOrder:
+    """A matrix model keeps tied eigenvalues in position order, which
+    reads no eigenstate; a polytope breaks ties by vertex coordinates."""
+
     @pytest.mark.parametrize("model", [q3, cl4, dq2, ec22,
                                        zoo.build_model("quantum", n=4)],
                              ids=lambda m: m.model_id)
@@ -366,32 +387,67 @@ class TestDescendingOrder:
                    StateVec(model.pure_sampler(model, r), model)]
         ties = 0
         for s in states:
-            eig = block_eigh(s.coords, model.structure)
-            raw = eig[0].reshape(-1)
-            rows, _ = spectral._eigenstate_rows(model.structure, eig)
+            raw = block_eigh(s.coords, model.structure)[0].reshape(-1)
             values = np.where(raw < 0.0, 0.0, raw)
-            want = _full_lexsort(values, rows)
-            asked = []
-            got = spectral._descending_order(
-                values, lambda i: asked.extend(i) or rows[i])
-            assert got.tolist() == want.tolist()
-            # coordinates are asked for only within tied groups
+            got = spectral._descending_order(values)
+            assert got.dtype == np.intp
+            assert got.tolist() == _position_order(values)
+            d = diagonalize(StateVec(s.coords, model))
+            assert d._eigensystem[1].tobytes() == got.tobytes()
+            assert d.eigenvalues.tobytes() == values[got].tobytes()
             keys = np.round(values, 12).tolist()
-            assert all(keys.count(keys[i]) > 1 for i in asked)
             ties += len(set(keys)) < len(values)
         assert ties >= 10
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_full_lexsort_on_planted_ties(self, seed):
-        # few distinct values and coordinates, so ties run several keys deep
-        # and whole rows repeat
+        # few distinct values, so ties run several deep, some between
+        # values apart by less than 12 digits
         r = np.random.default_rng(seed)
         k = int(r.integers(1, 9))
-        values = r.choice([0.0, 0.25, 0.5 + 1e-14], size=k)
-        rows = r.choice([-1.0, 0.0, 1.0 + 1e-12], size=(k, 5))
-        got = spectral._descending_order(values, rows.__getitem__)
-        assert got.tolist() == _full_lexsort(values, rows).tolist()
+        values = r.choice([0.0, 0.25, 0.5, 0.5 + 1e-14], size=k)
+        got = spectral._descending_order(values)
+        assert got.tolist() == _position_order(values)
+
+    @pytest.mark.parametrize("name", ["doubled_quantum:3",
+                                      "extended_classical:3x2", "quantum:3"])
+    def test_order_reads_no_eigenstate_row(self, monkeypatch, name):
+        """chi (all tied) and a pure state (all but one tied at 0) are
+        diagonalized without one eigenstate row; the frame makes them all,
+        once, when first read."""
+        model = zoo.parse_model_string(name)
+        calls = _counting(monkeypatch, spectral, "_eigenstate_rows")
+        r = np.random.default_rng(83)
+        for x in (model.chi, model.pure_sampler(model, r)):
+            d = diagonalize(StateVec(x, model))
+            assert calls == [] and "frame" not in d.__dict__
+            assert d.frame is d.frame and len(calls) == 1
+            calls.clear()
+
+    @pytest.mark.parametrize("model", [sq, zoo.build_model("diamond_bit"),
+                                       _TRIANGLE],
+                             ids=["square_bit", "diamond_bit", "triangle"])
+    def test_polytope_keeps_coordinate_order(self, model):
+        """On weights with planted ties over every stored set, the reported
+        vertices are in the full lexsort's order, and are exactly the
+        set's vertices in that order whenever that set is the one
+        reported."""
+        moved = 0
+        for c in model._stored_sets[0]:
+            for w in itertools.product([0.0, 1.0, 2.0], repeat=len(c)):
+                if not any(w):
+                    continue
+                w = np.array(w) / sum(w)
+                values, rows = spectral._stored_set_decomposition(model, w @ c)
+                assert (_full_lexsort(values, rows).tolist()
+                        == list(range(len(c))))
+                if sorted(map(tuple, rows)) == sorted(map(tuple, c)):
+                    want = _full_lexsort(w, c)
+                    assert rows.tobytes() == c[want].tobytes()
+                    assert np.abs(values - w[want]).max() <= 1e-12
+                    moved += want.tolist() != _position_order(w)
+        assert moved > 0
 
 
 def _shear(w, V):
@@ -554,7 +610,7 @@ def test_fast_route_certificate(model, seed, kind, t):
     block stack per fresh state and no per-eigenstate check, yet every
     eigenstate passes a full rebuild, the residual is within its bound and
     the order is the documented one (eigenvalues descending at 12 digits,
-    then coordinates at 10 digits)."""
+    then position)."""
     r = np.random.default_rng(seed)
     x = (model.pure_sampler(model, r) if kind == "pure"
          else model.state_sampler(model, r))
@@ -574,8 +630,8 @@ def test_fast_route_certificate(model, seed, kind, t):
     for e in d.eigenstates:
         StateVec(e.coords, model)
     assert np.abs(d.reconstruct() - s.coords).max() <= 1e-8
-    keys = [(-round(v, 12), tuple(np.round(e.coords, 10)))
-            for v, e in zip(d.eigenvalues.tolist(), d.eigenstates)]
+    keys = [(-round(v, 12), i) for v, i
+            in zip(d.eigenvalues.tolist(), d._eigensystem[1].tolist())]
     assert keys == sorted(keys)
 
 

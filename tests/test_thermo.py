@@ -543,6 +543,21 @@ class TestErasure:
             tracemalloc.stop()
         assert peak < 16e6
 
+    def test_low_rank_triples_stay_small(self):
+        """The two triple states an erasure on extended_classical:3x2
+        diagonalizes have 216 eigenvalues, most of them tied at 0; ordering
+        them makes no eigenstate row, so the traced peak stays below 40 MB
+        (124.6 MB when ties were broken by coordinates)."""
+        model = zoo.parse_model_string("extended_classical:3x2")
+        rho = rand_state(model, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            thermo.erasure_demo(rho, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     @pytest.mark.parametrize("model", [q2, dq2], ids=lambda m: m.model_id)
     def test_no_conjugation_matrix_on_the_triple(self, monkeypatch, model):
         """Every coordinate matrix an erasure builds is on the system or on
