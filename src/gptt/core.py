@@ -352,7 +352,8 @@ class ModelSpec:
     (`zoo.close_group`, kept as `group.table`) and refused past 10,000
     elements.  A polytope's `_base_norm_facets`, `_set_members` and
     `_stored_sets` are computed on their first read and kept on the
-    model."""
+    model, and so is `_vertex_effects`, which keeps the answers of
+    `zoo.distinguishing_effects` to vertex lookups."""
 
     model_id: str
     kind: str
@@ -435,6 +436,16 @@ class ModelSpec:
             vertex_weights[(x + 0.0).tobytes()] = _frozen(np.where(
                 hit.any(axis=1, keepdims=True), hit, pinv @ x))[0]
         return V, pinv, vertex_weights
+
+    @functools.cached_property
+    def _vertex_effects(self) -> dict:
+        """The vertex lookups of `zoo.distinguishing_effects` answered so
+        far on this model: the ordered tuple of distinct vertex indices to
+        the tuple of read-only EffectVecs built for it, each checked by the
+        EffectVec constructor once, or to None when no stored set holds
+        those vertices.  It holds at most one entry per distinct ordered
+        tuple, of length up to `capacity`, that callers asked about."""
+        return {}
 
 
 def _same_model(a: ModelSpec, b: ModelSpec):

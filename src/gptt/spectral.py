@@ -60,8 +60,7 @@ def _descending_order(values: np.ndarray) -> np.ndarray:
     in position order (a stable sort).  This is the whole rule on matrix
     models: inside a degenerate eigenspace the eigenvectors are an
     arbitrary basis, so ordering them by their coordinates would make
-    nothing canonical, and position reads no eigenstate.  A polytope
-    decomposition without ties takes it too."""
+    nothing canonical, and position reads no eigenstate."""
     first = [-round(v, 12) for v in values.tolist()]
     return np.array(sorted(range(len(first)), key=first.__getitem__),
                     dtype=np.intp)
@@ -159,15 +158,16 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     A held set's decomposition is ordered by eigenvalue, descending at 12
     digits, and ties are broken by vertex coordinates at 10 digits,
     lexicographically, then by position; the lexsort runs only when a tie
-    exists.  One held set's decomposition is returned as it is.  Two or
-    more must agree on the spectrum within DEFAULT_TOL, and the first by
-    eigenvalue at 12 digits and then vertex coordinates at 10 (`_lex_key`),
-    compared in that order, is returned.  One held set needs no such check:
-    it would compare the decomposition with its own sort, and values tied
-    at 12 digits differ by less than 1e-12.  Raises DiagonalizationError
-    when no set holds x (residue: the smallest miss over the sets) or when
-    two held sets give different spectra (residue: their largest
-    difference).
+    exists.  Each held set's 12-digit keys are rounded once and serve both
+    its order and the comparison of sets.  One held set's decomposition is
+    returned as it is.  Two or more must agree on the spectrum within
+    DEFAULT_TOL, and the first by eigenvalue at 12 digits and then vertex
+    coordinates at 10 (`_lex_key`), compared in that order, is returned.
+    One held set needs no such check: it would compare the decomposition
+    with its own sort, and values tied at 12 digits differ by less than
+    1e-12.  Raises DiagonalizationError when no set holds x (residue: the
+    smallest miss over the sets) or when two held sets give different
+    spectra (residue: their largest difference).
     """
     V, pinv, vertex_weights = model._stored_sets
     w = vertex_weights.get((x + 0.0).tobytes())
@@ -186,15 +186,15 @@ def _stored_set_decomposition(model: ModelSpec, x: np.ndarray) -> tuple:
     def ordered(i):
         first = [-round(v, 12) for v in p[i].tolist()]
         order = (np.lexsort(np.vstack([np.round(V[i], 10).T[::-1], first]))
-                 if len(set(first)) < len(first) else _descending_order(p[i]))
-        return p[i][order], V[i][order]
+                 if len(set(first)) < len(first)
+                 else sorted(range(len(first)), key=first.__getitem__))
+        return p[i][order], V[i][order], [first[j] for j in order]
 
     if held.size == 1:
-        return ordered(held[0])
-    values, rows = min(
+        return ordered(held[0])[:2]
+    values, rows, _ = min(
         map(ordered, held),
-        key=lambda d: [(-round(v, 12), _lex_key(r))
-                       for v, r in zip(d[0].tolist(), d[1])])
+        key=lambda d: [(k, _lex_key(r)) for k, r in zip(d[2], d[1])])
     spectra = -np.sort(-p[held], axis=1)
     gaps = np.abs(spectra - values).max(axis=1)
     if gaps.max() > DEFAULT_TOL:

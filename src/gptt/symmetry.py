@@ -156,8 +156,10 @@ def perfectly_distinguishable_search(model: ModelSpec, states) -> dict:
 
     The matrix families reduce to support orthogonality.  On the ray models
     vertices are looked up among the build's maximal distinguishable sets,
-    more states than `capacity` are refused outright, and other states get
-    a decision whose "no" is a checked Farkas vector (see
+    and the answer is kept on the model, so asking again for the same
+    vertices in the same order returns the same checked effects without
+    building any; more states than `capacity` are refused outright, and
+    other states get a decision whose "no" is a checked Farkas vector (see
     `zoo.distinguishing_effects`).  So a miss is a certificate of
     impossibility, not a search failure.
     """

@@ -291,10 +291,15 @@ def distinguishing_effects(model: ModelSpec, states):
     maximal set that holds them, found from the model's read-only
     membership matrix (`ModelSpec._set_members`, sets by vertices), its
     other members' effects folded into the first input's, or None when no
-    set does; a repeated vertex gets None.  Other inputs are decided by
-    `_ray_distinguishability`, whose effects or Farkas vector is checked
-    before it answers.  A StateVec of another model raises
-    ModelCompatibilityError.
+    set does; a repeated vertex gets None.  That answer is kept on the
+    model (`ModelSpec._vertex_effects`, keyed by the ordered vertex
+    indices, at most one entry per distinct ordered tuple of up to
+    `capacity` vertices asked about): its EffectVecs pass their
+    constructor's checks once, when first built, and a later lookup of the
+    same vertices returns a new list of the same read-only objects.  Other
+    inputs are decided by `_ray_distinguishability`, whose effects or
+    Farkas vector is checked before it answers, and are never kept.  A
+    StateVec of another model raises ModelCompatibilityError.
     """
     states = list(states)
     for s in states:
@@ -326,18 +331,19 @@ def distinguishing_effects(model: ModelSpec, states):
     if vertex.all():
         if len(set(idx)) < m:
             return None
-        member = model._set_members
-        held = member[:, idx[0]].copy()
-        for i in idx[1:]:
-            held &= member[:, i]
-        k = int(held.argmax())     # the first set that holds them, if any
-        if not held[k]:
-            return None
-        c, E = model.maximal_sets[k]
-        pos = [c.index(i) for i in idx]
-        F = E[pos]
-        F[0] += E[[p for p in range(len(c)) if p not in pos]].sum(axis=0)
-        return [EffectVec(f, model) for f in F]
+        kept, key = model._vertex_effects, tuple(idx)
+        if key not in kept:
+            held = model._set_members[:, idx].all(axis=1)
+            k = int(held.argmax())     # the first set that holds them, if any
+            if held[k]:
+                c, E = model.maximal_sets[k]
+                pos = [c.index(i) for i in idx]
+                F = E[pos]
+                F[0] += E[[p for p in range(len(c)) if p not in pos]].sum(axis=0)
+                kept[key] = tuple(EffectVec(f, model) for f in F)
+            else:
+                kept[key] = None
+        return None if kept[key] is None else list(kept[key])
     raw, _ = _ray_distinguishability(model.effect_cone.generators,
                                      model.unit_effect, xs)
     if raw is None:

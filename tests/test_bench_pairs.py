@@ -1,9 +1,12 @@
 """The summary arithmetic of `tools/bench_pairs.py` on canned pair lists:
 medians, inclusive quartiles, better-pair counts in each metric's
 direction, failed requests and correctness, the claim line and the
-alternating order."""
+alternating order, and the fresh bytecode prefix of every run."""
 
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -80,3 +83,34 @@ def test_claim_needs_nine_of_ten_and_a_median_beyond_the_quartile():
 def test_parent_runs_first_on_odd_seeds():
     assert bench_pairs.order(33211) == ("parent", "change")
     assert bench_pairs.order(33212) == ("change", "parent")
+
+
+def test_both_sides_run_with_a_fresh_empty_bytecode_prefix(
+        tmp_path, monkeypatch):
+    """Every run, parent and change alike, gets its own empty directory as
+    PYTHONPYCACHEPREFIX, so no side reads bytecode that a test run left in
+    its tree; PYTHONDONTWRITEBYTECODE stays set."""
+    root = Path(__file__).resolve().parents[1]
+    seen = []
+
+    def fake_run(cmd, cwd, env, capture_output, text):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        seen.append((cwd, prefix, os.listdir(prefix),
+                     env["PYTHONDONTWRITEBYTECODE"]))
+        Path(prefix, "left.pyc").write_bytes(b"")
+        metrics = {m: {"value": 1.0} for m in bench_pairs.end_to_end(root)}
+        line = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                           "metrics": metrics})
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n",
+                                           stderr="")
+
+    monkeypatch.chdir(root)
+    monkeypatch.setattr(bench_pairs, "export", lambda root, rev, dest: "sha")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "2",
+                      "--seconds", "1", "--out", str(tmp_path / "out.json")])
+    assert len(seen) == 4
+    assert {cwd == str(root) for cwd, *_ in seen} == {True, False}
+    assert len({prefix for _, prefix, _, _ in seen}) == 4
+    assert all(listed == [] and flag == "1" for _, _, listed, flag in seen)
+    assert not any(os.path.exists(prefix) for _, prefix, _, _ in seen)

@@ -4,8 +4,11 @@ the stored-set lookup that skips the rounded key for one held set, and the
 vertex route of `distinguishing_effects` through the membership matrix.
 Inputs are vertices, points on distinguishable sets, interior points and
 points held by two sets, on the builtin polytopes and on regular 5-, 8-
-and 26-gons."""
+and 26-gons.  Vertex lookups kept on the model return the same checked
+effects, built once per model and key, and never those of another
+model."""
 
+import json
 from functools import lru_cache
 from itertools import combinations
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from gptt import spectral, symmetry, zoo
+from gptt import core, spectral, symmetry, zoo
 from gptt.core import (ConeError, DiagonalizationError, NormalizationError,
                        StateVec)
 from test_facets import kgon_json
@@ -169,3 +172,132 @@ def test_too_many_inputs(name):
         zoo.distinguishing_effects(m, [*vertices, 2 * V[0] - chi.coords])
     with pytest.raises(NormalizationError):
         zoo.distinguishing_effects(m, [*vertices, 2 * V[0]])
+
+
+KEPT = ("square_bit", "diamond_bit", "restricted_trit", "3-gon", "5-gon")
+
+
+def _fresh(name):
+    """A model built anew, with nothing kept on it yet."""
+    if name in zoo.FAMILIES:
+        return zoo.build_model(name)
+    return zoo.model_from_json(kgon_json(int(name.split("-")[0])))
+
+
+def _vertex_tuples(m):
+    """Every ordered tuple of up to `capacity` distinct vertex indices."""
+    n = len(m.pure_states)
+    for size in range(1, m.capacity + 1):
+        for c in combinations(range(n), size):
+            yield from (c, c[::-1]) if size > 1 else (c,)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The coordinates of every EffectVec constructed, in order."""
+    out = []
+    post_init = core.EffectVec.__post_init__
+
+    def counted(self):
+        out.append(self.coords)
+        post_init(self)
+
+    monkeypatch.setattr(core.EffectVec, "__post_init__", counted)
+    return out
+
+
+@pytest.mark.parametrize("name", KEPT)
+def test_kept_lookup_returns_the_same_effects(name, built):
+    """A second lookup of the same vertices, as StateVecs or raw vectors,
+    returns a new list of the first answer's objects with the scan's bits,
+    and constructs no effect; the first lookup constructs one per input.
+    The 3-gon's pairs fold the third vertex's effect into the first."""
+    m = _fresh(name)
+    V = m.pure_states
+    for idx in _vertex_tuples(m):
+        n_built = len(built)
+        first = zoo.distinguishing_effects(m, [V[i] for i in idx])
+        assert len(built) - n_built == (0 if first is None else len(idx))
+        states = [StateVec(V[i], m) for i in idx]
+        n_built = len(built)
+        again = zoo.distinguishing_effects(m, states)
+        assert len(built) == n_built
+        want = oracles.distinguishing_effects_scan(m, [V[i] for i in idx])
+        assert (first is None) == (want is None) == (again is None)
+        if first is None:
+            continue
+        assert again is not first
+        assert all(a is b for a, b in zip(again, first))
+        assert ([e.coords.tobytes() for e in again]
+                == [e.coords.tobytes() for e in want])
+        assert all(e.model is m and not e.coords.flags.writeable
+                   for e in again)
+    assert set(m._vertex_effects) == set(_vertex_tuples(m))
+
+
+def test_returned_list_is_the_callers():
+    """Changing a returned list leaves the next answer as it was."""
+    m = _fresh("3-gon")
+    V = m.pure_states
+    got = zoo.distinguishing_effects(m, [V[2], V[0]])
+    want = list(got)
+    got[0] = None
+    got.append(got[1])
+    del got[1]
+    again = zoo.distinguishing_effects(m, [V[2], V[0]])
+    assert len(again) == 2 and all(a is b for a, b in zip(again, want))
+    E = m.maximal_sets[0][1]
+    assert again[0].coords.tobytes() == (E[2] + E[1]).tobytes()
+
+
+def test_kept_none_stays_none(built):
+    """A pair that no stored set holds is kept as None and answered None
+    again, with no effect constructed; refusals before the lookup (a
+    repeated vertex, more inputs than `capacity`) keep nothing."""
+    m = _fresh("5-gon")
+    V = m.pure_states
+    assert (0, 1) not in [c for c, _ in m.maximal_sets]
+    for _ in range(2):
+        assert zoo.distinguishing_effects(m, [V[0], V[1]]) is None
+        assert zoo.distinguishing_effects(m, [V[1], V[0]]) is None
+    assert m._vertex_effects == {(0, 1): None, (1, 0): None}
+    assert zoo.distinguishing_effects(m, [V[0], V[0]]) is None
+    assert zoo.distinguishing_effects(m, [V[0], V[2], V[4]]) is None
+    assert zoo.distinguishing_effects(m, [m.invariant_state, V[0]]) is None
+    assert list(m._vertex_effects) == [(0, 1), (1, 0)] and built == []
+
+
+def test_models_never_share_kept_effects(tmp_path, built):
+    """Two loads of one model file are two models: each builds and keeps
+    its own effects.  A key kept on one model answers nothing on another,
+    even one with the same vertex indices."""
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(kgon_json(3)))
+    a, b = zoo.load_model(str(path)), zoo.load_model(str(path))
+    assert a.model_id == b.model_id and a is not b
+    got_a = zoo.distinguishing_effects(a, [a.pure_states[0], a.pure_states[1]])
+    got_b = zoo.distinguishing_effects(b, [StateVec(a.pure_states[0], a),
+                                           b.pure_states[1]])
+    assert len(built) == 4
+    assert all(e.model is a for e in got_a) and all(e.model is b for e in got_b)
+    assert not any(x is y for x, y in zip(got_a, got_b))
+    assert [e.coords.tobytes() for e in got_a] == [e.coords.tobytes()
+                                                   for e in got_b]
+    assert a._vertex_effects is not b._vertex_effects
+    square, diamond = _fresh("square_bit"), _fresh("diamond_bit")
+    for m in (square, diamond):
+        got = zoo.distinguishing_effects(m, list(m.pure_states[[0, 1]]))
+        want = oracles.distinguishing_effects_scan(m, m.pure_states[[0, 1]])
+        assert all(e.model is m for e in got)
+        assert ([e.coords.tobytes() for e in got]
+                == [e.coords.tobytes() for e in want])
+    assert (square._vertex_effects[(0, 1)][0].coords.tobytes()
+            != diamond._vertex_effects[(0, 1)][0].coords.tobytes())
+
+
+def test_matrix_models_keep_nothing():
+    q = zoo.build_model("quantum", n=2)
+    a, b = q.invariant_state, zoo.pure_maximal_set(q)[0]
+    assert zoo.distinguishing_effects(q, [b]) is not None
+    assert zoo.distinguishing_effects(q, [a, b]) is None
+    assert "_vertex_effects" not in q.__dict__

@@ -10,7 +10,12 @@ tree.  Pair i runs `perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once on each side with seed S = --seed + i, the parent first on
 odd seeds and the change first on even ones, so a drift in host speed
 falls on both sides alike.  A second workload starts its seeds 100 higher,
-a third 200, and so on.  Bytecode is not cached on either side.
+a third 200, and so on.  Every run gets a fresh, empty temporary
+directory as PYTHONPYCACHEPREFIX, with PYTHONDONTWRITEBYTECODE=1, so that
+no side reads bytecode left by an earlier run or a test run (a
+`__pycache__` in the working tree) and none is written: each run compiles
+what it imports, the standard library and numpy included, and its
+`setup_s` counts that on both sides alike.
 
 The output holds the `pairs`, `summary` and `runs` sections of the repo's
 BENCH layout, and a `claim` line for --claim WORKLOAD:METRIC.  For every
@@ -52,12 +57,15 @@ def export(root: str, rev: str, dest: str) -> str:
 
 
 def run_once(cwd: str, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run: its final JSON line."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    """One `perfbench/run.py --trace 0` run, with no bytecode read or
+    written: its final JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
-                          text=True)
+    with tempfile.TemporaryDirectory() as pycache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPYCACHEPREFIX=pycache)
+        proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
+                              text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {cwd} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
