@@ -17,10 +17,11 @@ import numpy as np
 
 from .embedding import (
     BlockStructure,
-    block_eigh,
-    block_eigvalsh,
-    blocks_to_vec,
+    _block_stack,
+    _eigensolve,
     _frozen,
+    _stack_coords,
+    block_eigvalsh,
     conjugation_matrix,
     vec_to_total,
     total_to_vec,
@@ -99,10 +100,15 @@ def as_coords(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all(), without the method's Python wrapper."""
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def _finite_coords(x) -> np.ndarray:
     """as_coords, refusing a NaN or infinite coordinate with ValueError."""
     x = as_coords(x)
-    if not np.isfinite(x).all():
+    if not _all_finite(x):
         raise ValueError("vector has a NaN or infinite coordinate")
     return x
 
@@ -166,14 +172,15 @@ class ConeSpec:
         """Largest m with x - m * (interior direction) still in the cone.
 
         Nonnegative exactly on cone members; for psd cones this is the
-        minimum block eigenvalue.  Given a list `eig`, a psd cone finds it
-        with `block_eigh` and fills the list with its stacked (w, V):
-        this is where a matrix-model state's one eigensolve happens
-        (`StateVec`).  Without it, eigenvalues alone are computed.  A NaN or
-        infinite coordinate raises ValueError, found from a non-finite margin
-        on a ray cone and beforehand on a psd one (LAPACK may pass it).  A
-        float ndarray is read as it is; anything else goes through
-        `as_coords`.
+        minimum block eigenvalue.  A psd cone scatters the checked x into
+        its block stack once and runs `embedding._eigensolve` on it, the
+        kernel of `block_eigh`, without validating the stack again.  Given
+        a list `eig`, it fills the list with the stacked (w, V): this is
+        where a matrix-model state's one eigensolve happens (`StateVec`).
+        Without it, eigenvalues alone are computed.  A NaN or infinite
+        coordinate raises ValueError, found from a non-finite margin on a
+        ray cone and beforehand on a psd one (LAPACK may pass it).  A float
+        ndarray is read as it is; anything else goes through `as_coords`.
         """
         if type(x) is not np.ndarray or x.dtype != np.float64:
             x = as_coords(x)
@@ -181,10 +188,11 @@ class ConeSpec:
             raise ValueError("vector has wrong dimension")
         if self.kind == "psd":
             _finite_coords(x)
-            if eig is not None:
-                eig[:] = block_eigh(x, self.structure)
-                return min(eig[0][:, 0].tolist())
-            return min(block_eigvalsh(x, self.structure)[:, 0].tolist())
+            H = _block_stack(x, self.structure)
+            if eig is None:
+                return min(_eigensolve(H, False)[:, 0].tolist())
+            eig[:] = _eigensolve(H)
+            return min(eig[0][:, 0].tolist())
         m = float(((self.facets @ x) / self.facet_scale).min())
         if not -np.inf < m < np.inf:
             _finite_coords(x)
@@ -496,7 +504,7 @@ class StateVec:
         object.__setattr__(self, "coords", x)
         # before the pairing, which would warn and come out NaN, and the
         # cone check, where LAPACK may give such a matrix finite eigenvalues
-        if not np.isfinite(x).all():
+        if not _all_finite(x):
             raise ConeError("state has a NaN or infinite coordinate")
         p = float(self.model.unit_effect @ x)
         if not abs(p - 1.0) <= 1e-7:
@@ -536,20 +544,24 @@ def _block_figures(x: np.ndarray, raw: np.ndarray, eig,
     (1 - BLOCK_TOL))^2, those on it and the unit pairings are exact up to
     rounding, and the reconstruction is this one up to rounding.  It is
     taken on coordinates because on matrix entries it could be up to
-    sqrt(2) times smaller.
+    sqrt(2) times smaller.  The sum, of the stack's shape already, is
+    embedded by `blocks_to_vec`'s gather without its checks, and each
+    maximum is one np.maximum.reduce, the reduction ndarray.max runs, so
+    the figures keep the bits of `blocks_to_vec` and `.max()`.
     """
     V = eig[1]
     N, n = V.shape[:2]
     Vh = V.conj().transpose(0, 2, 1)
     G = (Vh @ V).reshape(N, n * n)
     d = G.real[:, ::n + 1]   # a view of the diagonals, read before they are zeroed
-    recon = np.abs(blocks_to_vec((V * (raw.reshape(N, n) / d)[:, None]) @ Vh, st)
-                   - x).max()
-    pairing = np.abs(d - 1.0).max()
+    P = (V * (raw.reshape(N, n) / d)[:, None]) @ Vh
+    recon = np.abs(_stack_coords(P, st) - x)
+    pairing = np.abs(d - 1.0)
     G[:, ::n + 1] = 0.0
-    return (("Gram matrix", float(np.abs(G).max())),
-            ("unit pairing", float(pairing)),
-            ("reconstruction", float(recon)))
+    top = np.maximum.reduce
+    return (("Gram matrix", float(top(np.abs(G), axis=None))),
+            ("unit pairing", float(top(pairing, axis=None))),
+            ("reconstruction", float(top(recon, axis=None))))
 
 
 def _coordinate_figures(model: ModelSpec, x: np.ndarray, raw: np.ndarray,
@@ -626,7 +638,7 @@ class EffectVec:
             raise ValueError("effect has wrong dimension")
         f.setflags(write=False)
         object.__setattr__(self, "coords", f)
-        if not np.isfinite(f).all():
+        if not _all_finite(f):
             raise ConeError("effect has a NaN or infinite coordinate")
         ok, margin = cone_membership(self.model, f, "effect")
         if not ok:

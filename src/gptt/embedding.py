@@ -63,6 +63,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -216,13 +217,26 @@ def _scatter(x: np.ndarray, shape: tuple, field: str, maps: _Maps) -> np.ndarray
 # conversions
 
 
+def _block_stack(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """`vec_to_blocks` of a float array x already of the structure's
+    length, without checking it again."""
+    return _scatter(x, (structure.block_count, structure.n, structure.n),
+                    structure.field, _maps(structure, True))
+
+
+def _stack_coords(B: np.ndarray, structure: BlockStructure) -> np.ndarray:
+    """`blocks_to_vec` of an array B already of the stack's shape, without
+    checking it again."""
+    maps = _maps(structure, True)
+    return _float_view(B, structure.field)[maps.read] * maps.mul
+
+
 def blocks_to_vec(blocks, structure: BlockStructure) -> np.ndarray:
     """Coordinates of a stack of blocks, shape (N, n, n): one gather."""
     B = np.asarray(blocks)
     if B.shape != (structure.block_count, structure.n, structure.n):
         raise ValueError("blocks do not match the block structure")
-    maps = _maps(structure, True)
-    return _float_view(B, structure.field)[maps.read] * maps.mul
+    return _stack_coords(B, structure)
 
 
 def vec_to_blocks(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
@@ -230,8 +244,7 @@ def vec_to_blocks(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (structure.coord_dim,):
         raise ValueError("coordinate length mismatch")
-    return _scatter(x, (structure.block_count, structure.n, structure.n),
-                    structure.field, _maps(structure, True))
+    return _block_stack(x, structure)
 
 
 def vec_to_total(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
@@ -366,24 +379,53 @@ def conjugation_matrix(kraus: list[np.ndarray], structure: BlockStructure) -> np
     return M[0]
 
 
+# The gufuncs np.linalg.eigh and np.linalg.eigvalsh run (LAPACK's syevd and
+# heevd on the lower triangle), called without numpy's wrapper.
+_eigh_lo = _umath_linalg.eigh_lo
+_eigvalsh_lo = _umath_linalg.eigvalsh_lo
+
+
+def _eigensolve(H: np.ndarray, vectors: bool = True):
+    """(w, V) of a float64 or complex128 (N, n, n) stack of Hermitian
+    blocks, or w alone when not `vectors`: the kernel of every block
+    eigensolve, with the bits of np.linalg.eigh and eigvalsh.
+
+    It calls their gufuncs directly, which skips the wrapper's type
+    dispatch, result wrapping and errstate.  On success the gufunc clears
+    the floating-point flags LAPACK raised, so no warning appears where
+    np.linalg emits none.  A block that fails to converge comes back as
+    NaN with the invalid flag set, which warns under the caller's errstate
+    where numpy's wrapper turns it into the error.  Any NaN eigenvalue
+    raises np.linalg.LinAlgError with numpy's message, and so does a NaN in
+    the input, which np.linalg may pass through as NaN: the package's callers
+    refuse non-finite coordinates before they solve.
+    """
+    out = _eigh_lo(H) if vectors else _eigvalsh_lo(H)
+    if np.count_nonzero(np.isnan(out[0] if vectors else out)):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return out
+
+
 def block_eigh(x: np.ndarray, structure: BlockStructure):
-    """Eigendecompose coordinates: one np.linalg.eigh of the (N, n, n)
-    block stack.
+    """Eigendecompose coordinates: one `_eigensolve` of the (N, n, n) block
+    stack.
 
     Returns its (w, V): ascending eigenvalues w, shape (N, n), and the unit
     eigenvectors as the columns of each V[b], shape (N, n, n), each living
-    inside its own block; the bits are those of eigh on each block alone.
-    It and `block_eigvalsh` are the only eigensolvers of block coordinates.
-    A matrix-model state runs it once, in its cone check, and keeps (w, V)
-    for its diagonalizations and support.
+    inside its own block; the bits are those of np.linalg.eigh on each
+    block alone.  It and `block_eigvalsh` are the only eigensolvers of block
+    coordinates, both on LAPACK's gufunc through `_eigensolve`, which a psd
+    `core.ConeSpec.margin` calls on its stack too.  A matrix-model state
+    runs it once, in its cone check, and keeps (w, V) for its
+    diagonalizations and support.
     """
-    return np.linalg.eigh(vec_to_blocks(x, structure))
+    return _eigensolve(vec_to_blocks(x, structure))
 
 
 def block_eigvalsh(x: np.ndarray, structure: BlockStructure) -> np.ndarray:
-    """Ascending eigenvalues of each block, shape (N, n): one
-    np.linalg.eigvalsh of the block stack."""
-    return np.linalg.eigvalsh(vec_to_blocks(x, structure))
+    """Ascending eigenvalues of each block, shape (N, n): one `_eigensolve`
+    of the block stack without vectors."""
+    return _eigensolve(vec_to_blocks(x, structure), False)
 
 
 def canonical_rows(V: np.ndarray) -> np.ndarray:

@@ -199,9 +199,10 @@ def gibbs_state(model: ModelSpec, hamiltonian, beta: float) -> StateVec:
     one (w, V).  The weights are stabilized against overflow: energies are
     measured from the reference level, so no exponent is positive.  beta
     of +-inf selects the uniform mixture on the extremal energy eigenspace.
+    A NaN or infinite coordinate of H raises ValueError.
     """
     st = _structure(model)
-    eig = block_eigh(as_coords(hamiltonian), st)
+    eig = block_eigh(_finite_coords(hamiltonian), st)
     levels = eig[0].reshape(-1)
     if math.isinf(beta):
         target = levels.min() if beta > 0 else levels.max()

@@ -1,7 +1,7 @@
 """The summary arithmetic of `tools/bench_pairs.py` on canned pair lists:
 medians, inclusive quartiles, better-pair counts in each metric's
 direction, failed requests and correctness, the claim line and the
-alternating order, and the fresh bytecode prefix of every run."""
+alternating order, and the fresh exports both sides run in."""
 
 import importlib.util
 import json
@@ -85,32 +85,62 @@ def test_parent_runs_first_on_odd_seeds():
     assert bench_pairs.order(33212) == ("change", "parent")
 
 
-def test_both_sides_run_with_a_fresh_empty_bytecode_prefix(
-        tmp_path, monkeypatch):
-    """Every run, parent and change alike, gets its own empty directory as
-    PYTHONPYCACHEPREFIX, so no side reads bytecode that a test run left in
-    its tree; PYTHONDONTWRITEBYTECODE stays set."""
-    root = Path(__file__).resolve().parents[1]
-    seen = []
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=cwd, check=True, capture_output=True)
 
-    def fake_run(cmd, cwd, env, capture_output, text):
-        prefix = env["PYTHONPYCACHEPREFIX"]
-        seen.append((cwd, prefix, os.listdir(prefix),
+
+def test_both_sides_run_in_fresh_exports_without_bytecode(
+        tmp_path, monkeypatch):
+    """On a scratch repository whose working tree holds an uncommitted
+    edit, a `__pycache__` under src/ and an untracked file: the parent runs
+    in a `git archive` of the commit and the change in a copy of the
+    tracked files as they are on disk, the edit included.  Neither export
+    is the working tree or holds a `__pycache__` under src/, both are gone
+    afterwards, PYTHONPYCACHEPREFIX is unset (installed packages read their
+    own bytecode) and PYTHONDONTWRITEBYTECODE is set."""
+    root = Path(__file__).resolve().parents[1]
+    repo = tmp_path / "repo"
+    (repo / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text((root / "BENCHMARK.json").read_text())
+    (repo / "src" / "pkg" / "mod.py").write_text("VALUE = 'committed'\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "BENCHMARK.json", "src/pkg/mod.py")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "pkg" / "mod.py").write_text("VALUE = 'edited'\n")
+    (repo / "src" / "pkg" / "__pycache__" / "mod.cpython.pyc").write_bytes(b"")
+    (repo / "untracked.txt").write_text("")
+    real_run, seen = subprocess.run, []
+
+    def fake_run(cmd, cwd, env=None, capture_output=False, text=False,
+                 check=False):
+        if cmd[0] == "git":
+            return real_run(cmd, cwd=cwd, capture_output=capture_output,
+                            text=text, check=check)
+        caches = [d for d, _, _ in os.walk(Path(cwd, "src"))
+                  if Path(d).name == "__pycache__"]
+        seen.append((cwd, Path(cwd, "src", "pkg", "mod.py").read_text(),
+                     caches, sorted(os.listdir(cwd)),
+                     env.get("PYTHONPYCACHEPREFIX"),
                      env["PYTHONDONTWRITEBYTECODE"]))
-        Path(prefix, "left.pyc").write_bytes(b"")
-        metrics = {m: {"value": 1.0} for m in bench_pairs.end_to_end(root)}
+        metrics = {m: {"value": 1.0} for m in bench_pairs.end_to_end(cwd)}
         line = json.dumps({"correct": True, "attempted": 1, "failed": 0,
                            "metrics": metrics})
         return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n",
                                            stderr="")
 
-    monkeypatch.chdir(root)
-    monkeypatch.setattr(bench_pairs, "export", lambda root, rev, dest: "sha")
+    monkeypatch.chdir(repo)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     bench_pairs.main(["--parent", "HEAD", "--workload", "w", "--pairs", "2",
                       "--seconds", "1", "--out", str(tmp_path / "out.json")])
     assert len(seen) == 4
-    assert {cwd == str(root) for cwd, *_ in seen} == {True, False}
-    assert len({prefix for _, prefix, _, _ in seen}) == 4
-    assert all(listed == [] and flag == "1" for _, _, listed, flag in seen)
-    assert not any(os.path.exists(prefix) for _, prefix, _, _ in seen)
+    # seed 1 runs the parent first, seed 2 the change
+    old, new = "VALUE = 'committed'\n", "VALUE = 'edited'\n"
+    assert [value for _, value, *_ in seen] == [old, new, new, old]
+    dirs = {cwd for cwd, *_ in seen}
+    assert len(dirs) == 2 and str(repo) not in dirs
+    for cwd, _, caches, listed, prefix, flag in seen:
+        assert caches == [] and prefix is None and flag == "1"
+        assert listed == ["BENCHMARK.json", "src"]
+        assert not os.path.exists(cwd)

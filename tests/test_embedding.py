@@ -3,20 +3,24 @@
 The references below are written entry by entry from the coordinate formula
 in the embedding module's docstring and share no code with the package.
 The conversions must match them bit for bit, and so must the stacked
-eigensolvers match np.linalg on each block alone; the closed-form
-conjugation matrix must match explicit Kraus conjugation to 1e-12, and its
-block-pair layout the full-space pass kept in `oracles` bit for bit.
+eigensolvers match np.linalg on each block alone.  Their kernel, LAPACK's
+gufunc without numpy's wrapper, must give np.linalg's bits, refuse a NaN
+eigenvalue, warn nowhere np.linalg does not, and see every block
+eigensolve of a request.  The closed-form conjugation matrix must match
+explicit Kraus conjugation to 1e-12, and its block-pair layout the
+full-space pass kept in `oracles` bit for bit.
 """
 
+import json
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gptt import embedding
+from gptt import core, embedding, resource, spectral, thermo, zoo
 from gptt.embedding import (
     BlockStructure,
     block_eigh,
@@ -31,6 +35,7 @@ from gptt.embedding import (
     vec_to_blocks,
     vec_to_total,
 )
+from golden_cli import OFF_DIAGONAL_H
 import oracles
 
 SQRT2 = np.sqrt(2.0)
@@ -193,10 +198,14 @@ def test_total_round_trip_and_off_block_residual(structure, seed):
 
 @settings(deadline=None, max_examples=150)
 @given(structures(blocks=4, size=6), seeds)
+@example(structure=BlockStructure((3, 3, 3), "C"), seed=4893)
 def test_stacked_conversions_and_eigensolvers_match_each_block(structure, seed):
     """vec_to_blocks and blocks_to_vec on the (N, n, n) stack, and the one
     eigh or eigvalsh of block_eigh and block_eigvalsh, give the bits of
-    the entrywise reference and of np.linalg on each reference block."""
+    the entrywise reference and of np.linalg on each block of the stack,
+    and the values of np.linalg on each reference block.  The example's
+    block 2 holds a zero whose sign differs from the reference's, and
+    eigh's eigenvectors of the two differ in the sign of a zero."""
     rng = np.random.default_rng(seed)
     N, n, field = structure.block_count, structure.n, structure.field
     x = random_coords(rng, structure)
@@ -213,11 +222,177 @@ def test_stacked_conversions_and_eigensolvers_match_each_block(structure, seed):
     vals, vecs = block_eigh(x, structure)
     assert vals.shape == (N, n) and vecs.shape == (N, n, n)
     for b, B in enumerate(ref):
-        wb, Vb = np.linalg.eigh(B)
+        wb, Vb = np.linalg.eigh(blocks[b])
         assert vals[b].tobytes() == wb.tobytes()
         assert vecs[b].tobytes() == Vb.tobytes()
-    assert block_eigvalsh(x, structure).tobytes() == np.array(
-        [np.linalg.eigvalsh(B) for B in ref]).tobytes()
+        wr, Vr = np.linalg.eigh(B)
+        assert np.array_equal(vals[b], wr) and np.array_equal(vecs[b], Vr)
+    got = block_eigvalsh(x, structure)
+    assert got.tobytes() == np.array(
+        [np.linalg.eigvalsh(B) for B in blocks]).tobytes()
+    assert np.array_equal(got, [np.linalg.eigvalsh(B) for B in ref])
+
+
+@st.composite
+def eigen_inputs(draw):
+    """Coordinates on N <= 4 blocks of size n <= 8 over either field:
+    random, with signed zeros (about 40% of the coordinates +-0.0), or of a
+    degenerate spectrum (levels repeated from {0, 1, 2}, some blocks a
+    multiple of the identity).  Every zero coordinate gets a random sign."""
+    structure = BlockStructure((draw(st.integers(1, 8)),)
+                               * draw(st.integers(1, 4)),
+                               draw(st.sampled_from(["C", "R"])))
+    kind = draw(st.sampled_from(["random", "signed zeros", "degenerate"]))
+    rng = np.random.default_rng(draw(seeds))
+    n, N = structure.n, structure.block_count
+    if kind == "degenerate":
+        blocks = []
+        for _ in range(N):
+            p = rng.choice([0.0, 1.0, 2.0], size=n)
+            if rng.random() < 0.3:
+                blocks.append(np.diag(np.full(n, p[0])))
+                continue
+            Q = np.linalg.qr(random_matrix(rng, n, structure.field))[0]
+            blocks.append((Q * p) @ Q.conj().T)
+        x = blocks_to_vec(np.array(blocks), structure)
+    else:
+        x = random_coords(rng, structure)
+    if kind == "signed zeros":
+        x[rng.random(x.shape) < 0.4] = 0.0
+    zero = x == 0.0
+    x[zero] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zero]
+    return structure, x
+
+
+@settings(deadline=None, max_examples=300)
+@given(eigen_inputs())
+def test_kernel_has_the_bits_of_np_linalg(case):
+    """block_eigh and block_eigvalsh, on LAPACK's gufunc without numpy's
+    wrapper, give the bits of np.linalg.eigh and eigvalsh of the same
+    stack."""
+    structure, x = case
+    stack = vec_to_blocks(x, structure)
+    w, V = block_eigh(x, structure)
+    want_w, want_V = np.linalg.eigh(stack)
+    assert w.dtype == np.float64 and V.dtype == stack.dtype
+    assert w.tobytes() == want_w.tobytes() and V.tobytes() == want_V.tobytes()
+    assert (block_eigvalsh(x, structure).tobytes()
+            == np.linalg.eigvalsh(stack).tobytes())
+
+
+def _nan_at(out, where):
+    w = np.array(out[0] if isinstance(out, tuple) else out)
+    w.reshape(-1)[where] = np.nan
+    return (w, out[1]) if isinstance(out, tuple) else w
+
+
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+def test_kernel_refuses_a_nan_eigenvalue(monkeypatch, where):
+    """A gufunc that returns a NaN eigenvalue, as LAPACK's do for a block
+    that fails to converge, is refused with numpy's LinAlgError, from both
+    solvers and from the psd cone check."""
+    for name in ("_eigh_lo", "_eigvalsh_lo"):
+        solve = getattr(embedding, name)
+        monkeypatch.setattr(embedding, name,
+                            lambda H, solve=solve: _nan_at(solve(H), where))
+    m = zoo.build_model("doubled_quantum", n=2)
+    for run in (lambda: block_eigh(m.chi, m.structure),
+                lambda: block_eigvalsh(m.chi, m.structure),
+                lambda: m.state_cone.margin(m.chi),
+                lambda: core.StateVec(m.chi, m)):
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^Eigenvalues did not converge$"):
+            run()
+
+
+def _gibbs_hamiltonians():
+    """The golden set's gibbs Hamiltonians: its off-diagonal coordinate
+    vectors, and levels 0, 1, 2, ... on the pure maximal set, as the CLI
+    builds them."""
+    for text, h in OFF_DIAGONAL_H.items():
+        model = zoo.parse_model_string(text)
+        yield model, np.array(json.loads(h), dtype=float)
+        yield model, thermo.basis_hamiltonian(
+            zoo.pure_maximal_set(model), np.arange(model.capacity, dtype=float))
+
+
+@pytest.mark.filterwarnings("error")
+def test_no_warning_where_np_linalg_emits_none():
+    """Entries scaled by 1e+-150, and the golden set's gibbs Hamiltonians
+    solved and turned into Gibbs states, with every floating-point error
+    set to warn and warnings raised: np.linalg emits nothing on them, and
+    neither does the kernel, whose gufunc clears the flags LAPACK raised."""
+    rng = np.random.default_rng(5)
+    with np.errstate(all="warn"):
+        for field, n, N in (("C", 2, 1), ("C", 4, 2), ("R", 3, 3), ("C", 8, 1)):
+            structure = BlockStructure((n,) * N, field)
+            for scale in (1e150, 1e-150):
+                x = random_coords(rng, structure) * scale
+                stack = vec_to_blocks(x, structure)
+                want = np.linalg.eigh(stack)
+                got = block_eigh(x, structure)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert (block_eigvalsh(x, structure).tobytes()
+                        == np.linalg.eigvalsh(stack).tobytes())
+        for model, h in _gibbs_hamiltonians():
+            want = np.linalg.eigh(vec_to_blocks(h, model.structure))
+            got = block_eigh(h, model.structure)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            for beta in (0.7, -0.7, np.inf, -np.inf):
+                thermo.gibbs_state(model, h, beta)
+
+
+def test_every_block_eigensolve_goes_through_the_kernel(monkeypatch):
+    """With np.linalg.eigh and eigvalsh made to raise, a conversion request
+    of the benchmark's kind (two states, both diagonalizations, Renyi and
+    relative entropies, a unital and a rare verdict) and a Landauer ledger
+    on composites still complete, and the kernel's gufuncs were called: a
+    count of them sees every block eigensolve."""
+    calls = []
+    for name in ("_eigh_lo", "_eigvalsh_lo"):
+        solve = getattr(embedding, name)
+        monkeypatch.setattr(embedding, name,
+                            lambda H, solve=solve: calls.append(H) or solve(H))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg solved a block stack")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rng = np.random.default_rng(9)
+    for text in ("classical:3", "quantum:3", "rebit", "doubled_quantum:2",
+                 "extended_classical:3x2"):
+        m = zoo.parse_model_string(text)
+        for src, tgt in ((m.state_sampler(m, rng), m.state_sampler(m, rng)),
+                         (m.pure_sampler(m, rng), m.chi)):
+            calls.clear()
+            rho, sigma = core.StateVec(src, m), core.StateVec(tgt, m)
+            spectral.diagonalize(rho)
+            spectral.diagonalize(sigma)
+            for alpha in (0.0, 0.5, 1.0, 2.0, np.inf):
+                thermo.entropy(rho, alpha)
+            thermo.relative_entropy(rho, sigma)
+            resource.convertible(rho, sigma, "unital")
+            resource.convertible(rho, sigma, "rare")
+            assert len(calls) >= 2
+    for text in ("quantum:2", "doubled_quantum:2"):
+        m = zoo.parse_model_string(text)
+        comp = zoo.compose_systems(m, m)
+        st_, n = comp.structure, comp.structure.n
+        K = np.zeros((st_.hilbert_dim,) * 2, complex)
+        for b in range(st_.block_count):
+            K[b * n:(b + 1) * n, b * n:(b + 1) * n] = zoo._haar_unitary(
+                rng, n, "C")
+        joint = comp.make_reversible(conjugation_matrix([K], st_), kraus=[K])
+        h = blocks_to_vec([np.diag(rng.uniform(0.0, 2.0, m.structure.n))
+                           for _ in m.structure.dims], m.structure)
+        calls.clear()
+        rho = core.StateVec(m.state_sampler(m, rng), m)
+        ledger = thermo.landauer_ledger(joint, rho, h, 0.8, comp)
+        assert ledger.equality_residual <= 1e-7
+        assert len(calls) >= 6
 
 
 @settings(deadline=None, max_examples=150)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptt import core, resource, spectral, thermo, zoo
+from gptt import core, embedding, resource, spectral, thermo, zoo
 from gptt.core import (
     ConeSpec,
     DiagonalizationError,
@@ -197,7 +197,7 @@ class TestMemo:
         # were built from; a copy reads its vector off the pairs its cone
         # check kept, without an eigensolve, and agrees with it
         st_ = model.structure
-        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        eigh = _counting(monkeypatch, embedding, "_eigh_lo")
         for e in diagonalize(rand_state(model, np.random.default_rng(63))
                              ).eigenstates:
             b, v = zoo.pure_support(e)
@@ -220,8 +220,8 @@ class TestMemo:
                              ids=lambda m: m.model_id)
     def test_request_runs_two_eigendecompositions(self, monkeypatch, model):
         # counted over the two constructions and the first request
-        eigh = _counting(monkeypatch, np.linalg, "eigh")
-        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+        eigh = _counting(monkeypatch, embedding, "_eigh_lo")
+        eigvalsh = _counting(monkeypatch, embedding, "_eigvalsh_lo")
         r = np.random.default_rng(64)
         rho = rand_state(model, r)
         sigma = StateVec(0.5 * rho.coords + 0.5 * model.chi, model)
@@ -263,7 +263,7 @@ class TestMemo:
         r = np.random.default_rng(65)
         s = rand_state(model, r)
         kept = s._derived["block_eigh"]
-        eigh = _counting(monkeypatch, np.linalg, "eigh")
+        eigh = _counting(monkeypatch, embedding, "_eigh_lo")
         d = diagonalize(s)
         assert eigh == [] and s._derived.keys() == {"diagonalization"}
         raw = block_eigh(s.coords, model.structure)[0]
@@ -292,8 +292,8 @@ class TestMemo:
     def test_gibbs_state_solves_h_once(self, monkeypatch, model, beta):
         st_ = model.structure
         h = 3.0 * rand_state(model, np.random.default_rng(66)).coords
-        eigh = _counting(monkeypatch, np.linalg, "eigh")
-        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+        eigh = _counting(monkeypatch, embedding, "_eigh_lo")
+        eigvalsh = _counting(monkeypatch, embedding, "_eigvalsh_lo")
         g = thermo.gibbs_state(model, h, beta)
         # one eigh of the block stack of h, then the equilibrium state's
         # cone check
@@ -311,8 +311,8 @@ class TestMemo:
         rho = StateVec(blocks_to_vec([A, B], model.structure), model)
         sigma = StateVec(blocks_to_vec([X @ B @ X, A.conj()],
                                        model.structure), model)
-        eigh = _counting(monkeypatch, np.linalg, "eigh")
-        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+        eigh = _counting(monkeypatch, embedding, "_eigh_lo")
+        eigvalsh = _counting(monkeypatch, embedding, "_eigvalsh_lo")
         out = resource.convertible(rho, sigma, "rare")
         assert out.answer == "yes" and out.certificate["sector_perm"] == (1, 0)
         assert eigh == [] and eigvalsh == []
@@ -410,6 +410,43 @@ class TestDescendingOrder:
         got = spectral._descending_order(values)
         assert got.tolist() == _position_order(values)
 
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_unrounded_sort_matches_the_rounded_rule(self, k, seed):
+        """Values from gaps that are exact ties, gaps drawn around the 2e-12
+        threshold and the 12-digit step, and wide gaps, from 0 (with signed
+        zeros) or from a random start, in random positions: the order is
+        the rounded rule's, whichever sort gave it."""
+        r = np.random.default_rng(seed)
+        # per example: the share of ties and of near gaps, and whether near
+        # gaps may fall below the threshold
+        p = [(0.0, 0.0), (0.0, 0.5), (0.3, 0.0), (0.2, 0.3)][r.integers(4)]
+        kind = r.choice(3, size=k, p=[*p, 1.0 - sum(p)])
+        near = r.uniform(r.choice([0.0, 2e-12]), 4e-12, k)
+        gaps = np.where(kind == 0, 0.0, np.where(
+            kind == 1, near, r.uniform(1e-6, 0.2, k)))
+        values = r.choice([0.0, r.random()]) + np.cumsum(gaps)
+        values[values == 0.0] *= r.choice([1.0, -1.0], size=k)[values == 0.0]
+        values = r.permutation(values)
+        got = spectral._descending_order(values)
+        assert got.dtype == np.intp
+        assert got.tolist() == _position_order(values)
+
+    def test_distinct_spectra_round_nothing(self, monkeypatch):
+        """A state whose eigenvalues are more than 2e-12 apart is ordered
+        without one `round` call; a tie (the zeros of a pure state) falls
+        back to the rounded keys."""
+        calls = []
+        monkeypatch.setattr(spectral, "round", lambda v, d: calls.append(v)
+                            or round(v, d), raising=False)
+        r = np.random.default_rng(84)
+        for model in (q3, dq2, zoo.compose_systems(q2, q2)):
+            diagonalize(rand_state(model, r))
+            assert calls == []
+            diagonalize(StateVec(model.pure_sampler(model, r), model))
+            assert len(calls) == model.capacity
+            calls.clear()
+
     @pytest.mark.parametrize("name", ["doubled_quantum:3",
                                       "extended_classical:3x2", "quantum:3"])
     def test_order_reads_no_eigenstate_row(self, monkeypatch, name):
@@ -470,8 +507,8 @@ class TestCertificate:
     def test_corrupted_eigensolve_refused(self, monkeypatch, model, corrupt):
         # built under the corrupted eigensolver: the state's cone check is
         # its one eigensolve, and the matrix route certifies what it kept
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh",
+        eigh = embedding._eigh_lo
+        monkeypatch.setattr(embedding, "_eigh_lo",
                             lambda B: corrupt(*map(np.copy, eigh(B))))
         s = rand_state(model, np.random.default_rng(71))
         with pytest.raises(DiagonalizationError) as exc:
@@ -484,14 +521,14 @@ class TestCertificate:
     def test_duplicated_null_vector_refused(self, monkeypatch):
         """A pure state rebuilt exactly from a basis whose two zero-weight
         eigenstates coincide: only the Gram matrix sees the defect."""
-        eigh = np.linalg.eigh
+        eigh = embedding._eigh_lo
 
         def duplicated(B):
             w, V = map(np.copy, eigh(B))
             V[:, 0] = V[:, 1]
             return w, V
 
-        monkeypatch.setattr(np.linalg, "eigh", duplicated)
+        monkeypatch.setattr(embedding, "_eigh_lo", duplicated)
         s = StateVec(q3.pure_sampler(q3, np.random.default_rng(74)), q3)
         with pytest.raises(DiagonalizationError, match="Gram") as exc:
             diagonalize(s)
@@ -617,8 +654,8 @@ def test_fast_route_certificate(model, seed, kind, t):
     if kind == "toward_chi":
         x = t * x + (1 - t) * model.chi
     with pytest.MonkeyPatch.context() as mp:
-        solves = _counting(mp, np.linalg, "eigh")
-        checks = _counting(mp, np.linalg, "eigvalsh")
+        solves = _counting(mp, embedding, "_eigh_lo")
+        checks = _counting(mp, embedding, "_eigvalsh_lo")
         s = StateVec(x, model)
         d = diagonalize(s)
     # construction and diagonalization together: one eigensolve of the stack
@@ -761,6 +798,13 @@ class TestFunctionalCalculus:
         h[1] = 1.0
         with pytest.raises(GPTError):
             functional_calculus(q2, h, math.log)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_refused(self, bad):
+        h = np.zeros(q2.vector_dim)
+        h[2] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            functional_calculus(q2, h, abs)
 
 
 class TestTransition:

@@ -266,7 +266,8 @@ class TestGibbs:
     def test_energy_solvers_refuse_non_finite(self, bad):
         h = H01.copy()
         h[0] = bad
-        for solve in (lambda: thermo.log_partition(q2, h, 1.0),
+        for solve in (lambda: thermo.gibbs_state(q2, h, 0.7),
+                      lambda: thermo.log_partition(q2, h, 1.0),
                       lambda: thermo.beta_from_energy(q2, h, 0.5),
                       lambda: thermo.entropy_identity_residual(
                           q2, h, 1.0, 0.5, 0.5)):

@@ -5,17 +5,18 @@
         --pairs 10 --seconds 20 --seed 34211 --out BENCH_tag.json
 
 Run from the root of a checkout.  The parent commit is exported with
-`git archive` into a temporary directory; the change side is the working
-tree.  Pair i runs `perfbench/run.py --workload W --seed S --seconds T
---trace 0` once on each side with seed S = --seed + i, the parent first on
-odd seeds and the change first on even ones, so a drift in host speed
-falls on both sides alike.  A second workload starts its seeds 100 higher,
-a third 200, and so on.  Every run gets a fresh, empty temporary
-directory as PYTHONPYCACHEPREFIX, with PYTHONDONTWRITEBYTECODE=1, so that
-no side reads bytecode left by an earlier run or a test run (a
-`__pycache__` in the working tree) and none is written: each run compiles
-what it imports, the standard library and numpy included, and its
-`setup_s` counts that on both sides alike.
+`git archive` into a temporary directory, and the change side is the
+working tree's tracked files, uncommitted edits included, copied into
+another.  Neither export holds a `__pycache__`, and every run has
+PYTHONDONTWRITEBYTECODE=1, so no side reads bytecode of the repo's own
+code left by an earlier run or a test run and none is written: each run
+compiles gptt and the benchmark, while the standard library and numpy
+load from their installed bytecode on both sides alike.  Pair i runs
+`perfbench/run.py --workload W --seed S --seconds T --trace 0` once on each
+side with seed S = --seed + i, the parent first on odd seeds and the
+change first on even ones, so a drift in host speed falls on both sides
+alike.  A second workload starts its seeds 100 higher, a third 200, and so
+on.
 
 The output holds the `pairs`, `summary` and `runs` sections of the repo's
 BENCH layout, and a `claim` line for --claim WORKLOAD:METRIC.  For every
@@ -32,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,16 +58,27 @@ def export(root: str, rev: str, dest: str) -> str:
     return sha
 
 
+def export_worktree(root: str, dest: str) -> None:
+    """Copy the files git tracks in the working tree at root, as they are
+    on disk, into dest; a tracked file deleted from the tree is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z"], cwd=root, check=True,
+                            capture_output=True).stdout
+    for name in filter(None, os.fsdecode(listed).split("\0")):
+        src, dst = os.path.join(root, name), os.path.join(dest, name)
+        if os.path.lexists(src):
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            shutil.copy2(src, dst, follow_symlinks=False)
+
+
 def run_once(cwd: str, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run, with no bytecode read or
-    written: its final JSON line."""
+    """One `perfbench/run.py --trace 0` run that writes no bytecode: its
+    final JSON line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    with tempfile.TemporaryDirectory() as pycache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                   PYTHONPYCACHEPREFIX=pycache)
-        proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
-                              text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True,
+                          text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {cwd} exited "
                            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
@@ -140,9 +153,11 @@ def main(argv=None):
     root = os.getcwd()
     better = end_to_end(root)
     runs, seeds = [], {}
-    with tempfile.TemporaryDirectory() as parent_dir:
+    with tempfile.TemporaryDirectory() as parent_dir, \
+            tempfile.TemporaryDirectory() as change_dir:
         sha = export(root, args.parent, parent_dir)
-        dirs = {"parent": parent_dir, "change": root}
+        export_worktree(root, change_dir)
+        dirs = {"parent": parent_dir, "change": change_dir}
         for k, w in enumerate(args.workload):
             first = args.seed + 100 * k
             seeds[w] = f"{first}-{first + args.pairs - 1}"
