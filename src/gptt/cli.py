@@ -127,8 +127,8 @@ def main():
 _model_arg = click.argument("model")
 _json_flag = click.option("--json", "as_json", is_flag=True,
                           help="machine-readable output")
-_seed_opt = click.option("--seed", type=int, default=0, envvar="GPTT_SEED",
-                         show_default=True)
+_seed_opt = click.option("--seed", type=click.IntRange(min=0), default=0,
+                         envvar="GPTT_SEED", show_default=True)
 
 
 def _not_nan(ctx, param, value):

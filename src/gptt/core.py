@@ -124,9 +124,12 @@ class ConeSpec:
     kind 'rays': generators are rows of `generators`, spanning a pointed,
     full-dimensional cone.  Its facets, unit inward normals in the rows of
     `facets`, are found once, when the cone is built (`cone_facets`), and
-    so is `facet_scale`, their products F.e with the interior direction e,
-    kept read-only.  The cone is the set where every facet is nonnegative,
-    and the margin against e is min_i F_i.x / F_i.e.
+    so is `facet_scale`, their products F.e with the interior direction e.
+    The cone is the set where every facet is nonnegative, and the margin
+    against e is min_i F_i.x / F_i.e.  `checks` keeps the rows of that
+    figure, F_i / F_i.e, under one more first row: `unit`, the unit effect
+    of the model whose state cone this is, or e when none is given.  Both
+    `facet_scale` and `checks` are read-only.
     kind 'psd': membership means every Hermitian block has nonnegative
     spectrum; the margin is the smallest block eigenvalue.
     """
@@ -135,10 +138,12 @@ class ConeSpec:
     dim: int
     generators: Optional[np.ndarray] = None
     structure: Optional[BlockStructure] = None
+    unit: Optional[np.ndarray] = field(default=None, repr=False)
     interior_direction: Optional[np.ndarray] = field(default=None, init=False)
     facets: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     facet_scale: Optional[np.ndarray] = field(default=None, init=False,
                                               repr=False)
+    checks: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "rays":
@@ -156,10 +161,15 @@ class ConeSpec:
             F = cone_facets(U, e)[1]
             e = e / np.linalg.norm(e)
             scale = F @ e
-            scale.setflags(write=False)
+            unit = e if self.unit is None else np.asarray(self.unit, dtype=float)
+            if unit.shape != (self.dim,):
+                raise ValueError("unit effect must have shape (dim,)")
+            checks = np.vstack([unit, F / scale[:, None]])
+            _frozen(scale, checks)
             object.__setattr__(self, "facets", F)
             object.__setattr__(self, "interior_direction", e)
             object.__setattr__(self, "facet_scale", scale)
+            object.__setattr__(self, "checks", checks)
         elif self.kind == "psd":
             if self.structure is None:
                 raise ValueError("psd cone needs a block structure")
@@ -171,16 +181,20 @@ class ConeSpec:
     def margin(self, x, eig: Optional[list] = None) -> float:
         """Largest m with x - m * (interior direction) still in the cone.
 
-        Nonnegative exactly on cone members; for psd cones this is the
-        minimum block eigenvalue.  A psd cone scatters the checked x into
-        its block stack once and runs `embedding._eigensolve` on it, the
-        kernel of `block_eigh`, without validating the stack again.  Given
-        a list `eig`, it fills the list with the stacked (w, V): this is
-        where a matrix-model state's one eigensolve happens (`StateVec`).
-        Without it, eigenvalues alone are computed.  A NaN or infinite
-        coordinate raises ValueError, found from a non-finite margin on a
-        ray cone and beforehand on a psd one (LAPACK may pass it).  A float
-        ndarray is read as it is; anything else goes through `as_coords`.
+        Nonnegative exactly on cone members.  A ray cone's margin is the
+        smallest of its `checks` rows after the first, taken on x in one
+        product, checks @ x, and read as Python floats; given a list `eig`,
+        it fills the list with one float, the first row's entry: x's unit
+        pairing on a model's state cone (`StateVec`).  A psd cone's margin
+        is the minimum block eigenvalue: it scatters the checked x into its
+        block stack once and runs `embedding._eigensolve` on it, the kernel
+        of `block_eigh`, without validating the stack again.  Given a list
+        `eig`, it fills the list with the stacked (w, V): this is where a
+        matrix-model state's one eigensolve happens (`StateVec`).  Without
+        it, eigenvalues alone are computed.  A NaN or infinite coordinate
+        raises ValueError, found from a non-finite product on a ray cone
+        and beforehand on a psd one (LAPACK may pass it).  A float ndarray
+        is read as it is; anything else goes through `as_coords`.
         """
         if type(x) is not np.ndarray or x.dtype != np.float64:
             x = as_coords(x)
@@ -193,9 +207,13 @@ class ConeSpec:
                 return min(_eigensolve(H, False)[:, 0].tolist())
             eig[:] = _eigensolve(H)
             return min(eig[0][:, 0].tolist())
-        m = float(((self.facets @ x) / self.facet_scale).min())
-        if not -np.inf < m < np.inf:
+        v = self.checks.dot(x).tolist()
+        m = min(v[1:])
+        if not -np.inf < sum(v) < np.inf:   # a NaN or infinity among them
             _finite_coords(x)
+            m = float(np.min(v[1:]))        # a NaN from overflow, as np.min
+        if eig is not None:
+            eig[:] = v[:1]
         return m
 
     def contains(self, x) -> bool:
@@ -207,7 +225,8 @@ def cone_membership(model: "ModelSpec", x, which: str = "state",
     """Membership test with a signed separation margin.
 
     Returns (inside, margin); margin >= -tol counts as inside.  `eig` is
-    passed on to `ConeSpec.margin`.
+    passed on to `ConeSpec.margin`, which fills it with a ray cone's unit
+    pairing or a psd cone's stacked (w, V).
     """
     cone = model.state_cone if which == "state" else model.effect_cone
     m = cone.margin(x, eig)
@@ -467,7 +486,7 @@ def _same_model(a: ModelSpec, b: ModelSpec):
 # States, effects, observables
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StateVec:
     """Normalized state: cone member with unit pairing against the unit effect.
 
@@ -475,18 +494,21 @@ class StateVec:
     makes its one float copy, then a wrong shape (ValueError), a NaN or
     infinite coordinate (ConeError), a unit pairing off by more than 1e-7
     (NormalizationError) and a margin below -DEFAULT_TOL, from one
-    `cone_membership` check (ConeError).  On a matrix model the membership
-    check is the state's one block eigendecomposition: its stacked (w, V)
-    is kept in `_derived["block_eigh"]` until `spectral.diagonalize` takes
-    it out, so no second eigensolve runs.  The eigenstates of a
-    diagonalization are the one exception to these checks
-    (`_checked_state`): on a matrix model they are built, without a kept
-    (w, V), when first read, on rows that passed one check of the whole
-    decomposition (`_certified_rows`) with tighter tolerances than these;
-    on a polytope they are rows of `pure_states`, generators of the state
-    cone normalized to unit pairing.  The state is frozen and its coordinates are read-only, so results
-    derived from it alone (its diagonalization, the support of a pure state)
-    are cached in `_derived` and never go stale.
+    `cone_membership` check (ConeError).  On a polytope that check is one
+    product of the float copy with the state cone's kept `checks` matrix,
+    which gives the unit pairing and the margin together (`ConeSpec.margin`).
+    On a matrix model the pairing is taken first, and the membership check
+    is the state's one block eigendecomposition: its stacked (w, V) is kept
+    in `_derived["block_eigh"]` until `spectral.diagonalize` takes it out,
+    so no second eigensolve runs.  The eigenstates of a diagonalization
+    are the one exception to these checks (`_checked_state`): on a matrix
+    model they are built, without a kept (w, V), when first read, on rows
+    that passed one check of the whole decomposition (`_certified_rows`)
+    with tighter tolerances than these; on a polytope they are rows of
+    `pure_states`, generators of the state cone normalized to unit pairing.
+    The state is frozen and its coordinates are read-only, so results
+    derived from it alone (its diagonalization, the support of a pure
+    state) are cached in `_derived` and never go stale.
     """
 
     coords: np.ndarray
@@ -494,27 +516,36 @@ class StateVec:
     _derived: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
+    def __init__(self, coords, model: ModelSpec):
+        self.__dict__.update(coords=coords, model=model, _derived={})
+        self.__post_init__()
+
+    # the checks stay in __post_init__, where the benchmark's tracer
+    # counts the states built
     def __post_init__(self):
         if np.iscomplexobj(self.coords):
             raise ValueError("state has complex coordinates")
+        model = self.model
         x = np.array(self.coords, dtype=float)
-        if x.shape != (self.model.vector_dim,):
+        if x.shape != (model.vector_dim,):
             raise ValueError("state has wrong dimension")
         x.setflags(write=False)
-        object.__setattr__(self, "coords", x)
-        # before the pairing, which would warn and come out NaN, and the
+        self.__dict__["coords"] = x
+        # before any product, which would warn and come out NaN, and the
         # cone check, where LAPACK may give such a matrix finite eigenvalues
         if not _all_finite(x):
             raise ConeError("state has a NaN or infinite coordinate")
-        p = float(self.model.unit_effect @ x)
-        if not abs(p - 1.0) <= 1e-7:
-            raise NormalizationError(f"state has unit pairing {p!r}, expected 1")
         eig = []
-        ok, margin = cone_membership(self.model, x, "state", eig=eig)
+        if model.state_cone.kind == "psd":
+            _check_pairing(float(model.unit_effect @ x))
+            ok, margin = cone_membership(model, x, "state", eig=eig)
+            if eig:
+                self._derived["block_eigh"] = tuple(eig)
+        else:
+            ok, margin = cone_membership(model, x, "state", eig=eig)
+            _check_pairing(eig[0])
         if not ok:
             raise ConeError(f"state outside cone (margin {margin:.3e})")
-        if eig:
-            self._derived["block_eigh"] = tuple(eig)
 
     @classmethod
     def normalized(cls, model: ModelSpec, raw) -> "StateVec":
@@ -526,6 +557,12 @@ class StateVec:
 
     def __repr__(self):
         return f"StateVec({self.model.model_id}, {np.array2string(self.coords, precision=4)})"
+
+
+def _check_pairing(p: float):
+    """A state's refusal of a unit pairing off by more than 1e-7."""
+    if not abs(p - 1.0) <= 1e-7:
+        raise NormalizationError(f"state has unit pairing {p!r}, expected 1")
 
 
 def _block_figures(x: np.ndarray, raw: np.ndarray, eig,

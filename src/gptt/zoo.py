@@ -502,7 +502,7 @@ def _polytope_model(kind: str, model_id: str, state_vertices,
     G = np.asarray(effect_generators, dtype=float)
     u = np.asarray(unit_effect, dtype=float)
     D = V.shape[1]
-    state_cone = ConeSpec("rays", D, generators=V)
+    state_cone = ConeSpec("rays", D, generators=V, unit=u)
     effect_cone = ConeSpec("rays", D, generators=G)
     group_matrices = [np.asarray(M, dtype=float) for M in group_matrices]
     for M in group_matrices:

@@ -3,8 +3,8 @@
 Everything here works on raw density matrices / probability vectors with
 numpy and scipy only, sharing no code with the package under test, except
 the copies of the package's eigenstate-reading witness builders, of its
-polytope request path, of its dense invariant-state solve and of its
-composite operations at the end.
+polytope request path, of its dense invariant-state solve, of its
+composite operations and of its state check at the end.
 """
 
 import math
@@ -920,3 +920,36 @@ def relative_entropy_scalars(dr, ds):
                 return math.inf
             total -= pj * w * math.log(qi)
     return max(total, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the state check, as a sequence of separate steps
+#
+# A copy of the state constructor's checks as they ran before the unit
+# pairing and the margin of a polytope state came from one product: each
+# check on its own, the pairing as its own product, then the package's
+# `cone_membership`.
+
+
+def state_check_sequence(model, coords):
+    """The float copy of `coords` as a state of `model`, or the first
+    refusal raised: complex input and a wrong shape (ValueError), a NaN or
+    infinite coordinate (ConeError), a unit pairing off by more than 1e-7
+    (NormalizationError), then a margin below the cone tolerance
+    (ConeError)."""
+    from gptt import core
+
+    if np.iscomplexobj(coords):
+        raise ValueError("state has complex coordinates")
+    x = np.array(coords, dtype=float)
+    if x.shape != (model.vector_dim,):
+        raise ValueError("state has wrong dimension")
+    if np.count_nonzero(np.isfinite(x)) != x.size:
+        raise core.ConeError("state has a NaN or infinite coordinate")
+    p = float(model.unit_effect @ x)
+    if not abs(p - 1.0) <= 1e-7:
+        raise core.NormalizationError(f"state has unit pairing {p!r}, expected 1")
+    ok, margin = core.cone_membership(model, x, "state")
+    if not ok:
+        raise core.ConeError(f"state outside cone (margin {margin:.3e})")
+    return x

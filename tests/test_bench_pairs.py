@@ -1,13 +1,16 @@
 """The summary arithmetic of `tools/bench_pairs.py` on canned pair lists:
 medians, inclusive quartiles, better-pair counts in each metric's
 direction, failed requests and correctness, the claim line and the
-alternating order, and the fresh exports both sides run in."""
+alternating order, the fresh exports both sides run in, and the check of
+a --claim before any run."""
 
 import importlib.util
 import json
 import os
 import subprocess
 from pathlib import Path
+
+import pytest
 
 spec = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
@@ -144,3 +147,51 @@ def test_both_sides_run_in_fresh_exports_without_bytecode(
         assert caches == [] and prefix is None and flag == "1"
         assert listed == ["BENCHMARK.json", "src"]
         assert not os.path.exists(cwd)
+
+
+@pytest.mark.parametrize("text", [
+    "polytope_lp",                 # no colon
+    "polytope_lp:req_per_sec",     # not a metric of BENCHMARK.json
+    "convert_small:req_per_s",     # not among --workload
+    "polytope_lp:req_per_s:x",     # two colons
+    ":req_per_s",
+])
+def test_malformed_claim_exits_two_before_any_run(text, tmp_path, monkeypatch,
+                                                  capsys):
+    """A claim is checked before anything is exported or run: a malformed
+    one exits 2 with a usage message after zero runs and writes nothing."""
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda *a: calls.append(a) or {})
+    monkeypatch.setattr(bench_pairs, "export",
+                        lambda *a: calls.append(a) or "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export_worktree",
+                        lambda *a: calls.append(a))
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "polytope_lp",
+                          "--pairs", "2", "--claim", text, "--out", str(out)])
+    assert exc.value.code == 2
+    assert calls == [] and not out.exists()
+    assert f"--claim {text}: WORKLOAD:METRIC needs" in capsys.readouterr().err
+
+
+def test_claim_line_names_the_claimed_workload(tmp_path, monkeypatch):
+    """With two workloads, the claim line is the claimed one's, not the
+    last one run."""
+    r = {"correct": True, "attempted": 1, "failed": 0,
+         "metrics": {m: {"value": 1.0} for m in bench_pairs.end_to_end(
+             Path(__file__).resolve().parents[1])}}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: r)
+    monkeypatch.setattr(bench_pairs, "export", lambda *a: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export_worktree", lambda *a: None)
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    out = tmp_path / "out.json"
+    bench_pairs.main(["--parent", "HEAD", "--workload", "polytope_lp",
+                      "--workload", "convert_small", "--pairs", "2",
+                      "--claim", "polytope_lp:req_per_s", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["claim"]["workload"] == "polytope_lp"
+    assert doc["claim"]["metric"] == "req_per_s"
+    assert doc["claim"]["result"].startswith("not met: 0 of 2 pairs better")

@@ -302,6 +302,30 @@ def test_malformed_input_exits_two(args):
     assert invoke(*args).exit_code == 2
 
 
+_SEEDED_ARGS = {
+    "diag": ("quantum:2",),
+    "convert": ("quantum:2", "--from", "pure:0", "--to", "chi"),
+    "entropy": ("quantum:2",),
+    "landauer": ("quantum:2",),
+    "erase": ("quantum:2",),
+    "verify": ("quantum:2",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SEEDED_ARGS))
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_negative_seed_exits_two(command, how):
+    """A negative seed, which numpy's generator refuses, is a usage error
+    with click's message on every command that takes one, given as the
+    flag or in GPTT_SEED; `verify`, which only echoes it, too."""
+    args = [command, *_SEEDED_ARGS[command], "--json"]
+    res = (invoke(*args, "--seed", "-1") if how == "flag"
+           else invoke(*args, env={"GPTT_SEED": "-1"}))
+    assert res.exit_code == 2 and res.exception is not None
+    assert isinstance(res.exception, SystemExit)
+    assert "Invalid value for '--seed': -1 is not in the range x>=0." in res.output
+
+
 # Parameters stay at most 4: a model's coordinates grow with the square of
 # its block size.
 _small_int = st.integers(-2, 4).map(str)

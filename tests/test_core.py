@@ -180,7 +180,8 @@ class TestConstructorRefusals:
     @pytest.mark.parametrize("model", _TABLE_MODELS, ids=lambda m: m.model_id)
     def test_margin_reads_arrays_and_lists_alike(self, model):
         """`ConeSpec.margin` gives the same bits on a float array, a list
-        and an integer array; a ray cone's is min F.x / F.e."""
+        and an integer array; a ray cone's is min (F / F.e) x, the product
+        of x with the rows F_i / F_i.e of its kept matrix."""
         r = np.random.default_rng(6)
         cone = model.state_cone
         for _ in range(20):
@@ -191,8 +192,9 @@ class TestConstructorRefusals:
             if cone.kind == "rays":
                 F = cone.facets
                 assert m == float(np.min(
-                    (F @ x) / (F @ cone.interior_direction)))
+                    (F / (F @ cone.interior_direction)[:, None]) @ x))
                 assert not cone.facet_scale.flags.writeable
+                assert not cone.checks.flags.writeable
         ints = np.round(3 * model.unit_effect).astype(int)
         assert cone.margin(ints) == cone.margin(ints.astype(float))
 

@@ -152,6 +152,14 @@ def main(argv=None):
         ap.error("quartiles need at least two pairs")
     root = os.getcwd()
     better = end_to_end(root)
+    if args.claim:      # checked before any export or run
+        claim_w, _, claim_metric = args.claim.partition(":")
+        if claim_w not in args.workload:
+            ap.error(f"--claim {args.claim}: WORKLOAD:METRIC needs a "
+                     f"workload among --workload {args.workload}")
+        if claim_metric not in better:
+            ap.error(f"--claim {args.claim}: WORKLOAD:METRIC needs an "
+                     f"end-to-end metric of BENCHMARK.json {sorted(better)}")
     runs, seeds = [], {}
     with tempfile.TemporaryDirectory() as parent_dir, \
             tempfile.TemporaryDirectory() as change_dir:
@@ -183,9 +191,9 @@ def main(argv=None):
            "summary": summary,
            "runs": runs}
     if args.claim:
-        w, metric = args.claim.split(":")
-        doc = {"claim": {"workload": w, "metric": metric,
-                         "result": claim(summary, w, metric)}, **doc}
+        doc = {"claim": {"workload": claim_w, "metric": claim_metric,
+                         "result": claim(summary, claim_w, claim_metric)},
+               **doc}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
